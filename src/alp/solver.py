@@ -1,19 +1,30 @@
 """Objective minimization: LNS around a complete branch-and-bound subsolver.
 
-The subsolver branches over ec/dc variables only; rf variables follow from
-their defining disjunctions by unit propagation.  Nodes are pruned against
-the incumbent using the decided rf penalties plus the constant offset, which
-never overestimates any completion.  Variable order is static by descending
-constraint degree, overridden by the variable that most recently caused a
-failure (last conflict); the incumbent's value is tried first.
+The subsolver compiles the model once into dense integer positions and
+branches over ec/dc positions only; rf positions follow from their defining
+disjunctions by propagation.  Propagation is counter based, in the manner of
+watched-literal SAT solvers: every iff_or and at_least_one constraint keeps
+how many of its body positions are 1 and how many are unassigned, and the
+bottleneck keeps the least sum it can still reach.  The counters move on
+assignment and move back on backtracking, so checking a constraint costs
+O(1) and a body is scanned only when a value is forced.  The generality
+pairs form a conflict graph: setting a position to 1 sets its neighbours to
+0.  Nodes are pruned against the incumbent using the decided rf penalties
+plus the constant offset, which never overestimates any completion.
+Variable order is static by descending constraint degree (pairs included),
+overridden by the variable that most recently caused a failure (last
+conflict); the incumbent's value is tried first.
 
 Each LNS iteration freezes a share of the incumbent's structure: alpha % of
 the active decoder variables stay 1 and beta % of the inactive encoder
 variables stay 0; everything else is searched exactly under a fail limit.
+The run's time limit is a deadline that the seed's fallback search and every
+iteration's search poll; reaching it returns the best solution so far.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -22,7 +33,6 @@ from typing import Callable
 
 from .errors import InfeasibleError
 from .model import (
-    AT_LEAST_ONE,
     AT_MOST_ONE_OF_PAIR,
     Assignment,
     CopModel,
@@ -30,6 +40,7 @@ from .model import (
     EC,
     IFF_OR,
     LINEAR_LE,
+    RF,
     VarId,
     assignment_from_dc,
     check_assignment,
@@ -80,36 +91,85 @@ class ExactResult:
 
 
 class _Searcher:
-    """Reusable propagation context for one model."""
+    """One model compiled into dense integer positions for repeated search.
+
+    Positions follow ``CopModel.all_ids``: ec, then dc, then rf, and one
+    more position that is always 1.  Each iff_or constraint keeps its head
+    position and body tuple; an at_least_one constraint is a body whose head
+    is the always-1 position.  The generality pairs become a conflict
+    adjacency list per position, the bottleneck one coefficient per position.
+    The model is compiled by the first ``solve``, so that a caller can hold
+    a searcher before it knows whether any search will run.
+    """
 
     def __init__(self, model: CopModel):
         self.model = model
-        self.vars: list[VarId] = model.all_ids()
-        self.pos: dict[VarId, int] = {v: i for i, v in enumerate(self.vars)}
-        n = len(self.vars)
-        self.occurrences: list[list[int]] = [[] for _ in range(n)]
-        for ci, con in enumerate(model.constraints):
-            for v in con.vars:
-                self.occurrences[self.pos[v]].append(ci)
-        # rf penalty bookkeeping: penalty_value[p] is the objective
-        # contribution of rf position p when assigned that value.
-        self.rf_offset = len(model.ec_candidates) + len(model.dc_candidates)
-        self.rf_in_kb = model.rf_in_kb
-        branchable = [
-            i
-            for i, v in enumerate(self.vars)
-            if v.kind in (EC, DC)
-        ]
-        branchable.sort(key=lambda i: (-len(self.occurrences[i]), i))
-        self.static_order = branchable
+        self.compiled = False
 
-    def _penalty(self, p: int, value: int) -> int:
-        i = p - self.rf_offset
-        if i < 0:
-            return 0
-        if self.rf_in_kb[i]:
-            return 1 - value
-        return value
+    def _compile(self) -> None:
+        model = self.model
+        self.vars: list[VarId] = model.all_ids()
+        n = len(self.vars)
+        # One shared int object per position: the pair adjacency lists hold
+        # 456k entries for the paper's Fig. 1 KB at the default bias.
+        positions = list(range(n))
+        n_ec, n_dc = len(model.ec_candidates), len(model.dc_candidates)
+        first = {EC: 0, DC: n_ec, RF: n_ec + n_dc}
+        self.first = first
+        degree = [0] * n
+        partners: list[list[int]] = [[] for _ in range(n)]
+        body_of: list[list[int]] = [[] for _ in range(n)]
+        watch: list[list[int]] = [[] for _ in range(n)]
+        heads: list[int] = []
+        bodies: list[tuple[int, ...]] = []
+        coeff = [0] * n
+        linear = 0
+        for con in model.constraints:
+            ps = [positions[first[v.kind] + v.index] for v in con.vars]
+            for p in ps:
+                degree[p] += 1
+            if con.form == AT_MOST_ONE_OF_PAIR:
+                a, b = ps
+                partners[a].append(b)
+                partners[b].append(a)
+                continue
+            if con.form == LINEAR_LE:
+                linear += 1
+                if linear > 1:
+                    raise ValueError("the search expects one linear_le constraint")
+                for p, a in zip(ps, con.coeffs):
+                    coeff[p] = a
+                continue
+            c = len(heads)
+            if con.form == IFF_OR:
+                heads.append(ps[0])
+                watch[ps[0]].append(c)
+                ps = ps[1:]
+            else:  # at_least_one: a body whose head is the constant-1 position
+                heads.append(n)
+            bodies.append(tuple(ps))
+            for p in ps:
+                body_of[p].append(c)
+                watch[p].append(c)
+        self.partners = partners
+        self.body_of = body_of
+        self.watch = watch
+        self.heads = heads
+        self.bodies = bodies
+        # The least sum the bottleneck can reach with nothing assigned, what
+        # position p at value v adds to it, and its positive terms, largest
+        # first.
+        self.linear_floor = sum(a for a in coeff if a < 0)
+        self.linear_rise = [(0, a) if a > 0 else (-a, 0) for a in coeff]
+        self.linear_desc = sorted(
+            ((a, p) for p, a in enumerate(coeff) if a > 0), key=lambda t: -t[0]
+        )
+        # penalty[p][v]: the objective term of position p at value v.
+        self.penalty = [(0, 0)] * (n_ec + n_dc) + [
+            (1, 0) if in_kb else (0, 1) for in_kb in model.rf_in_kb
+        ]
+        self.static_order = sorted(range(n_ec + n_dc), key=lambda p: (-degree[p], p))
+        self.compiled = True
 
     def solve(
         self,
@@ -117,138 +177,159 @@ class _Searcher:
         fail_limit: int,
         incumbent_bound: float,
         incumbent: Assignment | None = None,
+        deadline: float = math.inf,
     ) -> ExactResult:
-        model = self.model
-        n = len(self.vars)
-        values = [UNASSIGNED] * n
-        trail: list[int] = []
-        lb = model.constant_offset  # decided objective terms so far
-        conflict = False
+        """Depth-first branch and bound below ``incumbent_bound``.
 
-        def assign(p: int, v: int) -> bool:
-            """Returns True on conflict."""
-            nonlocal lb
-            cur = values[p]
-            if cur != UNASSIGNED:
-                return cur != v
+        ``deadline`` is a ``time.monotonic`` instant, polled every 1,024
+        nodes; reaching it returns the best completion so far as incomplete.
+        """
+        if not self.compiled:
+            self._compile()
+        partners, body_of, watch = self.partners, self.body_of, self.watch
+        heads, bodies = self.heads, self.bodies
+        linear_desc, linear_rise = self.linear_desc, self.linear_rise
+        penalty = self.penalty
+        static_order = self.static_order
+        values = [UNASSIGNED] * len(self.vars) + [1]  # + the always-1 position
+        ones = [0] * len(heads)
+        free = [len(body) for body in bodies]
+        trail: list[int] = []
+        queue: list[int] = []  # assigned positions whose constraints wait
+        lb = self.model.constant_offset  # decided objective terms so far
+        linear_sum = self.linear_floor  # least bottleneck sum still reachable
+
+        def assign(p: int, v: int) -> None:
+            nonlocal lb, linear_sum
             values[p] = v
             trail.append(p)
-            lb += self._penalty(p, v)
-            queue.extend(self.occurrences[p])
+            queue.append(p)
+            lb += penalty[p][v]
+            linear_sum += linear_rise[p][v]
+            for c in body_of[p]:
+                free[c] -= 1
+                ones[c] += v
+
+        def undo(mark: int) -> None:
+            nonlocal lb, linear_sum
+            while len(trail) > mark:
+                p = trail.pop()
+                v = values[p]
+                values[p] = UNASSIGNED
+                lb -= penalty[p][v]
+                linear_sum -= linear_rise[p][v]
+                for c in body_of[p]:
+                    free[c] += 1
+                    ones[c] -= v
+
+        def check(c: int) -> bool:
+            """Propagates head <-> OR(body) of constraint c; True on conflict."""
+            h = heads[c]
+            vh = values[h]
+            if ones[c]:
+                if vh == 0:
+                    return True
+                if vh == UNASSIGNED:
+                    assign(h, 1)
+            elif not free[c]:
+                if vh == 1:
+                    return True
+                if vh == UNASSIGNED:
+                    assign(h, 0)
+            elif vh == 0:
+                for q in bodies[c]:
+                    if values[q] == UNASSIGNED:
+                        assign(q, 0)
+            elif vh == 1 and free[c] == 1:
+                for q in bodies[c]:
+                    if values[q] == UNASSIGNED:
+                        assign(q, 1)
+                        break
+            return False
+
+        def check_linear() -> bool:
+            """Zeroes every free term that would exceed the bottleneck."""
+            if linear_sum > 0:
+                return True
+            for a, q in linear_desc:
+                if a + linear_sum <= 0:
+                    break
+                if values[q] == UNASSIGNED:
+                    assign(q, 0)
             return False
 
         def propagate() -> bool:
+            """Runs the queue to the fixpoint; True on conflict."""
             while queue:
-                con = model.constraints[queue.pop()]
-                form = con.form
-                if form == IFF_OR:
-                    head = self.pos[con.vars[0]]
-                    vh = values[head]
-                    any_one = False
-                    unknown = []
-                    for v in con.vars[1:]:
-                        p = self.pos[v]
-                        val = values[p]
-                        if val == 1:
-                            any_one = True
-                        elif val == UNASSIGNED:
-                            unknown.append(p)
-                    if any_one:
-                        if assign(head, 1):
+                p = queue.pop()
+                v = values[p]
+                if v:
+                    for q in partners[p]:
+                        vq = values[q]
+                        if vq == 1:
                             return True
-                    elif not unknown:
-                        if assign(head, 0):
-                            return True
-                    elif vh == 0:
-                        for p in unknown:
-                            if assign(p, 0):
-                                return True
-                    elif vh == 1 and len(unknown) == 1:
-                        if assign(unknown[0], 1):
-                            return True
-                elif form == AT_MOST_ONE_OF_PAIR:
-                    a, b = self.pos[con.vars[0]], self.pos[con.vars[1]]
-                    if values[a] == 1 and values[b] == 1:
+                        if vq == UNASSIGNED:
+                            assign(q, 0)
+                if linear_rise[p][v] and check_linear():
+                    return True
+                for c in watch[p]:
+                    if check(c):
                         return True
-                    if values[a] == 1 and values[b] == UNASSIGNED:
-                        if assign(b, 0):
-                            return True
-                    elif values[b] == 1 and values[a] == UNASSIGNED:
-                        if assign(a, 0):
-                            return True
-                elif form == AT_LEAST_ONE:
-                    unknown = []
-                    satisfied = False
-                    for v in con.vars:
-                        p = self.pos[v]
-                        val = values[p]
-                        if val == 1:
-                            satisfied = True
-                            break
-                        if val == UNASSIGNED:
-                            unknown.append(p)
-                    if satisfied:
-                        continue
-                    if not unknown:
-                        return True
-                    if len(unknown) == 1:
-                        if assign(unknown[0], 1):
-                            return True
-                else:  # LINEAR_LE
-                    base = 0
-                    free_pos = []
-                    for a, v in zip(con.coeffs, con.vars):
-                        p = self.pos[v]
-                        val = values[p]
-                        if val == UNASSIGNED:
-                            if a < 0:
-                                base += a
-                            else:
-                                free_pos.append((p, a))
-                        else:
-                            base += a * val
-                    if base > 0:
-                        return True
-                    for p, a in free_pos:
-                        if base + a > 0:
-                            if assign(p, 0):
-                                return True
             return False
 
-        queue: list[int] = []
+        first = self.first
         for var, v in fixed.items():
-            if assign(self.pos[var], v):
-                conflict = True
-                break
-        if not conflict:
-            queue.extend(range(len(model.constraints)))
-            conflict = propagate()
-        if conflict:
+            assign(first[var.kind] + var.index, v)
+        if (
+            check_linear()
+            or any(check(c) for c in range(len(heads)))
+            or propagate()
+        ):
             return ExactResult(None, None, True, 1)
 
         best: Assignment | None = None
         best_obj = incumbent_bound
         failures = 0
+        nodes = 0
         last_conflict: int | None = None
-        # frames: (position, values left to try, trail length before assign)
+        first_values = (
+            [incumbent.get(v, 0) for v in self.vars] if incumbent is not None else None
+        )
+        # static_order[:scan] is assigned; each frame keeps the scan of the
+        # state it backtracks to.
+        scan = 0
+        # frames: [position, value left to try or None, trail length, scan]
         frames: list[list] = []
 
-        def value_order(p: int) -> list[int]:
-            first = 0
-            if incumbent is not None:
-                first = incumbent.get(self.vars[p], 0)
-            return [first, 1 - first]
-
         def next_var() -> int | None:
+            nonlocal scan
             if (
                 last_conflict is not None
                 and values[last_conflict] == UNASSIGNED
             ):
                 return last_conflict
-            for p in self.static_order:
+            while scan < len(static_order):
+                p = static_order[scan]
                 if values[p] == UNASSIGNED:
                     return p
+                scan += 1
             return None
+
+        def branch(p: int, v: int) -> bool:
+            """Sets p = v and propagates; True on conflict."""
+            queue.clear()
+            assign(p, v)
+            return propagate()
+
+        def expired() -> bool:
+            nonlocal nodes
+            nodes += 1
+            return not nodes & 1023 and time.monotonic() > deadline
+
+        def result(complete: bool) -> ExactResult:
+            return ExactResult(
+                best, best_obj if best is not None else None, complete, failures
+            )
 
         while True:
             conflict = lb >= best_obj
@@ -257,16 +338,15 @@ class _Searcher:
                 if p is None:
                     # All ec/dc decided; propagation has settled every rf.
                     assert UNASSIGNED not in values
-                    best = {
-                        v: values[i] for i, v in enumerate(self.vars)
-                    }
+                    best = dict(zip(self.vars, values))
                     best_obj = lb
                     conflict = True  # keep searching for strictly better
                 else:
-                    order = value_order(p)
-                    frames.append([p, order, 0, len(trail)])
-                    queue.clear()
-                    conflict = assign(p, order[0]) or propagate()
+                    if expired():
+                        return result(False)
+                    v = first_values[p] if first_values is not None else 0
+                    frames.append([p, 1 - v, len(trail), scan])
+                    conflict = branch(p, v)
                     if conflict:
                         failures += 1
                         last_conflict = p
@@ -275,34 +355,22 @@ class _Searcher:
 
             while conflict:
                 if failures >= fail_limit:
-                    return ExactResult(
-                        best,
-                        best_obj if best is not None else None,
-                        False,
-                        failures,
-                    )
+                    return result(False)
                 if not frames:
-                    return ExactResult(
-                        best,
-                        best_obj if best is not None else None,
-                        True,
-                        failures,
-                    )
+                    return result(True)
                 frame = frames[-1]
-                fp, order, idx, mark = frame
-                while len(trail) > mark:
-                    q = trail.pop()
-                    lb -= self._penalty(q, values[q])
-                    values[q] = UNASSIGNED
-                if idx + 1 >= len(order):
+                p, v, mark, scan = frame
+                undo(mark)
+                if v is None:
                     frames.pop()
                     continue
-                frame[2] = idx + 1
-                queue.clear()
-                conflict = assign(fp, order[idx + 1]) or propagate()
+                if expired():
+                    return result(False)
+                frame[1] = None
+                conflict = branch(p, v)
                 if conflict:
                     failures += 1
-                    last_conflict = fp
+                    last_conflict = p
 
 
 def solve_exact(
@@ -350,13 +418,20 @@ def _bottleneck_excess(model: CopModel, assignment: Assignment) -> int:
     return sum(a * assignment[v] for a, v in zip(con.coeffs, con.vars))
 
 
-def initial_solution(model: CopModel, fallback_fail_limit: int = 50_000) -> Assignment:
+def initial_solution(
+    model: CopModel,
+    fallback_fail_limit: int = 50_000,
+    searcher: _Searcher | None = None,
+    deadline: float = math.inf,
+) -> Assignment:
     """Greedy constraint-consistent seed for the LNS.
 
     Picks the least-corrupt decoder per input predicate, then sheds the
     heaviest encoders (and their decoders) while the bottleneck is violated,
     re-covering predicates with lighter alternatives where possible.  Falls
-    back to a bounded exact search when the repair cannot reach feasibility.
+    back to a bounded exact search when the repair cannot reach feasibility;
+    that search runs on the caller's ``searcher`` (a new one when None) and
+    stops at ``deadline``.
     """
     selected = _greedy_seed_selection(model)
     banned_latents: set = set()
@@ -409,7 +484,9 @@ def initial_solution(model: CopModel, fallback_fail_limit: int = 50_000) -> Assi
     assignment = assignment_from_dc(model, selected)
     if not check_assignment(model, assignment):
         return assignment
-    result = solve_exact(model, {}, fallback_fail_limit)
+    if searcher is None:
+        searcher = _Searcher(model)
+    result = searcher.solve({}, fallback_fail_limit, math.inf, deadline=deadline)
     if result.best is None:
         detail = "infeasible" if result.complete else "no seed found within limits"
         raise InfeasibleError(f"cannot construct a feasible seed: {detail}")
@@ -431,8 +508,10 @@ def lns_minimize(
     completion within its limits.
     """
     start = time.monotonic()
+    deadline = start + config.time_limit
+    # One searcher serves the seed's fallback and every LNS iteration.
     searcher = _Searcher(model)
-    seed_assignment = initial_solution(model)
+    seed_assignment = initial_solution(model, searcher=searcher, deadline=deadline)
     violations = check_assignment(model, seed_assignment)
     if violations:
         raise AssertionError(f"seed violates constraints: {violations[:1]}")
@@ -447,7 +526,7 @@ def lns_minimize(
     stagnation = 0
     proven = False
     for iteration in range(1, config.iterations + 1):
-        if time.monotonic() - start > config.time_limit:
+        if time.monotonic() > deadline:
             break
         alpha = config.alpha
         if stagnation >= _STAGNATION_WINDOW:
@@ -461,7 +540,11 @@ def lns_minimize(
         for v in rng.sample(inactive_ec, int(len(inactive_ec) * config.beta / 100)):
             fixed[v] = 0
         result = searcher.solve(
-            fixed, config.fail_limit, incumbent.objective, incumbent.assignment
+            fixed,
+            config.fail_limit,
+            incumbent.objective,
+            incumbent.assignment,
+            deadline,
         )
         improved = (
             result.best is not None and result.objective < incumbent.objective
@@ -505,22 +588,3 @@ def _emit(
     n_dc = sum(incumbent.assignment[v] for v in model.dc_ids)
     progress(iteration, incumbent.objective, elapsed_ms, n_ec, n_dc)
 
-
-def portfolio_minimize(
-    model: CopModel, config: SearchConfig, workers: int
-) -> Solution:
-    """Run independent LNS instances with derived seeds; return the best.
-
-    Workers share the immutable model and nothing else; ties break on the
-    lowest worker index, so the result is deterministic.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-    from dataclasses import replace
-
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    configs = [replace(config, seed=config.seed + i) for i in range(workers)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(lambda c: lns_minimize(model, c), configs))
-    best_index = min(range(workers), key=lambda i: (results[i].objective, i))
-    return results[best_index]

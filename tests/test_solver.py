@@ -1,6 +1,8 @@
 """Branch-and-bound subsolver and the LNS wrapper around it."""
 
+import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,8 +11,14 @@ from alp.candidates import CandidateClause
 from alp.errors import InfeasibleError
 from alp.logic import Clause, DECODER, ENCODER
 from alp.model import (
+    AT_LEAST_ONE,
+    AT_MOST_ONE_OF_PAIR,
     DC,
     EC,
+    IFF_OR,
+    LINEAR_LE,
+    RF,
+    Constraint,
     VarId,
     assignment_from_dc,
     build_model,
@@ -20,9 +28,9 @@ from alp.model import (
 )
 from alp.solver import (
     SearchConfig,
+    _Searcher,
     initial_solution,
     lns_minimize,
-    portfolio_minimize,
     solve_exact,
 )
 from helpers import (
@@ -291,6 +299,36 @@ class TestLnsMinimize:
             assert loss_consistency(model, solution.assignment, kb)
             tested += 1
 
+    def test_one_config_gives_equal_solutions(self):
+        rng = random.Random(107)
+        kb, model = None, None
+        while model is None:
+            kb, model = random_model(rng)
+        config = SearchConfig(iterations=10, fail_limit=300, seed=23)
+        assert lns_minimize(model, config) == lns_minimize(model, config)
+
+    def test_time_limit_bounds_the_fallback_seed_search(self):
+        # The greedy repair fails on this model, and the exhaustive fallback
+        # search takes well over the 1,024 nodes between deadline polls.
+        rng = random.Random(22)
+        for _ in range(4):
+            kb = random_kb(rng, max_constants=6, max_facts=30)
+        encoders, decoders, _, _ = pipeline_pool(kb)
+        model = build_model(encoders, decoders, kb, Fraction(1, 2))
+        full = solve_exact(model, fail_limit=50_000)
+        assert full.complete and full.failures > 1024
+        assert initial_solution(model) == full.best
+
+        cut = _Searcher(model).solve({}, 50_000, math.inf, deadline=0.0)
+        assert not cut.complete
+        assert cut.failures < full.failures
+        assert check_assignment(model, cut.best) == []
+
+        solution = lns_minimize(model, SearchConfig(time_limit=0.0))
+        assert solution.assignment == cut.best
+        assert solution.objective == cut.objective > full.objective
+        assert (solution.iteration_found, solution.proven_optimal) == (0, False)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SearchConfig(alpha=150)
@@ -298,15 +336,130 @@ class TestLnsMinimize:
             SearchConfig(iterations=0)
 
 
-class TestPortfolio:
-    def test_picks_best_deterministically(self):
-        rng = random.Random(107)
-        kb, model = None, None
-        while model is None:
-            kb, model = random_model(rng)
-        config = SearchConfig(iterations=10, fail_limit=300, seed=23)
-        a = portfolio_minimize(model, config, workers=3)
-        b = portfolio_minimize(model, config, workers=3)
-        assert a == b
-        single = lns_minimize(model, config)
-        assert a.objective <= single.objective
+def two_decoder_model(*constraints):
+    """Two encoders, their two decoders and one rf, under only the given
+    constraints: each propagation family can be exercised on its own."""
+    kb = kb_of(fact(MOTHER, "padme", "leia"))
+    encoders = [
+        CandidateClause(
+            Clause(lit(latent, "X", "Y"), (lit(MOTHER, "X", "Y"),)),
+            ENCODER,
+            frozenset([fact(latent, "padme", "leia")]),
+            1,
+        )
+        for latent in (L1, L2)
+    ]
+    decoders = [
+        CandidateClause(
+            Clause(lit(MOTHER, "X", "Y"), (lit(latent, "X", "Y"),)),
+            DECODER,
+            frozenset([fact(MOTHER, "padme", "leia")]),
+            1,
+        )
+        for latent in (L1, L2)
+    ]
+    model = build_model(encoders, decoders, kb, Fraction(1))
+    return replace(model, constraints=constraints)
+
+
+EC0, EC1, DC0, DC1, RF0 = (
+    VarId(0, EC), VarId(1, EC), VarId(0, DC), VarId(1, DC), VarId(0, RF)
+)
+
+
+class TestPropagation:
+    """Each family forces a value before any branching: the incumbent asks
+    for the opposite value first, so a value left to the search would cost
+    at least one failure."""
+
+    def forced(self, model, fixed, incumbent):
+        result = solve_exact(model, fixed, incumbent=incumbent)
+        assert (result.complete, result.failures) == (True, 0)
+        return result.best
+
+    def test_pair_member_at_one_clears_its_partner(self):
+        model = two_decoder_model(Constraint(AT_MOST_ONE_OF_PAIR, (DC0, DC1)))
+        best = self.forced(
+            model, {EC0: 0, EC1: 0, DC0: 1, RF0: 1}, incumbent={DC1: 1}
+        )
+        assert best[DC1] == 0
+
+    def test_pair_with_both_members_at_one_fails_at_the_root(self):
+        model = two_decoder_model(Constraint(AT_MOST_ONE_OF_PAIR, (DC0, DC1)))
+        result = solve_exact(model, {DC0: 1, DC1: 1})
+        assert (result.best, result.complete, result.failures) == (None, True, 1)
+
+    def test_iff_or_head_at_zero_clears_its_body(self):
+        model = two_decoder_model(Constraint(IFF_OR, (EC0, DC0, DC1)))
+        best = self.forced(
+            model, {EC0: 0, EC1: 0, RF0: 0}, incumbent={DC0: 1, DC1: 1}
+        )
+        assert (best[DC0], best[DC1]) == (0, 0)
+
+    def test_iff_or_body_at_one_sets_its_head(self):
+        model = two_decoder_model(Constraint(IFF_OR, (RF0, DC0, DC1)))
+        best = self.forced(
+            model, {EC0: 0, EC1: 0, DC0: 1, DC1: 0}, incumbent={RF0: 0}
+        )
+        assert best[RF0] == 1
+
+    def test_last_unknown_of_at_least_one_is_set(self):
+        model = two_decoder_model(Constraint(AT_LEAST_ONE, (DC0, DC1)))
+        best = self.forced(model, {EC0: 0, EC1: 0, DC0: 0, RF0: 0}, incumbent={})
+        assert best[DC1] == 1
+
+    def test_bottleneck_clears_an_over_weight_encoder(self):
+        model = two_decoder_model(Constraint(LINEAR_LE, (EC0, EC1), (3, -1)))
+        best = self.forced(
+            model, {EC1: 1, DC0: 0, DC1: 0, RF0: 0}, incumbent={EC0: 1}
+        )
+        assert best[EC0] == 0
+
+
+def pinned_models():
+    """Ten seeded draws; the non-degenerate ones have search trees of up to
+    180 failures and LNS runs that improve as late as iteration 14."""
+    rng = random.Random(1)
+    models = []
+    for _ in range(10):
+        kb = random_kb(rng, max_constants=6, max_facts=20)
+        encoders, decoders, _, _ = pipeline_pool(kb)
+        if encoders and decoders:
+            models.append(build_model(encoders, decoders, kb, Fraction(1, 2)))
+    return models
+
+
+class TestSearchTreePinned:
+    """Literals recorded from the solver before its propagation became
+    counter based; the rewrite kept the search tree node for node."""
+
+    def test_exact_search(self):
+        got = []
+        for model in pinned_models():
+            for fail_limit in (50, 10**6):
+                result = solve_exact(model, fail_limit=fail_limit)
+                got.append((result.objective, result.complete, result.failures))
+        assert got == [
+            (1, False, 50), (0, True, 111), (0, False, 50), (0, True, 60),
+            (None, True, 1), (None, True, 1), (4, True, 2), (4, True, 2),
+            (None, True, 1), (None, True, 1), (2, False, 50), (0, True, 180),
+            (0, True, 24), (0, True, 24), (6, True, 6), (6, True, 6),
+            (None, True, 1), (None, True, 1), (2, True, 20), (2, True, 20),
+        ]
+
+    def test_lns_under_small_fail_limits(self):
+        got = []
+        for model in pinned_models():
+            for fail_limit in (5, 20):
+                config = SearchConfig(iterations=15, fail_limit=fail_limit, seed=7)
+                try:
+                    solution = lns_minimize(model, config)
+                except InfeasibleError:
+                    got.append(None)
+                    continue
+                got.append((solution.objective, solution.iteration_found))
+        assert got == [
+            (3, 2), (1, 4), (3, 9), (3, 9), None, None, (4, 0), (4, 0),
+            None, None, (1, 12), (2, 14), (1, 5), (1, 5), (6, 0), (6, 0),
+            None, None, (3, 1), (3, 1),
+        ]
