@@ -24,7 +24,6 @@ from .kb import (
     Fact,
     KnowledgeBase,
     MODE_BOUND,
-    MODE_EITHER,
     MODE_UNBOUND,
     ModeDeclaration,
     ORIGIN_BACKGROUND,
@@ -40,7 +39,9 @@ from .logic import (
     FactStore,
     Literal,
     Variable,
+    _CANONICAL_PERMUTATION_CAP,
     body_key,
+    body_variables,
     ground_consequences,
     var_name,
 )
@@ -58,8 +59,11 @@ class GenerationConfig:
     max_candidates: int = 200_000
 
     def __post_init__(self):
-        if self.max_encoder_body_len < 1 or self.max_decoder_body_len < 1:
-            raise ValueError("body lengths must be >= 1")
+        for length in (self.max_encoder_body_len, self.max_decoder_body_len):
+            if not 1 <= length <= _CANONICAL_PERMUTATION_CAP:
+                raise ValueError(
+                    f"body lengths must lie in [1, {_CANONICAL_PERMUTATION_CAP}]"
+                )
         if self.max_head_vars < 1:
             raise ValueError("max_head_vars must be >= 1")
         if self.max_candidates < 1:
@@ -87,15 +91,6 @@ _FRESH = object()  # slot marker during extension
 
 def _sorted_preds(preds) -> list[Predicate]:
     return sorted(preds, key=lambda p: (p.name, p.arity))
-
-
-def _body_vars(literals: tuple[Literal, ...]) -> list[Variable]:
-    seen: list[Variable] = []
-    for lit in literals:
-        for v in lit.variables():
-            if v not in seen:
-                seen.append(v)
-    return seen
 
 
 def _extend_atom_choices(
@@ -140,7 +135,7 @@ def extend_body(
     allow_negation: bool = False,
 ) -> list[tuple[Literal, ...]]:
     """All one-atom extensions of a conjunctive body."""
-    existing = _body_vars(literals)
+    existing = body_variables(literals)
     out = []
     for pred in predicates:
         mode = modes.get(pred) or ModeDeclaration.all_either(pred)
@@ -208,20 +203,17 @@ def _enumerate_disjunctive(
 
 
 def enumerate_bodies(
-    kb: KnowledgeBase,
+    predicates: list[Predicate],
     modes: dict[Predicate, ModeDeclaration],
     max_len: int,
     allow_disjunction: bool,
     allow_negation: bool = False,
-    predicates: list[Predicate] | None = None,
 ) -> list[Body]:
-    """All bodies over the KB's vocabulary, canonically ordered and deduped.
+    """All bodies over the predicates, canonically ordered and deduped.
 
     Bodies identical up to variable renaming and literal order collapse to
     one canonical form.
     """
-    if predicates is None:
-        predicates = _sorted_preds(kb.vocabulary)
     conj = _enumerate_conjunctive(predicates, modes, max_len, allow_negation)
     out: list[Body] = [
         (conj[k], CONJUNCTION) for k in sorted(conj)
@@ -230,27 +222,6 @@ def enumerate_bodies(
         disj = _enumerate_disjunctive(predicates, max_len)
         out.extend((disj[k], DISJUNCTION) for k in sorted(disj))
     return out
-
-
-def generate_heads(
-    body: Body, max_head_vars: int, name_prefix: str = "h"
-) -> list[Clause]:
-    """One clause per nonempty variable subset of the body, smallest first.
-
-    Head arguments keep their order of first appearance in the body; head
-    predicates are minted fresh (``h1``, ``h2``, ...) in enumeration order.
-    """
-    literals, connective = body
-    variables = _body_vars(tuple(l for l in literals if not l.negated))
-    clauses = []
-    counter = 1
-    for size in range(1, min(max_head_vars, len(variables)) + 1):
-        for positions in combinations(range(len(variables)), size):
-            args = tuple(variables[i] for i in positions)
-            head_pred = Predicate(f"{name_prefix}{counter}", size, ORIGIN_LATENT)
-            clauses.append(Clause(Literal(head_pred, args), literals, connective))
-            counter += 1
-    return clauses
 
 
 def _head_subsets(
@@ -287,18 +258,17 @@ def generate_encoder_candidates(
         )
     head_cap = min(config.max_head_vars, max(p.arity for p in input_preds))
     bodies = enumerate_bodies(
-        kb,
+        predicates,
         modes,
         config.max_encoder_body_len,
         config.allow_disjunction,
         config.allow_negation,
-        predicates=predicates,
     )
     store = FactStore(kb.facts | kb.background)
     out = []
     ordinal = 1
     for literals, connective in bodies:
-        variables = _body_vars(tuple(l for l in literals if not l.negated))
+        variables = body_variables(l for l in literals if not l.negated)
         for args in _head_subsets(variables, head_cap):
             if ordinal > config.max_candidates:
                 raise CapacityError(
@@ -346,12 +316,11 @@ def generate_decoder_candidates(
         return []
     modes = {p: ModeDeclaration.all_either(p) for p in latents}
     bodies = enumerate_bodies(
-        kb,
+        latents,
         modes,
         config.max_decoder_body_len,
         config.allow_disjunction,
         config.allow_negation,
-        predicates=latents,
     )
     store = FactStore(latent_facts(latent_candidates))
     input_preds = _sorted_preds(
@@ -360,7 +329,7 @@ def generate_decoder_candidates(
     out = []
     count = 0
     for literals, connective in bodies:
-        variables = _body_vars(tuple(l for l in literals if not l.negated))
+        variables = body_variables(l for l in literals if not l.negated)
         subsets_by_size: dict[int, list[tuple[Variable, ...]]] = {}
         for args in _head_subsets(variables, max(len(variables), 1)):
             subsets_by_size.setdefault(len(args), []).append(args)

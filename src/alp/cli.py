@@ -25,7 +25,7 @@ from .errors import (
     VocabularyError,
 )
 from .kb import Fact, KnowledgeBase, parse_kb_document, serialize_kb
-from .logic import Alp, apply_program, loss_parts, parse_program, serialize_program
+from .logic import Alp, apply_program, parse_program, reconstruct, serialize_program
 from .model import dump_model
 from .pipeline import learn, prepare_pool, run_report
 from .solver import SearchConfig
@@ -265,10 +265,8 @@ def cmd_eval(args) -> int:
     )
     background = _remap_facts(document.kb.background, known, "background")
     kb = KnowledgeBase.from_facts(kb_facts, background)
-    missing, false = loss_parts(alp, kb)
-    from .logic import reconstruct
-
     recon = reconstruct(alp, kb)
+    missing, false = len(kb.facts - recon), len(recon - kb.facts)
     per_predicate = {}
     for p in sorted(
         {f.predicate for f in kb.facts} | {f.predicate for f in recon},

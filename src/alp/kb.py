@@ -17,7 +17,7 @@ variables are illegal in data.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -119,14 +119,13 @@ class KnowledgeBase:
 
     ``facts`` holds the reconstruction targets; ``background`` holds facts of
     background-origin predicates, which encoders may use but which are never
-    reconstructed.  Safe to share read-only across workers.
+    reconstructed.
     """
 
     facts: frozenset[Fact]
     vocabulary: frozenset[Predicate]
     constants: frozenset[Constant]
     background: frozenset[Fact] = frozenset()
-    _by_predicate: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         background_preds = {f.predicate for f in self.background}
@@ -140,10 +139,6 @@ class KnowledgeBase:
             for a in f.args:
                 if a not in self.constants:
                     raise ValueError(f"fact {f} uses undeclared constant {a}")
-        index: dict[Predicate, set[tuple[Constant, ...]]] = {}
-        for f in self.facts | self.background:
-            index.setdefault(f.predicate, set()).add(f.args)
-        object.__setattr__(self, "_by_predicate", index)
 
     @classmethod
     def from_facts(
@@ -173,9 +168,6 @@ class KnowledgeBase:
         return frozenset(
             p for p in self.vocabulary if p.origin == ORIGIN_BACKGROUND
         )
-
-    def tuples(self, predicate: Predicate) -> frozenset[tuple[Constant, ...]]:
-        return frozenset(self._by_predicate.get(predicate, ()))
 
 
 @dataclass(frozen=True)

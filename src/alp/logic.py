@@ -139,16 +139,21 @@ class Clause:
 
     def variables(self) -> list[Variable]:
         """Clause variables ordered by first appearance in the body."""
-        seen: list[Variable] = []
-        for lit in self.body:
-            for v in lit.variables():
-                if v not in seen:
-                    seen.append(v)
-        return seen
+        return body_variables(self.body)
 
     def __str__(self):
         sep = "," if self.body_connective == CONJUNCTION else ";"
         return f"{self.head} :- {sep.join(str(lit) for lit in self.body)}."
+
+
+def body_variables(literals: Iterable[Literal]) -> list[Variable]:
+    """The literals' variables in order of first appearance."""
+    seen: list[Variable] = []
+    for lit in literals:
+        for v in lit.variables():
+            if v not in seen:
+                seen.append(v)
+    return seen
 
 
 @dataclass(frozen=True, slots=True)
@@ -215,9 +220,6 @@ class FactStore:
         for f in facts:
             self.by_pred.setdefault(f.predicate, []).append(f.args)
         self._indexes: dict = {}
-
-    def predicates(self) -> set[Predicate]:
-        return set(self.by_pred)
 
     def holds(self, predicate: Predicate, args: tuple[Constant, ...]) -> bool:
         key = (predicate, tuple(range(len(args))))
@@ -379,12 +381,10 @@ def clause_covers(general: Clause, specific: Clause, kb: KnowledgeBase) -> bool:
 # candidate deduplication and latent naming key on.
 # ----------------------------------------------------------------------
 
-_CANONICAL_PERMUTATION_CAP = 6
+_CANONICAL_PERMUTATION_CAP = 6  # the longest body GenerationConfig allows
 
 
-def _rename_by_appearance(
-    literals: tuple[Literal, ...]
-) -> tuple[tuple[Literal, ...], dict[Variable, Variable]]:
+def _rename_by_appearance(literals: tuple[Literal, ...]) -> tuple[Literal, ...]:
     mapping: dict[Variable, Variable] = {}
     out = []
     for lit in literals:
@@ -397,61 +397,32 @@ def _rename_by_appearance(
             else:
                 args.append(a)
         out.append(Literal(lit.predicate, tuple(args), lit.negated))
-    return tuple(out), mapping
-
-
-def _canonicalize(
-    body: tuple[Literal, ...], connective: str
-) -> tuple[tuple[Literal, ...], dict[Variable, Variable]]:
-    """Canonical literal order and the variable renaming that produced it.
-
-    Exact (lexicographically least over all literal orders) up to six
-    literals; beyond that, a deterministic greedy order is used instead.
-    """
-    if connective == DISJUNCTION:
-        # Disjuncts share one argument tuple; sort by predicate, then rename.
-        ordered = tuple(
-            sorted(body, key=lambda l: (l.predicate.name, l.predicate.arity))
-        )
-        return _rename_by_appearance(ordered)
-    if len(body) > _CANONICAL_PERMUTATION_CAP:
-        ordered = tuple(
-            sorted(body, key=lambda l: (l.negated, l.predicate.name, l.predicate.arity))
-        )
-        return _rename_by_appearance(ordered)
-    best = None
-    best_key = None
-    for perm in permutations(body):
-        renamed, mapping = _rename_by_appearance(perm)
-        key = tuple(str(l) for l in renamed)
-        if best_key is None or key < best_key:
-            best, best_key = (renamed, mapping), key
-    return best
+    return tuple(out)
 
 
 def canonical_body(
     body: tuple[Literal, ...], connective: str = CONJUNCTION
 ) -> tuple[Literal, ...]:
-    """Reorder and rename a body into its canonical form."""
-    return _canonicalize(body, connective)[0]
+    """Reorder and rename a body into its canonical form.
+
+    A conjunction takes the lexicographically least renaming over all
+    literal orders.  That is exact but costs len(body)! renamings, so
+    GenerationConfig caps body lengths at ``_CANONICAL_PERMUTATION_CAP``.
+    """
+    if connective == DISJUNCTION:
+        # Disjuncts share one argument tuple; sort by predicate, then rename.
+        return _rename_by_appearance(
+            tuple(sorted(body, key=lambda l: (l.predicate.name, l.predicate.arity)))
+        )
+    return min(
+        (_rename_by_appearance(perm) for perm in permutations(body)),
+        key=lambda renamed: tuple(str(l) for l in renamed),
+    )
 
 
 def body_key(body: tuple[Literal, ...], connective: str = CONJUNCTION) -> str:
     sep = "," if connective == CONJUNCTION else ";"
     return sep.join(str(l) for l in canonical_body(body, connective))
-
-
-def canonical_clause(clause: Clause) -> Clause:
-    """The clause with canonical body order and display variable names."""
-    canon, mapping = _canonicalize(clause.body, clause.body_connective)
-    head_args = tuple(
-        mapping[a] if isinstance(a, Variable) else a for a in clause.head.args
-    )
-    return Clause(
-        Literal(clause.head.predicate, head_args),
-        canon,
-        clause.body_connective,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -534,10 +505,13 @@ def parse_program(text: str) -> Alp:
         if not body_text.endswith("."):
             raise KbSyntaxError("clause must end with '.'", i, len(line))
         body_text = body_text[:-1]
-        connective = DISJUNCTION if _top_level_semicolon(body_text) else CONJUNCTION
-        sep = ";" if connective == DISJUNCTION else ","
+        parts = _split_top_level(body_text, ";")
+        if len(parts) > 1:
+            connective = DISJUNCTION
+        else:
+            connective, parts = CONJUNCTION, _split_top_level(body_text, ",")
         literals = []
-        for part in _split_top_level(body_text, sep):
+        for part in parts:
             lp = _LineParser(part, i)
             literals.append(_parse_literal_text(lp, body_origins))
             if not lp.at_end():
@@ -559,18 +533,6 @@ def parse_program(text: str) -> Alp:
     decoder = LogicProgram(tuple(decoder_clauses), DECODER)
     latents = encoder.head_predicates() | decoder.body_predicates()
     return Alp(encoder, decoder, frozenset(latents))
-
-
-def _top_level_semicolon(text: str) -> bool:
-    depth = 0
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == ";" and depth == 0:
-            return True
-    return False
 
 
 def _split_top_level(text: str, sep: str) -> list[str]:

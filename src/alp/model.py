@@ -83,7 +83,7 @@ Assignment = dict[VarId, int]
 
 @dataclass(frozen=True)
 class CopModel:
-    """Immutable model; safe to share read-only across search workers."""
+    """The variables, constraints and objective of one candidate pool."""
 
     ec_candidates: tuple[CandidateClause, ...]
     dc_candidates: tuple[CandidateClause, ...]
@@ -171,7 +171,8 @@ def _containment_pairs(groups: dict, ceiling: int) -> list[tuple[int, int]]:
             if len(pairs) > ceiling:
                 raise CapacityError(
                     f"generality constraints exceed ceiling {ceiling}; "
-                    "tighten --max-dec-len or --max-candidates"
+                    "narrow the language with --max-dec-len, --max-head-vars "
+                    "or --no-disjunction"
                 )
     return sorted(pairs)
 
@@ -405,19 +406,6 @@ def induced_alp(model: CopModel, assignment: Assignment) -> Alp:
     decoder = LogicProgram(dec_clauses, DECODER)
     latents = encoder.head_predicates() | decoder.body_predicates()
     return Alp(encoder, decoder, frozenset(latents))
-
-
-def loss_consistency(
-    model: CopModel,
-    assignment: Assignment,
-    kb: KnowledgeBase,
-) -> bool:
-    """True when the COP objective matches the reconstruction loss of the
-    induced ALP, recomputed independently through the evaluator."""
-    from .logic import reconstruction_loss
-
-    alp = induced_alp(model, assignment)
-    return objective_value(model, assignment) == reconstruction_loss(alp, kb)
 
 
 def dump_model(model: CopModel) -> str:

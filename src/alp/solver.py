@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .errors import InfeasibleError
+from .errors import AlpError, InfeasibleError
 from .model import (
     AT_MOST_ONE_OF_PAIR,
     Assignment,
@@ -379,7 +379,6 @@ def solve_exact(
     fail_limit: int = 10_000,
     incumbent_bound: float = float("inf"),
     incumbent: Assignment | None = None,
-    searcher: _Searcher | None = None,
 ) -> ExactResult:
     """Complete depth-first branch and bound over the unfixed variables.
 
@@ -387,29 +386,7 @@ def solve_exact(
     there is none (complete=True) or the fail limit struck first
     (complete=False).
     """
-    if searcher is None:
-        searcher = _Searcher(model)
-    return searcher.solve(fixed or {}, fail_limit, incumbent_bound, incumbent)
-
-
-def _greedy_seed_selection(model: CopModel) -> set[int]:
-    """Per input predicate, the candidate decoder of least corruption."""
-    by_head: dict = {}
-    for j in range(len(model.dc_candidates)):
-        by_head.setdefault(model.dc_heads[j], []).append(j)
-    selected = set()
-    for p in sorted(by_head, key=lambda p: (p.name, p.arity)):
-        js = by_head[p]
-        selected.add(
-            min(js, key=lambda j: (_corruption_key(model, j), model.dc_candidates[j].key()))
-        )
-    return selected
-
-
-def _corruption_key(model: CopModel, j: int):
-    size = len(model.dc_candidates[j].consequences)
-    true = model.dc_true_counts[j]
-    return (Fraction(size - true, size), -true)
+    return _Searcher(model).solve(fixed or {}, fail_limit, incumbent_bound, incumbent)
 
 
 def _bottleneck_excess(model: CopModel, assignment: Assignment) -> int:
@@ -433,55 +410,42 @@ def initial_solution(
     that search runs on the caller's ``searcher`` (a new one when None) and
     stops at ``deadline``.
     """
-    selected = _greedy_seed_selection(model)
+    by_head: dict = {}
+    for j, p in enumerate(model.dc_heads):
+        by_head.setdefault(p, []).append(j)
+    heads = sorted(by_head, key=lambda p: (p.name, p.arity))
     banned_latents: set = set()
+
+    def usable(j: int) -> bool:
+        return not any(
+            l.predicate in banned_latents for l in model.dc_candidates[j].clause.body
+        )
+
+    def corruption(j: int):
+        """Share of false atoms, then more true atoms, then the clause text."""
+        size = len(model.dc_candidates[j].consequences)
+        true = model.dc_true_counts[j]
+        return (Fraction(size - true, size), -true, model.dc_candidates[j].key())
+
+    selected: set[int] = set()
+    # A pass over the bottleneck bans a latent that the selection still
+    # uses, so by the last pass the bottleneck holds or nothing is selected.
     for _ in range(len(model.ec_candidates) + 1):
+        selected = {j for j in selected if usable(j)}
+        covered = {model.dc_heads[j] for j in selected}
+        for p in heads:
+            if p not in covered:
+                js = [j for j in by_head[p] if usable(j)]
+                if js:
+                    selected.add(min(js, key=corruption))
         assignment = assignment_from_dc(model, selected)
         if _bottleneck_excess(model, assignment) <= 0:
             break
         heaviest = max(
-            (
-                i
-                for i, c in enumerate(model.ec_candidates)
-                if assignment[VarId(i, EC)] == 1
-            ),
+            (i for i, v in enumerate(model.ec_ids) if assignment[v] == 1),
             key=lambda i: (model.ec_candidates[i].weight, i),
         )
         banned_latents.add(model.ec_candidates[heaviest].clause.head.predicate)
-        selected = {
-            j
-            for j in selected
-            if not any(
-                l.predicate in banned_latents
-                for l in model.dc_candidates[j].clause.body
-            )
-        }
-        covered = {model.dc_heads[j] for j in selected}
-        by_head: dict = {}
-        for j in range(len(model.dc_candidates)):
-            by_head.setdefault(model.dc_heads[j], []).append(j)
-        for p in sorted(by_head, key=lambda p: (p.name, p.arity)):
-            if p in covered:
-                continue
-            usable = [
-                j
-                for j in by_head[p]
-                if not any(
-                    l.predicate in banned_latents
-                    for l in model.dc_candidates[j].clause.body
-                )
-            ]
-            if usable:
-                selected.add(
-                    min(
-                        usable,
-                        key=lambda j: (
-                            _corruption_key(model, j),
-                            model.dc_candidates[j].key(),
-                        ),
-                    )
-                )
-    assignment = assignment_from_dc(model, selected)
     if not check_assignment(model, assignment):
         return assignment
     if searcher is None:
@@ -503,24 +467,22 @@ def lns_minimize(
 ) -> Solution:
     """Large-neighbourhood search; see the module docstring for the scheme.
 
-    The returned Solution is audited against the constraints.  It is proven
-    optimal when the objective hits 0 or a nothing-fixed exact pass ran to
-    completion within its limits.
+    Every incumbent is audited once by ``objective_value``, which checks
+    each constraint and recomputes the objective; a violation raises
+    ConstraintViolationError and a search objective that disagrees with the
+    audit raises AlpError.  The result is proven optimal when the objective
+    hits 0 or a nothing-fixed exact pass ran to completion within its limits.
     """
     start = time.monotonic()
     deadline = start + config.time_limit
     # One searcher serves the seed's fallback and every LNS iteration.
     searcher = _Searcher(model)
     seed_assignment = initial_solution(model, searcher=searcher, deadline=deadline)
-    violations = check_assignment(model, seed_assignment)
-    if violations:
-        raise AssertionError(f"seed violates constraints: {violations[:1]}")
     objective = objective_value(model, seed_assignment)
     incumbent = Solution(seed_assignment, objective, 0, objective == 0)
-    if incumbent.proven_optimal:
-        _emit(progress, 0, incumbent, start, model)
-        return incumbent
     _emit(progress, 0, incumbent, start, model)
+    if incumbent.proven_optimal:
+        return incumbent
 
     rng = random.Random(config.seed)
     stagnation = 0
@@ -550,10 +512,11 @@ def lns_minimize(
             result.best is not None and result.objective < incumbent.objective
         )
         if improved:
-            violations = check_assignment(model, result.best)
-            if violations:
-                raise AssertionError(
-                    f"solver produced an infeasible assignment: {violations[:1]}"
+            audited = objective_value(model, result.best)
+            if audited != result.objective:
+                raise AlpError(
+                    f"search objective {result.objective} disagrees with "
+                    f"the audited objective {audited}"
                 )
             incumbent = Solution(result.best, result.objective, iteration, False)
             _emit(progress, iteration, incumbent, start, model)

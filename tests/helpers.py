@@ -19,7 +19,13 @@ from alp.logic import (
     Literal,
     Variable,
 )
-from alp.model import assignment_from_dc, check_assignment
+from alp.logic import reconstruction_loss
+from alp.model import (
+    assignment_from_dc,
+    check_assignment,
+    induced_alp,
+    objective_value,
+)
 from alp.pipeline import prepare_pool
 
 
@@ -167,6 +173,13 @@ def pipeline_pool(kb, config=None):
     return prepare_pool(kb, {}, config or default_config())
 
 
+def loss_consistency(model, assignment, kb) -> bool:
+    """True when the COP objective matches the reconstruction loss of the
+    induced ALP, recomputed independently through the evaluator."""
+    alp = induced_alp(model, assignment)
+    return objective_value(model, assignment) == reconstruction_loss(alp, kb)
+
+
 def brute_force_objective(model) -> int | None:
     """Minimum COP objective over every feasible decoder subset."""
     n = len(model.dc_candidates)
@@ -176,8 +189,6 @@ def brute_force_objective(model) -> int | None:
         assignment = assignment_from_dc(model, selected)
         if check_assignment(model, assignment):
             continue
-        from alp.model import objective_value
-
         obj = objective_value(model, assignment)
         if best is None or obj < best:
             best = obj
@@ -187,9 +198,6 @@ def brute_force_objective(model) -> int | None:
 def brute_force_loss_optimum(model, kb) -> int | None:
     """Minimum reconstruction loss over every feasible decoder subset,
     re-scored through the logic evaluator (Eq.-independent of the model)."""
-    from alp.logic import reconstruction_loss
-    from alp.model import induced_alp
-
     n = len(model.dc_candidates)
     best = None
     for mask in range(2**n):

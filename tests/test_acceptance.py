@@ -71,8 +71,7 @@ def test_family_example_arithmetic():
 def test_mode_bias_fidelity():
     """With p(+,-) and q(-), one extension step of p(X,Y) yields exactly the
     four expected bodies; pair heads for p(X,Y),p(Y,Z) are exactly three."""
-    from alp.candidates import extend_body, generate_heads
-    from alp.logic import CONJUNCTION
+    from alp.candidates import extend_body
 
     p2, q1 = pred("p", 2), pred("q", 1)
     modes = {
@@ -89,11 +88,18 @@ def test_mode_bias_fidelity():
         "p(X,Y),q(X)",
         "p(X,Y),q(Y)",
     }
-    chain = ((lit(p2, "X", "Y"), lit(p2, "Y", "Z")), CONJUNCTION)
+    chain_kb = KnowledgeBase.from_facts(
+        [
+            Fact(p2, (Constant("a"), Constant("b"))),
+            Fact(p2, (Constant("b"), Constant("c"))),
+            Fact(q1, (Constant("a"),)),
+        ]
+    )
     pair_heads = {
-        tuple(map(str, c.head.args))
-        for c in generate_heads(chain, 2)
-        if c.head.predicate.arity == 2
+        tuple(map(str, c.clause.head.args))
+        for c in generate_encoder_candidates(chain_kb, modes, GenerationConfig())
+        if ",".join(map(str, c.clause.body)) == "p(X,Y),p(Y,Z)"
+        and c.clause.head.predicate.arity == 2
     }
     heads_ok = pair_heads == {("X", "Y"), ("X", "Z"), ("Y", "Z")}
     report(

@@ -11,8 +11,8 @@ from alp.candidates import (
     extend_body,
     generate_decoder_candidates,
     generate_encoder_candidates,
-    generate_heads,
     latent_facts,
+    latent_ordinal,
 )
 from alp.errors import CapacityError
 from alp.kb import KnowledgeBase, ModeDeclaration, parse_kb
@@ -41,6 +41,15 @@ def body_strings(bodies):
     }
 
 
+class TestGenerationConfig:
+    def test_body_lengths_stop_at_the_canonicalisation_cap(self):
+        GenerationConfig(max_encoder_body_len=6, max_decoder_body_len=6)
+        for field in ("max_encoder_body_len", "max_decoder_body_len"):
+            for length in (0, 7):
+                with pytest.raises(ValueError, match="body lengths"):
+                    GenerationConfig(**{field: length})
+
+
 class TestBodyEnumeration:
     def test_appendix_extension_of_p(self):
         exts = extend_body((lit(P2, "X", "Y"),), [P2, Q1], APPENDIX_MODES)
@@ -52,13 +61,11 @@ class TestBodyEnumeration:
         }
 
     def test_initial_bodies_are_single_predicates(self):
-        kb = kb_of(extra_predicates=[P2, Q1], extra_constants=[])
-        bodies = enumerate_bodies(kb, APPENDIX_MODES, 1, allow_disjunction=False)
+        bodies = enumerate_bodies([P2, Q1], APPENDIX_MODES, 1, allow_disjunction=False)
         assert body_strings(bodies) == {"p(X,Y)", "q(X)"}
 
     def test_two_step_enumeration_is_deduplicated(self):
-        kb = kb_of(extra_predicates=[P2, Q1])
-        bodies = enumerate_bodies(kb, APPENDIX_MODES, 2, allow_disjunction=False)
+        bodies = enumerate_bodies([P2, Q1], APPENDIX_MODES, 2, allow_disjunction=False)
         assert body_strings(bodies) == {
             "p(X,Y)",
             "q(X)",
@@ -70,13 +77,11 @@ class TestBodyEnumeration:
 
     def test_disjunction_of_equal_arity_predicates(self):
         mother, father = pred("mother", 2), pred("father", 2)
-        kb = kb_of(extra_predicates=[mother, father])
-        bodies = enumerate_bodies(kb, {}, 2, allow_disjunction=True)
+        bodies = enumerate_bodies([father, mother], {}, 2, allow_disjunction=True)
         assert "father(X,Y);mother(X,Y)" in body_strings(bodies)
 
     def test_disjunction_never_mixes_arities(self):
-        kb = kb_of(extra_predicates=[P2, Q1])
-        bodies = enumerate_bodies(kb, {}, 3, allow_disjunction=True)
+        bodies = enumerate_bodies([P2, Q1], {}, 3, allow_disjunction=True)
         for lits, conn in bodies:
             if conn == DISJUNCTION:
                 assert len({l.predicate.arity for l in lits}) == 1
@@ -85,7 +90,8 @@ class TestBodyEnumeration:
         rng = random.Random(41)
         for _ in range(10):
             kb = random_kb(rng, max_facts=4)
-            bodies = enumerate_bodies(kb, {}, 3, allow_disjunction=False)
+            predicates = sorted(kb.vocabulary, key=lambda p: (p.name, p.arity))
+            bodies = enumerate_bodies(predicates, {}, 3, allow_disjunction=False)
             for lits, _ in bodies:
                 seen = set(lits[0].variables())
                 rest = list(lits[1:])
@@ -99,17 +105,15 @@ class TestBodyEnumeration:
                         rest.remove(l)
 
     def test_either_mode_allows_both_bindings(self):
-        kb = kb_of(extra_predicates=[P2])
-        bodies = enumerate_bodies(kb, {}, 2, allow_disjunction=False)
+        bodies = enumerate_bodies([P2], {}, 2, allow_disjunction=False)
         # '?' on both slots: reversed, repeated, and fresh bindings all legal
         assert "p(X,Y),p(Y,X)" in body_strings(bodies)
         assert "p(X,Y),p(X,X)" in body_strings(bodies)
         assert "p(X,Y),p(Y,Z)" in body_strings(bodies)
 
     def test_negation_generates_one_safe_literal(self):
-        kb = kb_of(extra_predicates=[P2, Q1])
         bodies = enumerate_bodies(
-            kb, {}, 2, allow_disjunction=False, allow_negation=True
+            [P2, Q1], {}, 2, allow_disjunction=False, allow_negation=True
         )
         negated = [
             (lits, conn)
@@ -127,37 +131,44 @@ class TestBodyEnumeration:
                     assert set(l.variables()) <= positive_vars
 
 
+def encoder_heads(body, facts, **config):
+    """Head arguments of the encoder candidates over one body, in ordinal
+    order, checking that the ordinals run on without a gap."""
+    cands = [
+        c
+        for c in generate_encoder_candidates(
+            kb_of(*facts), APPENDIX_MODES, default_config(**config)
+        )
+        if ",".join(map(str, c.clause.body)) == body
+    ]
+    ordinals = [latent_ordinal(c.clause.head.predicate) for c in cands]
+    assert ordinals == list(range(ordinals[0], ordinals[0] + len(cands)))
+    return [tuple(map(str, c.clause.head.args)) for c in cands]
+
+
+CHAIN_FACTS = (fact(P2, "a", "b"), fact(P2, "b", "c"), fact(Q1, "a"))
+
+
 class TestHeadGeneration:
     def test_appendix_head_forms(self):
-        body = ((lit(P2, "X", "Y"), lit(P2, "Y", "Z")), CONJUNCTION)
-        heads = {
-            f"{c.head.predicate.name}({','.join(map(str, c.head.args))})"
-            for c in generate_heads(body, 2)
-        }
-        # two-variable heads listed in the appendix, plus all singletons
-        assert {"h4(X,Y)", "h5(X,Z)", "h6(Y,Z)"} <= heads
-        assert {"h1(X)", "h2(Y)", "h3(Z)"} <= heads
-        assert len(heads) == 6
+        # the two-variable heads listed in the appendix, after all singletons
+        assert encoder_heads("p(X,Y),p(Y,Z)", CHAIN_FACTS) == [
+            ("X",), ("Y",), ("Z",), ("X", "Y"), ("X", "Z"), ("Y", "Z"),
+        ]
 
     def test_single_variable_body(self):
-        body = ((lit(Q1, "X"),), CONJUNCTION)
-        clauses = generate_heads(body, 2)
-        assert len(clauses) == 1
-        assert str(clauses[0].head) == "h1(X)"
+        assert encoder_heads("q(X)", CHAIN_FACTS) == [("X",)]
 
     def test_head_cap_limits_subset_size(self):
-        body = ((lit(P2, "X", "Y"), lit(P2, "Y", "Z")), CONJUNCTION)
-        assert all(
-            c.head.predicate.arity == 1 for c in generate_heads(body, 1)
-        )
+        heads = encoder_heads("p(X,Y),p(Y,Z)", CHAIN_FACTS, max_head_vars=1)
+        assert heads == [("X",), ("Y",), ("Z",)]
 
     def test_head_args_follow_first_appearance(self):
-        body = ((lit(P2, "X", "Y"), lit(P2, "Y", "Z")), CONJUNCTION)
-        for clause in generate_heads(body, 3):
-            positions = [str(v) for v in clause.head.args]
-            assert positions == sorted(
-                positions, key=lambda v: "XYZ".index(v)
-            )
+        r3 = pred("r", 3)
+        heads = encoder_heads("r(X,Y,Z)", [fact(r3, "a", "b", "c")], max_head_vars=3)
+        assert heads[-1] == ("X", "Y", "Z")
+        for args in heads:
+            assert list(args) == sorted(args, key="XYZ".index)
 
 
 class TestEncoderCandidates:

@@ -102,6 +102,28 @@ class TestLearn:
         payload = json.loads(capsys.readouterr().out)
         assert payload["loss"] == report["loss"]["objective"]
 
+    def test_eval_splits_missing_and_false(self, tmp_path, capsys):
+        kb = tmp_path / "kb.facts"
+        kb.write_text(
+            "father(a,b).\nfather(a,c).\nparent(a,b).\nparent(a,c).\n"
+            "mother(d,b).\nmother(d,c).\n",
+            encoding="utf-8",
+        )
+        model = tmp_path / "model.alp"
+        model.write_text(
+            "#encoder\nlatent_1(X,Y) :- father(X,Y).\nlatent_2(X) :- mother(X,Y).\n"
+            "#decoder\nfather(X,Y) :- latent_1(X,Y).\nparent(X,Y) :- latent_1(X,Y).\n"
+            "mother(X,X) :- latent_2(X).\n",
+            encoding="utf-8",
+        )
+        assert main(["eval", str(model), str(kb)]) == 0
+        assert capsys.readouterr().out == (
+            "loss 3 (missing 2, false 1)\n"
+            "  father/2: missing 0, false 0\n"
+            "  mother/2: missing 2, false 1\n"
+            "  parent/2: missing 0, false 0\n"
+        )
+
 
 class TestEncodeDecode:
     def test_round_trip_reconstruction(self, family, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Clause evaluation, programs, reconstruction loss, clause covering."""
 
 import random
+from itertools import permutations
 
 import pytest
 
@@ -16,8 +17,9 @@ from alp.logic import (
     LogicProgram,
     Variable,
     apply_program,
-    canonical_clause,
     body_key,
+    body_variables,
+    canonical_body,
     clause_covers,
     ground_consequences,
     loss_parts,
@@ -377,12 +379,30 @@ class TestCanonicalForms:
         b2 = (lit(p, "X", "Y"), lit(p, "X", "Z"))
         assert body_key(b1) != body_key(b2)
 
-    def test_canonical_clause_preserves_semantics(self):
+    def test_canonical_body_preserves_semantics(self):
         rng = random.Random(37)
         for _ in range(30):
             kb = random_kb(rng, max_constants=4, max_facts=8)
-            clause = random_clause(rng, kb)
-            canon = canonical_clause(clause)
-            assert ground_consequences(clause, kb.facts) == (
-                ground_consequences(canon, kb.facts)
+            body = random_clause(rng, kb).body
+            # A head over every variable lists the satisfying substitutions;
+            # renaming the variables only permutes its columns.
+            tables = []
+            for b in (body, canonical_body(body)):
+                variables = body_variables(b)
+                head = lit(pred("h", len(variables), "latent"), *map(str, variables))
+                tables.append(
+                    {f.args for f in ground_consequences(Clause(head, b), kb.facts)}
+                )
+            original, canon = tables
+            assert any(
+                {tuple(t[i] for i in order) for t in original} == canon
+                for order in permutations(range(len(variables)))
             )
+            names = ["A", "B", "C", "D"]
+            rng.shuffle(names)
+            renaming = {v: Variable(n) for v, n in zip(body_variables(body), names)}
+            renamed = [
+                Literal(l.predicate, tuple(renaming[a] for a in l.args)) for l in body
+            ]
+            rng.shuffle(renamed)
+            assert body_key(tuple(renamed)) == body_key(body)

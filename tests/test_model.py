@@ -23,7 +23,6 @@ from alp.model import (
     check_assignment,
     dump_model,
     induced_alp,
-    loss_consistency,
     objective_value,
 )
 from helpers import (
@@ -32,6 +31,7 @@ from helpers import (
     fig1_kb,
     kb_of,
     lit,
+    loss_consistency,
     pipeline_pool,
     pred,
     random_kb,
@@ -227,8 +227,14 @@ class TestBuildModel:
                 [fact(MOTHER, "padme", "leia"), fact(MOTHER, "padme", "luke")],
             ),
         ]
-        with pytest.raises(CapacityError, match="generality"):
+        with pytest.raises(CapacityError, match="generality") as raised:
             build_model([e1], nested, kb, Fraction(2), max_generality_pairs=0)
+        # The pair ceiling is fixed, so the hint names only the flags that
+        # narrow the language.
+        assert str(raised.value).endswith(
+            "narrow the language with --max-dec-len, --max-head-vars "
+            "or --no-disjunction"
+        )
 
     def test_generality_pairs_within_decoder_pool(self):
         kb = kb_of(fact(MOTHER, "padme", "leia"), fact(MOTHER, "padme", "luke"))

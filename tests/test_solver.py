@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from alp.candidates import CandidateClause
-from alp.errors import InfeasibleError
+from alp import solver
+from alp.errors import AlpError, InfeasibleError
 from alp.logic import Clause, DECODER, ENCODER
 from alp.model import (
     AT_LEAST_ONE,
@@ -19,14 +20,15 @@ from alp.model import (
     LINEAR_LE,
     RF,
     Constraint,
+    ConstraintViolationError,
     VarId,
     assignment_from_dc,
     build_model,
     check_assignment,
-    loss_consistency,
     objective_value,
 )
 from alp.solver import (
+    ExactResult,
     SearchConfig,
     _Searcher,
     initial_solution,
@@ -39,6 +41,7 @@ from helpers import (
     fact,
     kb_of,
     lit,
+    loss_consistency,
     pipeline_pool,
     pred,
     random_kb,
@@ -216,6 +219,25 @@ class TestInitialSolution:
             assert check_assignment(model, assignment) == []
             tested += 1
 
+    def test_seed_pinned(self):
+        """Decoder selections and objectives recorded from the seed before
+        its repair loop was merged.  The repair bans a latent on every one
+        of these draws; the eighth still falls back to search, and three
+        have no feasible seed."""
+        got = []
+        for model in pinned_models():
+            try:
+                seed = initial_solution(model)
+            except InfeasibleError:
+                got.append(None)
+                continue
+            selected = [j for j, v in enumerate(model.dc_ids) if seed[v]]
+            got.append((selected, objective_value(model, seed)))
+        assert got == [
+            ([2, 55, 69, 76], 6), ([1, 9], 9), None, ([2, 10, 19], 4), None,
+            ([3, 24, 37, 48], 8), ([3, 11], 4), ([5, 7], 6), None, ([1, 2, 9], 4),
+        ]
+
 
 class TestLnsMinimize:
     def test_optimal_seed_returns_immediately(self):
@@ -328,6 +350,29 @@ class TestLnsMinimize:
         assert solution.assignment == cut.best
         assert solution.objective == cut.objective > full.objective
         assert (solution.iteration_found, solution.proven_optimal) == (0, False)
+
+    @pytest.mark.parametrize(
+        "corrupt, error, message",
+        [
+            ("infeasible", ConstraintViolationError, "violated"),
+            ("misscored", AlpError, "disagrees"),
+        ],
+    )
+    def test_a_bad_improvement_raises(self, monkeypatch, corrupt, error, message):
+        class Stub(_Searcher):
+            """Offers the incumbent back as an improvement."""
+
+            def solve(self, fixed, fail_limit, incumbent_bound, incumbent=None,
+                      deadline=math.inf):
+                best = dict(incumbent)
+                if corrupt == "infeasible":
+                    best[EC0] = 1 - best[EC0]  # breaks ec_0 <-> OR(its decoders)
+                return ExactResult(best, incumbent_bound - 1, False, 0)
+
+        model = pinned_models()[0]  # a greedy seed of objective 6
+        monkeypatch.setattr(solver, "_Searcher", Stub)
+        with pytest.raises(error, match=message):
+            lns_minimize(model, SearchConfig(iterations=1))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
