@@ -10,15 +10,20 @@ reconstruct.  Constraints:
   (b) coupling    -- ec <-> OR(dc using its latent), for every encoder, so
       encoder selection is fully determined by the decoders (an encoder no
       surviving decoder uses is pinned to 0);
-  (c) generality  -- not(c1 and c2) for covers-related pairs within the
-      encoder pool and, per head predicate, within the decoder pool;
+  (c) generality  -- within the encoder pool (argument tuples, per arity)
+      and, per head predicate, within the decoder pool, candidates sharing
+      one consequence set form a class: at most one member per class, and
+      not(c1 and c2) for two classes whose sets are strictly nested;
   (d) coverage    -- OR(dc with head p) per input predicate that still has
       candidate decoders (skipped, with a warning, for predicates that lost
       all of them);
   (e) definition  -- rf <-> OR(dc reconstructing the atom).
 
-The objective counts missing KB atoms (1 - rf) and false reconstructions
-(rf); KB facts no candidate can reconstruct are a constant offset.
+A class of k >= 2 members has one ``cl`` variable, cl <-> OR(members), and
+the row sum(members) - cl <= 0; a lone candidate stands for its own class.
+So a class is stated once, not once per pair of its members.  The
+objective counts missing KB atoms (1 - rf) and false reconstructions (rf);
+KB facts no candidate can reconstruct are a constant offset.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .candidates import CandidateClause, latent_ordinal
-from .errors import AlpError, CapacityError, InfeasibleError
+from .errors import AlpError, InfeasibleError
 from .kb import Fact, KnowledgeBase, Predicate, avg_facts_per_predicate
 from .logic import (
     Alp,
@@ -39,6 +44,7 @@ from .logic import (
 EC = "ec"
 DC = "dc"
 RF = "rf"
+CL = "cl"
 
 IFF_OR = "iff_or"
 AT_MOST_ONE_OF_PAIR = "at_most_one_of_pair"
@@ -90,6 +96,7 @@ class CopModel:
     rf_atoms: tuple[Fact, ...]
     rf_in_kb: tuple[bool, ...]
     constraints: tuple[Constraint, ...]
+    class_members: tuple[tuple[VarId, ...], ...]  # the members of cl_k
     constant_offset: int
     gamma: Fraction
     avg_facts: Fraction
@@ -126,7 +133,8 @@ class CopModel:
         return [VarId(i, RF) for i in range(len(self.rf_atoms))]
 
     def all_ids(self) -> list[VarId]:
-        return self.ec_ids + self.dc_ids + self.rf_ids
+        cl_ids = [VarId(k, CL) for k in range(len(self.class_members))]
+        return self.ec_ids + self.dc_ids + self.rf_ids + cl_ids
 
     def size_summary(self) -> dict:
         return {
@@ -137,70 +145,41 @@ class CopModel:
         }
 
 
-def _containment_pairs(groups: dict, ceiling: int) -> list[tuple[int, int]]:
-    """Within each group, index pairs whose sets are subset-related.
+def _generality(groups: dict, kind: str, class_members: list) -> list[Constraint]:
+    """Generality constraints within each group of (index, consequence set).
 
-    Candidates sharing one consequence set form a class; the subset relation
-    is computed once per pair of distinct sets (usually far fewer than the
-    candidates) and expanded to index pairs afterwards.  The expansion can
-    be quadratic in the pool, so it is metered against the ceiling.
+    A class of k >= 2 members gets the next ``cl`` variable, appended to
+    ``class_members``; a lone candidate stands for its own class.  Two
+    classes whose sets are strictly nested get one pair constraint over the
+    variables that stand for them.
     """
-    pairs = []
+    constraints = []
     for members in groups.values():
         classes: dict = {}
         for i, aset in members:
-            classes.setdefault(aset, []).append(i)
+            classes.setdefault(aset, []).append(VarId(i, kind))
         distinct = sorted(
-            classes.items(), key=lambda kv: (len(kv[0]), min(kv[1]))
+            classes.items(), key=lambda kv: (len(kv[0]), kv[1][0].index)
         )
-        related: list[tuple[list[int], list[int]]] = []
-        for x in range(len(distinct)):
-            a, ai = distinct[x]
-            if len(ai) > 1:
-                related.append((ai, ai))  # mutual: same consequences
+        stands = []
+        for _, vs in distinct:
+            if len(vs) == 1:
+                stands.append(vs[0])
+                continue
+            cl = VarId(len(class_members), CL)
+            class_members.append(tuple(vs))
+            stands.append(cl)
+            constraints.append(Constraint(IFF_OR, (cl, *vs)))
+            constraints.append(
+                Constraint(LINEAR_LE, (*vs, cl), (1,) * len(vs) + (-1,))
+            )
+        for x, (a, _) in enumerate(distinct):
             for y in range(x + 1, len(distinct)):
-                b, bi = distinct[y]
-                if a <= b:
-                    related.append((ai, bi))
-        for ai, bi in related:
-            if ai is bi:
-                new = [(ai[x], ai[y]) for x in range(len(ai)) for y in range(x + 1, len(ai))]
-            else:
-                new = [(min(i, j), max(i, j)) for i in ai for j in bi]
-            pairs.extend(new)
-            if len(pairs) > ceiling:
-                raise CapacityError(
-                    f"generality constraints exceed ceiling {ceiling}; "
-                    "narrow the language with --max-dec-len, --max-head-vars "
-                    "or --no-disjunction"
-                )
-    return sorted(pairs)
-
-
-def _covers_pairs_encoders(encoders, ceiling: int) -> list[tuple[int, int]]:
-    """Index pairs where one encoder's consequences contain the other's,
-    compared modulo the latent name (argument tuples)."""
-    groups: dict = {}
-    for i, c in enumerate(encoders):
-        key = c.clause.head.predicate.arity
-        groups.setdefault(key, []).append(
-            (i, frozenset(f.args for f in c.consequences))
-        )
-    return _containment_pairs(groups, ceiling)
-
-
-def _covers_pairs_decoders(decoders, ceiling: int) -> list[tuple[int, int]]:
-    """Covers-related decoder pairs, restricted to a shared head predicate.
-
-    Clauses with different heads reconstruct different atoms and are never
-    substitutes, and pairing them would clash with the coverage constraint.
-    """
-    groups: dict = {}
-    for i, c in enumerate(decoders):
-        groups.setdefault(c.clause.head.predicate, []).append(
-            (i, c.consequences)
-        )
-    return _containment_pairs(groups, ceiling)
+                if a <= distinct[y][0]:
+                    constraints.append(
+                        Constraint(AT_MOST_ONE_OF_PAIR, (stands[x], stands[y]))
+                    )
+    return constraints
 
 
 def build_model(
@@ -208,9 +187,6 @@ def build_model(
     decoders: list[CandidateClause],
     kb: KnowledgeBase,
     gamma: Fraction,
-    include_generality: bool = True,
-    include_coverage: bool = True,
-    max_generality_pairs: int = 500_000,
 ) -> CopModel:
     """Compile the candidate pool against the training KB.
 
@@ -264,35 +240,37 @@ def build_model(
             )
         )
 
-    # (c) generality: at most one of a covers-related pair.
-    if include_generality:
-        for i, j in _covers_pairs_encoders(encoders, max_generality_pairs):
-            constraints.append(
-                Constraint(AT_MOST_ONE_OF_PAIR, (VarId(i, EC), VarId(j, EC)))
-            )
-        for i, j in _covers_pairs_decoders(decoders, max_generality_pairs):
-            constraints.append(
-                Constraint(AT_MOST_ONE_OF_PAIR, (VarId(i, DC), VarId(j, DC)))
-            )
+    # (c) generality over consequence classes.  Encoders compare argument
+    # tuples; decoders with different heads are never substitutes.
+    class_members: list[tuple[VarId, ...]] = []
+    enc_groups: dict = {}
+    for i, c in enumerate(encoders):
+        enc_groups.setdefault(c.clause.head.predicate.arity, []).append(
+            (i, frozenset(f.args for f in c.consequences))
+        )
+    dec_groups: dict = {}
+    for j, d in enumerate(decoders):
+        dec_groups.setdefault(d.clause.head.predicate, []).append(
+            (j, d.consequences)
+        )
+    constraints += _generality(enc_groups, EC, class_members)
+    constraints += _generality(dec_groups, DC, class_members)
 
     # (d) coverage: at least one decoder per input predicate that has any.
-    if include_coverage:
-        heads: dict[Predicate, list[int]] = {}
-        for j, d in enumerate(decoders):
-            heads.setdefault(d.clause.head.predicate, []).append(j)
-        kb_predicates = {f.predicate for f in kb.facts}
-        for p in sorted(kb.input_predicates, key=lambda p: (p.name, p.arity)):
-            if p in heads:
-                constraints.append(
-                    Constraint(
-                        AT_LEAST_ONE, tuple(VarId(j, DC) for j in heads[p])
-                    )
-                )
-            elif p in kb_predicates:
-                warnings.append(
-                    f"no candidate decoder reconstructs {p}; "
-                    "coverage constraint skipped"
-                )
+    heads: dict[Predicate, list[int]] = {}
+    for j, d in enumerate(decoders):
+        heads.setdefault(d.clause.head.predicate, []).append(j)
+    kb_predicates = {f.predicate for f in kb.facts}
+    for p in sorted(kb.input_predicates, key=lambda p: (p.name, p.arity)):
+        if p in heads:
+            constraints.append(
+                Constraint(AT_LEAST_ONE, tuple(VarId(j, DC) for j in heads[p]))
+            )
+        elif p in kb_predicates:
+            warnings.append(
+                f"no candidate decoder reconstructs {p}; "
+                "coverage constraint skipped"
+            )
 
     # (e) rf definitions and the objective layout.
     reconstructable: dict[Fact, list[int]] = {}
@@ -320,6 +298,7 @@ def build_model(
         rf_atoms=tuple(rf_atoms),
         rf_in_kb=rf_in_kb,
         constraints=tuple(constraints),
+        class_members=tuple(class_members),
         constant_offset=offset,
         gamma=gamma,
         avg_facts=g,
@@ -369,8 +348,8 @@ def objective_value(model: CopModel, assignment: Assignment) -> int:
 def assignment_from_dc(model: CopModel, selected: set[int]) -> Assignment:
     """Extend a decoder selection to the full variable set.
 
-    ec and rf values follow their defining disjunctions, which is the unique
-    completion satisfying constraints (b) and (e).
+    ec, rf and cl values follow their defining disjunctions, which is the
+    unique completion satisfying them.
     """
     assignment: Assignment = {}
     for j in range(len(model.dc_candidates)):
@@ -382,6 +361,8 @@ def assignment_from_dc(model: CopModel, selected: set[int]) -> Assignment:
     }
     for i, c in enumerate(model.ec_candidates):
         assignment[VarId(i, EC)] = 1 if c.clause.head.predicate in used_latents else 0
+    for k, members in enumerate(model.class_members):
+        assignment[VarId(k, CL)] = max(assignment[v] for v in members)
     reconstructed: set[Fact] = set()
     for j in selected:
         reconstructed.update(model.dc_candidates[j].consequences)
@@ -417,6 +398,8 @@ def dump_model(model: CopModel) -> str:
         lines.append(f"var dc_{j} {c.clause}")
     for i, atom in enumerate(model.rf_atoms):
         lines.append(f"var rf_{i} {atom}")
+    for k, members in enumerate(model.class_members):
+        lines.append(f"var cl_{k} {' '.join(map(str, members))}")
     for con in model.constraints:
         if con.form == LINEAR_LE:
             terms = " ".join(

@@ -21,7 +21,7 @@ from .candidates import (
 )
 from .errors import AlpError
 from .kb import KnowledgeBase, ModeDeclaration, Predicate
-from .logic import Alp, loss_parts, encode
+from .logic import Alp, apply_program, encode
 from .model import CopModel, build_model, induced_alp
 from .pruning import (
     PruneReport,
@@ -108,7 +108,8 @@ def learn(
 
     alp = induced_alp(model, solution.assignment)
     latent = encode(alp, kb)
-    missing, false = loss_parts(alp, kb)
+    reconstruction = apply_program(alp.decoder, latent)
+    missing, false = len(kb.facts - reconstruction), len(reconstruction - kb.facts)
     recomputed = missing + false
     if recomputed != solution.objective:
         raise AlpError(

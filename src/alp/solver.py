@@ -7,11 +7,14 @@ watched-literal SAT solvers: every iff_or and at_least_one constraint keeps
 how many of its body positions are 1 and how many are unassigned, and the
 bottleneck keeps the least sum it can still reach.  The counters move on
 assignment and move back on backtracking, so checking a constraint costs
-O(1) and a body is scanned only when a value is forced.  The generality
-pairs form a conflict graph: setting a position to 1 sets its neighbours to
-0.  Nodes are pruned against the incumbent using the decided rf penalties
-plus the constant offset, which never overestimates any completion.
-Variable order is static by descending constraint degree (pairs included),
+O(1) and a body is scanned only when a value is forced.  A consequence
+class's iff_or also carries its at-most-one row: two members at 1 are a
+conflict, and one member at 1 sets the others to 0.  The pairs between
+nested classes form a conflict graph: setting a position to 1 sets its
+neighbours to 0.  Nodes are pruned against the incumbent using the decided
+rf penalties plus the constant offset, which never overestimates any
+completion.  Variable order is static by descending constraint degree, in
+which a generality constraint counts the candidate pairs it stands for,
 overridden by the variable that most recently caused a failure (last
 conflict); the incumbent's value is tried first.
 
@@ -35,6 +38,7 @@ from .errors import AlpError, InfeasibleError
 from .model import (
     AT_MOST_ONE_OF_PAIR,
     Assignment,
+    CL,
     CopModel,
     DC,
     EC,
@@ -93,11 +97,12 @@ class ExactResult:
 class _Searcher:
     """One model compiled into dense integer positions for repeated search.
 
-    Positions follow ``CopModel.all_ids``: ec, then dc, then rf, and one
-    more position that is always 1.  Each iff_or constraint keeps its head
-    position and body tuple; an at_least_one constraint is a body whose head
-    is the always-1 position.  The generality pairs become a conflict
-    adjacency list per position, the bottleneck one coefficient per position.
+    Positions follow ``CopModel.all_ids``: ec, then dc, then rf, then cl,
+    and one more position that is always 1.  Each iff_or constraint keeps
+    its head position and body tuple; an at_least_one constraint is a body
+    whose head is the always-1 position.  A class's at-most-one row is left
+    to its iff_or.  The generality pairs become a conflict adjacency list
+    per position, the bottleneck one coefficient per position.
     The model is compiled by the first ``solve``, so that a caller can hold
     a searcher before it knows whether any search will run.
     """
@@ -110,29 +115,40 @@ class _Searcher:
         model = self.model
         self.vars: list[VarId] = model.all_ids()
         n = len(self.vars)
-        # One shared int object per position: the pair adjacency lists hold
-        # 456k entries for the paper's Fig. 1 KB at the default bias.
-        positions = list(range(n))
         n_ec, n_dc = len(model.ec_candidates), len(model.dc_candidates)
-        first = {EC: 0, DC: n_ec, RF: n_ec + n_dc}
+        n_rf = len(model.rf_atoms)
+        first = {EC: 0, DC: n_ec, RF: n_ec + n_dc, CL: n_ec + n_dc + n_rf}
         self.first = first
+        # The positions each class position stands for.
+        members = {
+            first[CL] + k: [first[v.kind] + v.index for v in vs]
+            for k, vs in enumerate(model.class_members)
+        }
         degree = [0] * n
         partners: list[list[int]] = [[] for _ in range(n)]
         body_of: list[list[int]] = [[] for _ in range(n)]
         watch: list[list[int]] = [[] for _ in range(n)]
         heads: list[int] = []
         bodies: list[tuple[int, ...]] = []
+        at_most_one: list[bool] = []
         coeff = [0] * n
         linear = 0
         for con in model.constraints:
-            ps = [positions[first[v.kind] + v.index] for v in con.vars]
-            for p in ps:
-                degree[p] += 1
+            ps = [first[v.kind] + v.index for v in con.vars]
             if con.form == AT_MOST_ONE_OF_PAIR:
                 a, b = ps
                 partners[a].append(b)
                 partners[b].append(a)
+                # The degree counts the candidate pairs the constraint stands for.
+                for x, y in ((a, b), (b, a)):
+                    for m in members.get(x, (x,)):
+                        degree[m] += len(members.get(y, (y,)))
                 continue
+            if con.form == LINEAR_LE and ps[-1] in members:
+                continue  # a class's at-most-one, carried by its iff_or
+            weight = len(members[ps[0]]) - 1 if ps[0] in members else 1
+            for p in ps:
+                degree[p] += weight
             if con.form == LINEAR_LE:
                 linear += 1
                 if linear > 1:
@@ -141,6 +157,7 @@ class _Searcher:
                     coeff[p] = a
                 continue
             c = len(heads)
+            at_most_one.append(ps[0] in members)
             if con.form == IFF_OR:
                 heads.append(ps[0])
                 watch[ps[0]].append(c)
@@ -156,6 +173,7 @@ class _Searcher:
         self.watch = watch
         self.heads = heads
         self.bodies = bodies
+        self.at_most_one = at_most_one
         # The least sum the bottleneck can reach with nothing assigned, what
         # position p at value v adds to it, and its positive terms, largest
         # first.
@@ -165,9 +183,9 @@ class _Searcher:
             ((a, p) for p, a in enumerate(coeff) if a > 0), key=lambda t: -t[0]
         )
         # penalty[p][v]: the objective term of position p at value v.
-        self.penalty = [(0, 0)] * (n_ec + n_dc) + [
-            (1, 0) if in_kb else (0, 1) for in_kb in model.rf_in_kb
-        ]
+        self.penalty = [(0, 0)] * n
+        for i, in_kb in enumerate(model.rf_in_kb):
+            self.penalty[first[RF] + i] = (1, 0) if in_kb else (0, 1)
         self.static_order = sorted(range(n_ec + n_dc), key=lambda p: (-degree[p], p))
         self.compiled = True
 
@@ -187,7 +205,7 @@ class _Searcher:
         if not self.compiled:
             self._compile()
         partners, body_of, watch = self.partners, self.body_of, self.watch
-        heads, bodies = self.heads, self.bodies
+        heads, bodies, at_most_one = self.heads, self.bodies, self.at_most_one
         linear_desc, linear_rise = self.linear_desc, self.linear_rise
         penalty = self.penalty
         static_order = self.static_order
@@ -231,6 +249,13 @@ class _Searcher:
                     return True
                 if vh == UNASSIGNED:
                     assign(h, 1)
+                if at_most_one[c]:
+                    if ones[c] > 1:
+                        return True
+                    if free[c]:
+                        for q in bodies[c]:
+                            if values[q] == UNASSIGNED:
+                                assign(q, 0)
             elif not free[c]:
                 if vh == 1:
                     return True

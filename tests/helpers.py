@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import os
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -21,6 +22,9 @@ from alp.logic import (
 )
 from alp.logic import reconstruction_loss
 from alp.model import (
+    AT_LEAST_ONE,
+    AT_MOST_ONE_OF_PAIR,
+    CL,
     assignment_from_dc,
     check_assignment,
     induced_alp,
@@ -171,6 +175,24 @@ def default_config(**overrides) -> GenerationConfig:
 
 def pipeline_pool(kb, config=None):
     return prepare_pool(kb, {}, config or default_config())
+
+
+def is_generality(con) -> bool:
+    """A pair constraint, or a consequence class's iff_or or linear row."""
+    return con.form == AT_MOST_ONE_OF_PAIR or any(v.kind == CL for v in con.vars)
+
+
+def drop_constraints(model, generality=False, coverage=False):
+    """The model without its generality constraints (the pairs, the class
+    constraints and ``class_members``) or without its coverage ones."""
+    kept = tuple(
+        con
+        for con in model.constraints
+        if not (generality and is_generality(con))
+        and not (coverage and con.form == AT_LEAST_ONE)
+    )
+    members = () if generality else model.class_members
+    return replace(model, constraints=kept, class_members=members)
 
 
 def loss_consistency(model, assignment, kb) -> bool:

@@ -32,6 +32,7 @@ from helpers import (
     brute_force_loss_optimum,
     cli_subprocess_env,
     default_config,
+    drop_constraints,
     fig1_kb,
     lit,
     pred,
@@ -128,13 +129,10 @@ def test_objective_equals_reconstruction_loss():
         kbs += 1
         # search-shaping constraints are irrelevant to the objective
         # arithmetic, and dropping them lets more selections through
-        model = build_model(
-            encoders,
-            decoders,
-            kb,
-            Fraction(rng.choice([1, 2, 4])),
-            include_generality=False,
-            include_coverage=False,
+        model = drop_constraints(
+            build_model(encoders, decoders, kb, Fraction(rng.choice([1, 2, 4]))),
+            generality=True,
+            coverage=True,
         )
         n = len(model.dc_candidates)
         for _ in range(5):
@@ -203,13 +201,10 @@ def test_pruning_preserves_optimum():
     def subset_optimum(encoders, decoders, kb, gamma):
         if not decoders:
             return len(kb.facts)
-        model = build_model(
-            encoders,
-            decoders,
-            kb,
-            gamma,
-            include_generality=False,
-            include_coverage=False,
+        model = drop_constraints(
+            build_model(encoders, decoders, kb, gamma),
+            generality=True,
+            coverage=True,
         )
         best = None
         for mask in range(2 ** len(decoders)):

@@ -11,6 +11,7 @@ from alp.model import (
     AT_LEAST_ONE,
     AT_MOST_ONE_OF_PAIR,
     Assignment,
+    CL,
     ConstraintViolationError,
     DC,
     EC,
@@ -27,8 +28,10 @@ from alp.model import (
 )
 from helpers import (
     brute_force_objective,
+    drop_constraints,
     fact,
     fig1_kb,
+    is_generality,
     kb_of,
     lit,
     loss_consistency,
@@ -169,7 +172,15 @@ class TestBuildModel:
         assert any("father" in w for w in model.warnings)
 
     def test_covers_pairs_match_naive_reference(self):
-        from alp.model import _covers_pairs_decoders, _covers_pairs_encoders
+        """Two candidates at 1 violate a generality constraint exactly when
+        the naive reference pairs them."""
+
+        def violates_generality(kind, i, j):
+            assignment = {v: 0 for v in model.all_ids()}
+            assignment[VarId(i, kind)] = assignment[VarId(j, kind)] = 1
+            for k, members in enumerate(model.class_members):
+                assignment[VarId(k, CL)] = max(assignment[v] for v in members)
+            return any(map(is_generality, check_assignment(model, assignment)))
 
         rng = random.Random(109)
         tested = 0
@@ -179,62 +190,47 @@ class TestBuildModel:
             if not encoders or not decoders:
                 continue
             tested += 1
-            naive_enc = sorted(
-                (i, j)
-                for i in range(len(encoders))
-                for j in range(i + 1, len(encoders))
-                if encoders[i].clause.head.predicate.arity
-                == encoders[j].clause.head.predicate.arity
-                and (
-                    {f.args for f in encoders[i].consequences}
-                    <= {f.args for f in encoders[j].consequences}
-                    or {f.args for f in encoders[j].consequences}
-                    <= {f.args for f in encoders[i].consequences}
-                )
-            )
-            assert _covers_pairs_encoders(encoders, 10**9) == naive_enc
-            naive_dec = sorted(
-                (i, j)
-                for i in range(len(decoders))
-                for j in range(i + 1, len(decoders))
-                if decoders[i].clause.head.predicate
-                == decoders[j].clause.head.predicate
-                and (
-                    decoders[i].consequences <= decoders[j].consequences
-                    or decoders[j].consequences <= decoders[i].consequences
-                )
-            )
-            assert _covers_pairs_decoders(decoders, 10**9) == naive_dec
+            model = build_model(encoders, decoders, kb, Fraction(2))
+            encoders, decoders = model.ec_candidates, model.dc_candidates
+            for i in range(len(encoders)):
+                for j in range(i + 1, len(encoders)):
+                    a = {f.args for f in encoders[i].consequences}
+                    b = {f.args for f in encoders[j].consequences}
+                    naive = encoders[i].clause.head.predicate.arity == (
+                        encoders[j].clause.head.predicate.arity
+                    ) and (a <= b or b <= a)
+                    assert violates_generality(EC, i, j) == naive
+            for i in range(len(decoders)):
+                for j in range(i + 1, len(decoders)):
+                    a, b = decoders[i].consequences, decoders[j].consequences
+                    naive = decoders[i].clause.head.predicate == (
+                        decoders[j].clause.head.predicate
+                    ) and (a <= b or b <= a)
+                    assert violates_generality(DC, i, j) == naive
 
-    def test_generality_pair_ceiling(self):
-        from alp.errors import CapacityError
-
-        kb = kb_of(fact(MOTHER, "padme", "leia"), fact(MOTHER, "padme", "luke"))
-        e1 = enc(
-            L1,
-            (lit(MOTHER, "X", "Y"),),
-            [fact(L1, "padme", "leia"), fact(L1, "padme", "luke")],
+    def test_one_consequence_class_is_one_variable(self):
+        """1,100 decoders with one consequence set (604,450 pairs) compile
+        to one class variable and two constraints."""
+        kb = kb_of(fact(MOTHER, "padme", "leia"))
+        e1 = enc(L1, (lit(MOTHER, "X", "Y"),), [fact(L1, "padme", "leia")])
+        d1 = dec(
+            lit(MOTHER, "X", "Y"), (lit(L1, "X", "Y"),), [fact(MOTHER, "padme", "leia")]
         )
-        nested = [
-            dec(
-                lit(MOTHER, "X", "Y"),
-                (lit(L1, "X", "Y"),),
-                [fact(MOTHER, "padme", "leia")],
-            ),
-            dec(
-                lit(MOTHER, "X", "X"),
-                (lit(L1, "X", "X"),),
-                [fact(MOTHER, "padme", "leia"), fact(MOTHER, "padme", "luke")],
-            ),
+        model = build_model([e1], [d1] * 1100, kb, Fraction(2))
+        members = tuple(VarId(j, DC) for j in range(1100))
+        assert model.class_members == (members,)
+        generality = [c for c in model.constraints if is_generality(c)]
+        assert [(c.form, c.vars) for c in generality] == [
+            (IFF_OR, (VarId(0, CL),) + members),
+            (LINEAR_LE, members + (VarId(0, CL),)),
         ]
-        with pytest.raises(CapacityError, match="generality") as raised:
-            build_model([e1], nested, kb, Fraction(2), max_generality_pairs=0)
-        # The pair ceiling is fixed, so the hint names only the flags that
-        # narrow the language.
-        assert str(raised.value).endswith(
-            "narrow the language with --max-dec-len, --max-head-vars "
-            "or --no-disjunction"
-        )
+        rng = random.Random(3)
+        pairs = [(0, 1), (0, 1099)] + [rng.sample(range(1100), 2) for _ in range(20)]
+        for pair in pairs:
+            selection = assignment_from_dc(model, set(pair))
+            assert generality[1] in check_assignment(model, selection)
+        single = assignment_from_dc(model, {rng.randrange(1100)})
+        assert not check_assignment(model, single)
 
     def test_generality_pairs_within_decoder_pool(self):
         kb = kb_of(fact(MOTHER, "padme", "leia"), fact(MOTHER, "padme", "luke"))
@@ -314,9 +310,8 @@ class TestObjectiveValue:
             (lit(L1, "X", "Y"),),
             [fact(MOTHER, "padme", "leia"), fact(MOTHER, "padme", "luke")],
         )
-        return kb, build_model(
-            [e1], [d1], kb, Fraction(2), include_coverage=include_coverage
-        )
+        model = build_model([e1], [d1], kb, Fraction(2))
+        return kb, drop_constraints(model, coverage=not include_coverage)
 
     def test_all_zero_assignment_counts_whole_kb(self):
         kb, model = self.build_simple(include_coverage=False)
@@ -382,8 +377,8 @@ class TestLossConsistency:
     def test_empty_selection_equals_kb_size(self):
         kb = fig1_kb()
         encoders, decoders, _, _ = pipeline_pool(kb)
-        model = build_model(
-            encoders, decoders, kb, Fraction(2), include_coverage=False
+        model = drop_constraints(
+            build_model(encoders, decoders, kb, Fraction(2)), coverage=True
         )
         empty = assignment_from_dc(model, set())
         assert objective_value(model, empty) == 9
@@ -407,12 +402,9 @@ class TestLossConsistency:
             encoders, decoders, _, _ = pipeline_pool(kb)
             if not encoders or not decoders:
                 continue
-            model = build_model(
-                encoders,
-                decoders,
-                kb,
-                Fraction(rng.choice([1, 2, 4])),
-                include_coverage=False,
+            model = drop_constraints(
+                build_model(encoders, decoders, kb, Fraction(rng.choice([1, 2, 4]))),
+                coverage=True,
             )
             n = len(model.dc_candidates)
             selected = {j for j in range(n) if rng.random() < 0.3}

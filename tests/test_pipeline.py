@@ -1,13 +1,18 @@
 """End-to-end learn() paths not covered by the CLI tests: background
 knowledge, negation, modes from the fact file, and the report payload."""
 
+import hashlib
 import random
 from fractions import Fraction
 
-from alp.kb import parse_kb_document
+import pytest
+
+from alp.candidates import GenerationConfig
+from alp.kb import KnowledgeBase, parse_kb_document, serialize_kb
+from alp.logic import serialize_program
 from alp.pipeline import learn, run_report
 from alp.solver import SearchConfig
-from helpers import default_config, synthesize_lossless_instance
+from helpers import default_config, fig1_kb, synthesize_lossless_instance
 
 
 def quick_search(seed=0, iterations=40):
@@ -94,3 +99,30 @@ def test_report_payload_shape():
     assert payload["solver"]["objective"] == payload["loss"]["objective"]
     assert set(payload["model"]) == {"ec", "dc", "rf", "constraints"}
     assert payload["timings"]["total"] >= 0
+
+
+@pytest.mark.parametrize(
+    "max_dec_len, digest",
+    [
+        (1, "26a124d086505b38857df17c2b92b436d2b37c00d177b4c257b535195f189bd8"),
+        (2, "c3010a0c4e23a10804b9bc522665c1303aa116c0f79dfa476a9fd2456c1930db"),
+    ],
+)
+def test_fig1_output_pinned(max_dec_len, digest):
+    """SHA-256 of the learned program, latent facts, objective and
+    improvement trajectory (without elapsed times) on Fig. 1, recorded
+    before generality was stated per consequence class."""
+    result = learn(
+        fig1_kb(),
+        {},
+        GenerationConfig(max_decoder_body_len=max_dec_len),
+        SearchConfig(iterations=20, fail_limit=1000, seed=0),
+        Fraction(2),
+    )
+    text = "\n".join([
+        serialize_program(result.alp),
+        serialize_kb(KnowledgeBase.from_facts(result.latent)),
+        str(result.solution.objective),
+        repr([(i, obj, n_ec, n_dc) for i, obj, _, n_ec, n_dc in result.improvements]),
+    ])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

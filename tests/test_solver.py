@@ -14,6 +14,7 @@ from alp.logic import Clause, DECODER, ENCODER
 from alp.model import (
     AT_LEAST_ONE,
     AT_MOST_ONE_OF_PAIR,
+    CL,
     DC,
     EC,
     IFF_OR,
@@ -52,7 +53,7 @@ L1 = pred("latent_1", 2, "latent")
 L2 = pred("latent_2", 2, "latent")
 
 
-def tiny_model(include_coverage=True):
+def tiny_model():
     """One decoder, its encoder, one rf over a single KB fact."""
     kb = kb_of(fact(MOTHER, "padme", "leia"))
     e1 = CandidateClause(
@@ -67,7 +68,7 @@ def tiny_model(include_coverage=True):
         frozenset([fact(MOTHER, "padme", "leia")]),
         1,
     )
-    return kb, build_model([e1], [d1], kb, Fraction(1), include_coverage=include_coverage)
+    return kb, build_model([e1], [d1], kb, Fraction(1))
 
 
 def random_model(rng, gamma=None, max_dc=12):
@@ -381,9 +382,10 @@ class TestLnsMinimize:
             SearchConfig(iterations=0)
 
 
-def two_decoder_model(*constraints):
+def two_decoder_model(*constraints, class_members=()):
     """Two encoders, their two decoders and one rf, under only the given
-    constraints: each propagation family can be exercised on its own."""
+    constraints and classes: each propagation family can be exercised on
+    its own."""
     kb = kb_of(fact(MOTHER, "padme", "leia"))
     encoders = [
         CandidateClause(
@@ -404,12 +406,22 @@ def two_decoder_model(*constraints):
         for latent in (L1, L2)
     ]
     model = build_model(encoders, decoders, kb, Fraction(1))
-    return replace(model, constraints=constraints)
+    return replace(model, constraints=constraints, class_members=class_members)
 
 
-EC0, EC1, DC0, DC1, RF0 = (
-    VarId(0, EC), VarId(1, EC), VarId(0, DC), VarId(1, DC), VarId(0, RF)
+EC0, EC1, DC0, DC1, RF0, CL0 = (
+    VarId(0, EC), VarId(1, EC), VarId(0, DC), VarId(1, DC), VarId(0, RF), VarId(0, CL)
 )
+
+
+def class_model(*constraints):
+    """The two decoders as one consequence class, plus the given constraints."""
+    return two_decoder_model(
+        Constraint(IFF_OR, (CL0, DC0, DC1)),
+        Constraint(LINEAR_LE, (DC0, DC1, CL0), (1, 1, -1)),
+        *constraints,
+        class_members=((DC0, DC1),),
+    )
 
 
 class TestPropagation:
@@ -452,6 +464,24 @@ class TestPropagation:
         model = two_decoder_model(Constraint(AT_LEAST_ONE, (DC0, DC1)))
         best = self.forced(model, {EC0: 0, EC1: 0, DC0: 0, RF0: 0}, incumbent={})
         assert best[DC1] == 1
+
+    def test_class_member_at_one_clears_its_class(self):
+        best = self.forced(
+            class_model(), {EC0: 0, EC1: 0, DC0: 1, RF0: 1}, incumbent={DC1: 1}
+        )
+        assert (best[CL0], best[DC1]) == (1, 0)
+
+    def test_class_with_two_members_at_one_fails_at_the_root(self):
+        result = solve_exact(class_model(), {DC0: 1, DC1: 1})
+        assert (result.best, result.complete, result.failures) == (None, True, 1)
+
+    def test_class_cleared_by_a_strict_pair_clears_its_members(self):
+        # EC0 stands in for a class nested with the decoders' class.
+        model = class_model(Constraint(AT_MOST_ONE_OF_PAIR, (EC0, CL0)))
+        best = self.forced(
+            model, {EC0: 1, EC1: 0, RF0: 0}, incumbent={DC0: 1, DC1: 1}
+        )
+        assert (best[CL0], best[DC0], best[DC1]) == (0, 0, 0)
 
     def test_bottleneck_clears_an_over_weight_encoder(self):
         model = two_decoder_model(Constraint(LINEAR_LE, (EC0, EC1), (3, -1)))
