@@ -21,7 +21,6 @@ from .logic import (
     LogicProgram,
     Variable,
     apply_program,
-    clause_covers,
     ground_consequences,
     parse_program,
     reconstruction_loss,
@@ -47,7 +46,6 @@ __all__ = [
     "learn",
     "apply_program",
     "avg_facts_per_predicate",
-    "clause_covers",
     "ground_consequences",
     "herbrand_base",
     "parse_kb",

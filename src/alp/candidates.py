@@ -11,6 +11,10 @@ Encoder candidates mint one latent predicate per clause, named
 ``latent_<k>`` where k follows the canonical body ordering, so names are
 stable across runs.  Decoder candidates run the same enumeration over the
 latent vocabulary, with heads drawn from the input predicates.
+
+Both generators plan every (body, head) pair, check the count against
+``max_candidates`` before any join, then join each body once and project
+all of its heads from that join.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import comb
+from operator import itemgetter
 
 from .errors import CapacityError
 from .kb import (
@@ -27,6 +33,7 @@ from .kb import (
     MODE_UNBOUND,
     ModeDeclaration,
     ORIGIN_BACKGROUND,
+    ORIGIN_INPUT,
     ORIGIN_LATENT,
     Predicate,
 )
@@ -41,8 +48,8 @@ from .logic import (
     Variable,
     _CANONICAL_PERMUTATION_CAP,
     body_key,
+    body_substitutions,
     body_variables,
-    ground_consequences,
     var_name,
 )
 
@@ -108,12 +115,8 @@ def _extend_atom_choices(
             per_slot.append(list(existing) + [_FRESH] if all_unbound else [_FRESH])
         else:
             per_slot.append(list(existing) + [_FRESH])
-    out = []
-    for combo in product(*per_slot):
-        if not any(c is not _FRESH for c in combo):
-            continue  # would not connect to the body
-        out.append(combo)
-    return out
+    # A combination of fresh variables only would not connect to the body.
+    return [c for c in product(*per_slot) if any(a is not _FRESH for a in c)]
 
 
 def _materialize(combo: tuple, n_vars: int) -> tuple[Variable, ...]:
@@ -215,23 +218,64 @@ def enumerate_bodies(
     one canonical form.
     """
     conj = _enumerate_conjunctive(predicates, modes, max_len, allow_negation)
-    out: list[Body] = [
-        (conj[k], CONJUNCTION) for k in sorted(conj)
-    ]
+    out: list[Body] = [(conj[k], CONJUNCTION) for k in sorted(conj)]
     if allow_disjunction and max_len >= 2:
         disj = _enumerate_disjunctive(predicates, max_len)
         out.extend((disj[k], DISJUNCTION) for k in sorted(disj))
     return out
 
 
-def _head_subsets(
-    variables: list[Variable], max_head_vars: int
-) -> list[tuple[Variable, ...]]:
-    subsets = []
-    for size in range(1, min(max_head_vars, len(variables)) + 1):
-        for positions in combinations(range(len(variables)), size):
-            subsets.append(tuple(variables[i] for i in positions))
-    return subsets
+def _planned_variables(
+    kind: str,
+    bodies: list[Body],
+    head_sizes: range | list[int],
+    config: GenerationConfig,
+) -> list[list[Variable]]:
+    """Each body's positive variables, once the (body, head) pairs planned
+    over them, one per head size per variable subset of that size, fit
+    under the ceiling.  No body is joined before this check."""
+    variables = [
+        body_variables(l for l in lits if not l.negated) for lits, _ in bodies
+    ]
+    planned = sum(comb(len(vs), k) for vs in variables for k in head_sizes)
+    if planned > config.max_candidates:
+        length = "--max-enc-len" if kind == ENCODER else "--max-dec-len"
+        raise CapacityError(
+            f"{planned} {kind} candidates planned, over the ceiling of "
+            f"{config.max_candidates}; narrow the language with {length}, "
+            "--max-head-vars or --no-disjunction, or raise --max-candidates"
+        )
+    return variables
+
+
+def _evaluate(
+    literals: tuple[Literal, ...],
+    connective: str,
+    heads: list[tuple[Predicate, tuple[Variable, ...]]],
+    store: FactStore,
+    kind: str,
+) -> list[CandidateClause]:
+    """The candidates ``head :- body`` whose consequences are nonempty.
+
+    The body is joined once; every head projects its variables from that
+    join, and heads with one argument tuple share the projection.
+    """
+    substitutions = list(body_substitutions(literals, connective, store))
+    if not substitutions:
+        return []
+    rows_by_args: dict[tuple[Variable, ...], set] = {}
+    out = []
+    for pred, args in heads:
+        rows = rows_by_args.get(args)
+        if rows is None:
+            rows = set(map(itemgetter(*args), substitutions))
+            if len(args) == 1:  # itemgetter returns the bare value
+                rows = {(v,) for v in rows}
+            rows_by_args[args] = rows
+        consequences = frozenset(Fact(pred, row) for row in rows)
+        clause = Clause(Literal(pred, args), literals, connective)
+        out.append(CandidateClause(clause, kind, consequences, len(consequences)))
+    return out
 
 
 def generate_encoder_candidates(
@@ -256,7 +300,7 @@ def generate_encoder_candidates(
             f"predicate names {sorted(str(p) for p in reserved)} collide "
             "with the latent namespace; rename them"
         )
-    head_cap = min(config.max_head_vars, max(p.arity for p in input_preds))
+    sizes = range(1, min(config.max_head_vars, max(p.arity for p in input_preds)) + 1)
     bodies = enumerate_bodies(
         predicates,
         modes,
@@ -264,27 +308,18 @@ def generate_encoder_candidates(
         config.allow_disjunction,
         config.allow_negation,
     )
+    variables = _planned_variables(ENCODER, bodies, sizes, config)
     store = FactStore(kb.facts | kb.background)
     out = []
     ordinal = 1
-    for literals, connective in bodies:
-        variables = body_variables(l for l in literals if not l.negated)
-        for args in _head_subsets(variables, head_cap):
-            if ordinal > config.max_candidates:
-                raise CapacityError(
-                    f"encoder candidates exceed ceiling {config.max_candidates}"
-                )
-            head = Literal(
-                Predicate(f"latent_{ordinal}", len(args), ORIGIN_LATENT), args
-            )
-            ordinal += 1
-            clause = Clause(head, literals, connective)
-            consequences = ground_consequences(clause, store)
-            if not consequences:
-                continue
-            out.append(
-                CandidateClause(clause, ENCODER, consequences, len(consequences))
-            )
+    for (literals, connective), vs in zip(bodies, variables):
+        subsets = [args for size in sizes for args in combinations(vs, size)]
+        heads = [
+            (Predicate(f"latent_{ordinal + i}", len(args), ORIGIN_LATENT), args)
+            for i, args in enumerate(subsets)
+        ]
+        ordinal += len(subsets)
+        out.extend(_evaluate(literals, connective, heads, store, ENCODER))
     return out
 
 
@@ -308,8 +343,8 @@ def generate_decoder_candidates(
     """Enumerate decoder clauses from the latent vocabulary.
 
     The latent fact context is the union of the encoder candidates'
-    consequences; decoder heads range over the input predicates, one
-    candidate per predicate per compatible variable tuple.
+    consequences; decoder heads range over the input predicates of arity at
+    least 1, one candidate per predicate per variable tuple of its arity.
     """
     latents = _sorted_preds({c.clause.head.predicate for c in latent_candidates})
     if not latents:
@@ -322,29 +357,19 @@ def generate_decoder_candidates(
         config.allow_disjunction,
         config.allow_negation,
     )
-    store = FactStore(latent_facts(latent_candidates))
     input_preds = _sorted_preds(
-        p for p in kb.vocabulary if p.origin not in (ORIGIN_BACKGROUND, ORIGIN_LATENT)
+        p for p in kb.vocabulary if p.origin == ORIGIN_INPUT and p.arity >= 1
     )
+    variables = _planned_variables(
+        DECODER, bodies, [p.arity for p in input_preds], config
+    )
+    store = FactStore(latent_facts(latent_candidates))
     out = []
-    count = 0
-    for literals, connective in bodies:
-        variables = body_variables(l for l in literals if not l.negated)
-        subsets_by_size: dict[int, list[tuple[Variable, ...]]] = {}
-        for args in _head_subsets(variables, max(len(variables), 1)):
-            subsets_by_size.setdefault(len(args), []).append(args)
-        for pred in input_preds:
-            for args in subsets_by_size.get(pred.arity, []):
-                count += 1
-                if count > config.max_candidates:
-                    raise CapacityError(
-                        f"decoder candidates exceed ceiling {config.max_candidates}"
-                    )
-                clause = Clause(Literal(pred, args), literals, connective)
-                consequences = ground_consequences(clause, store)
-                if not consequences:
-                    continue
-                out.append(
-                    CandidateClause(clause, DECODER, consequences, len(consequences))
-                )
+    for (literals, connective), vs in zip(bodies, variables):
+        # One tuple object per variable subset, shared by every head predicate.
+        args_by_arity = {
+            a: list(combinations(vs, a)) for a in {p.arity for p in input_preds}
+        }
+        heads = [(p, args) for p in input_preds for args in args_by_arity[p.arity]]
+        out.extend(_evaluate(literals, connective, heads, store, DECODER))
     return out

@@ -22,9 +22,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
-from .errors import KbSyntaxError, VocabularyError
+from .errors import KbSyntaxError
 from .kb import (
     Constant,
     Fact,
@@ -137,10 +137,6 @@ class Clause:
                         "disjunctive body literals must share one argument tuple"
                     )
 
-    def variables(self) -> list[Variable]:
-        """Clause variables ordered by first appearance in the body."""
-        return body_variables(self.body)
-
     def __str__(self):
         sep = "," if self.body_connective == CONJUNCTION else ";"
         return f"{self.head} :- {sep.join(str(lit) for lit in self.body)}."
@@ -221,11 +217,6 @@ class FactStore:
             self.by_pred.setdefault(f.predicate, []).append(f.args)
         self._indexes: dict = {}
 
-    def holds(self, predicate: Predicate, args: tuple[Constant, ...]) -> bool:
-        key = (predicate, tuple(range(len(args))))
-        index = self._index(predicate, key[1])
-        return args in index
-
     def match(
         self, predicate: Predicate, pattern: tuple[Constant | None, ...]
     ) -> list[tuple[Constant, ...]]:
@@ -265,7 +256,7 @@ def _join(
     lit, rest = literals[0], literals[1:]
     if lit.negated:
         # Safety guarantees all variables are bound by now.
-        if not store.holds(lit.predicate, _instantiate(lit, subst).args):
+        if not store.match(lit.predicate, _instantiate(lit, subst).args):
             _join(rest, store, subst, out)
         return
     pattern = tuple(
@@ -290,51 +281,43 @@ def _join(
             del subst[v]
 
 
+def body_substitutions(
+    body: tuple[Literal, ...], connective: str, store: FactStore
+) -> Iterator[dict[Variable, Constant]]:
+    """Every substitution of the body's variables that satisfies the body.
+
+    A conjunction needs one substitution satisfying all literals, with the
+    negated ones evaluated last so their variables are bound; a disjunction
+    yields the substitutions of each disjunct in turn, so only one
+    disjunct's are held at a time.
+    """
+    if connective == DISJUNCTION:
+        joins = [(lit,) for lit in body]
+    else:  # a stable sort keeps the literals' order within each group
+        joins = [tuple(sorted(body, key=lambda l: l.negated))]
+    for literals in joins:
+        out: list[dict[Variable, Constant]] = []
+        _join(literals, store, {}, out)
+        yield from out
+
+
 def ground_consequences(
     clause: Clause, facts: Iterable[Fact] | FactStore
 ) -> frozenset[Fact]:
-    """Every ground head instance whose body is satisfied by the facts.
-
-    Conjunctions require one substitution satisfying all body literals;
-    disjunctions require at least one satisfied disjunct.
-    """
+    """Every ground head instance whose body is satisfied by the facts."""
     store = facts if isinstance(facts, FactStore) else FactStore(facts)
-    results: set[Fact] = set()
-    if clause.body_connective == DISJUNCTION:
-        for lit in clause.body:
-            matches: list[dict[Variable, Constant]] = []
-            _join((lit,), store, {}, matches)
-            results.update(_instantiate(clause.head, s) for s in matches)
-        return frozenset(results)
-    # Evaluate negated literals last so their variables are bound.
-    ordered = tuple(l for l in clause.body if not l.negated) + tuple(
-        l for l in clause.body if l.negated
+    return frozenset(
+        _instantiate(clause.head, s)
+        for s in body_substitutions(clause.body, clause.body_connective, store)
     )
-    matches = []
-    _join(ordered, store, {}, matches)
-    results.update(_instantiate(clause.head, s) for s in matches)
-    return frozenset(results)
 
 
 def apply_program(
-    program: LogicProgram,
-    facts: Iterable[Fact] | FactStore,
-    vocabulary: Iterable[Predicate] | None = None,
+    program: LogicProgram, facts: Iterable[Fact] | FactStore
 ) -> frozenset[Fact]:
-    """One bottom-up pass: the union of all clause consequences.
-
-    When a vocabulary is given, body predicates outside it raise a
-    VocabularyError; otherwise any predicate absent from the facts simply
-    contributes no consequences.
-    """
+    """One bottom-up pass: the union of all clause consequences.  A body
+    predicate absent from the facts contributes no consequences."""
     store = facts if isinstance(facts, FactStore) else FactStore(facts)
-    if vocabulary is not None:
-        known = set(vocabulary)
-        unknown = sorted(
-            str(p) for p in (program.body_predicates() - known)
-        )
-        if unknown:
-            raise VocabularyError(f"body predicates not in vocabulary: {unknown}")
     out: set[Fact] = set()
     for clause in program.clauses:
         out.update(ground_consequences(clause, store))
@@ -361,18 +344,6 @@ def reconstruction_loss(alp: Alp, kb: KnowledgeBase) -> int:
     """Size of the symmetric difference between kb and its reconstruction."""
     missing, false = loss_parts(alp, kb)
     return missing + false
-
-
-def clause_covers(general: Clause, specific: Clause, kb: KnowledgeBase) -> bool:
-    """True when everything the specific clause entails on kb, the general
-    one entails too, comparing head instances modulo the head predicate name.
-    """
-    if general.head.predicate.arity != specific.head.predicate.arity:
-        raise ValueError("clause_covers requires equal head arities")
-    store = FactStore(kb.facts | kb.background)
-    gen = {f.args for f in ground_consequences(general, store)}
-    spec = {f.args for f in ground_consequences(specific, store)}
-    return spec <= gen
 
 
 # ----------------------------------------------------------------------

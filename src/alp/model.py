@@ -28,7 +28,7 @@ KB facts no candidate can reconstruct are a constant offset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .candidates import CandidateClause, latent_ordinal
@@ -101,24 +101,6 @@ class CopModel:
     gamma: Fraction
     avg_facts: Fraction
     warnings: tuple[str, ...] = ()
-    # Derived lookups, filled in __post_init__.
-    dc_true_counts: tuple[int, ...] = field(init=False, compare=False)
-    dc_heads: tuple[Predicate, ...] = field(init=False, compare=False)
-
-    def __post_init__(self):
-        in_kb_atoms = {
-            a for a, in_kb in zip(self.rf_atoms, self.rf_in_kb) if in_kb
-        }
-        object.__setattr__(
-            self,
-            "dc_true_counts",
-            tuple(len(c.consequences & in_kb_atoms) for c in self.dc_candidates),
-        )
-        object.__setattr__(
-            self,
-            "dc_heads",
-            tuple(c.clause.head.predicate for c in self.dc_candidates),
-        )
 
     @property
     def ec_ids(self) -> list[VarId]:

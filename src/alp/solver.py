@@ -435,8 +435,11 @@ def initial_solution(
     that search runs on the caller's ``searcher`` (a new one when None) and
     stops at ``deadline``.
     """
+    dc_heads = [c.clause.head.predicate for c in model.dc_candidates]
+    in_kb = {a for a, known in zip(model.rf_atoms, model.rf_in_kb) if known}
+    true_counts = [len(c.consequences & in_kb) for c in model.dc_candidates]
     by_head: dict = {}
-    for j, p in enumerate(model.dc_heads):
+    for j, p in enumerate(dc_heads):
         by_head.setdefault(p, []).append(j)
     heads = sorted(by_head, key=lambda p: (p.name, p.arity))
     banned_latents: set = set()
@@ -449,7 +452,7 @@ def initial_solution(
     def corruption(j: int):
         """Share of false atoms, then more true atoms, then the clause text."""
         size = len(model.dc_candidates[j].consequences)
-        true = model.dc_true_counts[j]
+        true = true_counts[j]
         return (Fraction(size - true, size), -true, model.dc_candidates[j].key())
 
     selected: set[int] = set()
@@ -457,7 +460,7 @@ def initial_solution(
     # uses, so by the last pass the bottleneck holds or nothing is selected.
     for _ in range(len(model.ec_candidates) + 1):
         selected = {j for j in selected if usable(j)}
-        covered = {model.dc_heads[j] for j in selected}
+        covered = {dc_heads[j] for j in selected}
         for p in heads:
             if p not in covered:
                 js = [j for j in by_head[p] if usable(j)]

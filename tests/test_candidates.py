@@ -1,6 +1,11 @@
 """Body enumeration under mode bias, head generation, candidate pools."""
 
+import hashlib
+import importlib.util
 import random
+import sys
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +29,7 @@ from alp.logic import (
     apply_program,
     body_key,
 )
+from alp.pruning import prune_naming_variants
 from helpers import default_config, fact, fig1_kb, kb_of, lit, pred, random_kb
 
 P2 = pred("p", 2)
@@ -317,3 +323,157 @@ class TestDecoderCandidates:
         encoders = generate_encoder_candidates(kb, {}, default_config())
         for cand in generate_decoder_candidates(encoders, kb, default_config()):
             assert cand.clause.head.predicate in kb.input_predicates
+
+
+def _load_workloads():
+    """The benchmark's seeded KB generators (``bench/workloads.py``, which
+    does not import alp)."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look the module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _pool(kb, config):
+    """The pool stages in ``prepare_pool`` order: encoders, naming-variant
+    survivors, decoders over the survivors."""
+    encoders = generate_encoder_candidates(kb, {}, config)
+    kept = prune_naming_variants(encoders)
+    return encoders, kept, generate_decoder_candidates(kept, kb, config)
+
+
+@pytest.mark.parametrize(
+    "case, sizes, digest",
+    [
+        ("fig1-dec1", (130, 175),
+         "8cce35c82f496425fb4ae33fe2ea3f63c2ae754ec1fef488da989e1aa1396e5e"),
+        ("fig1-dec2", (130, 14_370),
+         "10026488b49a471a1589544f0900c9d3b47d4fef20c790ff4e88b710c4f71780"),
+        ("fig1-negation", (332, 34_571),
+         "57324e7cae855be01ea733cbb488d1e24fb8eef6bed207006480d738a536f59e"),
+        ("family-dec1", (181, 417),
+         "7e967c0c17e7fefe46dbfc91431f8f6ed977cb893a73ad41d5a77648c76ceefd"),
+    ],
+)
+def test_pool_pinned(case, sizes, digest):
+    """SHA-256 of every candidate's (clause, kind, weight, sorted
+    consequences), stage by stage and in generation order, recorded before
+    each body was joined once for all of its heads."""
+    if case == "family-dec1":
+        kb = parse_kb(_load_workloads().family_kb(random.Random(1), 4, 3).text)
+        assert len(kb.facts) == 76
+        config = GenerationConfig(max_decoder_body_len=1)
+    else:
+        kb = fig1_kb()
+        config = GenerationConfig(
+            max_decoder_body_len=1 if case == "fig1-dec1" else 2,
+            allow_negation=case == "fig1-negation",
+        )
+    stages = _pool(kb, config)
+    assert (len(stages[0]), len(stages[2])) == sizes
+    h = hashlib.sha256()
+    for stage in stages:
+        for c in stage:
+            row = (str(c.clause), c.kind, c.weight, sorted(map(str, c.consequences)))
+            h.update(repr(row).encode() + b"\n")
+        h.update(b"|\n")
+    assert h.hexdigest() == digest
+
+
+def planned_encoders(kb, config):
+    """(body, head-variable subset) pairs the encoder generator plans,
+    counted by walking the subsets one by one."""
+    predicates = sorted(kb.vocabulary, key=lambda p: (p.name, p.arity))
+    cap = min(config.max_head_vars, max(p.arity for p in kb.input_predicates))
+    total = 0
+    for lits, conn in enumerate_bodies(
+        predicates, {}, config.max_encoder_body_len, config.allow_disjunction
+    ):
+        n = len({v for l in lits for v in l.variables()})
+        total += sum(1 for k in range(1, cap + 1) for _ in combinations(range(n), k))
+    return total
+
+
+def planned_decoders(encoders, kb, config):
+    """(body, input predicate, head-variable subset) triples the decoder
+    generator plans; an arity-0 input predicate takes no head."""
+    latents = sorted(
+        {c.clause.head.predicate for c in encoders}, key=lambda p: (p.name, p.arity)
+    )
+    total = 0
+    for lits, conn in enumerate_bodies(
+        latents, {}, config.max_decoder_body_len, config.allow_disjunction
+    ):
+        n = len({v for l in lits for v in l.variables()})
+        total += sum(
+            1
+            for p in kb.input_predicates
+            if p.arity >= 1
+            for _ in combinations(range(n), p.arity)
+        )
+    return total
+
+
+class TestCandidateCeiling:
+    KB_TEXT = "#pred flag/0\nflag.\nparent(a,b).\nparent(b,c).\nmale(a).\n"
+
+    def _kb(self):
+        kb = parse_kb(self.KB_TEXT)
+        assert any(p.arity == 0 for p in kb.input_predicates)
+        return kb
+
+    def test_encoder_ceiling_is_the_planned_count(self):
+        kb = self._kb()
+        config = default_config()
+        planned = planned_encoders(kb, config)
+        assert planned > 0
+        generate_encoder_candidates(kb, {}, default_config(max_candidates=planned))
+        with pytest.raises(CapacityError, match=f"{planned} "):
+            generate_encoder_candidates(
+                kb, {}, default_config(max_candidates=planned - 1)
+            )
+
+    def test_decoder_ceiling_is_the_planned_count(self):
+        kb = self._kb()
+        config = default_config(max_decoder_body_len=2)
+        encoders = prune_naming_variants(generate_encoder_candidates(kb, {}, config))
+        planned = planned_decoders(encoders, kb, config)
+        assert planned > 0
+        generate_decoder_candidates(
+            encoders, kb, default_config(max_decoder_body_len=2, max_candidates=planned)
+        )
+        with pytest.raises(CapacityError, match=f"{planned} "):
+            generate_decoder_candidates(
+                encoders,
+                kb,
+                default_config(max_decoder_body_len=2, max_candidates=planned - 1),
+            )
+
+    def test_message_names_the_flags(self):
+        with pytest.raises(CapacityError) as raised:
+            generate_decoder_candidates(
+                generate_encoder_candidates(fig1_kb(), {}, default_config()),
+                fig1_kb(),
+                default_config(max_candidates=5),
+            )
+        for flag in (
+            "--max-dec-len", "--max-head-vars", "--no-disjunction", "--max-candidates"
+        ):
+            assert flag in str(raised.value)
+
+    def test_no_join_before_the_ceiling(self, monkeypatch):
+        kb = fig1_kb()
+        encoders = generate_encoder_candidates(kb, {}, default_config())
+
+        def no_join(*args):
+            raise AssertionError("joined before the ceiling check")
+
+        monkeypatch.setattr("alp.logic._join", no_join)
+        with pytest.raises(CapacityError):
+            generate_encoder_candidates(kb, {}, default_config(max_candidates=129))
+        with pytest.raises(CapacityError):
+            generate_decoder_candidates(
+                encoders, kb, default_config(max_candidates=174)
+            )

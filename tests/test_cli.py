@@ -81,8 +81,13 @@ class TestLearn:
         args[args.index("--gamma") + 1] = "0.1"
         assert main(args) == 3
 
-    def test_capacity_exit_code(self, family, tmp_path):
+    def test_capacity_exit_code(self, family, tmp_path, capsys, monkeypatch):
+        def no_join(*args):
+            raise AssertionError("joined before the ceiling check")
+
+        monkeypatch.setattr("alp.logic._join", no_join)
         assert main(learn_args(family, tmp_path, "--max-candidates", "3")) == 4
+        assert "raise --max-candidates" in capsys.readouterr().err
 
     def test_dump_model_written(self, family, tmp_path):
         dump = tmp_path / "model.cop"

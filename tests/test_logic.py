@@ -5,7 +5,6 @@ from itertools import permutations
 
 import pytest
 
-from alp.errors import VocabularyError
 from alp.logic import (
     Alp,
     CONJUNCTION,
@@ -20,7 +19,6 @@ from alp.logic import (
     body_key,
     body_variables,
     canonical_body,
-    clause_covers,
     ground_consequences,
     loss_parts,
     parse_program,
@@ -210,12 +208,6 @@ class TestPrograms:
             hb = herbrand_base(program.head_predicates(), kb.constants)
             assert out <= hb
 
-    def test_vocabulary_check(self):
-        clause = Clause(lit(LATENT, "X", "Y"), (lit(PARENT, "X", "Y"),))
-        program = LogicProgram((clause,), ENCODER)
-        with pytest.raises(VocabularyError, match="parent"):
-            apply_program(program, set(), vocabulary={FEMALE})
-
     def test_encoder_direction_enforced(self):
         decoder_shaped = Clause(lit(MOTHER, "X", "Y"), (lit(LATENT, "X", "Y"),))
         with pytest.raises(ValueError, match="latent"):
@@ -293,43 +285,6 @@ class TestReconstructionLoss:
             background=[fact(male, "vader")],
         )
         assert reconstruction_loss(alp, kb) == 0
-
-
-class TestClauseCovers:
-    def test_superset_body_is_covered(self):
-        p, q = pred("p", 1), pred("q", 1)
-        general = Clause(lit(pred("h1", 1, "latent"), "X"), (lit(p, "X"),))
-        specific = Clause(
-            lit(pred("h2", 1, "latent"), "X"), (lit(p, "X"), lit(q, "X"))
-        )
-        kb = kb_of(fact(p, "a"), fact(p, "b"), fact(q, "a"))
-        assert clause_covers(general, specific, kb)
-        assert not clause_covers(specific, general, kb)
-
-    def test_reflexive(self):
-        p = pred("p", 1)
-        clause = Clause(lit(pred("h1", 1, "latent"), "X"), (lit(p, "X"),))
-        kb = kb_of(fact(p, "a"))
-        assert clause_covers(clause, clause, kb)
-
-    def test_disjoint_consequences(self):
-        p, q = pred("p", 1), pred("q", 1)
-        c1 = Clause(lit(pred("h1", 1, "latent"), "X"), (lit(p, "X"),))
-        c2 = Clause(lit(pred("h2", 1, "latent"), "X"), (lit(q, "X"),))
-        kb = kb_of(fact(p, "a"), fact(q, "b"))
-        assert not clause_covers(c1, c2, kb)
-
-    def test_transitive_on_fixed_kb(self):
-        rng = random.Random(31)
-        for _ in range(20):
-            kb = random_kb(rng, max_constants=4, max_facts=8)
-            clauses = [random_clause(rng, kb) for _ in range(3)]
-            arities = {c.head.predicate.arity for c in clauses}
-            if len(arities) != 1:
-                continue
-            a, b, c = clauses
-            if clause_covers(a, b, kb) and clause_covers(b, c, kb):
-                assert clause_covers(a, c, kb)
 
 
 class TestProgramText:
