@@ -14,19 +14,23 @@ latent vocabulary, with heads drawn from the input predicates.
 
 Both generators plan every (body, head) pair, check the count against
 ``max_candidates`` before any join, then join each body once and project
-all of its heads from that join.
+all of its heads from that join.  A candidate's consequences are an ``int``
+bitset over its pool's AtomIndex.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, product
 from math import comb
 from operator import itemgetter
+from typing import Iterator
 
 from .errors import CapacityError
 from .kb import (
+    Constant,
     Fact,
     KnowledgeBase,
     MODE_BOUND,
@@ -77,18 +81,105 @@ class GenerationConfig:
             raise ValueError("max_candidates must be >= 1")
 
 
+def fact_order(f: Fact) -> tuple:
+    """Facts sort by predicate name, arity, then argument symbols."""
+    return (f.predicate.name, f.predicate.arity, tuple(a.symbol for a in f.args))
+
+
+def bit_positions(mask: int) -> Iterator[int]:
+    """The positions of the bits set in ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class AtomIndex:
+    """Bit positions for the atoms of one candidate pool, so that a set of
+    atoms is an ``int`` bitset and set algebra is integer algebra.
+
+    An atom is a predicate applied to an argument row.  Every encoder mints
+    its own latent predicate, so the encoder pool indexes bare rows (under
+    the predicate None) and its naming key is the bitset itself.  The
+    decoder pool indexes the KB's facts first, so the KB is the low bits,
+    ``kb_mask``; atoms outside the KB are indexed as the decoders meet them.
+    """
+
+    def __init__(self, kb_facts: frozenset[Fact] = frozenset()):
+        self.atoms: list[tuple[Predicate | None, tuple[Constant, ...]]] = []
+        self._bits: dict[Predicate | None, dict[tuple[Constant, ...], int]] = {}
+        for f in sorted(kb_facts, key=fact_order):
+            self.mask(f.predicate, (f.args,))
+        self.kb_facts = kb_facts
+        self.kb_mask = (1 << len(self.atoms)) - 1
+
+    def mask(self, predicate: Predicate | None, rows) -> int:
+        """The bitset of ``predicate`` over the rows, indexing new atoms."""
+        bits = self._bits.setdefault(predicate, {})
+        mask = 0
+        for row in rows:
+            bit = bits.get(row)
+            if bit is None:
+                bit = bits[row] = len(self.atoms)
+                self.atoms.append((predicate, row))
+            mask |= 1 << bit
+        return mask
+
+    def kb_mask_of(self, kb: KnowledgeBase) -> int:
+        """``kb_mask``, once ``kb`` is checked to be the KB indexed first."""
+        if kb.facts != self.kb_facts:
+            raise ValueError("the candidates were indexed against another KB")
+        return self.kb_mask
+
+
 @dataclass(frozen=True)
 class CandidateClause:
     """A candidate with its ground consequences precomputed on the training
-    context (the KB for encoders, the latent facts for decoders)."""
+    context (the KB for encoders, the latent facts for decoders), held as a
+    bitset over its pool's AtomIndex.
 
-    clause: Clause
+    ``text`` is ``str(clause)``, rendered once: it is the candidate's sort
+    key.  The ``Clause`` itself is built and checked on first use, since
+    pruning drops most candidates having read only their text, head, body
+    and mask.
+    """
+
+    head: Literal
+    body: tuple[Literal, ...]
+    connective: str
     kind: str
-    consequences: frozenset[Fact]
-    weight: int
+    mask: int
+    index: AtomIndex = field(repr=False, compare=False)
+    text: str = field(repr=False, compare=False)
+
+    @cached_property
+    def clause(self) -> Clause:
+        return Clause(self.head, self.body, self.connective)
+
+    @property
+    def weight(self) -> int:
+        """The number of consequences."""
+        return self.mask.bit_count()
 
     def key(self) -> str:
-        return str(self.clause)
+        return self.text
+
+    def facts(self) -> frozenset[Fact]:
+        """The consequences, decoded from the bitset."""
+        pred = self.head.predicate
+        atoms = self.index.atoms
+        return frozenset(Fact(pred, atoms[b][1]) for b in bit_positions(self.mask))
+
+
+def pool_index(candidates: list[CandidateClause]) -> AtomIndex | None:
+    """The AtomIndex all the candidates share (None for no candidates):
+    masks over different indexes do not compare."""
+    if not candidates:
+        return None
+    index = candidates[0].index
+    if any(c.index is not index for c in candidates):
+        raise ValueError("the candidates come from more than one pool")
+    return index
 
 
 Body = tuple[tuple[Literal, ...], str]  # literals plus connective
@@ -251,30 +342,35 @@ def _planned_variables(
 def _evaluate(
     literals: tuple[Literal, ...],
     connective: str,
-    heads: list[tuple[Predicate, tuple[Variable, ...]]],
+    head_args: list[tuple[Variable, ...]],
+    heads: list[tuple[Predicate, int]],
     store: FactStore,
     kind: str,
+    index: AtomIndex,
 ) -> list[CandidateClause]:
     """The candidates ``head :- body`` whose consequences are nonempty.
 
-    The body is joined once; every head projects its variables from that
-    join, and heads with one argument tuple share the projection.
+    Each head is a predicate and a position in ``head_args``.  The body is
+    joined once and every argument tuple projected from that join once;
+    the body's text is rendered once and each head's text is added to it.
     """
     substitutions = list(body_substitutions(literals, connective, store))
     if not substitutions:
         return []
-    rows_by_args: dict[tuple[Variable, ...], set] = {}
+    rows = []
+    for args in head_args:
+        projected = set(map(itemgetter(*args), substitutions))
+        if len(args) == 1:  # itemgetter returns the bare value
+            projected = {(v,) for v in projected}
+        rows.append(projected)
+    arg_texts = [",".join(v.name for v in args) for args in head_args]
+    body_text = ("," if connective == CONJUNCTION else ";").join(map(str, literals))
     out = []
-    for pred, args in heads:
-        rows = rows_by_args.get(args)
-        if rows is None:
-            rows = set(map(itemgetter(*args), substitutions))
-            if len(args) == 1:  # itemgetter returns the bare value
-                rows = {(v,) for v in rows}
-            rows_by_args[args] = rows
-        consequences = frozenset(Fact(pred, row) for row in rows)
-        clause = Clause(Literal(pred, args), literals, connective)
-        out.append(CandidateClause(clause, kind, consequences, len(consequences)))
+    for pred, a in heads:
+        mask = index.mask(None if kind == ENCODER else pred, rows[a])
+        text = f"{pred.name}({arg_texts[a]}) :- {body_text}."
+        head = Literal(pred, head_args[a])
+        out.append(CandidateClause(head, literals, connective, kind, mask, index, text))
     return out
 
 
@@ -310,16 +406,19 @@ def generate_encoder_candidates(
     )
     variables = _planned_variables(ENCODER, bodies, sizes, config)
     store = FactStore(kb.facts | kb.background)
+    index = AtomIndex()
     out = []
     ordinal = 1
     for (literals, connective), vs in zip(bodies, variables):
         subsets = [args for size in sizes for args in combinations(vs, size)]
         heads = [
-            (Predicate(f"latent_{ordinal + i}", len(args), ORIGIN_LATENT), args)
+            (Predicate(f"latent_{ordinal + i}", len(args), ORIGIN_LATENT), i)
             for i, args in enumerate(subsets)
         ]
         ordinal += len(subsets)
-        out.extend(_evaluate(literals, connective, heads, store, ENCODER))
+        out.extend(
+            _evaluate(literals, connective, subsets, heads, store, ENCODER, index)
+        )
     return out
 
 
@@ -327,7 +426,7 @@ def latent_facts(encoders: list[CandidateClause]) -> frozenset[Fact]:
     """Union of the latent facts entailed by the candidate encoder clauses."""
     facts: set[Fact] = set()
     for c in encoders:
-        facts.update(c.consequences)
+        facts.update(c.facts())
     return frozenset(facts)
 
 
@@ -346,7 +445,7 @@ def generate_decoder_candidates(
     consequences; decoder heads range over the input predicates of arity at
     least 1, one candidate per predicate per variable tuple of its arity.
     """
-    latents = _sorted_preds({c.clause.head.predicate for c in latent_candidates})
+    latents = _sorted_preds({c.head.predicate for c in latent_candidates})
     if not latents:
         return []
     modes = {p: ModeDeclaration.all_either(p) for p in latents}
@@ -364,12 +463,22 @@ def generate_decoder_candidates(
         DECODER, bodies, [p.arity for p in input_preds], config
     )
     store = FactStore(latent_facts(latent_candidates))
+    index = AtomIndex(kb.facts)
+    arities = sorted({p.arity for p in input_preds})
     out = []
     for (literals, connective), vs in zip(bodies, variables):
-        # One tuple object per variable subset, shared by every head predicate.
-        args_by_arity = {
-            a: list(combinations(vs, a)) for a in {p.arity for p in input_preds}
-        }
-        heads = [(p, args) for p in input_preds for args in args_by_arity[p.arity]]
-        out.extend(_evaluate(literals, connective, heads, store, DECODER))
+        # The head predicates of one arity share its variable subsets.
+        head_args: list[tuple[Variable, ...]] = []
+        offset: dict[int, int] = {}
+        for a in arities:
+            offset[a] = len(head_args)
+            head_args += combinations(vs, a)
+        heads = [
+            (p, offset[p.arity] + i)
+            for p in input_preds
+            for i in range(comb(len(vs), p.arity))
+        ]
+        out.extend(
+            _evaluate(literals, connective, head_args, heads, store, DECODER, index)
+        )
     return out

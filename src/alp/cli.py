@@ -190,9 +190,9 @@ def cmd_enumerate(args) -> int:
         sys.stdout.write(text)
     tsv = ["id\tkind\tweight\tconsequences"]
     for i, c in enumerate(encoders):
-        tsv.append(f"ec_{i}\tencoder\t{c.weight}\t{len(c.consequences)}")
+        tsv.append(f"ec_{i}\tencoder\t{c.weight}\t{c.weight}")
     for j, c in enumerate(decoders):
-        tsv.append(f"dc_{j}\tdecoder\t{c.weight}\t{len(c.consequences)}")
+        tsv.append(f"dc_{j}\tdecoder\t{c.weight}\t{c.weight}")
     if args.tsv:
         Path(args.tsv).write_text("\n".join(tsv) + "\n", encoding="utf-8")
     log.info("pruning: %s", report.counters())

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 from typing import Iterable, Iterator, Union
 
@@ -355,45 +356,62 @@ def reconstruction_loss(alp: Alp, kb: KnowledgeBase) -> int:
 _CANONICAL_PERMUTATION_CAP = 6  # the longest body GenerationConfig allows
 
 
-def _rename_by_appearance(literals: tuple[Literal, ...]) -> tuple[Literal, ...]:
-    mapping: dict[Variable, Variable] = {}
-    out = []
-    for lit in literals:
-        args = []
-        for a in lit.args:
-            if isinstance(a, Variable):
-                if a not in mapping:
-                    mapping[a] = Variable(var_name(len(mapping)))
-                args.append(mapping[a])
-            else:
-                args.append(a)
-        out.append(Literal(lit.predicate, tuple(args), lit.negated))
-    return tuple(out)
+@lru_cache(maxsize=1 << 16)
+def _literal_text(name: str, negated: bool, ids: tuple) -> str:
+    """A literal's text with variable number i shown as ``var_name(i)``;
+    a constant stands in ``ids`` as its symbol."""
+    if ids:
+        args = ",".join(var_name(a) if type(a) is int else a for a in ids)
+        name = f"{name}({args})"
+    return f"not {name}" if negated else name
 
 
-def canonical_body(
-    body: tuple[Literal, ...], connective: str = CONJUNCTION
-) -> tuple[Literal, ...]:
-    """Reorder and rename a body into its canonical form.
-
-    A conjunction takes the lexicographically least renaming over all
-    literal orders.  That is exact but costs len(body)! renamings, so
-    GenerationConfig caps body lengths at ``_CANONICAL_PERMUTATION_CAP``.
-    """
-    if connective == DISJUNCTION:
-        # Disjuncts share one argument tuple; sort by predicate, then rename.
-        return _rename_by_appearance(
-            tuple(sorted(body, key=lambda l: (l.predicate.name, l.predicate.arity)))
-        )
-    return min(
-        (_rename_by_appearance(perm) for perm in permutations(body)),
-        key=lambda renamed: tuple(str(l) for l in renamed),
-    )
+def _renamed_texts(shapes) -> tuple[str, ...]:
+    """The literals' texts once their variables are renumbered by first
+    appearance in this order."""
+    mapping: dict[int, int] = {}
+    texts = []
+    for name, negated, ids in shapes:
+        renamed = []
+        for a in ids:
+            if type(a) is int:
+                a = mapping.setdefault(a, len(mapping))
+            renamed.append(a)
+        texts.append(_literal_text(name, negated, tuple(renamed)))
+    return tuple(texts)
 
 
 def body_key(body: tuple[Literal, ...], connective: str = CONJUNCTION) -> str:
-    sep = "," if connective == CONJUNCTION else ";"
-    return sep.join(str(l) for l in canonical_body(body, connective))
+    """The canonical text of a body, equal for two bodies exactly when they
+    are equal up to variable renaming and literal order.
+
+    A conjunction takes the least tuple of literal texts over every literal
+    order, its variables renamed X, Y, Z, ... by first appearance.  That is
+    exact but costs len(body)! renamings, so GenerationConfig caps body
+    lengths at ``_CANONICAL_PERMUTATION_CAP``.  Disjuncts share one argument
+    tuple, so a disjunction only sorts them by predicate.  The variables are
+    numbered once per body and each renaming maps those numbers; the
+    comparison is on the rendered texts, since display names do not sort in
+    number order (W comes before X).
+    """
+    numbers: dict[str, int] = {}  # by variable name
+    shapes = [
+        (
+            l.predicate.name,
+            l.negated,
+            tuple(
+                numbers.setdefault(a.name, len(numbers))
+                if type(a) is Variable
+                else a.symbol
+                for a in l.args
+            ),
+        )
+        for l in body
+    ]
+    if connective == DISJUNCTION:
+        shapes.sort(key=lambda s: (s[0], len(s[2])))  # (name, arity)
+        return ";".join(_renamed_texts(shapes))
+    return ",".join(min(map(_renamed_texts, permutations(shapes))))
 
 
 # ----------------------------------------------------------------------

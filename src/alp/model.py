@@ -31,7 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .candidates import CandidateClause, latent_ordinal
+from .candidates import (
+    CandidateClause,
+    bit_positions,
+    fact_order,
+    latent_ordinal,
+    pool_index,
+)
 from .errors import AlpError, InfeasibleError
 from .kb import Fact, KnowledgeBase, Predicate, avg_facts_per_predicate
 from .logic import (
@@ -94,6 +100,7 @@ class CopModel:
     ec_candidates: tuple[CandidateClause, ...]
     dc_candidates: tuple[CandidateClause, ...]
     rf_atoms: tuple[Fact, ...]
+    rf_bits: tuple[int, ...]  # each rf atom's bit in the decoders' AtomIndex
     rf_in_kb: tuple[bool, ...]
     constraints: tuple[Constraint, ...]
     class_members: tuple[tuple[VarId, ...], ...]  # the members of cl_k
@@ -128,7 +135,7 @@ class CopModel:
 
 
 def _generality(groups: dict, kind: str, class_members: list) -> list[Constraint]:
-    """Generality constraints within each group of (index, consequence set).
+    """Generality constraints within each group of (index, consequence mask).
 
     A class of k >= 2 members gets the next ``cl`` variable, appended to
     ``class_members``; a lone candidate stands for its own class.  Two
@@ -138,10 +145,10 @@ def _generality(groups: dict, kind: str, class_members: list) -> list[Constraint
     constraints = []
     for members in groups.values():
         classes: dict = {}
-        for i, aset in members:
-            classes.setdefault(aset, []).append(VarId(i, kind))
+        for i, mask in members:
+            classes.setdefault(mask, []).append(VarId(i, kind))
         distinct = sorted(
-            classes.items(), key=lambda kv: (len(kv[0]), kv[1][0].index)
+            classes.items(), key=lambda kv: (kv[0].bit_count(), kv[1][0].index)
         )
         stands = []
         for _, vs in distinct:
@@ -157,7 +164,7 @@ def _generality(groups: dict, kind: str, class_members: list) -> list[Constraint
             )
         for x, (a, _) in enumerate(distinct):
             for y in range(x + 1, len(distinct)):
-                if a <= distinct[y][0]:
+                if a & ~distinct[y][0] == 0:
                     constraints.append(
                         Constraint(AT_MOST_ONE_OF_PAIR, (stands[x], stands[y]))
                     )
@@ -183,6 +190,9 @@ def build_model(
     decoders = sorted(decoders, key=lambda c: c.key())
     if not encoders:
         raise InfeasibleError("no candidate encoder clauses survive generation")
+    pool_index(encoders)
+    index = pool_index(decoders)
+    kb_mask = index.kb_mask_of(kb) if index else 0
 
     latent_of = {
         c.clause.head.predicate: i for i, c in enumerate(encoders)
@@ -228,13 +238,11 @@ def build_model(
     enc_groups: dict = {}
     for i, c in enumerate(encoders):
         enc_groups.setdefault(c.clause.head.predicate.arity, []).append(
-            (i, frozenset(f.args for f in c.consequences))
+            (i, c.mask)
         )
     dec_groups: dict = {}
     for j, d in enumerate(decoders):
-        dec_groups.setdefault(d.clause.head.predicate, []).append(
-            (j, d.consequences)
-        )
+        dec_groups.setdefault(d.clause.head.predicate, []).append((j, d.mask))
     constraints += _generality(enc_groups, EC, class_members)
     constraints += _generality(dec_groups, DC, class_members)
 
@@ -254,30 +262,35 @@ def build_model(
                 "coverage constraint skipped"
             )
 
-    # (e) rf definitions and the objective layout.
-    reconstructable: dict[Fact, list[int]] = {}
+    # (e) rf definitions and the objective layout.  Atoms are decoded from
+    # their bits only here, and sorted by fact order.
+    reconstructable: dict[int, list[int]] = {}
+    union = 0
     for j, d in enumerate(decoders):
-        for atom in d.consequences:
-            reconstructable.setdefault(atom, []).append(j)
-    rf_atoms = sorted(
-        reconstructable,
-        key=lambda f: (f.predicate.name, f.predicate.arity, tuple(a.symbol for a in f.args)),
+        union |= d.mask
+        for bit in bit_positions(d.mask):
+            reconstructable.setdefault(bit, []).append(j)
+    rf = sorted(
+        ((Fact(*index.atoms[bit]), bit) for bit in reconstructable),
+        key=lambda fb: fact_order(fb[0]),
     )
-    for i, atom in enumerate(rf_atoms):
+    rf_atoms = tuple(atom for atom, _ in rf)
+    rf_bits = tuple(bit for _, bit in rf)
+    for i, bit in enumerate(rf_bits):
         constraints.append(
             Constraint(
                 IFF_OR,
-                (VarId(i, RF),)
-                + tuple(VarId(j, DC) for j in sorted(reconstructable[atom])),
+                (VarId(i, RF),) + tuple(VarId(j, DC) for j in reconstructable[bit]),
             )
         )
-    rf_in_kb = tuple(atom in kb.facts for atom in rf_atoms)
-    offset = sum(1 for f in kb.facts if f not in reconstructable)
+    rf_in_kb = tuple(bool(kb_mask >> bit & 1) for bit in rf_bits)
+    offset = len(kb.facts) - (union & kb_mask).bit_count()
 
     return CopModel(
         ec_candidates=tuple(encoders),
         dc_candidates=tuple(decoders),
-        rf_atoms=tuple(rf_atoms),
+        rf_atoms=rf_atoms,
+        rf_bits=rf_bits,
         rf_in_kb=rf_in_kb,
         constraints=tuple(constraints),
         class_members=tuple(class_members),
@@ -345,11 +358,11 @@ def assignment_from_dc(model: CopModel, selected: set[int]) -> Assignment:
         assignment[VarId(i, EC)] = 1 if c.clause.head.predicate in used_latents else 0
     for k, members in enumerate(model.class_members):
         assignment[VarId(k, CL)] = max(assignment[v] for v in members)
-    reconstructed: set[Fact] = set()
+    reconstructed = 0
     for j in selected:
-        reconstructed.update(model.dc_candidates[j].consequences)
-    for i, atom in enumerate(model.rf_atoms):
-        assignment[VarId(i, RF)] = 1 if atom in reconstructed else 0
+        reconstructed |= model.dc_candidates[j].mask
+    for i, bit in enumerate(model.rf_bits):
+        assignment[VarId(i, RF)] = reconstructed >> bit & 1
     return assignment
 
 

@@ -1,16 +1,18 @@
 """Candidate pool reduction: naming variants, signature variants, corruption.
 
-All three strategies key on the precomputed consequence sets, so they cost
-set operations only.  Representatives are canonical (lowest latent ordinal,
-or lexicographically least serialization) to keep runs reproducible.
+All three strategies key on the precomputed consequence bitsets, so they
+cost integer operations only.  Representatives are canonical (lowest latent
+ordinal, or lexicographically least serialization) to keep runs
+reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
-from .candidates import CandidateClause, latent_ordinal
+from .candidates import CandidateClause, latent_ordinal, pool_index
 from .kb import KnowledgeBase
 
 
@@ -50,15 +52,18 @@ def prune_naming_variants(
     encoders: list[CandidateClause],
 ) -> list[CandidateClause]:
     """Keep one encoder per class of identical consequences modulo the
-    latent predicate name; the survivor is the lowest latent ordinal."""
-    groups: dict[frozenset, CandidateClause] = {}
+    latent predicate name; the survivor is the lowest latent ordinal.
+
+    The encoder pool indexes bare argument rows, so the class is the mask.
+    """
+    pool_index(encoders)
+    groups: dict[int, CandidateClause] = {}
     for cand in sorted(
-        encoders, key=lambda c: latent_ordinal(c.clause.head.predicate)
+        encoders, key=lambda c: latent_ordinal(c.head.predicate)
     ):
-        key = frozenset(f.args for f in cand.consequences)
-        groups.setdefault(key, cand)
+        groups.setdefault(cand.mask, cand)
     return sorted(
-        groups.values(), key=lambda c: latent_ordinal(c.clause.head.predicate)
+        groups.values(), key=lambda c: latent_ordinal(c.head.predicate)
     )
 
 
@@ -66,31 +71,38 @@ def prune_signature_variants(
     decoders: list[CandidateClause],
 ) -> list[CandidateClause]:
     """Keep one decoder per (head predicate, consequence set, body predicate
-    set) group; the survivor is the lexicographically least serialization."""
+    set) group; the survivor is the lexicographically least serialization.
+
+    The decoders of one body share its literal tuple, so each body's
+    predicate set is built once.
+    """
+    pool_index(decoders)
+    body_predicates: dict[int, frozenset] = {}
     groups: dict[tuple, CandidateClause] = {}
-    for cand in sorted(decoders, key=lambda c: c.key()):
-        key = (
-            cand.clause.head.predicate,
-            cand.consequences,
-            frozenset(l.predicate for l in cand.clause.body),
-        )
-        groups.setdefault(key, cand)
-    return sorted(groups.values(), key=lambda c: c.key())
+    for cand in sorted(decoders, key=attrgetter("text")):
+        preds = body_predicates.get(id(cand.body))
+        if preds is None:
+            preds = frozenset(l.predicate for l in cand.body)
+            body_predicates[id(cand.body)] = preds
+        groups.setdefault((cand.head.predicate, cand.mask, preds), cand)
+    return sorted(groups.values(), key=attrgetter("text"))
 
 
 def corruption_level(decoder: CandidateClause, kb: KnowledgeBase) -> Fraction:
     """Fraction of the decoder's reconstructions that are not KB facts."""
-    false = len(decoder.consequences - kb.facts)
-    return Fraction(false, len(decoder.consequences))
+    false = (decoder.mask & ~decoder.index.kb_mask_of(kb)).bit_count()
+    return Fraction(false, decoder.weight)
 
 
 def prune_corrupt(
     decoders: list[CandidateClause], kb: KnowledgeBase
 ) -> list[CandidateClause]:
-    """Drop decoders introducing at least as many false as true facts."""
-    return [
-        c for c in decoders if corruption_level(c, kb) < Fraction(1, 2)
-    ]
+    """Drop decoders introducing at least as many false as true facts,
+    i.e. keep those with fewer false facts than half their weight."""
+    if not decoders:
+        return []
+    kb_mask = pool_index(decoders).kb_mask_of(kb)
+    return [c for c in decoders if 2 * (c.mask & ~kb_mask).bit_count() < c.weight]
 
 
 def build_report(

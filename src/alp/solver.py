@@ -436,8 +436,8 @@ def initial_solution(
     stops at ``deadline``.
     """
     dc_heads = [c.clause.head.predicate for c in model.dc_candidates]
-    in_kb = {a for a, known in zip(model.rf_atoms, model.rf_in_kb) if known}
-    true_counts = [len(c.consequences & in_kb) for c in model.dc_candidates]
+    in_kb = sum(1 << b for b, known in zip(model.rf_bits, model.rf_in_kb) if known)
+    true_counts = [(c.mask & in_kb).bit_count() for c in model.dc_candidates]
     by_head: dict = {}
     for j, p in enumerate(dc_heads):
         by_head.setdefault(p, []).append(j)
@@ -451,7 +451,7 @@ def initial_solution(
 
     def corruption(j: int):
         """Share of false atoms, then more true atoms, then the clause text."""
-        size = len(model.dc_candidates[j].consequences)
+        size = model.dc_candidates[j].weight
         true = true_counts[j]
         return (Fraction(size - true, size), -true, model.dc_candidates[j].key())
 

@@ -7,18 +7,20 @@ import os
 import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from pathlib import Path
 
 import alp
-from alp.candidates import GenerationConfig
+from alp.candidates import AtomIndex, CandidateClause, GenerationConfig
 from alp.kb import Constant, Fact, KnowledgeBase, Predicate
 from alp.logic import (
     CONJUNCTION,
     DISJUNCTION,
+    ENCODER,
     Clause,
     Literal,
     Variable,
+    var_name,
 )
 from alp.logic import reconstruction_loss
 from alp.model import (
@@ -73,6 +75,16 @@ def lit(p, *args, negated=False):
     return Literal(p, terms, negated)
 
 
+def candidate(clause: Clause, kind: str, facts, index: AtomIndex) -> CandidateClause:
+    """A hand-made candidate whose consequences are ``facts``, set in the
+    pool's ``index`` (bare rows for an encoder pool)."""
+    key = None if kind == ENCODER else clause.head.predicate
+    mask = index.mask(key, [f.args for f in facts])
+    return CandidateClause(
+        clause.head, clause.body, clause.body_connective, kind, mask, index, str(clause)
+    )
+
+
 def kb_of(*facts, background=(), extra_predicates=(), extra_constants=()):
     return KnowledgeBase.from_facts(
         facts,
@@ -116,6 +128,41 @@ def brute_force_consequences(clause: Clause, facts) -> frozenset[Fact]:
         if ok:
             out.add(ground(clause.head))
     return frozenset(out)
+
+
+def _rename_by_appearance(literals) -> tuple[Literal, ...]:
+    mapping: dict[Variable, Variable] = {}
+    out = []
+    for l in literals:
+        args = []
+        for a in l.args:
+            if isinstance(a, Variable):
+                if a not in mapping:
+                    mapping[a] = Variable(var_name(len(mapping)))
+                args.append(mapping[a])
+            else:
+                args.append(a)
+        out.append(Literal(l.predicate, tuple(args), l.negated))
+    return tuple(out)
+
+
+def canonical_body(body, connective=CONJUNCTION) -> tuple[Literal, ...]:
+    """The naive canonical form: the renaming by appearance whose rendered
+    literals are least over every literal order (a disjunction sorts its
+    disjuncts by predicate instead).  Reference for ``body_key``."""
+    if connective == DISJUNCTION:
+        return _rename_by_appearance(
+            sorted(body, key=lambda l: (l.predicate.name, l.predicate.arity))
+        )
+    return min(
+        (_rename_by_appearance(perm) for perm in permutations(body)),
+        key=lambda renamed: tuple(str(l) for l in renamed),
+    )
+
+
+def reference_body_key(body, connective=CONJUNCTION) -> str:
+    sep = "," if connective == CONJUNCTION else ";"
+    return sep.join(str(l) for l in canonical_body(body, connective))
 
 
 def random_kb(

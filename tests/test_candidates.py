@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from alp.candidates import (
-    CandidateClause,
+    AtomIndex,
     GenerationConfig,
     enumerate_bodies,
     extend_body,
@@ -25,12 +25,25 @@ from alp.logic import (
     CONJUNCTION,
     DISJUNCTION,
     ENCODER,
+    Clause,
     LogicProgram,
     apply_program,
     body_key,
+    ground_consequences,
 )
+from alp.pipeline import prepare_pool
 from alp.pruning import prune_naming_variants
-from helpers import default_config, fact, fig1_kb, kb_of, lit, pred, random_kb
+from helpers import (
+    brute_force_consequences,
+    candidate,
+    default_config,
+    fact,
+    fig1_kb,
+    kb_of,
+    lit,
+    pred,
+    random_kb,
+)
 
 P2 = pred("p", 2)
 Q1 = pred("q", 1)
@@ -209,19 +222,29 @@ class TestEncoderCandidates:
         cands = generate_encoder_candidates(
             kb, {}, default_config(max_encoder_body_len=1)
         )
-        assert all(c.consequences for c in cands)
+        assert all(c.mask for c in cands)
         assert not any(
             l.predicate == Q1 for c in cands for l in c.clause.body
         )
 
     def test_weight_matches_program_application(self):
+        """The decoded bitset of every encoder and decoder is its brute-force
+        consequence set, and the weight is the bitset's popcount."""
         rng = random.Random(43)
         for _ in range(10):
             kb = random_kb(rng, max_facts=8)
-            for cand in generate_encoder_candidates(kb, {}, default_config()):
+            encoders = generate_encoder_candidates(kb, {}, default_config())
+            for cand in encoders:
                 program = LogicProgram((cand.clause,), ENCODER)
                 entailed = apply_program(program, kb.facts | kb.background)
-                assert cand.weight == len(entailed) == len(cand.consequences)
+                assert cand.facts() == entailed == brute_force_consequences(
+                    cand.clause, kb.facts | kb.background
+                )
+                assert cand.weight == bin(cand.mask).count("1") == len(entailed)
+            context = latent_facts(encoders)
+            for cand in generate_decoder_candidates(encoders, kb, default_config()):
+                assert cand.facts() == brute_force_consequences(cand.clause, context)
+                assert cand.weight == bin(cand.mask).count("1")
 
     def test_deterministic_naming(self):
         rng = random.Random(47)
@@ -265,20 +288,18 @@ class TestEncoderCandidates:
 
 class TestDecoderCandidates:
     def test_arity_matched_single_literal(self):
-        from alp.logic import Clause
-
         latent = pred("latent_1", 2, "latent")
-        enc = CandidateClause(
-            clause=Clause(lit(latent, "X", "Y"), (lit(P2, "X", "Y"),)),
-            kind=ENCODER,
-            consequences=frozenset([fact(latent, "a", "b")]),
-            weight=1,
+        enc = candidate(
+            Clause(lit(latent, "X", "Y"), (lit(P2, "X", "Y"),)),
+            ENCODER,
+            [fact(latent, "a", "b")],
+            AtomIndex(),
         )
         kb = kb_of(fact(P2, "a", "b"))
         cands = generate_decoder_candidates([enc], kb, default_config())
         arity2 = [c for c in cands if c.clause.head.predicate == P2]
         assert len(arity2) >= 1
-        assert any(c.consequences == {fact(P2, "a", "b")} for c in arity2)
+        assert any(c.facts() == {fact(P2, "a", "b")} for c in arity2)
 
     def test_no_latent_facts_no_candidates(self):
         kb = kb_of(fact(P2, "a", "b"))
@@ -305,17 +326,23 @@ class TestDecoderCandidates:
         assert (2, (2, 1)) in shapes or (2, (1, 2)) in shapes
 
     def test_consequences_computed_on_latent_union(self):
+        """On seeded random KBs, each decoder's decoded bitset is its
+        consequence set on the union of the encoders' latent facts, by the
+        join and by brute force, and the KB is the low bits of its index."""
         rng = random.Random(59)
-        kb = random_kb(rng, max_facts=6)
-        config = default_config()
-        encoders = generate_encoder_candidates(kb, {}, config)
-        context = latent_facts(encoders)
-        for cand in generate_decoder_candidates(encoders, kb, config):
-            from alp.logic import ground_consequences
-
-            assert cand.consequences == ground_consequences(
-                cand.clause, context
-            )
+        for _ in range(5):
+            kb = random_kb(rng, max_facts=6)
+            config = default_config(allow_negation=True)
+            encoders = generate_encoder_candidates(kb, {}, config)
+            context = latent_facts(encoders)
+            for cand in generate_decoder_candidates(encoders, kb, config):
+                facts = cand.facts()
+                assert facts == ground_consequences(cand.clause, context)
+                assert facts == brute_force_consequences(cand.clause, context)
+                assert cand.weight == len(facts)
+                kb_mask = cand.index.kb_mask
+                assert kb_mask == (1 << len(kb.facts)) - 1
+                assert (cand.mask & kb_mask).bit_count() == len(facts & kb.facts)
 
     def test_decoder_heads_are_input_predicates(self):
         rng = random.Random(61)
@@ -361,24 +388,58 @@ def test_pool_pinned(case, sizes, digest):
     """SHA-256 of every candidate's (clause, kind, weight, sorted
     consequences), stage by stage and in generation order, recorded before
     each body was joined once for all of its heads."""
-    if case == "family-dec1":
-        kb = parse_kb(_load_workloads().family_kb(random.Random(1), 4, 3).text)
-        assert len(kb.facts) == 76
-        config = GenerationConfig(max_decoder_body_len=1)
-    else:
-        kb = fig1_kb()
-        config = GenerationConfig(
-            max_decoder_body_len=1 if case == "fig1-dec1" else 2,
-            allow_negation=case == "fig1-negation",
-        )
-    stages = _pool(kb, config)
+    stages = _pool(*_pinned_case(case))
     assert (len(stages[0]), len(stages[2])) == sizes
     h = hashlib.sha256()
     for stage in stages:
         for c in stage:
-            row = (str(c.clause), c.kind, c.weight, sorted(map(str, c.consequences)))
-            h.update(repr(row).encode() + b"\n")
+            h.update(_pinned_row(c))
         h.update(b"|\n")
+    assert h.hexdigest() == digest
+
+
+def _pinned_case(case):
+    """The KB and configuration of one pinned pool."""
+    if case == "family-dec1":
+        kb = parse_kb(_load_workloads().family_kb(random.Random(1), 4, 3).text)
+        assert len(kb.facts) == 76
+        return kb, GenerationConfig(max_decoder_body_len=1)
+    return fig1_kb(), GenerationConfig(
+        max_decoder_body_len=1 if case == "fig1-dec1" else 2,
+        allow_negation=case == "fig1-negation",
+    )
+
+
+def _pinned_row(c) -> bytes:
+    row = (str(c.clause), c.kind, c.weight, sorted(map(str, c.facts())))
+    return repr(row).encode() + b"\n"
+
+
+@pytest.mark.parametrize(
+    "case, sizes, digest",
+    [
+        ("fig1-dec1", (40, 26),
+         "4a62c3a5edd52e21cd11d9c7e48e27f2fcf17a954aa04f57fcc6a66dc6d0b25a"),
+        ("fig1-dec2", (40, 1230),
+         "1e3ec1b6372ed6152b620764516e64ba7e622e936539786a0dede61d1af9ef0c"),
+        ("fig1-negation", (40, 1902),
+         "69936fd11f2b7b701f293813d65694d9daac66f9e93db2e1d9986afcdc5b8462"),
+        ("family-dec1", (81, 90),
+         "600e7daaa4a4a6415129ee16455ce06c28f03147bcd7037b9fbdb84dfe4a6b94"),
+    ],
+)
+def test_pruned_pool_pinned(case, sizes, digest):
+    """SHA-256 of ``prepare_pool``'s output: the kept encoders, then the
+    decoders kept by signature and corruption pruning, in order, each with
+    its weight and decoded consequences, then the pruning counters.
+    Recorded before consequences became bitsets."""
+    kb, config = _pinned_case(case)
+    encoders, decoders, report, _ = prepare_pool(kb, {}, config)
+    assert (len(encoders), len(decoders)) == sizes
+    h = hashlib.sha256()
+    for c in (*encoders, *decoders):
+        h.update(_pinned_row(c))
+    h.update(repr(report.counters()).encode())
     assert h.hexdigest() == digest
 
 

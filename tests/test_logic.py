@@ -18,7 +18,6 @@ from alp.logic import (
     apply_program,
     body_key,
     body_variables,
-    canonical_body,
     ground_consequences,
     loss_parts,
     parse_program,
@@ -27,12 +26,14 @@ from alp.logic import (
 )
 from helpers import (
     brute_force_consequences,
+    canonical_body,
     fact,
     kb_of,
     lit,
     pred,
     random_clause,
     random_kb,
+    reference_body_key,
 )
 
 PARENT = pred("parent", 2)
@@ -361,3 +362,41 @@ class TestCanonicalForms:
             ]
             rng.shuffle(renamed)
             assert body_key(tuple(renamed)) == body_key(body)
+
+    def test_body_key_matches_naive_reference(self):
+        """Seeded random bodies of 1-4 literals, with repeated variables,
+        constants, at most one negated literal and up to 16 variables, so
+        that the display names V8, V9, ... occur and sort before X."""
+        rng = random.Random(71)
+        preds = [pred(f"p{a}{k}", a) for a in range(1, 5) for k in range(3)]
+        binary = [p for p in preds if p.arity == 2]
+        names = [chr(ord("A") + i) for i in range(16)]
+        past_eight = 0
+        for _ in range(400):
+            body, used = [], []
+            for i in range(rng.randint(1, 4)):
+                p = rng.choice(preds)
+                args = []
+                for _ in range(p.arity):
+                    r = rng.random()
+                    if r < 0.15:
+                        args.append(rng.choice(["a", "b"]))
+                    elif r < 0.4 and used:
+                        args.append(rng.choice(used))  # a repeated variable
+                    else:
+                        used.append(names[len(used)])
+                        args.append(used[-1])
+                negated = i > 0 and not any(l.negated for l in body)
+                body.append(lit(p, *args, negated=negated and rng.random() < 0.3))
+            body = tuple(body)
+            key = body_key(body)
+            assert key == reference_body_key(body)
+            past_eight += "V8" in key
+            shared = [rng.choice(names[:3]) for _ in range(2)]
+            disjuncts = tuple(
+                lit(q, *shared) for q in rng.sample(binary, rng.randint(2, 3))
+            )
+            assert body_key(disjuncts, DISJUNCTION) == reference_body_key(
+                disjuncts, DISJUNCTION
+            )
+        assert past_eight >= 10

@@ -5,8 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from alp.candidates import CandidateClause
-from alp.logic import Clause, DECODER, DISJUNCTION, ENCODER, reconstruction_loss
+from alp.candidates import AtomIndex
+from alp.logic import (
+    CONJUNCTION,
+    Clause,
+    DECODER,
+    DISJUNCTION,
+    ENCODER,
+    reconstruction_loss,
+)
 from alp.model import (
     AT_LEAST_ONE,
     AT_MOST_ONE_OF_PAIR,
@@ -28,6 +35,7 @@ from alp.model import (
 )
 from helpers import (
     brute_force_objective,
+    candidate,
     drop_constraints,
     fact,
     fig1_kb,
@@ -47,22 +55,26 @@ L2 = pred("latent_2", 1, "latent")
 L3 = pred("latent_3", 2, "latent")
 
 
-def enc(head_pred, body, consequences):
-    names = "XYZW"
-    head = lit(head_pred, *names[: head_pred.arity])
-    clause = Clause(head, body)
-    return CandidateClause(clause, ENCODER, frozenset(consequences), len(consequences))
+def pool(kb):
+    """Constructors of hand-made encoders and decoders for one pool over
+    ``kb``: the encoders share one index, the decoders another."""
+    enc_index, dec_index = AtomIndex(), AtomIndex(kb.facts)
 
+    def enc(head_pred, body, consequences, connective=CONJUNCTION):
+        head = lit(head_pred, *"XYZW"[: head_pred.arity])
+        clause = Clause(head, body, connective)
+        return candidate(clause, ENCODER, consequences, enc_index)
 
-def dec(head, body, consequences):
-    return CandidateClause(
-        Clause(head, body), DECODER, frozenset(consequences), len(consequences)
-    )
+    def dec(head, body, consequences):
+        return candidate(Clause(head, body), DECODER, consequences, dec_index)
+
+    return enc, dec
 
 
 def paper_pool(kb):
     """Two decoders able to reconstruct mother(padme,leia), as in the
     worked rf example: one via latent_1+latent_2, one via latent_3."""
+    enc, dec = pool(kb)
     e1 = enc(L1, (lit(MOTHER, "X", "Y"),), [fact(L1, "padme", "leia")])
     e2 = enc(L2, (lit(MOTHER, "X", "Y"),), [fact(L2, "padme")])
     e3 = enc(
@@ -99,6 +111,7 @@ class TestBuildModel:
 
     def test_bottleneck_coefficients_scaled_to_integers(self):
         kb = fig1_kb()  # G = 9/5
+        enc, dec = pool(kb)
         e1 = enc(
             L1,
             (lit(MOTHER, "X", "Y"), lit(FATHER, "X", "Y")),
@@ -108,16 +121,7 @@ class TestBuildModel:
                 fact(L1, "vader", "luke"),
                 fact(L1, "vader", "leia"),
             ],
-        )
-        e1 = CandidateClause(
-            Clause(
-                lit(L1, "X", "Y"),
-                (lit(MOTHER, "X", "Y"), lit(FATHER, "X", "Y")),
-                DISJUNCTION,
-            ),
-            ENCODER,
-            e1.consequences,
-            4,
+            DISJUNCTION,
         )
         d1 = dec(lit(MOTHER, "X", "Y"), (lit(L1, "X", "Y"),), [fact(MOTHER, "padme", "luke")])
         model = build_model([e1], [d1], kb, Fraction(1, 2))
@@ -132,6 +136,7 @@ class TestBuildModel:
 
     def test_single_perfect_decoder_optimum_zero(self):
         kb = kb_of(fact(MOTHER, "padme", "leia"))
+        enc, dec = pool(kb)
         e1 = enc(L1, (lit(MOTHER, "X", "Y"),), [fact(L1, "padme", "leia")])
         d1 = dec(
             lit(MOTHER, "X", "Y"), (lit(L1, "X", "Y"),), [fact(MOTHER, "padme", "leia")]
@@ -152,6 +157,7 @@ class TestBuildModel:
 
     def test_unused_encoder_is_pinned_off(self):
         kb = kb_of(fact(MOTHER, "padme", "leia"))
+        enc, dec = pool(kb)
         used = enc(L1, (lit(MOTHER, "X", "Y"),), [fact(L1, "padme", "leia")])
         unused = enc(L2, (lit(MOTHER, "X", "Y"),), [fact(L2, "padme")])
         d1 = dec(
@@ -194,15 +200,15 @@ class TestBuildModel:
             encoders, decoders = model.ec_candidates, model.dc_candidates
             for i in range(len(encoders)):
                 for j in range(i + 1, len(encoders)):
-                    a = {f.args for f in encoders[i].consequences}
-                    b = {f.args for f in encoders[j].consequences}
+                    a = {f.args for f in encoders[i].facts()}
+                    b = {f.args for f in encoders[j].facts()}
                     naive = encoders[i].clause.head.predicate.arity == (
                         encoders[j].clause.head.predicate.arity
                     ) and (a <= b or b <= a)
                     assert violates_generality(EC, i, j) == naive
             for i in range(len(decoders)):
                 for j in range(i + 1, len(decoders)):
-                    a, b = decoders[i].consequences, decoders[j].consequences
+                    a, b = decoders[i].facts(), decoders[j].facts()
                     naive = decoders[i].clause.head.predicate == (
                         decoders[j].clause.head.predicate
                     ) and (a <= b or b <= a)
@@ -212,6 +218,7 @@ class TestBuildModel:
         """1,100 decoders with one consequence set (604,450 pairs) compile
         to one class variable and two constraints."""
         kb = kb_of(fact(MOTHER, "padme", "leia"))
+        enc, dec = pool(kb)
         e1 = enc(L1, (lit(MOTHER, "X", "Y"),), [fact(L1, "padme", "leia")])
         d1 = dec(
             lit(MOTHER, "X", "Y"), (lit(L1, "X", "Y"),), [fact(MOTHER, "padme", "leia")]
@@ -234,6 +241,7 @@ class TestBuildModel:
 
     def test_generality_pairs_within_decoder_pool(self):
         kb = kb_of(fact(MOTHER, "padme", "leia"), fact(MOTHER, "padme", "luke"))
+        enc, dec = pool(kb)
         e1 = enc(
             L1,
             (lit(MOTHER, "X", "Y"),),
@@ -262,6 +270,7 @@ class TestBuildModel:
 
     def test_unknown_latent_rejected(self):
         kb = kb_of(fact(MOTHER, "padme", "leia"))
+        enc, dec = pool(kb)
         e2 = enc(L2, (lit(MOTHER, "X", "Y"),), [fact(L2, "padme")])
         d1 = dec(
             lit(MOTHER, "X", "Y"), (lit(L1, "X", "Y"),), [fact(MOTHER, "padme", "leia")]
@@ -280,6 +289,7 @@ class TestBuildModel:
         # every decoder pruned: the model degenerates to "reconstruct
         # nothing" and the objective is the whole KB
         kb = kb_of(fact(MOTHER, "padme", "leia"))
+        enc, dec = pool(kb)
         e1 = enc(L1, (lit(MOTHER, "X", "Y"),), [fact(L1, "padme", "leia")])
         model = build_model([e1], [], kb, Fraction(1))
         assert model.constant_offset == 1
@@ -300,6 +310,7 @@ class TestBuildModel:
 class TestObjectiveValue:
     def build_simple(self, include_coverage=True):
         kb = kb_of(fact(MOTHER, "padme", "leia"), fact(MOTHER, "padme", "luke"))
+        enc, dec = pool(kb)
         e1 = enc(
             L1,
             (lit(MOTHER, "X", "Y"),),
@@ -325,6 +336,7 @@ class TestObjectiveValue:
 
     def test_one_missing_one_false(self):
         kb = kb_of(fact(MOTHER, "padme", "leia"), fact(MOTHER, "padme", "luke"))
+        enc, dec = pool(kb)
         e1 = enc(
             L1,
             (lit(MOTHER, "X", "Y"),),
@@ -351,6 +363,7 @@ class TestObjectiveValue:
 class TestCheckAssignment:
     def test_feasible_assignment_is_clean(self):
         kb = kb_of(fact(MOTHER, "padme", "leia"))
+        enc, dec = pool(kb)
         e1 = enc(L1, (lit(MOTHER, "X", "Y"),), [fact(L1, "padme", "leia")])
         d1 = dec(
             lit(MOTHER, "X", "Y"), (lit(L1, "X", "Y"),), [fact(MOTHER, "padme", "leia")]
@@ -360,6 +373,7 @@ class TestCheckAssignment:
 
     def test_decoder_without_its_encoder_reported(self):
         kb = kb_of(fact(MOTHER, "padme", "leia"))
+        enc, dec = pool(kb)
         e1 = enc(L1, (lit(MOTHER, "X", "Y"),), [fact(L1, "padme", "leia")])
         d1 = dec(
             lit(MOTHER, "X", "Y"), (lit(L1, "X", "Y"),), [fact(MOTHER, "padme", "leia")]
@@ -387,6 +401,7 @@ class TestLossConsistency:
 
     def test_lossless_selection(self):
         kb = kb_of(fact(MOTHER, "padme", "leia"))
+        enc, dec = pool(kb)
         e1 = enc(L1, (lit(MOTHER, "X", "Y"),), [fact(L1, "padme", "leia")])
         d1 = dec(
             lit(MOTHER, "X", "Y"), (lit(L1, "X", "Y"),), [fact(MOTHER, "padme", "leia")]

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from alp.candidates import CandidateClause
+from alp.candidates import AtomIndex
 from alp import solver
 from alp.errors import AlpError, InfeasibleError
 from alp.logic import Clause, DECODER, ENCODER
@@ -39,6 +39,7 @@ from alp.solver import (
 from helpers import (
     brute_force_loss_optimum,
     brute_force_objective,
+    candidate,
     fact,
     kb_of,
     lit,
@@ -56,17 +57,18 @@ L2 = pred("latent_2", 2, "latent")
 def tiny_model():
     """One decoder, its encoder, one rf over a single KB fact."""
     kb = kb_of(fact(MOTHER, "padme", "leia"))
-    e1 = CandidateClause(
+    enc_index, dec_index = AtomIndex(), AtomIndex(kb.facts)
+    e1 = candidate(
         Clause(lit(L1, "X", "Y"), (lit(MOTHER, "X", "Y"),)),
         ENCODER,
-        frozenset([fact(L1, "padme", "leia")]),
-        1,
+        [fact(L1, "padme", "leia")],
+        enc_index,
     )
-    d1 = CandidateClause(
+    d1 = candidate(
         Clause(lit(MOTHER, "X", "Y"), (lit(L1, "X", "Y"),)),
         DECODER,
-        frozenset([fact(MOTHER, "padme", "leia")]),
-        1,
+        [fact(MOTHER, "padme", "leia")],
+        dec_index,
     )
     return kb, build_model([e1], [d1], kb, Fraction(1))
 
@@ -163,41 +165,38 @@ class TestInitialSolution:
 
     def test_least_corrupt_decoder_preferred(self):
         kb = kb_of(fact(MOTHER, "padme", "leia"), fact(MOTHER, "padme", "luke"))
-        e1 = CandidateClause(
+        enc_index, dec_index = AtomIndex(), AtomIndex(kb.facts)
+        e1 = candidate(
             Clause(lit(L1, "X", "Y"), (lit(MOTHER, "X", "Y"),)),
             ENCODER,
-            frozenset([fact(L1, "padme", "leia"), fact(L1, "padme", "luke")]),
-            2,
+            [fact(L1, "padme", "leia"), fact(L1, "padme", "luke")],
+            enc_index,
         )
-        e2 = CandidateClause(
+        e2 = candidate(
             Clause(lit(L2, "X", "Y"), (lit(MOTHER, "X", "Y"),)),
             ENCODER,
-            frozenset(
-                [
-                    fact(L2, "padme", "leia"),
-                    fact(L2, "padme", "luke"),
-                    fact(L2, "padme", "padme"),
-                ]
-            ),
-            3,
+            [
+                fact(L2, "padme", "leia"),
+                fact(L2, "padme", "luke"),
+                fact(L2, "padme", "padme"),
+            ],
+            enc_index,
         )
-        clean = CandidateClause(
+        clean = candidate(
             Clause(lit(MOTHER, "X", "Y"), (lit(L1, "X", "Y"),)),
             DECODER,
-            frozenset([fact(MOTHER, "padme", "leia"), fact(MOTHER, "padme", "luke")]),
-            2,
+            [fact(MOTHER, "padme", "leia"), fact(MOTHER, "padme", "luke")],
+            dec_index,
         )
-        corrupt = CandidateClause(
+        corrupt = candidate(
             Clause(lit(MOTHER, "X", "Y"), (lit(L2, "X", "Y"),)),
             DECODER,
-            frozenset(
-                [
-                    fact(MOTHER, "padme", "leia"),
-                    fact(MOTHER, "padme", "luke"),
-                    fact(MOTHER, "padme", "padme"),
-                ]
-            ),
-            3,
+            [
+                fact(MOTHER, "padme", "leia"),
+                fact(MOTHER, "padme", "luke"),
+                fact(MOTHER, "padme", "padme"),
+            ],
+            dec_index,
         )
         model = build_model([e1, e2], [clean, corrupt], kb, Fraction(3))
         assignment = initial_solution(model)
@@ -387,21 +386,22 @@ def two_decoder_model(*constraints, class_members=()):
     constraints and classes: each propagation family can be exercised on
     its own."""
     kb = kb_of(fact(MOTHER, "padme", "leia"))
+    enc_index, dec_index = AtomIndex(), AtomIndex(kb.facts)
     encoders = [
-        CandidateClause(
+        candidate(
             Clause(lit(latent, "X", "Y"), (lit(MOTHER, "X", "Y"),)),
             ENCODER,
-            frozenset([fact(latent, "padme", "leia")]),
-            1,
+            [fact(latent, "padme", "leia")],
+            enc_index,
         )
         for latent in (L1, L2)
     ]
     decoders = [
-        CandidateClause(
+        candidate(
             Clause(lit(MOTHER, "X", "Y"), (lit(latent, "X", "Y"),)),
             DECODER,
-            frozenset([fact(MOTHER, "padme", "leia")]),
-            1,
+            [fact(MOTHER, "padme", "leia")],
+            dec_index,
         )
         for latent in (L1, L2)
     ]
