@@ -40,6 +40,8 @@ from .kb import (
     ORIGIN_INPUT,
     ORIGIN_LATENT,
     Predicate,
+    fact_order,
+    predicate_order,
 )
 from .logic import (
     CONJUNCTION,
@@ -79,11 +81,6 @@ class GenerationConfig:
             raise ValueError("max_head_vars must be >= 1")
         if self.max_candidates < 1:
             raise ValueError("max_candidates must be >= 1")
-
-
-def fact_order(f: Fact) -> tuple:
-    """Facts sort by predicate name, arity, then argument symbols."""
-    return (f.predicate.name, f.predicate.arity, tuple(a.symbol for a in f.args))
 
 
 def bit_positions(mask: int) -> Iterator[int]:
@@ -185,10 +182,6 @@ def pool_index(candidates: list[CandidateClause]) -> AtomIndex | None:
 Body = tuple[tuple[Literal, ...], str]  # literals plus connective
 
 _FRESH = object()  # slot marker during extension
-
-
-def _sorted_preds(preds) -> list[Predicate]:
-    return sorted(preds, key=lambda p: (p.name, p.arity))
 
 
 def _extend_atom_choices(
@@ -386,7 +379,7 @@ def generate_encoder_candidates(
     ordinals are assigned before the drop, so names depend only on the
     vocabulary and config, not on the fact content.
     """
-    predicates = _sorted_preds(kb.vocabulary)
+    predicates = sorted(kb.vocabulary, key=predicate_order)
     input_preds = [p for p in predicates if p.origin != ORIGIN_BACKGROUND]
     if not input_preds:
         return []
@@ -445,7 +438,7 @@ def generate_decoder_candidates(
     consequences; decoder heads range over the input predicates of arity at
     least 1, one candidate per predicate per variable tuple of its arity.
     """
-    latents = _sorted_preds({c.head.predicate for c in latent_candidates})
+    latents = sorted({c.head.predicate for c in latent_candidates}, key=predicate_order)
     if not latents:
         return []
     modes = {p: ModeDeclaration.all_either(p) for p in latents}
@@ -456,8 +449,9 @@ def generate_decoder_candidates(
         config.allow_disjunction,
         config.allow_negation,
     )
-    input_preds = _sorted_preds(
-        p for p in kb.vocabulary if p.origin == ORIGIN_INPUT and p.arity >= 1
+    input_preds = sorted(
+        (p for p in kb.vocabulary if p.origin == ORIGIN_INPUT and p.arity >= 1),
+        key=predicate_order,
     )
     variables = _planned_variables(
         DECODER, bodies, [p.arity for p in input_preds], config

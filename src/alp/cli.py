@@ -24,7 +24,7 @@ from .errors import (
     KbSyntaxError,
     VocabularyError,
 )
-from .kb import Fact, KnowledgeBase, parse_kb_document, serialize_kb
+from .kb import Fact, KnowledgeBase, parse_kb_document, predicate_order, serialize_kb
 from .logic import Alp, apply_program, parse_program, reconstruct, serialize_program
 from .model import dump_model
 from .pipeline import learn, prepare_pool, run_report
@@ -266,18 +266,17 @@ def cmd_eval(args) -> int:
     background = _remap_facts(document.kb.background, known, "background")
     kb = KnowledgeBase.from_facts(kb_facts, background)
     recon = reconstruct(alp, kb)
-    missing, false = len(kb.facts - recon), len(recon - kb.facts)
-    per_predicate = {}
-    for p in sorted(
-        {f.predicate for f in kb.facts} | {f.predicate for f in recon},
-        key=lambda p: (p.name, p.arity),
-    ):
-        kb_p = {f for f in kb.facts if f.predicate == p}
-        recon_p = {f for f in recon if f.predicate == p}
-        per_predicate[f"{p.name}/{p.arity}"] = {
-            "missing": len(kb_p - recon_p),
-            "false": len(recon_p - kb_p),
-        }
+    missing_facts, false_facts = kb.facts - recon, recon - kb.facts
+    missing, false = len(missing_facts), len(false_facts)
+    tally = {f.predicate: [0, 0] for f in kb.facts | recon}  # [missing, false]
+    for f in missing_facts:
+        tally[f.predicate][0] += 1
+    for f in false_facts:
+        tally[f.predicate][1] += 1
+    per_predicate = {
+        f"{p.name}/{p.arity}": {"missing": tally[p][0], "false": tally[p][1]}
+        for p in sorted(tally, key=predicate_order)
+    }
     payload = {
         "loss": missing + false,
         "missing": missing,

@@ -11,7 +11,8 @@ The fact file format is line oriented (UTF-8):
 Predicates not declared with ``#pred`` are inferred from the facts.
 Directives apply file-wide regardless of position.  Arguments must be
 lowercase constant tokens: an uppercase initial means a variable, and
-variables are illegal in data.
+variables are illegal in data.  Tokens are separated by spaces and tabs
+only.  The line reader here also reads programs (``alp.logic``).
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ MODE_EITHER = "?"
 MODE_SLOTS = (MODE_BOUND, MODE_UNBOUND, MODE_EITHER)
 
 DEFAULT_HERBRAND_CEILING = 1_000_000
+
+_KB_DIRECTIVES = ("pred", "background", "mode")
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,6 +91,16 @@ class Fact:
         if not self.args:
             return self.predicate.name
         return f"{self.predicate.name}({','.join(a.symbol for a in self.args)})"
+
+
+def predicate_order(p: Predicate) -> tuple[str, int]:
+    """Sort key of the canonical predicate order: name, then arity."""
+    return (p.name, p.arity)
+
+
+def fact_order(f: Fact) -> tuple:
+    """Sort key of the canonical fact order: predicate, then argument symbols."""
+    return (f.predicate.name, f.predicate.arity, tuple(a.symbol for a in f.args))
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,165 +191,141 @@ class KbDocument:
     modes: dict[Predicate, ModeDeclaration]
 
 
-class _LineParser:
-    """Splits one source line into a term; tracks columns for errors."""
-
-    def __init__(self, text: str, line_no: int):
-        self.text = text
-        self.line_no = line_no
-        self.pos = 0
-
-    def error(self, message: str):
-        raise KbSyntaxError(message, self.line_no, self.pos + 1)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def expect(self, ch: str):
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def token(self) -> str:
-        self.skip_ws()
-        m = re.match(r"[A-Za-z][A-Za-z0-9_]*", self.text[self.pos :])
-        if not m:
-            self.error("expected an identifier")
-        self.pos += m.end()
-        return m.group(0)
-
-    def atom(self) -> tuple[str, tuple[str, ...]]:
-        """Parse ``name`` or ``name(tok,...)``; returns (name, arg tokens)."""
-        name = self.token()
-        if not NAME_RE.match(name):
-            self.error(f"predicate names must be lowercase, got {name!r}")
-        if self.peek() != "(":
-            return name, ()
-        self.expect("(")
-        args = [self.token()]
-        while self.peek() == ",":
-            self.expect(",")
-            args.append(self.token())
-        self.expect(")")
-        return name, tuple(args)
+# The line reader.  A syntax error gives its line and column, both from 1.
+_GAP = re.compile(r"[ \t]*")
+_IDENT = re.compile(r"[ \t]*([A-Za-z][A-Za-z0-9_]*)")
+_ARITY = re.compile(r"[ \t]*([0-9]+)")
+_SLOT = re.compile(r"[ \t]*([-+?])")
 
 
-def _parse_pred_ref(p: _LineParser) -> tuple[str, int]:
-    name = p.token()
-    if not NAME_RE.match(name):
-        p.error(f"predicate names must be lowercase, got {name!r}")
-    p.expect("/")
-    p.skip_ws()
-    m = re.match(r"[0-9]+", p.text[p.pos :])
-    if not m:
-        p.error("expected an arity")
-    p.pos += m.end()
-    return name, int(m.group(0))
+def code_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, text before any '%') of each line that is not blank."""
+    codes = (line.split("%", 1)[0] for line in text.splitlines())
+    return ((i, code) for i, code in enumerate(codes, start=1) if code.strip())
+
+
+def next_char(code: str, pos: int) -> tuple[int, str]:
+    """Skip spaces and tabs: the next character ('' at the end) and its position."""
+    pos = _GAP.match(code, pos).end()
+    return pos, code[pos : pos + 1]
+
+
+def expect(code: str, pos: int, char: str, line_no: int) -> int:
+    """The position after ``char``, which must come next."""
+    pos, found = next_char(code, pos)
+    if found != char:
+        raise KbSyntaxError(f"expected {char!r}", line_no, pos + 1)
+    return pos + 1
+
+
+def expect_end(code: str, pos: int, line_no: int, after: str) -> None:
+    pos, found = next_char(code, pos)
+    if found:
+        raise KbSyntaxError(f"trailing characters after {after}", line_no, pos + 1)
+
+
+def _take(code: str, pos: int, line_no: int, token, message: str) -> tuple[str, int]:
+    """The ``token`` that must come next, and the position after it."""
+    m = token.match(code, pos)
+    if m is None:
+        raise KbSyntaxError(message, line_no, next_char(code, pos)[0] + 1)
+    return m.group(1), m.end()
+
+
+def _name(code: str, pos: int, line_no: int) -> tuple[str, int]:
+    name, pos = _take(code, pos, line_no, _IDENT, "expected an identifier")
+    if name[0].isupper():
+        message = f"predicate names must be lowercase, got {name!r}"
+        raise KbSyntaxError(message, line_no, pos + 1)
+    return name, pos
+
+
+def _items(code: str, pos: int, line_no: int, token, message: str):
+    """Read ``(tok,...)`` or ``()``: the tokens and the position after ')'."""
+    items = []
+    pos, found = next_char(code, expect(code, pos, "(", line_no))
+    while found != ")":  # pos is at the first token or at the ',' before one
+        item, pos = _take(code, pos + bool(items), line_no, token, message)
+        items.append(item)
+        pos, found = next_char(code, pos)
+        if found not in (",", ")"):
+            raise KbSyntaxError("expected ')'", line_no, pos + 1)
+    return tuple(items), pos + 1
+
+
+def read_atom(code: str, pos: int, line_no: int, negatable: bool = False):
+    """Read ``[not ]name[(tok,...)]``: (negated, name, tokens, position after)."""
+    pos = next_char(code, pos)[0]
+    negated = negatable and code.startswith("not ", pos)
+    name, pos = _name(code, pos + 4 * negated, line_no)
+    if next_char(code, pos)[1] != "(":
+        return negated, name, (), pos
+    args, pos = _items(code, pos, line_no, _IDENT, "expected an identifier")
+    if not args:
+        raise KbSyntaxError("expected an identifier", line_no, pos)  # at the ')'
+    return negated, name, args, pos
+
+
+def read_directive(line_no: int, code: str, allowed: tuple[str, ...]):
+    """Read a ``#`` line: (directive, (name, arity), mode slots, position after)."""
+    pos = expect(code, 0, "#", line_no)
+    directive, pos = _take(code, pos, line_no, _IDENT, "expected an identifier")
+    if directive not in allowed:
+        raise KbSyntaxError(f"unknown directive #{directive}", line_no, pos + 1)
+    if directive in ("encoder", "decoder"):
+        return directive, None, None, pos
+    name, pos = _name(code, pos, line_no)
+    if directive == "mode":
+        message = f"mode slots must be one of {MODE_SLOTS}"
+        slots, pos = _items(code, pos, line_no, _SLOT, message)
+        return directive, (name, len(slots)), slots, pos
+    pos = expect(code, pos, "/", line_no)
+    arity, pos = _take(code, pos, line_no, _ARITY, "expected an arity")
+    return directive, (name, int(arity)), None, pos
 
 
 def parse_kb_document(text: str) -> KbDocument:
     """Parse a fact file into a knowledge base and its mode declarations."""
-    lines = text.splitlines()
-
     declared: dict[tuple[str, int], str] = {}  # (name, arity) -> origin
+    first_arity: dict[str, int] = {}  # by name, from the first directive
     mode_slots: dict[tuple[str, int], tuple[str, ...]] = {}
-
-    # First pass: directives (they apply file-wide regardless of position).
-    for i, raw in enumerate(lines, start=1):
-        line = raw.split("%", 1)[0].strip()
-        if not line.startswith("#"):
+    rows: list[tuple[int, str, tuple[str, ...]]] = []  # (line, name, args)
+    for line_no, code in code_lines(text):
+        if code.lstrip().startswith("#"):
+            directive, key, slots, pos = read_directive(line_no, code, _KB_DIRECTIVES)
+            expect_end(code, pos, line_no, "directive")
+            kept = declared.get(key, ORIGIN_INPUT)
+            declared[key] = ORIGIN_BACKGROUND if directive == "background" else kept
+            if slots is not None:
+                mode_slots[key] = slots
+            first_arity.setdefault(*key)
             continue
-        p = _LineParser(raw.split("%", 1)[0], i)
-        p.expect("#")
-        directive = p.token()
-        if directive == "pred":
-            name, arity = _parse_pred_ref(p)
-            declared.setdefault((name, arity), ORIGIN_INPUT)
-        elif directive == "background":
-            name, arity = _parse_pred_ref(p)
-            declared[(name, arity)] = ORIGIN_BACKGROUND
-        elif directive == "mode":
-            name = p.token()
-            p.expect("(")
-            slots = []
-            if p.peek() != ")":
-                while True:
-                    ch = p.peek()
-                    if ch not in MODE_SLOTS:
-                        p.error(f"mode slots must be one of {MODE_SLOTS}")
-                    p.pos += 1
-                    slots.append(ch)
-                    if p.peek() != ",":
-                        break
-                    p.expect(",")
-            p.expect(")")
-            key = (name, len(slots))
-            mode_slots[key] = tuple(slots)
-            declared.setdefault(key, ORIGIN_INPUT)
-        else:
-            p.error(f"unknown directive #{directive}")
-        if not p.at_end():
-            p.error("trailing characters after directive")
+        _, name, args, pos = read_atom(code, 0, line_no)
+        expect_end(code, expect(code, pos, ".", line_no), line_no, "fact")
+        for token in args:
+            if token[0].isupper():
+                message = f"variable {token!r} in a fact (data must be ground)"
+                raise KbSyntaxError(message, line_no, 1)
+        rows.append((line_no, name, args))
 
-    def resolve(name: str, arity: int) -> Predicate:
-        origin = declared.get((name, arity), ORIGIN_INPUT)
-        return Predicate(name, arity, origin)
-
-    facts: set[Fact] = set()
-    background: set[Fact] = set()
-
-    # Second pass: facts.
-    for i, raw in enumerate(lines, start=1):
-        stripped = raw.split("%", 1)[0]
-        if not stripped.strip() or stripped.strip().startswith("#"):
-            continue
-        p = _LineParser(stripped, i)
-        name, arg_tokens = p.atom()
-        p.expect(".")
-        if not p.at_end():
-            p.error("trailing characters after fact")
-        for tok in arg_tokens:
-            if tok[0].isupper():
-                raise KbSyntaxError(
-                    f"variable {tok!r} in a fact (data must be ground)", i, 1
-                )
-        arity = len(arg_tokens)
-        for (dname, darity) in declared:
-            if dname == name and darity != arity and (name, arity) not in declared:
-                raise KbSyntaxError(
-                    f"{name}/{arity} conflicts with declared {dname}/{darity}",
-                    i,
-                    1,
-                )
-        pred = resolve(name, arity)
-        fact = Fact(pred, tuple(Constant(t) for t in arg_tokens))
-        if pred.origin == ORIGIN_BACKGROUND:
-            background.add(fact)
-        else:
-            facts.add(fact)
-
-    vocab = {resolve(name, arity) for (name, arity) in declared}
-    vocab.update(f.predicate for f in facts | background)
-    constants = {a for f in facts | background for a in f.args}
-
-    kb = KnowledgeBase(
-        frozenset(facts), frozenset(vocab), frozenset(constants), frozenset(background)
+    # Directives apply file-wide, so facts are resolved once all are read.
+    predicates = {key: Predicate(*key, origin) for key, origin in declared.items()}
+    constants = {t: Constant(t) for t in {t for _, _, args in rows for t in args}}
+    facts: dict[str, set[Fact]] = {ORIGIN_INPUT: set(), ORIGIN_BACKGROUND: set()}
+    for line_no, name, args in rows:
+        key = (name, len(args))
+        if key not in predicates:
+            if name in first_arity:
+                message = f"{name}/{len(args)} conflicts with declared"
+                raise KbSyntaxError(f"{message} {name}/{first_arity[name]}", line_no, 1)
+            predicates[key] = Predicate(*key)
+        fact = Fact(predicates[key], tuple(map(constants.__getitem__, args)))
+        facts[fact.predicate.origin].add(fact)
+    kb = KnowledgeBase.from_facts(
+        facts[ORIGIN_INPUT], facts[ORIGIN_BACKGROUND], predicates.values()
     )
-    modes = {
-        resolve(name, arity): ModeDeclaration(resolve(name, arity), slots)
-        for (name, arity), slots in mode_slots.items()
-    }
-    return KbDocument(kb, modes)
+    modes = (ModeDeclaration(predicates[k], s) for k, s in mode_slots.items())
+    return KbDocument(kb, {mode.predicate: mode for mode in modes})
 
 
 def parse_kb(text: str) -> KnowledgeBase:
@@ -351,18 +340,15 @@ def serialize_kb(kb: KnowledgeBase, modes: dict[Predicate, ModeDeclaration] | No
     output is canonical; parse(serialize(kb)) reproduces kb exactly.
     """
     out = []
-    for p in sorted(kb.vocabulary, key=lambda p: (p.name, p.arity)):
+    for p in sorted(kb.vocabulary, key=predicate_order):
         if p.origin == ORIGIN_BACKGROUND:
             out.append(f"#background {p.name}/{p.arity}")
         else:
             out.append(f"#pred {p.name}/{p.arity}")
     if modes:
-        for p in sorted(modes, key=lambda p: (p.name, p.arity)):
+        for p in sorted(modes, key=predicate_order):
             out.append(f"#mode {p.name}({','.join(modes[p].slots)})")
-    for f in sorted(
-        kb.facts | kb.background,
-        key=lambda f: (f.predicate.name, f.predicate.arity, tuple(a.symbol for a in f.args)),
-    ):
+    for f in sorted(kb.facts | kb.background, key=fact_order):
         out.append(f"{f}.")
     return "\n".join(out) + ("\n" if out else "")
 
@@ -378,7 +364,7 @@ def herbrand_base(
     CapacityError guards against accidental blowups.  Intended for
     desk-scale instances and test oracles.
     """
-    preds = sorted(set(vocabulary), key=lambda p: (p.name, p.arity))
+    preds = sorted(set(vocabulary), key=predicate_order)
     consts = sorted(set(constants), key=lambda c: c.symbol)
     size = sum(len(consts) ** p.arity for p in preds)
     if size > ceiling:

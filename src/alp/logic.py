@@ -14,7 +14,8 @@ Program text format, round-trippable through the parser:
     mother(X,Y) :- latent_1(X,Y).
 
 Conjunctive bodies join literals with ',', disjunctive bodies with ';'.
-A ``#background p/n`` line marks p as background knowledge.
+A ``#background p/n`` line marks p as background knowledge.  Lines are read
+with the line reader of ``alp.kb``; sections may come in either order.
 """
 
 from __future__ import annotations
@@ -34,8 +35,12 @@ from .kb import (
     ORIGIN_INPUT,
     ORIGIN_LATENT,
     Predicate,
-    _LineParser,
-    _parse_pred_ref,
+    code_lines,
+    expect_end,
+    next_char,
+    predicate_order,
+    read_atom,
+    read_directive,
 )
 
 VAR_RE = re.compile(r"[A-Z][a-zA-Z0-9_]*\Z")
@@ -45,6 +50,7 @@ DISJUNCTION = "disjunction"
 
 ENCODER = "encoder"
 DECODER = "decoder"
+_PROGRAM_DIRECTIVES = (ENCODER, DECODER, "background")
 
 _VAR_DISPLAY = "XYZWUVTS"
 
@@ -419,22 +425,31 @@ def body_key(body: tuple[Literal, ...], connective: str = CONJUNCTION) -> str:
 # ----------------------------------------------------------------------
 
 
-def _parse_literal_text(p: _LineParser, origin_for: dict[str, str]) -> Literal:
-    negated = False
-    p.skip_ws()
-    if p.text[p.pos : p.pos + 4] == "not ":
-        negated = True
-        p.pos += 4
-    name, arg_tokens = p.atom()
-    args: list[Term] = []
-    for tok in arg_tokens:
-        if tok[0].isupper():
-            args.append(Variable(tok))
-        else:
-            args.append(Constant(tok))
-    origin = origin_for.get(name, ORIGIN_INPUT)
-    pred = Predicate(name, len(arg_tokens), origin)
-    return Literal(pred, tuple(args), negated)
+def _literal(negated: bool, name: str, tokens, origins: dict) -> Literal:
+    predicate = Predicate(name, len(tokens), origins.get(name, ORIGIN_INPUT))
+    args = tuple(Variable(t) if t[0].isupper() else Constant(t) for t in tokens)
+    return Literal(predicate, args, negated)
+
+
+def _read_clause(line_no: int, code: str):
+    """Read ``head :- body.``: the head, the body's literals and its connective."""
+    cut = code.find(":-")
+    if cut < 0:
+        raise KbSyntaxError("expected ':-' in clause", line_no, 1)
+    _, name, args, pos = read_atom(code[:cut], 0, line_no, negatable=True)
+    expect_end(code[:cut], pos, line_no, "clause head")
+    pos = len(code) - len(code[cut + 2 :].lstrip())  # the body's first character
+    if not code.rstrip().endswith("."):
+        raise KbSyntaxError("clause must end with '.'", line_no, len(code))
+    code = code.rstrip()[:-1]  # the body ends before its closing '.'
+    separator = ";" if ";" in code[pos:] else ","
+    body, found = [], separator
+    while found == separator:  # pos is at the body's start or at a separator
+        *literal, pos = read_atom(code, pos + bool(body), line_no, negatable=True)
+        body.append(literal)
+        pos, found = next_char(code, pos)
+    expect_end(code, pos, line_no, "literal")
+    return (False, name, args), body, DISJUNCTION if separator == ";" else CONJUNCTION
 
 
 def parse_program(text: str) -> Alp:
@@ -443,103 +458,33 @@ def parse_program(text: str) -> Alp:
     Head predicates of encoder clauses become the latent vocabulary; the
     decoder may only reference those latents in clause bodies.
     """
+    sections: dict[str, list] = {ENCODER: [], DECODER: []}
     section = None
-    background: set[tuple[str, int]] = set()
-    encoder_lines: list[tuple[int, str]] = []
-    decoder_lines: list[tuple[int, str]] = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("%", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            p = _LineParser(raw.split("%", 1)[0], i)
-            p.expect("#")
-            directive = p.token()
-            if directive == "encoder":
-                section = ENCODER
-            elif directive == "decoder":
-                section = DECODER
-            elif directive == "background":
-                background.add(_parse_pred_ref(p))
+    background: dict[str, str] = {}  # origin by predicate name
+    for line_no, code in code_lines(text):
+        if code.lstrip().startswith("#"):
+            directive, key, _, _ = read_directive(line_no, code, _PROGRAM_DIRECTIVES)
+            if directive == "background":
+                background[key[0]] = ORIGIN_BACKGROUND
             else:
-                p.error(f"unknown directive #{directive}")
-            continue
-        if section == ENCODER:
-            encoder_lines.append((i, raw.split("%", 1)[0]))
-        elif section == DECODER:
-            decoder_lines.append((i, raw.split("%", 1)[0]))
+                section = directive
+        elif section is None:
+            raise KbSyntaxError("clause outside #encoder/#decoder section", line_no, 1)
         else:
-            raise KbSyntaxError("clause outside #encoder/#decoder section", i, 1)
+            sections[section].append(_read_clause(line_no, code))
+    # Sections come in either order, so origins are known once all are read.
+    latent = {head[1]: ORIGIN_LATENT for head, _, _ in sections[ENCODER]}
 
-    latent_names: set[str] = set()
-    for i, line in encoder_lines:
-        head_text = line.split(":-", 1)[0]
-        p = _LineParser(head_text, i)
-        name, _ = p.atom()
-        latent_names.add(name)
+    def program(direction: str, head_origins: dict, body_origins: dict) -> LogicProgram:
+        clauses = []
+        for head, body, connective in sections[direction]:
+            literals = tuple(_literal(*l, body_origins) for l in body)
+            clauses.append(Clause(_literal(*head, head_origins), literals, connective))
+        return LogicProgram(tuple(clauses), direction)
 
-    def parse_clause(i: int, line: str, head_origin: str, body_origins: dict) -> Clause:
-        if ":-" not in line:
-            raise KbSyntaxError("expected ':-' in clause", i, 1)
-        head_text, body_text = line.split(":-", 1)
-        p = _LineParser(head_text, i)
-        parsed = _parse_literal_text(p, {})
-        head = Literal(
-            Predicate(parsed.predicate.name, parsed.predicate.arity, head_origin),
-            parsed.args,
-        )
-        if not p.at_end():
-            p.error("trailing characters after clause head")
-        body_text = body_text.strip()
-        if not body_text.endswith("."):
-            raise KbSyntaxError("clause must end with '.'", i, len(line))
-        body_text = body_text[:-1]
-        parts = _split_top_level(body_text, ";")
-        if len(parts) > 1:
-            connective = DISJUNCTION
-        else:
-            connective, parts = CONJUNCTION, _split_top_level(body_text, ",")
-        literals = []
-        for part in parts:
-            lp = _LineParser(part, i)
-            literals.append(_parse_literal_text(lp, body_origins))
-            if not lp.at_end():
-                lp.error("trailing characters after literal")
-        return Clause(head, tuple(literals), connective)
-
-    enc_body_origins = {name: ORIGIN_BACKGROUND for name, _ in background}
-    dec_body_origins = {name: ORIGIN_LATENT for name in latent_names}
-
-    encoder_clauses = [
-        parse_clause(i, line, ORIGIN_LATENT, enc_body_origins)
-        for i, line in encoder_lines
-    ]
-    decoder_clauses = [
-        parse_clause(i, line, ORIGIN_INPUT, dec_body_origins)
-        for i, line in decoder_lines
-    ]
-    encoder = LogicProgram(tuple(encoder_clauses), ENCODER)
-    decoder = LogicProgram(tuple(decoder_clauses), DECODER)
-    latents = encoder.head_predicates() | decoder.body_predicates()
-    return Alp(encoder, decoder, frozenset(latents))
-
-
-def _split_top_level(text: str, sep: str) -> list[str]:
-    parts = []
-    depth = 0
-    current = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
-    return parts
+    encoder = program(ENCODER, latent, background)
+    decoder = program(DECODER, {}, latent)
+    return Alp(encoder, decoder, encoder.head_predicates() | decoder.body_predicates())
 
 
 def serialize_program(alp: Alp) -> str:
@@ -552,7 +497,7 @@ def serialize_program(alp: Alp) -> str:
             for l in c.body
             if (p := l.predicate).origin == ORIGIN_BACKGROUND
         },
-        key=lambda p: (p.name, p.arity),
+        key=predicate_order,
     )
     for p in backgrounds:
         out.append(f"#background {p.name}/{p.arity}")

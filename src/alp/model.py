@@ -34,12 +34,18 @@ from fractions import Fraction
 from .candidates import (
     CandidateClause,
     bit_positions,
-    fact_order,
     latent_ordinal,
     pool_index,
 )
 from .errors import AlpError, InfeasibleError
-from .kb import Fact, KnowledgeBase, Predicate, avg_facts_per_predicate
+from .kb import (
+    Fact,
+    KnowledgeBase,
+    Predicate,
+    avg_facts_per_predicate,
+    fact_order,
+    predicate_order,
+)
 from .logic import (
     Alp,
     DECODER,
@@ -251,7 +257,7 @@ def build_model(
     for j, d in enumerate(decoders):
         heads.setdefault(d.clause.head.predicate, []).append(j)
     kb_predicates = {f.predicate for f in kb.facts}
-    for p in sorted(kb.input_predicates, key=lambda p: (p.name, p.arity)):
+    for p in sorted(kb.input_predicates, key=predicate_order):
         if p in heads:
             constraints.append(
                 Constraint(AT_LEAST_ONE, tuple(VarId(j, DC) for j in heads[p]))

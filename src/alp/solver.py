@@ -35,6 +35,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import AlpError, InfeasibleError
+from .kb import predicate_order
 from .model import (
     AT_MOST_ONE_OF_PAIR,
     Assignment,
@@ -441,7 +442,7 @@ def initial_solution(
     by_head: dict = {}
     for j, p in enumerate(dc_heads):
         by_head.setdefault(p, []).append(j)
-    heads = sorted(by_head, key=lambda p: (p.name, p.arity))
+    heads = sorted(by_head, key=predicate_order)
     banned_latents: set = set()
 
     def usable(j: int) -> bool:

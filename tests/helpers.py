@@ -3,8 +3,10 @@ oracles kept deliberately independent of the library's evaluation path."""
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations, product
@@ -52,6 +54,17 @@ def cli_subprocess_env(hashseed: str) -> dict[str, str]:
         "PYTHONHASHSEED": hashseed,
         "PYTHONPATH": os.pathsep.join(pythonpath),
     }
+
+
+def load_workloads():
+    """The benchmark's seeded KB generators (``bench/workloads.py``, which
+    does not import alp)."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look the module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def pred(name, arity, origin="input"):

@@ -1,11 +1,8 @@
 """Body enumeration under mode bias, head generation, candidate pools."""
 
 import hashlib
-import importlib.util
 import random
-import sys
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 
@@ -41,6 +38,7 @@ from helpers import (
     fig1_kb,
     kb_of,
     lit,
+    load_workloads,
     pred,
     random_kb,
 )
@@ -352,17 +350,6 @@ class TestDecoderCandidates:
             assert cand.clause.head.predicate in kb.input_predicates
 
 
-def _load_workloads():
-    """The benchmark's seeded KB generators (``bench/workloads.py``, which
-    does not import alp)."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look the module up
-    spec.loader.exec_module(module)
-    return module
-
-
 def _pool(kb, config):
     """The pool stages in ``prepare_pool`` order: encoders, naming-variant
     survivors, decoders over the survivors."""
@@ -401,7 +388,7 @@ def test_pool_pinned(case, sizes, digest):
 def _pinned_case(case):
     """The KB and configuration of one pinned pool."""
     if case == "family-dec1":
-        kb = parse_kb(_load_workloads().family_kb(random.Random(1), 4, 3).text)
+        kb = parse_kb(load_workloads().family_kb(random.Random(1), 4, 3).text)
         assert len(kb.facts) == 76
         return kb, GenerationConfig(max_decoder_body_len=1)
     return fig1_kb(), GenerationConfig(

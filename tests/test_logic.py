@@ -1,10 +1,12 @@
 """Clause evaluation, programs, reconstruction loss, clause covering."""
 
+import hashlib
 import random
 from itertools import permutations
 
 import pytest
 
+from alp.errors import KbSyntaxError
 from alp.logic import (
     Alp,
     CONJUNCTION,
@@ -30,6 +32,7 @@ from helpers import (
     fact,
     kb_of,
     lit,
+    load_workloads,
     pred,
     random_clause,
     random_kb,
@@ -320,6 +323,80 @@ class TestProgramText:
             l.negated for c in alp.encoder.clauses for l in c.body
         )
         assert parse_program(serialize_program(alp)) == alp
+
+    def test_body_columns_count_from_line_start(self):
+        for text, column in [
+            ("#encoder\nlatent_1(X):-p(X);q(X),r(X).\n", 23),
+            ("#encoder\nlatent_1(X) :- p(X),not\tq(X).\n", 25),
+        ]:
+            with pytest.raises(KbSyntaxError, match="trailing") as err:
+                parse_program(text)
+            assert (err.value.line, err.value.column) == (2, column)
+
+    def test_family_program_pinned(self):
+        """SHA-256 of the benchmark's FAMILY_PROGRAM parsed and written back,
+        recorded with the two-pass parser."""
+        alp = parse_program(load_workloads().FAMILY_PROGRAM)
+        digest = hashlib.sha256(serialize_program(alp).encode()).hexdigest()
+        assert digest == "118426fa2f98b4d781f0b9700f0f7818a4347253fc0434cf4c47481aa5e6a82d"
+
+
+def _outcome(text):
+    """The program written back by ``serialize_program``, or the (line,
+    column) of the syntax error."""
+    try:
+        alp = parse_program(text)
+    except KbSyntaxError as err:
+        return err.line, err.column
+    return serialize_program(alp)
+
+
+# Outcomes recorded with the two-pass parser that came before the line
+# reader, except the two body columns of test_body_columns_count_from_line_start,
+# which it counted from the start of the split-off literal.
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (
+            "#encoder\nlatent_1(X) :- not(X).\n",
+            "#encoder\nlatent_1(X) :- not(X).\n#decoder\n",
+        ),
+        ("#encoder\nlatent_1(X) :- p(X),not\tq(X).\n", (2, 25)),
+        ("#encoder\nlatent_1(X):-p(X);q(X),r(X).\n", (2, 23)),
+        (
+            "#encoder\nlatent_1(X) :- p(X),not  q(X).\n",
+            "#encoder\nlatent_1(X) :- p(X),not q(X).\n#decoder\n",
+        ),
+        (
+            "#decoder\np(X) :- latent_1(X).\n#encoder\nlatent_1(X) :- p(X).\n",
+            "#encoder\nlatent_1(X) :- p(X).\n#decoder\np(X) :- latent_1(X).\n",
+        ),
+        (
+            "#encoder\nlatent_1(X) :- p(X,a).\n",
+            "#encoder\nlatent_1(X) :- p(X,a).\n#decoder\n",
+        ),
+        (  # #background names a predicate for every arity
+            "#background p/2\n#encoder\nlatent_1(X) :- p(X).\n",
+            "#background p/1\n#encoder\nlatent_1(X) :- p(X).\n#decoder\n",
+        ),
+        (
+            "#encoder\nlatent_1(X) :- p(X). % c\n\xa0\n#decoder\np(X) :- latent_1(X).\xa0\n",
+            "#encoder\nlatent_1(X) :- p(X).\n#decoder\np(X) :- latent_1(X).\n",
+        ),
+        (
+            "#encoder\nlatent_1(X) :-\xa0p(X).\n",
+            "#encoder\nlatent_1(X) :- p(X).\n#decoder\n",
+        ),
+        ("#encoder\nlatent_1(X) q :- p(X).\n", (2, 13)),
+        ("latent_1(X) :- p(X).\n", (1, 1)),
+        ("#encoder\nlatent_1(X) p(X).\n", (2, 1)),
+        ("#encoder\nlatent_1(X) :- p(X)\n", (2, 19)),
+        ("#encoder\nL(X) :- p(X).\n", (2, 2)),
+        ("#pred p/1\n", (1, 6)),
+    ],
+)
+def test_parse_outcome_pinned(text, expected):
+    assert _outcome(text) == expected
 
 
 class TestCanonicalForms:
