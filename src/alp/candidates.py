@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, product
 from math import comb
-from operator import itemgetter
 from typing import Iterator
 
 from .errors import CapacityError
@@ -54,7 +53,7 @@ from .logic import (
     Variable,
     _CANONICAL_PERMUTATION_CAP,
     body_key,
-    body_substitutions,
+    body_rows,
     body_variables,
     var_name,
 )
@@ -157,9 +156,6 @@ class CandidateClause:
     def weight(self) -> int:
         """The number of consequences."""
         return self.mask.bit_count()
-
-    def key(self) -> str:
-        return self.text
 
     def facts(self) -> frozenset[Fact]:
         """The consequences, decoded from the bitset."""
@@ -347,15 +343,9 @@ def _evaluate(
     joined once and every argument tuple projected from that join once;
     the body's text is rendered once and each head's text is added to it.
     """
-    substitutions = list(body_substitutions(literals, connective, store))
-    if not substitutions:
+    rows = body_rows(literals, connective, store, head_args)
+    if not any(rows):  # the body has no substitution
         return []
-    rows = []
-    for args in head_args:
-        projected = set(map(itemgetter(*args), substitutions))
-        if len(args) == 1:  # itemgetter returns the bare value
-            projected = {(v,) for v in projected}
-        rows.append(projected)
     arg_texts = [",".join(v.name for v in args) for args in head_args]
     body_text = ("," if connective == CONJUNCTION else ";").join(map(str, literals))
     out = []

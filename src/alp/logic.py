@@ -1,10 +1,14 @@
 """Clauses, logic programs, and their bottom-up evaluation.
 
-Evaluation is a per-clause nested-loop join over per-predicate hash indexes
-keyed by the bound argument positions.  Programs here are non-recursive, so
-one bottom-up pass reaches the fixpoint.  Negated body literals are handled
-under the closed-world assumption: the literal holds when the ground atom is
-absent from the fact set.
+A body is compiled once into integer slots and joined over rows of
+constants: a row starts with the clause's constants, and each literal's
+first-seen variables take the next slots.  A literal looks its bound slots up
+in a hash index of its predicate keyed by those argument positions, checks a
+variable repeated within it, and appends its new variables.  Negated literals
+come last and keep a row only when its ground atom is absent (closed-world
+assumption); a disjunction is one join per disjunct.  Every head over the
+body is projected from its rows by slot, so one join serves them all.
+Programs here are non-recursive, so one bottom-up pass reaches the fixpoint.
 
 Program text format, round-trippable through the parser:
 
@@ -24,7 +28,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 from .errors import KbSyntaxError
 from .kb import (
@@ -216,7 +220,8 @@ class Alp:
 
 
 class FactStore:
-    """Hash indexes over a fact set, built lazily per bound-position pattern."""
+    """Argument rows by predicate, with hash indexes built lazily per
+    pattern of bound positions."""
 
     def __init__(self, facts: Iterable[Fact]):
         self.by_pred: dict[Predicate, list[tuple[Constant, ...]]] = {}
@@ -224,88 +229,96 @@ class FactStore:
             self.by_pred.setdefault(f.predicate, []).append(f.args)
         self._indexes: dict = {}
 
-    def match(
-        self, predicate: Predicate, pattern: tuple[Constant | None, ...]
-    ) -> list[tuple[Constant, ...]]:
-        """All stored tuples agreeing with the pattern (None = free slot)."""
-        bound = tuple(i for i, v in enumerate(pattern) if v is not None)
-        index = self._index(predicate, bound)
-        key = tuple(pattern[i] for i in bound)
-        return index.get(key, [])
-
-    def _index(self, predicate: Predicate, bound: tuple[int, ...]):
+    def index(
+        self, predicate: Predicate, bound: tuple[int, ...]
+    ) -> dict[tuple[Constant, ...], list[tuple[Constant, ...]]]:
+        """The predicate's rows keyed by their values at the bound positions."""
         key = (predicate, bound)
         cached = self._indexes.get(key)
         if cached is None:
-            cached = {}
+            cached = self._indexes[key] = {}
             for args in self.by_pred.get(predicate, ()):
                 cached.setdefault(tuple(args[i] for i in bound), []).append(args)
-            self._indexes[key] = cached
         return cached
 
 
-def _instantiate(literal: Literal, subst: dict[Variable, Constant]) -> Fact:
-    args = tuple(
-        subst[a] if isinstance(a, Variable) else a for a in literal.args
-    )
-    return Fact(literal.predicate, args)
+Row = tuple[Constant, ...]
 
 
-def _join(
-    literals: tuple[Literal, ...],
-    store: FactStore,
-    subst: dict[Variable, Constant],
-    out: list[dict[Variable, Constant]],
-):
-    if not literals:
-        out.append(dict(subst))
-        return
-    lit, rest = literals[0], literals[1:]
-    if lit.negated:
-        # Safety guarantees all variables are bound by now.
-        if not store.match(lit.predicate, _instantiate(lit, subst).args):
-            _join(rest, store, subst, out)
-        return
-    pattern = tuple(
-        subst.get(a) if isinstance(a, Variable) else a for a in lit.args
-    )
-    for args in store.match(lit.predicate, pattern):
-        bound: list[Variable] = []
-        ok = True
-        for a, value in zip(lit.args, args):
-            if isinstance(a, Variable):
-                seen = subst.get(a)
-                if seen is None:
-                    subst[a] = value
-                    bound.append(a)
-                elif seen != value:
-                    # Repeated variable in this literal bound inconsistently.
-                    ok = False
-                    break
-        if ok:
-            _join(rest, store, subst, out)
-        for v in bound:
-            del subst[v]
+def _compile(literals: tuple[Literal, ...], head_args: list[tuple[Term, ...]]):
+    """The join plan of a conjunction over slot rows, and each head's slots.
 
-
-def body_substitutions(
-    body: tuple[Literal, ...], connective: str, store: FactStore
-) -> Iterator[dict[Variable, Constant]]:
-    """Every substitution of the body's variables that satisfies the body.
-
-    A conjunction needs one substitution satisfying all literals, with the
-    negated ones evaluated last so their variables are bound; a disjunction
-    yields the substitutions of each disjunct in turn, so only one
-    disjunct's are held at a time.
+    A row starts with the constants of the literals and heads, and each
+    literal's first-seen variables take the next slots.  A step is the
+    literal's predicate, whether it is negated, its bound positions with
+    their slots, the positions it appends, and (position, earlier position)
+    pairs for a variable repeated within it.  Negated literals come last,
+    so all their positions are bound.
     """
-    if connective == DISJUNCTION:
-        joins = [(lit,) for lit in body]
-    else:  # a stable sort keeps the literals' order within each group
-        joins = [tuple(sorted(body, key=lambda l: l.negated))]
+    literals = sorted(literals, key=lambda l: l.negated)  # stable
+    slot: dict = {}  # a constant's slot by the constant, a variable's by its name
+    for args in [l.args for l in literals] + head_args:
+        for a in args:
+            if type(a) is not Variable:
+                slot.setdefault(a, len(slot))
+    start = tuple(slot)
+    steps = []
+    for lit in literals:
+        keys = [a.name if type(a) is Variable else a for a in lit.args]
+        bound, slots, new, repeats = [], [], [], []
+        for i, k in enumerate(keys):
+            if k in slot:
+                bound.append(i)
+                slots.append(slot[k])
+            elif k in keys[:i]:
+                repeats.append((i, keys.index(k)))
+            else:
+                new.append(i)
+        for i in new:
+            slot[keys[i]] = len(slot)
+        steps.append((lit.predicate, lit.negated, tuple(bound), slots, new, repeats))
+    return start, steps, [
+        [slot[a.name if type(a) is Variable else a] for a in args] for args in head_args
+    ]
+
+
+def _join(start: Row, steps, store: FactStore) -> list[Row]:
+    """Every row that extends ``start`` and satisfies the steps in order."""
+    rows = [start]
+    for predicate, negated, positions, slots, new, repeats in steps:
+        index = store.index(predicate, positions)
+        if negated:  # closed world: the atom must be absent
+            rows = [r for r in rows if tuple([r[s] for s in slots]) not in index]
+            continue
+        rows = [
+            row + tuple([args[i] for i in new])
+            for row in rows
+            for args in index.get(tuple([row[s] for s in slots]), ())
+            if not repeats or all(args[i] == args[j] for i, j in repeats)
+        ]
+    return rows
+
+
+def body_rows(
+    body: tuple[Literal, ...],
+    connective: str,
+    store: FactStore,
+    head_args: list[tuple[Term, ...]],
+) -> list[set[Row]]:
+    """For each tuple of terms in ``head_args``, its ground instances under
+    every substitution that satisfies the body.
+
+    A conjunction is joined once and every tuple projected from that join;
+    a disjunction is one join per disjunct.
+    """
+    joins = [(lit,) for lit in body] if connective == DISJUNCTION else [body]
+    out: list[set[Row]] = [set() for _ in head_args]
     for literals in joins:
-        out: list[dict[Variable, Constant]] = []
-        _join(literals, store, {}, out)
-        yield from out
+        start, steps, heads = _compile(literals, head_args)
+        rows = _join(start, steps, store)
+        for projected, slots in zip(out, heads):
+            projected.update(tuple([row[s] for s in slots]) for row in rows)
+    return out
 
 
 def ground_consequences(
@@ -313,22 +326,15 @@ def ground_consequences(
 ) -> frozenset[Fact]:
     """Every ground head instance whose body is satisfied by the facts."""
     store = facts if isinstance(facts, FactStore) else FactStore(facts)
-    return frozenset(
-        _instantiate(clause.head, s)
-        for s in body_substitutions(clause.body, clause.body_connective, store)
-    )
+    (rows,) = body_rows(clause.body, clause.body_connective, store, [clause.head.args])
+    return frozenset(Fact(clause.head.predicate, args) for args in rows)
 
 
-def apply_program(
-    program: LogicProgram, facts: Iterable[Fact] | FactStore
-) -> frozenset[Fact]:
+def apply_program(program: LogicProgram, facts: Iterable[Fact]) -> frozenset[Fact]:
     """One bottom-up pass: the union of all clause consequences.  A body
     predicate absent from the facts contributes no consequences."""
-    store = facts if isinstance(facts, FactStore) else FactStore(facts)
-    out: set[Fact] = set()
-    for clause in program.clauses:
-        out.update(ground_consequences(clause, store))
-    return frozenset(out)
+    store = FactStore(facts)
+    return frozenset().union(*(ground_consequences(c, store) for c in program.clauses))
 
 
 def encode(alp: Alp, kb: KnowledgeBase) -> frozenset[Fact]:
@@ -436,7 +442,9 @@ def _read_clause(line_no: int, code: str):
     cut = code.find(":-")
     if cut < 0:
         raise KbSyntaxError("expected ':-' in clause", line_no, 1)
-    _, name, args, pos = read_atom(code[:cut], 0, line_no, negatable=True)
+    negated, name, args, pos = read_atom(code[:cut], 0, line_no, negatable=True)
+    if negated:
+        raise KbSyntaxError("clause head must be positive", line_no, 1)
     expect_end(code[:cut], pos, line_no, "clause head")
     pos = len(code) - len(code[cut + 2 :].lstrip())  # the body's first character
     if not code.rstrip().endswith("."):
@@ -463,7 +471,8 @@ def parse_program(text: str) -> Alp:
     background: dict[str, str] = {}  # origin by predicate name
     for line_no, code in code_lines(text):
         if code.lstrip().startswith("#"):
-            directive, key, _, _ = read_directive(line_no, code, _PROGRAM_DIRECTIVES)
+            directive, key, _, pos = read_directive(line_no, code, _PROGRAM_DIRECTIVES)
+            expect_end(code, pos, line_no, "directive")
             if directive == "background":
                 background[key[0]] = ORIGIN_BACKGROUND
             else:

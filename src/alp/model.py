@@ -193,7 +193,7 @@ def build_model(
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     encoders = sorted(encoders, key=lambda c: latent_ordinal(c.clause.head.predicate))
-    decoders = sorted(decoders, key=lambda c: c.key())
+    decoders = sorted(decoders, key=lambda c: c.text)
     if not encoders:
         raise InfeasibleError("no candidate encoder clauses survive generation")
     pool_index(encoders)

@@ -454,7 +454,7 @@ def initial_solution(
         """Share of false atoms, then more true atoms, then the clause text."""
         size = model.dc_candidates[j].weight
         true = true_counts[j]
-        return (Fraction(size - true, size), -true, model.dc_candidates[j].key())
+        return (Fraction(size - true, size), -true, model.dc_candidates[j].text)
 
     selected: set[int] = set()
     # A pass over the bottleneck bans a latent that the selection still

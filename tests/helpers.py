@@ -184,10 +184,11 @@ def random_kb(
     max_predicates=4,
     max_arity=2,
     max_facts=10,
+    min_arity=1,
 ) -> KnowledgeBase:
     constants = [Constant(f"c{i}") for i in range(rng.randint(2, max_constants))]
     predicates = [
-        Predicate(f"p{i}", rng.randint(1, max_arity))
+        Predicate(f"p{i}", rng.randint(min_arity, max_arity))
         for i in range(rng.randint(2, max_predicates))
     ]
     facts = set()
@@ -221,6 +222,47 @@ def random_clause(rng: random.Random, kb: KnowledgeBase) -> Clause:
     head_args = tuple(body_vars[:k])
     head = Literal(Predicate("latent_1", k, "latent"), head_args)
     return Clause(head, tuple(body), CONJUNCTION)
+
+
+def random_rich_clause(rng: random.Random, kb: KnowledgeBase) -> Clause:
+    """A random clause over the KB vocabulary that reaches every join path.
+
+    A term is a constant one time in five, and the constant ``k`` is in no
+    fact, so a head can hold a constant its body lacks.  Arity-0 predicates
+    come from the KB, a variable may repeat within a literal, a conjunction
+    may carry one negated literal over its bound variables (placed anywhere
+    in the body), and one clause in three is a disjunction.
+    """
+    preds = sorted(kb.vocabulary, key=lambda p: (p.name, p.arity))
+    constants = sorted(kb.constants, key=lambda c: c.symbol) + [Constant("k")]
+    variables = [Variable(n) for n in "XYZ"]
+
+    def term(choices):
+        return rng.choice(constants) if rng.random() < 0.2 else rng.choice(choices)
+
+    if rng.random() < 1 / 3:
+        arity = rng.choice(sorted({p.arity for p in preds}))
+        same = [p for p in preds if p.arity == arity]
+        args = tuple(term(variables) for _ in range(arity))
+        size = min(len(same), rng.randint(2, 3))
+        body = tuple(Literal(p, args) for p in rng.sample(same, size))
+        connective = DISJUNCTION
+    else:
+        body = [
+            Literal(p, tuple(term(variables) for _ in range(p.arity)))
+            for p in rng.choices(preds, k=rng.randint(1, 3))
+        ]
+        bound = [v for l in body for v in l.variables()]
+        if bound and rng.random() < 0.4:
+            p = rng.choice(preds)
+            negated = Literal(p, tuple(term(bound) for _ in range(p.arity)), True)
+            body.insert(rng.randint(0, len(body)), negated)
+        body = tuple(body)
+        connective = CONJUNCTION
+    bound = [v for l in body if not l.negated for v in l.variables()]
+    head_args = tuple(term(bound or constants) for _ in range(rng.randint(0, 3)))
+    head = Literal(Predicate("latent_1", len(head_args), "latent"), head_args)
+    return Clause(head, body, connective)
 
 
 def default_config(**overrides) -> GenerationConfig:

@@ -165,6 +165,15 @@ class TestEncodeDecode:
         assert code == 0
         assert out.read_text() == ""
 
+    def test_malformed_model_is_parse_failure(self, family, tmp_path):
+        model = tmp_path / "bad.alp"
+        for text in (
+            "#encoder\nnot latent_1(X,Y) :- father(X,Y).\n",
+            "#encoder junk\nlatent_1(X,Y) :- father(X,Y).\n",
+        ):
+            model.write_text(text, encoding="utf-8")
+            assert main(["encode", str(model), str(family)]) == 2
+
     def test_unknown_predicate_is_vocabulary_error(self, family, tmp_path):
         main(learn_args(family, tmp_path))
         alien = tmp_path / "alien.facts"

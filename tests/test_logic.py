@@ -20,12 +20,15 @@ from alp.logic import (
     apply_program,
     body_key,
     body_variables,
+    encode,
     ground_consequences,
     loss_parts,
     parse_program,
+    reconstruct,
     reconstruction_loss,
     serialize_program,
 )
+from alp.kb import KnowledgeBase, parse_kb, serialize_kb
 from helpers import (
     brute_force_consequences,
     canonical_body,
@@ -36,6 +39,7 @@ from helpers import (
     pred,
     random_clause,
     random_kb,
+    random_rich_clause,
     reference_body_key,
 )
 
@@ -106,6 +110,59 @@ class TestGroundConsequences:
             assert ground_consequences(clause, kb.facts) == (
                 brute_force_consequences(clause, kb.facts)
             ), str(clause)
+        seen = {"constant": 0, "arity 0": 0, "negated": 0, "repeat": 0, "or": 0}
+        rng = random.Random(41)
+        for _ in range(300):
+            kb = random_kb(rng, max_constants=3, max_facts=8, min_arity=0)
+            clause = random_rich_clause(rng, kb)
+            assert ground_consequences(clause, kb.facts) == (
+                brute_force_consequences(clause, kb.facts)
+            ), str(clause)
+            literals = (clause.head, *clause.body)
+            seen["constant"] += any(
+                len(l.variables()) < len(l.args) for l in literals
+            )
+            seen["arity 0"] += any(not l.args for l in clause.body)
+            seen["negated"] += any(l.negated for l in clause.body)
+            seen["repeat"] += any(
+                len(set(l.variables())) < len(l.variables()) for l in clause.body
+            )
+            seen["or"] += clause.body_connective == DISJUNCTION
+        assert min(seen.values()) >= 20, seen
+
+    def test_head_constant_outside_the_body(self):
+        alp = parse_program("#encoder\nlatent_1(X,c) :- p(X,Y).\n#decoder\n")
+        p = pred("p", 2)
+        kb = kb_of(fact(p, "a", "b"), fact(p, "a", "d"), fact(p, "e", "a"))
+        latent = pred("latent_1", 2, "latent")
+        assert encode(alp, kb) == {fact(latent, "a", "c"), fact(latent, "e", "c")}
+
+    def test_arity_zero_clause(self):
+        alp = parse_program("#encoder\nlatent_1 :- q.\n#decoder\n")
+        q, r = pred("q", 0), pred("r", 1)
+        assert encode(alp, kb_of(fact(q), fact(r, "a"))) == {
+            fact(pred("latent_1", 0, "latent"))
+        }
+        assert encode(alp, kb_of(fact(r, "a"), extra_predicates=[q])) == frozenset()
+
+    def test_apply_path_pinned(self):
+        """SHA-256 of the encoding and the reconstruction of the benchmark's
+        large family KB (family-dec1, seed 1) under FAMILY_PROGRAM, recorded
+        with the substitution-dict join."""
+        workloads = load_workloads()
+        _, large = workloads.generate(workloads.WORKLOADS["family-dec1"], 1)
+        kb = parse_kb(large.text)
+        alp = parse_program(workloads.FAMILY_PROGRAM)
+        digests = [
+            hashlib.sha256(
+                serialize_kb(KnowledgeBase.from_facts(facts)).encode()
+            ).hexdigest()
+            for facts in (encode(alp, kb), reconstruct(alp, kb))
+        ]
+        assert digests == [
+            "81786b47311a54e7d91ca367bc34bbbb5659c956b32f2152e960351bfae956db",
+            "dd9611a096a558b307f1a284726f509677d59b4959598731d7c63cfc6ff6dc6a",
+        ]
 
     def test_disjunction_equals_union_of_disjuncts(self):
         rng = random.Random(23)
@@ -332,6 +389,21 @@ class TestProgramText:
             with pytest.raises(KbSyntaxError, match="trailing") as err:
                 parse_program(text)
             assert (err.value.line, err.value.column) == (2, column)
+
+    def test_negated_head_rejected(self):
+        with pytest.raises(KbSyntaxError, match="positive") as err:
+            parse_program("#encoder\nlatent_1(X) :- p(X).\nnot latent_2(X) :- p(X).\n")
+        assert (err.value.line, err.value.column) == (3, 1)
+
+    def test_text_after_directive_rejected(self):
+        for text, line, column in [
+            ("#encoder junk\nlatent_1(X) :- p(X).\n", 1, 10),
+            ("#background p/1 junk\n#encoder\nlatent_1(X) :- p(X).\n", 1, 17),
+            ("#encoder\nlatent_1(X) :- p(X).\n#decoder\t% c\n#decoder x\n", 4, 10),
+        ]:
+            with pytest.raises(KbSyntaxError, match="trailing") as err:
+                parse_program(text)
+            assert (err.value.line, err.value.column) == (line, column)
 
     def test_family_program_pinned(self):
         """SHA-256 of the benchmark's FAMILY_PROGRAM parsed and written back,

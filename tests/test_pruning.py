@@ -141,8 +141,8 @@ class TestSignatureVariants:
             lit(P2, "X", "Y"), (lit(L3, "X"), lit(L1, "X", "Y")), facts, index
         )
         survivors = prune_signature_variants([a, b])
-        assert survivors[0].key() == min(a.key(), b.key())
-        assert a.key() == str(a.clause) and b.key() == str(b.clause)
+        assert survivors[0].text == min(a.text, b.text)
+        assert a.text == str(a.clause) and b.text == str(b.clause)
 
     def test_idempotent(self):
         index = AtomIndex()
