@@ -9,7 +9,6 @@ from .kb import (
     ModeDeclaration,
     Predicate,
     avg_facts_per_predicate,
-    herbrand_base,
     parse_kb,
     parse_kb_document,
     serialize_kb,
@@ -47,7 +46,6 @@ __all__ = [
     "apply_program",
     "avg_facts_per_predicate",
     "ground_consequences",
-    "herbrand_base",
     "parse_kb",
     "parse_kb_document",
     "parse_program",

@@ -214,9 +214,11 @@ def _model_predicates(alp: Alp) -> dict[tuple[str, int], object]:
 
 def _remap_facts(facts, known: dict, role: str) -> frozenset[Fact]:
     unknown = sorted(
-        f"{f.predicate.name}/{f.predicate.arity}"
-        for f in facts
-        if (f.predicate.name, f.predicate.arity) not in known
+        {
+            f"{f.predicate.name}/{f.predicate.arity}"
+            for f in facts
+            if (f.predicate.name, f.predicate.arity) not in known
+        }
     )
     if unknown:
         raise VocabularyError(f"{role} predicates unknown to the model: {unknown}")

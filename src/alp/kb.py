@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .errors import CapacityError, KbSyntaxError
+from .errors import KbSyntaxError
 
 NAME_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 
@@ -34,8 +34,6 @@ MODE_BOUND = "+"
 MODE_UNBOUND = "-"
 MODE_EITHER = "?"
 MODE_SLOTS = (MODE_BOUND, MODE_UNBOUND, MODE_EITHER)
-
-DEFAULT_HERBRAND_CEILING = 1_000_000
 
 _KB_DIRECTIVES = ("pred", "background", "mode")
 
@@ -351,37 +349,6 @@ def serialize_kb(kb: KnowledgeBase, modes: dict[Predicate, ModeDeclaration] | No
     for f in sorted(kb.facts | kb.background, key=fact_order):
         out.append(f"{f}.")
     return "\n".join(out) + ("\n" if out else "")
-
-
-def herbrand_base(
-    vocabulary: Iterable[Predicate],
-    constants: Iterable[Constant],
-    ceiling: int = DEFAULT_HERBRAND_CEILING,
-) -> frozenset[Fact]:
-    """All ground atoms over the vocabulary and constants.
-
-    The result has exactly sum(|C|^arity) atoms, which grows fast; a
-    CapacityError guards against accidental blowups.  Intended for
-    desk-scale instances and test oracles.
-    """
-    preds = sorted(set(vocabulary), key=predicate_order)
-    consts = sorted(set(constants), key=lambda c: c.symbol)
-    size = sum(len(consts) ** p.arity for p in preds)
-    if size > ceiling:
-        raise CapacityError(f"Herbrand base has {size} atoms, ceiling {ceiling}")
-    atoms = set()
-    for p in preds:
-        atoms.update(Fact(p, args) for args in _tuples(consts, p.arity))
-    return frozenset(atoms)
-
-
-def _tuples(consts: list[Constant], n: int) -> Iterator[tuple[Constant, ...]]:
-    if n == 0:
-        yield ()
-        return
-    for prefix in _tuples(consts, n - 1):
-        for c in consts:
-            yield prefix + (c,)
 
 
 def avg_facts_per_predicate(kb: KnowledgeBase) -> Fraction:

@@ -24,12 +24,23 @@ the row sum(members) - cl <= 0; a lone candidate stands for its own class.
 So a class is stated once, not once per pair of its members.  The
 objective counts missing KB atoms (1 - rf) and false reconstructions (rf);
 KB facts no candidate can reconstruct are a constant offset.
+
+An assignment is a dense list of 0/1 values with one position per
+variable, in ``CopModel.all_ids`` order: every ec, then every dc, then
+every rf, then every cl, each kind by index, so ``VarId(i, kind)`` sits at
+``first[kind] + i``.  The model compiles each constraint once into the
+positions of its variables (``CopModel.rows``); the audit, the objective
+and the solver read only that compiled form, and ``VarId``s remain for
+the text dump and error messages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
+from operator import mul
 
 from .candidates import (
     CandidateClause,
@@ -96,7 +107,11 @@ class Constraint:
             raise ValueError("pairwise constraint needs exactly two vars")
 
 
-Assignment = dict[VarId, int]
+# One 0/1 value per position of ``CopModel.all_ids``: ec, dc, rf, then cl.
+Assignment = list[int]
+
+# A constraint compiled to positions: (form, positions of its vars, coeffs).
+Row = tuple[str, tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -115,21 +130,42 @@ class CopModel:
     avg_facts: Fraction
     warnings: tuple[str, ...] = ()
 
-    @property
-    def ec_ids(self) -> list[VarId]:
-        return [VarId(i, EC) for i in range(len(self.ec_candidates))]
-
-    @property
-    def dc_ids(self) -> list[VarId]:
-        return [VarId(i, DC) for i in range(len(self.dc_candidates))]
-
-    @property
-    def rf_ids(self) -> list[VarId]:
-        return [VarId(i, RF) for i in range(len(self.rf_atoms))]
+    def _sizes(self) -> dict[str, int]:
+        return {
+            EC: len(self.ec_candidates),
+            DC: len(self.dc_candidates),
+            RF: len(self.rf_atoms),
+            CL: len(self.class_members),
+        }
 
     def all_ids(self) -> list[VarId]:
-        cl_ids = [VarId(k, CL) for k in range(len(self.class_members))]
-        return self.ec_ids + self.dc_ids + self.rf_ids + cl_ids
+        """The variable at each position of an assignment."""
+        return [VarId(i, kind) for kind, n in self._sizes().items() for i in range(n)]
+
+    @cached_property
+    def first(self) -> dict[str, int]:
+        """The position of index 0 of each kind."""
+        sizes = self._sizes()
+        return dict(zip(sizes, accumulate(sizes.values(), initial=0)))
+
+    def _positions(self, variables: tuple[VarId, ...]) -> tuple[int, ...]:
+        first = self.first
+        return tuple([first[v.kind] + v.index for v in variables])
+
+    @cached_property
+    def rows(self) -> tuple[Row, ...]:
+        """Each constraint compiled to positions, parallel to ``constraints``."""
+        return tuple(
+            [
+                (con.form, self._positions(con.vars), con.coeffs)
+                for con in self.constraints
+            ]
+        )
+
+    @cached_property
+    def class_positions(self) -> tuple[tuple[int, ...], ...]:
+        """The positions of the members of each cl."""
+        return tuple(map(self._positions, self.class_members))
 
     def size_summary(self) -> dict:
         return {
@@ -309,17 +345,17 @@ def build_model(
 
 def check_assignment(model: CopModel, assignment: Assignment) -> list[Constraint]:
     """Every constraint the assignment violates; empty means feasible."""
+    value = assignment.__getitem__
     violations = []
-    for con in model.constraints:
-        values = [assignment[v] for v in con.vars]
-        if con.form == IFF_OR:
-            ok = values[0] == (1 if any(values[1:]) else 0)
-        elif con.form == AT_MOST_ONE_OF_PAIR:
-            ok = values[0] + values[1] <= 1
-        elif con.form == AT_LEAST_ONE:
-            ok = any(values)
+    for con, (form, ps, coeffs) in zip(model.constraints, model.rows):
+        if form == IFF_OR:
+            ok = value(ps[0]) == any(map(value, ps[1:]))
+        elif form == AT_MOST_ONE_OF_PAIR:
+            ok = value(ps[0]) + value(ps[1]) <= 1
+        elif form == AT_LEAST_ONE:
+            ok = any(map(value, ps))
         else:
-            ok = sum(a * v for a, v in zip(con.coeffs, values)) <= 0
+            ok = sum(map(mul, coeffs, map(value, ps))) <= 0
         if not ok:
             violations.append(con)
     return violations
@@ -337,12 +373,8 @@ def objective_value(model: CopModel, assignment: Assignment) -> int:
             f"{len(violations)} violated constraint(s), first: {violations[0]}"
         )
     total = model.constant_offset
-    for i, in_kb in enumerate(model.rf_in_kb):
-        value = assignment[VarId(i, RF)]
-        if in_kb:
-            total += 1 - value
-        else:
-            total += value
+    for p, in_kb in enumerate(model.rf_in_kb, model.first[RF]):
+        total += 1 - assignment[p] if in_kb else assignment[p]
     return total
 
 
@@ -352,37 +384,35 @@ def assignment_from_dc(model: CopModel, selected: set[int]) -> Assignment:
     ec, rf and cl values follow their defining disjunctions, which is the
     unique completion satisfying them.
     """
-    assignment: Assignment = {}
-    for j in range(len(model.dc_candidates)):
-        assignment[VarId(j, DC)] = 1 if j in selected else 0
-    used_latents = {
-        lit.predicate
-        for j in selected
-        for lit in model.dc_candidates[j].clause.body
-    }
-    for i, c in enumerate(model.ec_candidates):
-        assignment[VarId(i, EC)] = 1 if c.clause.head.predicate in used_latents else 0
-    for k, members in enumerate(model.class_members):
-        assignment[VarId(k, CL)] = max(assignment[v] for v in members)
+    dc = [0] * len(model.dc_candidates)
+    used_latents = set()
     reconstructed = 0
     for j in selected:
-        reconstructed |= model.dc_candidates[j].mask
-    for i, bit in enumerate(model.rf_bits):
-        assignment[VarId(i, RF)] = reconstructed >> bit & 1
+        dc[j] = 1
+        candidate = model.dc_candidates[j]
+        used_latents.update(lit.predicate for lit in candidate.clause.body)
+        reconstructed |= candidate.mask
+    assignment = [
+        1 if c.clause.head.predicate in used_latents else 0
+        for c in model.ec_candidates
+    ]
+    assignment += dc
+    assignment += [reconstructed >> bit & 1 for bit in model.rf_bits]
+    value = assignment.__getitem__
+    assignment += [max(map(value, ps)) for ps in model.class_positions]
     return assignment
 
 
 def induced_alp(model: CopModel, assignment: Assignment) -> Alp:
     """The ALP selected by the assignment's ec/dc variables."""
+    n_ec = len(model.ec_candidates)
     enc_clauses = tuple(
-        c.clause
-        for i, c in enumerate(model.ec_candidates)
-        if assignment[VarId(i, EC)] == 1
+        c.clause for c, v in zip(model.ec_candidates, assignment) if v == 1
     )
     dec_clauses = tuple(
         c.clause
-        for j, c in enumerate(model.dc_candidates)
-        if assignment[VarId(j, DC)] == 1
+        for c, v in zip(model.dc_candidates, assignment[n_ec:])
+        if v == 1
     )
     encoder = LogicProgram(enc_clauses, ENCODER)
     decoder = LogicProgram(dec_clauses, DECODER)

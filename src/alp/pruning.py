@@ -9,7 +9,6 @@ reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import attrgetter
 
 from .candidates import CandidateClause, latent_ordinal, pool_index
@@ -86,12 +85,6 @@ def prune_signature_variants(
             body_predicates[id(cand.body)] = preds
         groups.setdefault((cand.head.predicate, cand.mask, preds), cand)
     return sorted(groups.values(), key=attrgetter("text"))
-
-
-def corruption_level(decoder: CandidateClause, kb: KnowledgeBase) -> Fraction:
-    """Fraction of the decoder's reconstructions that are not KB facts."""
-    false = (decoder.mask & ~decoder.index.kb_mask_of(kb)).bit_count()
-    return Fraction(false, decoder.weight)
 
 
 def prune_corrupt(

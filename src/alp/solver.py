@@ -1,8 +1,9 @@
 """Objective minimization: LNS around a complete branch-and-bound subsolver.
 
-The subsolver compiles the model once into dense integer positions and
-branches over ec/dc positions only; rf positions follow from their defining
-disjunctions by propagation.  Propagation is counter based, in the manner of
+The subsolver builds its propagation tables once from the model's rows,
+which already name variables by assignment position, and branches over
+ec/dc positions only; rf positions follow from their defining disjunctions
+by propagation.  Propagation is counter based, in the manner of
 watched-literal SAT solvers: every iff_or and at_least_one constraint keeps
 how many of its body positions are 1 and how many are unassigned, and the
 bottleneck keeps the least sum it can still reach.  The counters move on
@@ -42,11 +43,9 @@ from .model import (
     CL,
     CopModel,
     DC,
-    EC,
     IFF_OR,
     LINEAR_LE,
     RF,
-    VarId,
     assignment_from_dc,
     check_assignment,
     objective_value,
@@ -96,16 +95,17 @@ class ExactResult:
 
 
 class _Searcher:
-    """One model compiled into dense integer positions for repeated search.
+    """Propagation tables over one model's positions, for repeated search.
 
-    Positions follow ``CopModel.all_ids``: ec, then dc, then rf, then cl,
-    and one more position that is always 1.  Each iff_or constraint keeps
-    its head position and body tuple; an at_least_one constraint is a body
-    whose head is the always-1 position.  A class's at-most-one row is left
-    to its iff_or.  The generality pairs become a conflict adjacency list
-    per position, the bottleneck one coefficient per position.
-    The model is compiled by the first ``solve``, so that a caller can hold
-    a searcher before it knows whether any search will run.
+    Positions are the model's assignment positions (``CopModel.rows``
+    holds each constraint's), plus one more that is always 1; the searcher
+    holds no ``VarId``.  Each iff_or row keeps its head position and body
+    tuple; an at_least_one row is a body whose head is the always-1
+    position.  A class's at-most-one row is left to its iff_or.  The
+    generality pairs become a conflict adjacency list per position, the
+    bottleneck one coefficient per position.  The tables are built by the
+    first ``solve``, so that a caller can hold a searcher before it knows
+    whether any search will run.
     """
 
     def __init__(self, model: CopModel):
@@ -114,16 +114,11 @@ class _Searcher:
 
     def _compile(self) -> None:
         model = self.model
-        self.vars: list[VarId] = model.all_ids()
-        n = len(self.vars)
-        n_ec, n_dc = len(model.ec_candidates), len(model.dc_candidates)
-        n_rf = len(model.rf_atoms)
-        first = {EC: 0, DC: n_ec, RF: n_ec + n_dc, CL: n_ec + n_dc + n_rf}
-        self.first = first
+        first = model.first
+        self.n = n = first[CL] + len(model.class_members)
         # The positions each class position stands for.
         members = {
-            first[CL] + k: [first[v.kind] + v.index for v in vs]
-            for k, vs in enumerate(model.class_members)
+            first[CL] + k: ps for k, ps in enumerate(model.class_positions)
         }
         degree = [0] * n
         partners: list[list[int]] = [[] for _ in range(n)]
@@ -134,9 +129,8 @@ class _Searcher:
         at_most_one: list[bool] = []
         coeff = [0] * n
         linear = 0
-        for con in model.constraints:
-            ps = [first[v.kind] + v.index for v in con.vars]
-            if con.form == AT_MOST_ONE_OF_PAIR:
+        for form, ps, coeffs in model.rows:
+            if form == AT_MOST_ONE_OF_PAIR:
                 a, b = ps
                 partners[a].append(b)
                 partners[b].append(a)
@@ -145,21 +139,21 @@ class _Searcher:
                     for m in members.get(x, (x,)):
                         degree[m] += len(members.get(y, (y,)))
                 continue
-            if con.form == LINEAR_LE and ps[-1] in members:
+            if form == LINEAR_LE and ps[-1] in members:
                 continue  # a class's at-most-one, carried by its iff_or
             weight = len(members[ps[0]]) - 1 if ps[0] in members else 1
             for p in ps:
                 degree[p] += weight
-            if con.form == LINEAR_LE:
+            if form == LINEAR_LE:
                 linear += 1
                 if linear > 1:
                     raise ValueError("the search expects one linear_le constraint")
-                for p, a in zip(ps, con.coeffs):
+                for p, a in zip(ps, coeffs):
                     coeff[p] = a
                 continue
             c = len(heads)
             at_most_one.append(ps[0] in members)
-            if con.form == IFF_OR:
+            if form == IFF_OR:
                 heads.append(ps[0])
                 watch[ps[0]].append(c)
                 ps = ps[1:]
@@ -187,12 +181,12 @@ class _Searcher:
         self.penalty = [(0, 0)] * n
         for i, in_kb in enumerate(model.rf_in_kb):
             self.penalty[first[RF] + i] = (1, 0) if in_kb else (0, 1)
-        self.static_order = sorted(range(n_ec + n_dc), key=lambda p: (-degree[p], p))
+        self.static_order = sorted(range(first[RF]), key=lambda p: (-degree[p], p))
         self.compiled = True
 
     def solve(
         self,
-        fixed: Assignment,
+        fixed: dict[int, int],
         fail_limit: int,
         incumbent_bound: float,
         incumbent: Assignment | None = None,
@@ -200,8 +194,10 @@ class _Searcher:
     ) -> ExactResult:
         """Depth-first branch and bound below ``incumbent_bound``.
 
-        ``deadline`` is a ``time.monotonic`` instant, polled every 1,024
-        nodes; reaching it returns the best completion so far as incomplete.
+        ``fixed`` maps positions to values; each branch tries the
+        incumbent's value first, or 0 without one.  ``deadline`` is a
+        ``time.monotonic`` instant, polled every 1,024 nodes; reaching it
+        returns the best completion so far as incomplete.
         """
         if not self.compiled:
             self._compile()
@@ -210,7 +206,7 @@ class _Searcher:
         linear_desc, linear_rise = self.linear_desc, self.linear_rise
         penalty = self.penalty
         static_order = self.static_order
-        values = [UNASSIGNED] * len(self.vars) + [1]  # + the always-1 position
+        values = [UNASSIGNED] * self.n + [1]  # + the always-1 position
         ones = [0] * len(heads)
         free = [len(body) for body in bodies]
         trail: list[int] = []
@@ -303,9 +299,8 @@ class _Searcher:
                         return True
             return False
 
-        first = self.first
-        for var, v in fixed.items():
-            assign(first[var.kind] + var.index, v)
+        for p, v in fixed.items():
+            assign(p, v)
         if (
             check_linear()
             or any(check(c) for c in range(len(heads)))
@@ -318,9 +313,7 @@ class _Searcher:
         failures = 0
         nodes = 0
         last_conflict: int | None = None
-        first_values = (
-            [incumbent.get(v, 0) for v in self.vars] if incumbent is not None else None
-        )
+        first_values = incumbent if incumbent is not None else [0] * self.n
         # static_order[:scan] is assigned; each frame keeps the scan of the
         # state it backtracks to.
         scan = 0
@@ -364,13 +357,13 @@ class _Searcher:
                 if p is None:
                     # All ec/dc decided; propagation has settled every rf.
                     assert UNASSIGNED not in values
-                    best = dict(zip(self.vars, values))
+                    best = values[:-1]
                     best_obj = lb
                     conflict = True  # keep searching for strictly better
                 else:
                     if expired():
                         return result(False)
-                    v = first_values[p] if first_values is not None else 0
+                    v = first_values[p]
                     frames.append([p, 1 - v, len(trail), scan])
                     conflict = branch(p, v)
                     if conflict:
@@ -401,12 +394,12 @@ class _Searcher:
 
 def solve_exact(
     model: CopModel,
-    fixed: Assignment | None = None,
+    fixed: dict[int, int] | None = None,
     fail_limit: int = 10_000,
     incumbent_bound: float = float("inf"),
     incumbent: Assignment | None = None,
 ) -> ExactResult:
-    """Complete depth-first branch and bound over the unfixed variables.
+    """Complete depth-first branch and bound over the unfixed positions.
 
     Returns the best completion strictly below incumbent_bound, or None if
     there is none (complete=True) or the fail limit struck first
@@ -416,9 +409,9 @@ def solve_exact(
 
 
 def _bottleneck_excess(model: CopModel, assignment: Assignment) -> int:
-    con = model.constraints[0]
-    assert con.form == LINEAR_LE
-    return sum(a * assignment[v] for a, v in zip(con.coeffs, con.vars))
+    form, ps, coeffs = model.rows[0]
+    assert form == LINEAR_LE
+    return sum(a * assignment[p] for a, p in zip(coeffs, ps))
 
 
 def initial_solution(
@@ -471,7 +464,7 @@ def initial_solution(
         if _bottleneck_excess(model, assignment) <= 0:
             break
         heaviest = max(
-            (i for i, v in enumerate(model.ec_ids) if assignment[v] == 1),
+            (i for i in range(len(model.ec_candidates)) if assignment[i] == 1),
             key=lambda i: (model.ec_candidates[i].weight, i),
         )
         banned_latents.add(model.ec_candidates[heaviest].clause.head.predicate)
@@ -514,6 +507,8 @@ def lns_minimize(
         return incumbent
 
     rng = random.Random(config.seed)
+    ec_positions = range(model.first[DC])
+    dc_positions = range(model.first[DC], model.first[RF])
     stagnation = 0
     proven = False
     for iteration in range(1, config.iterations + 1):
@@ -523,13 +518,14 @@ def lns_minimize(
         if stagnation >= _STAGNATION_WINDOW:
             alpha = config.alpha / 2
             stagnation = 0
-        active_dc = [v for v in model.dc_ids if incumbent.assignment[v] == 1]
-        inactive_ec = [v for v in model.ec_ids if incumbent.assignment[v] == 0]
-        fixed: Assignment = {}
-        for v in rng.sample(active_dc, int(len(active_dc) * alpha / 100)):
-            fixed[v] = 1
-        for v in rng.sample(inactive_ec, int(len(inactive_ec) * config.beta / 100)):
-            fixed[v] = 0
+        values = incumbent.assignment
+        active_dc = [p for p in dc_positions if values[p] == 1]
+        inactive_ec = [p for p in ec_positions if values[p] == 0]
+        fixed: dict[int, int] = {}
+        for p in rng.sample(active_dc, int(len(active_dc) * alpha / 100)):
+            fixed[p] = 1
+        for p in rng.sample(inactive_ec, int(len(inactive_ec) * config.beta / 100)):
+            fixed[p] = 0
         result = searcher.solve(
             fixed,
             config.fail_limit,
@@ -576,7 +572,8 @@ def _emit(
     if progress is None:
         return
     elapsed_ms = (time.monotonic() - start) * 1000.0
-    n_ec = sum(incumbent.assignment[v] for v in model.ec_ids)
-    n_dc = sum(incumbent.assignment[v] for v in model.dc_ids)
+    values, first = incumbent.assignment, model.first
+    n_ec = sum(values[: first[DC]])
+    n_dc = sum(values[first[DC] : first[RF]])
     progress(iteration, incumbent.objective, elapsed_ms, n_ec, n_dc)
 

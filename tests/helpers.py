@@ -11,10 +11,12 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations, product
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import alp
 from alp.candidates import AtomIndex, CandidateClause, GenerationConfig
-from alp.kb import Constant, Fact, KnowledgeBase, Predicate
+from alp.errors import CapacityError
+from alp.kb import Constant, Fact, KnowledgeBase, Predicate, predicate_order
 from alp.logic import (
     CONJUNCTION,
     DISJUNCTION,
@@ -29,6 +31,11 @@ from alp.model import (
     AT_LEAST_ONE,
     AT_MOST_ONE_OF_PAIR,
     CL,
+    DC,
+    EC,
+    IFF_OR,
+    RF,
+    VarId,
     assignment_from_dc,
     check_assignment,
     induced_alp,
@@ -86,6 +93,46 @@ def fact(p, *args):
 def lit(p, *args, negated=False):
     terms = tuple(Variable(a) if a[0].isupper() else Constant(a) for a in args)
     return Literal(p, terms, negated)
+
+
+DEFAULT_HERBRAND_CEILING = 1_000_000
+
+
+def herbrand_base(
+    vocabulary: Iterable[Predicate],
+    constants: Iterable[Constant],
+    ceiling: int = DEFAULT_HERBRAND_CEILING,
+) -> frozenset[Fact]:
+    """All ground atoms over the vocabulary and constants.
+
+    The result has exactly sum(|C|^arity) atoms, which grows fast; a
+    CapacityError guards against accidental blowups.  A test oracle for
+    desk-scale instances.
+    """
+    preds = sorted(set(vocabulary), key=predicate_order)
+    consts = sorted(set(constants), key=lambda c: c.symbol)
+    size = sum(len(consts) ** p.arity for p in preds)
+    if size > ceiling:
+        raise CapacityError(f"Herbrand base has {size} atoms, ceiling {ceiling}")
+    atoms = set()
+    for p in preds:
+        atoms.update(Fact(p, args) for args in _tuples(consts, p.arity))
+    return frozenset(atoms)
+
+
+def _tuples(consts: list[Constant], n: int) -> Iterator[tuple[Constant, ...]]:
+    if n == 0:
+        yield ()
+        return
+    for prefix in _tuples(consts, n - 1):
+        for c in consts:
+            yield prefix + (c,)
+
+
+def corruption_level(decoder: CandidateClause, kb: KnowledgeBase) -> Fraction:
+    """Fraction of the decoder's reconstructions that are not KB facts."""
+    false = (decoder.mask & ~decoder.index.kb_mask_of(kb)).bit_count()
+    return Fraction(false, decoder.weight)
 
 
 def candidate(clause: Clause, kind: str, facts, index: AtomIndex) -> CandidateClause:
@@ -295,6 +342,53 @@ def drop_constraints(model, generality=False, coverage=False):
     )
     members = () if generality else model.class_members
     return replace(model, constraints=kept, class_members=members)
+
+
+def position(model, var) -> int:
+    """The assignment position of ``var`` in the documented layout: every
+    ec, then every dc, then every rf, then every cl, each kind by index."""
+    n_ec, n_dc = len(model.ec_candidates), len(model.dc_candidates)
+    start = {EC: 0, DC: n_ec, RF: n_ec + n_dc, CL: n_ec + n_dc + len(model.rf_atoms)}
+    return start[var.kind] + var.index
+
+
+def assignment_of(model, values) -> list[int]:
+    """The dense assignment holding ``values`` ({VarId: value}), 0 elsewhere."""
+    n = len(model.ec_candidates) + len(model.dc_candidates)
+    assignment = [0] * (n + len(model.rf_atoms) + len(model.class_members))
+    for var, value in values.items():
+        assignment[position(model, var)] = value
+    return assignment
+
+
+def reference_violations(model, assignment) -> list:
+    """``check_assignment`` evaluated through ``Constraint.vars``, reading
+    each variable's value at its ``position``."""
+    violations = []
+    for con in model.constraints:
+        values = [assignment[position(model, v)] for v in con.vars]
+        if con.form == IFF_OR:
+            ok = values[0] == (1 if any(values[1:]) else 0)
+        elif con.form == AT_MOST_ONE_OF_PAIR:
+            ok = values[0] + values[1] <= 1
+        elif con.form == AT_LEAST_ONE:
+            ok = any(values)
+        else:
+            ok = sum(a * v for a, v in zip(con.coeffs, values)) <= 0
+        if not ok:
+            violations.append(con)
+    return violations
+
+
+def reference_objective(model, assignment) -> int | None:
+    """``objective_value`` through ``Constraint.vars``; None when infeasible."""
+    if reference_violations(model, assignment):
+        return None
+    total = model.constant_offset
+    for i, in_kb in enumerate(model.rf_in_kb):
+        value = assignment[position(model, VarId(i, RF))]
+        total += 1 - value if in_kb else value
+    return total
 
 
 def loss_consistency(model, assignment, kb) -> bool:

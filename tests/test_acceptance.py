@@ -35,6 +35,7 @@ from helpers import (
     drop_constraints,
     fig1_kb,
     lit,
+    position,
     pred,
     random_kb,
     synthesize_lossless_instance,
@@ -248,10 +249,13 @@ def test_pruning_preserves_optimum():
 
 def _bottleneck_holds(model, assignment) -> bool:
     total_weight = sum(
-        c.weight * assignment[VarId(i, EC)]
+        c.weight * assignment[position(model, VarId(i, EC))]
         for i, c in enumerate(model.ec_candidates)
     )
-    selected = sum(assignment[v] for v in model.ec_ids)
+    selected = sum(
+        assignment[position(model, VarId(i, EC))]
+        for i in range(len(model.ec_candidates))
+    )
     if selected == 0:
         return True
     return Fraction(total_weight, selected) <= model.gamma * model.avg_facts

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from alp.cli import main
-from helpers import FIG1_TEXT, cli_subprocess_env
+from helpers import FIG1_TEXT, cli_subprocess_env, herbrand_base
 
 SELF_KB = "p(a,b).\np(c,d).\np(e,f).\n"
 
@@ -180,6 +180,25 @@ class TestEncodeDecode:
         alien.write_text("wookie(chewbacca).\n", encoding="utf-8")
         assert main(["encode", str(tmp_path / "model.alp"), str(alien)]) == 5
 
+    def test_unknown_predicates_are_named_once(self, tmp_path, capsys):
+        model = tmp_path / "father.alp"
+        model.write_text(
+            "#encoder\nlatent_1(X,Y) :- father(X,Y).\n"
+            "#decoder\nfather(X,Y) :- latent_1(X,Y).\n",
+            encoding="utf-8",
+        )
+        kb = tmp_path / "kb.facts"
+        kb.write_text(
+            "father(vader,luke).\nmother(padme,luke).\nmother(padme,leia).\n"
+            "jedi(luke).\njedi(leia).\n",
+            encoding="utf-8",
+        )
+        assert main(["encode", str(model), str(kb)]) == 5
+        assert capsys.readouterr().err == (
+            "alp: vocabulary: knowledge base predicates unknown to the model: "
+            "['jedi/1', 'mother/2']\n"
+        )
+
     def test_unknown_latent_is_vocabulary_error(self, family, tmp_path):
         main(learn_args(family, tmp_path))
         bogus = tmp_path / "bogus.facts"
@@ -187,7 +206,7 @@ class TestEncodeDecode:
         assert main(["decode", str(tmp_path / "model.alp"), str(bogus)]) == 5
 
     def test_reconstruction_stays_within_herbrand_base(self, family, tmp_path):
-        from alp.kb import herbrand_base, parse_kb
+        from alp.kb import parse_kb
 
         main(learn_args(family, tmp_path))
         latents = tmp_path / "enc.facts"

@@ -14,12 +14,19 @@ from alp.kb import (
     ModeDeclaration,
     Predicate,
     avg_facts_per_predicate,
-    herbrand_base,
     parse_kb,
     parse_kb_document,
     serialize_kb,
 )
-from helpers import const, fact, fig1_kb, load_workloads, pred, random_kb
+from helpers import (
+    const,
+    fact,
+    fig1_kb,
+    herbrand_base,
+    load_workloads,
+    pred,
+    random_kb,
+)
 
 
 class TestParse:

@@ -33,6 +33,7 @@ from helpers import (
     brute_force_consequences,
     canonical_body,
     fact,
+    herbrand_base,
     kb_of,
     lit,
     load_workloads,
@@ -258,7 +259,6 @@ class TestPrograms:
         assert out == {fact(l1, "a"), fact(l1, "c")}
 
     def test_output_within_head_herbrand_base(self):
-        from alp.kb import herbrand_base
 
         rng = random.Random(19)
         for _ in range(15):

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from alp import GenerationConfig, parse_kb_document
 from alp.candidates import AtomIndex
+from alp.errors import InfeasibleError
 from alp.logic import (
     CONJUNCTION,
     Clause,
@@ -33,7 +35,10 @@ from alp.model import (
     induced_alp,
     objective_value,
 )
+from alp.pipeline import prepare_pool
+from alp.solver import SearchConfig, lns_minimize
 from helpers import (
+    assignment_of,
     brute_force_objective,
     candidate,
     drop_constraints,
@@ -42,10 +47,14 @@ from helpers import (
     is_generality,
     kb_of,
     lit,
+    load_workloads,
     loss_consistency,
     pipeline_pool,
+    position,
     pred,
     random_kb,
+    reference_objective,
+    reference_violations,
 )
 
 MOTHER = pred("mother", 2)
@@ -153,7 +162,7 @@ class TestBuildModel:
             for c in model.constraints
             if c.form == IFF_OR and c.vars[0].kind == EC
         ]
-        assert heads == model.ec_ids
+        assert heads == [VarId(i, EC) for i in range(len(model.ec_candidates))]
 
     def test_unused_encoder_is_pinned_off(self):
         kb = kb_of(fact(MOTHER, "padme", "leia"))
@@ -166,7 +175,7 @@ class TestBuildModel:
         model = build_model([used, unused], [d1], kb, Fraction(2))
         ec_unused = VarId(1, EC)
         assignment = assignment_from_dc(model, {0})
-        assignment[ec_unused] = 1
+        assignment[position(model, ec_unused)] = 1
         assert check_assignment(model, assignment)
 
     def test_coverage_constraint_per_input_predicate(self):
@@ -186,7 +195,8 @@ class TestBuildModel:
             assignment[VarId(i, kind)] = assignment[VarId(j, kind)] = 1
             for k, members in enumerate(model.class_members):
                 assignment[VarId(k, CL)] = max(assignment[v] for v in members)
-            return any(map(is_generality, check_assignment(model, assignment)))
+            dense = assignment_of(model, assignment)
+            return any(map(is_generality, check_assignment(model, dense)))
 
         rng = random.Random(109)
         tested = 0
@@ -355,7 +365,7 @@ class TestObjectiveValue:
     def test_violating_assignment_raises(self):
         kb, model = self.build_simple()
         bad = assignment_from_dc(model, {0})
-        bad[VarId(0, EC)] = 0  # break the coupling
+        bad[position(model, VarId(0, EC))] = 0  # break the coupling
         with pytest.raises(ConstraintViolationError):
             objective_value(model, bad)
 
@@ -380,11 +390,86 @@ class TestCheckAssignment:
         )
         model = build_model([e1], [d1], kb, Fraction(1))
         assignment = assignment_from_dc(model, {0})
-        assignment[VarId(0, EC)] = 0
+        assignment[position(model, VarId(0, EC))] = 0
         violated = check_assignment(model, assignment)
         assert any(
             c.form == IFF_OR and c.vars[0].kind == EC for c in violated
         )
+
+
+def audit_models():
+    """Models for the compiled audit: seeded random pools at three gammas,
+    and two KBs of each benchmark workload at its own settings (the
+    default-bias ones without Fig. 1)."""
+    rng = random.Random(113)
+    models = []
+    while len(models) < 12:
+        kb = random_kb(rng, max_facts=10)
+        encoders, decoders, _, _ = pipeline_pool(kb)
+        if encoders and decoders:
+            gamma = Fraction(rng.choice(["1/2", "1", "2"]))
+            models.append(build_model(encoders, decoders, kb, gamma))
+    workloads = load_workloads()
+    for name, picked in (("family-dec1", slice(0, 2)), ("default-bias", slice(1, 3))):
+        workload = workloads.WORKLOADS[name]
+        config = GenerationConfig(max_decoder_body_len=workload.learn.max_dec_len)
+        for generated in workloads.generate(workload, 1)[0][picked]:
+            doc = parse_kb_document(generated.text)
+            encoders, decoders, _, _ = prepare_pool(doc.kb, doc.modes, config)
+            gamma = Fraction(workload.learn.gamma)
+            models.append(build_model(encoders, decoders, doc.kb, gamma))
+    return models
+
+
+class TestCompiledAudit:
+    """``check_assignment`` and ``objective_value`` read positions compiled
+    once per model; the reference reads each constraint's ``VarId``s at
+    their documented positions."""
+
+    def assignments(self, model, rng):
+        """Decoder selections, a searched solution and one-position flips of
+        it, and uniformly random vectors."""
+        n_dc = len(model.dc_candidates)
+        out = [
+            assignment_from_dc(model, {j for j in range(n_dc) if rng.random() < share})
+            for share in (0.0, 0.1, 0.3, 1.0)
+        ]
+        try:
+            solution = lns_minimize(model, SearchConfig(iterations=3, fail_limit=50))
+        except InfeasibleError:
+            solution = None
+        if solution is not None:
+            out.append(solution.assignment)
+            for p in rng.sample(range(len(solution.assignment)), 5):
+                flipped = list(solution.assignment)
+                flipped[p] = 1 - flipped[p]
+                out.append(flipped)
+        n = len(model.all_ids())
+        out += [[rng.randint(0, 1) for _ in range(n)] for _ in range(5)]
+        return out
+
+    def test_layout_is_all_ids_order(self):
+        for model in audit_models():
+            ids = model.all_ids()
+            assert [position(model, v) for v in ids] == list(range(len(ids)))
+
+    def test_matches_the_varid_reference(self):
+        rng = random.Random(127)
+        feasible = infeasible = 0
+        for model in audit_models():
+            for assignment in self.assignments(model, rng):
+                got = check_assignment(model, assignment)
+                expected = reference_violations(model, assignment)
+                assert list(map(id, got)) == list(map(id, expected))
+                value = reference_objective(model, assignment)
+                if value is None:
+                    infeasible += 1
+                    with pytest.raises(ConstraintViolationError):
+                        objective_value(model, assignment)
+                else:
+                    feasible += 1
+                    assert objective_value(model, assignment) == value
+        assert feasible >= 10 and infeasible >= 150
 
 
 class TestLossConsistency:

@@ -8,12 +8,11 @@ from alp.candidates import AtomIndex
 from alp.logic import Clause, DECODER, ENCODER
 from alp.pruning import (
     PruneReport,
-    corruption_level,
     prune_corrupt,
     prune_naming_variants,
     prune_signature_variants,
 )
-from helpers import candidate, fact, kb_of, lit, pred
+from helpers import candidate, corruption_level, fact, kb_of, lit, pred
 
 P2 = pred("p", 2)
 Q1 = pred("q", 1)

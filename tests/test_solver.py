@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from alp import GenerationConfig, parse_kb_document
 from alp.candidates import AtomIndex
 from alp import solver
 from alp.errors import AlpError, InfeasibleError
@@ -26,8 +27,10 @@ from alp.model import (
     assignment_from_dc,
     build_model,
     check_assignment,
+    induced_alp,
     objective_value,
 )
+from alp.pipeline import prepare_pool
 from alp.solver import (
     ExactResult,
     SearchConfig,
@@ -37,14 +40,18 @@ from alp.solver import (
     solve_exact,
 )
 from helpers import (
+    assignment_of,
     brute_force_loss_optimum,
     brute_force_objective,
     candidate,
     fact,
+    fig1_kb,
     kb_of,
     lit,
+    load_workloads,
     loss_consistency,
     pipeline_pool,
+    position,
     pred,
     random_kb,
 )
@@ -87,7 +94,7 @@ class TestSolveExact:
     def test_fully_fixed_feasible_assignment(self):
         _, model = tiny_model()
         fixed = assignment_from_dc(model, {0})
-        result = solve_exact(model, fixed)
+        result = solve_exact(model, dict(enumerate(fixed)))
         assert result.complete
         assert result.objective == 0
         assert result.best == fixed
@@ -98,12 +105,12 @@ class TestSolveExact:
         result = solve_exact(model)
         assert result.complete
         assert result.objective == 0
-        assert result.best[VarId(0, DC)] == 1
-        assert result.best[VarId(0, EC)] == 1
+        assert result.best[position(model, VarId(0, DC))] == 1
+        assert result.best[position(model, VarId(0, EC))] == 1
 
     def test_infeasible_root(self):
         _, model = tiny_model()
-        fixed = {VarId(0, DC): 1, VarId(0, EC): 0}
+        fixed = {position(model, VarId(0, DC)): 1, position(model, VarId(0, EC)): 0}
         result = solve_exact(model, fixed)
         assert result.complete
         assert result.best is None
@@ -160,7 +167,7 @@ class TestInitialSolution:
     def test_forced_single_decoders_selected(self):
         _, model = tiny_model()
         assignment = initial_solution(model)
-        assert assignment[VarId(0, DC)] == 1
+        assert assignment[position(model, VarId(0, DC))] == 1
         assert check_assignment(model, assignment) == []
 
     def test_least_corrupt_decoder_preferred(self):
@@ -201,7 +208,7 @@ class TestInitialSolution:
         model = build_model([e1, e2], [clean, corrupt], kb, Fraction(3))
         assignment = initial_solution(model)
         clean_index = model.dc_candidates.index(clean)
-        assert assignment[VarId(clean_index, DC)] == 1
+        assert assignment[position(model, VarId(clean_index, DC))] == 1
 
     def test_random_seeds_are_feasible(self):
         rng = random.Random(83)
@@ -231,7 +238,11 @@ class TestInitialSolution:
             except InfeasibleError:
                 got.append(None)
                 continue
-            selected = [j for j, v in enumerate(model.dc_ids) if seed[v]]
+            selected = [
+                j
+                for j in range(len(model.dc_candidates))
+                if seed[position(model, VarId(j, DC))]
+            ]
             got.append((selected, objective_value(model, seed)))
         assert got == [
             ([2, 55, 69, 76], 6), ([1, 9], 9), None, ([2, 10, 19], 4), None,
@@ -364,9 +375,10 @@ class TestLnsMinimize:
 
             def solve(self, fixed, fail_limit, incumbent_bound, incumbent=None,
                       deadline=math.inf):
-                best = dict(incumbent)
+                best = list(incumbent)
                 if corrupt == "infeasible":
-                    best[EC0] = 1 - best[EC0]  # breaks ec_0 <-> OR(its decoders)
+                    ec0 = position(self.model, EC0)
+                    best[ec0] = 1 - best[ec0]  # breaks ec_0 <-> OR(its decoders)
                 return ExactResult(best, incumbent_bound - 1, False, 0)
 
         model = pinned_models()[0]  # a greedy seed of objective 6
@@ -379,6 +391,35 @@ class TestLnsMinimize:
             SearchConfig(alpha=150)
         with pytest.raises(ValueError):
             SearchConfig(iterations=0)
+
+
+def test_solver_path_hashes_no_varid(monkeypatch):
+    """With both models built, the search, the audit and the induced
+    program neither hash nor compare a VarId."""
+    workloads = load_workloads()
+    family = workloads.generate(workloads.WORKLOADS["family-dec1"], 7)[0][0]
+    doc = parse_kb_document(family.text)
+    encoders, decoders, _, _ = prepare_pool(
+        doc.kb, doc.modes, GenerationConfig(max_decoder_body_len=1)
+    )
+    models = [build_model(encoders, decoders, doc.kb, Fraction(1, 2))]
+    encoders, decoders, _, _ = pipeline_pool(fig1_kb())
+    models.append(build_model(encoders, decoders, fig1_kb(), Fraction(2)))
+
+    def refuse(*args):
+        raise AssertionError("a VarId was hashed or compared")
+
+    monkeypatch.setattr(VarId, "__hash__", refuse)
+    monkeypatch.setattr(VarId, "__eq__", refuse)
+    iterations = []
+    for model in models:
+        config = SearchConfig(iterations=20, fail_limit=1000)
+        solution = lns_minimize(
+            model, config, progress=lambda it, *_: iterations.append(it)
+        )
+        assert objective_value(model, solution.assignment) == solution.objective
+        induced_alp(model, solution.assignment)
+    assert max(iterations) > 0  # LNS improved at least once
 
 
 def two_decoder_model(*constraints, class_members=()):
@@ -429,8 +470,20 @@ class TestPropagation:
     for the opposite value first, so a value left to the search would cost
     at least one failure."""
 
-    def forced(self, model, fixed, incumbent):
+    def solve(self, model, fixed, incumbent=None):
+        """``solve_exact`` with ``fixed`` and the incumbent given by VarId,
+        and the best assignment read back by VarId."""
+        fixed = {position(model, v): value for v, value in fixed.items()}
+        if incumbent is not None:
+            incumbent = assignment_of(model, incumbent)
         result = solve_exact(model, fixed, incumbent=incumbent)
+        if result.best is None:
+            return result
+        best = {v: result.best[position(model, v)] for v in model.all_ids()}
+        return replace(result, best=best)
+
+    def forced(self, model, fixed, incumbent):
+        result = self.solve(model, fixed, incumbent)
         assert (result.complete, result.failures) == (True, 0)
         return result.best
 
@@ -443,7 +496,7 @@ class TestPropagation:
 
     def test_pair_with_both_members_at_one_fails_at_the_root(self):
         model = two_decoder_model(Constraint(AT_MOST_ONE_OF_PAIR, (DC0, DC1)))
-        result = solve_exact(model, {DC0: 1, DC1: 1})
+        result = self.solve(model, {DC0: 1, DC1: 1})
         assert (result.best, result.complete, result.failures) == (None, True, 1)
 
     def test_iff_or_head_at_zero_clears_its_body(self):
@@ -472,7 +525,7 @@ class TestPropagation:
         assert (best[CL0], best[DC1]) == (1, 0)
 
     def test_class_with_two_members_at_one_fails_at_the_root(self):
-        result = solve_exact(class_model(), {DC0: 1, DC1: 1})
+        result = self.solve(class_model(), {DC0: 1, DC1: 1})
         assert (result.best, result.complete, result.failures) == (None, True, 1)
 
     def test_class_cleared_by_a_strict_pair_clears_its_members(self):
