@@ -174,12 +174,6 @@ class KnowledgeBase:
             p for p in self.vocabulary if p.origin != ORIGIN_BACKGROUND
         )
 
-    @property
-    def background_predicates(self) -> frozenset[Predicate]:
-        return frozenset(
-            p for p in self.vocabulary if p.origin == ORIGIN_BACKGROUND
-        )
-
 
 @dataclass(frozen=True)
 class KbDocument:

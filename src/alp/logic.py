@@ -18,7 +18,7 @@ Program text format, round-trippable through the parser:
     mother(X,Y) :- latent_1(X,Y).
 
 Conjunctive bodies join literals with ',', disjunctive bodies with ';'.
-A ``#background p/n`` line marks p as background knowledge.  Lines are read
+A ``#background p/n`` line marks p/n as background knowledge.  Lines are read
 with the line reader of ``alp.kb``; sections may come in either order.
 """
 
@@ -432,7 +432,10 @@ def body_key(body: tuple[Literal, ...], connective: str = CONJUNCTION) -> str:
 
 
 def _literal(negated: bool, name: str, tokens, origins: dict) -> Literal:
-    predicate = Predicate(name, len(tokens), origins.get(name, ORIGIN_INPUT))
+    """``origins`` holds an origin by name or by (name, arity)."""
+    n = len(tokens)
+    origin = origins.get(name) or origins.get((name, n), ORIGIN_INPUT)
+    predicate = Predicate(name, n, origin)
     args = tuple(Variable(t) if t[0].isupper() else Constant(t) for t in tokens)
     return Literal(predicate, args, negated)
 
@@ -468,13 +471,13 @@ def parse_program(text: str) -> Alp:
     """
     sections: dict[str, list] = {ENCODER: [], DECODER: []}
     section = None
-    background: dict[str, str] = {}  # origin by predicate name
+    background: dict[tuple[str, int], str] = {}  # origin by (name, arity)
     for line_no, code in code_lines(text):
         if code.lstrip().startswith("#"):
             directive, key, _, pos = read_directive(line_no, code, _PROGRAM_DIRECTIVES)
             expect_end(code, pos, line_no, "directive")
             if directive == "background":
-                background[key[0]] = ORIGIN_BACKGROUND
+                background[key] = ORIGIN_BACKGROUND
             else:
                 section = directive
         elif section is None:

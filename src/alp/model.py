@@ -28,10 +28,10 @@ KB facts no candidate can reconstruct are a constant offset.
 An assignment is a dense list of 0/1 values with one position per
 variable, in ``CopModel.all_ids`` order: every ec, then every dc, then
 every rf, then every cl, each kind by index, so ``VarId(i, kind)`` sits at
-``first[kind] + i``.  The model compiles each constraint once into the
-positions of its variables (``CopModel.rows``); the audit, the objective
-and the solver read only that compiled form, and ``VarId``s remain for
-the text dump and error messages.
+``first[kind] + i``.  The model is built in that form: each constraint is a
+row of positions (``CopModel.rows``), which the audit, the objective and
+the solver read.  ``VarId``s are only a naming view of the rows, for the
+text dump and error messages.
 """
 
 from __future__ import annotations
@@ -90,11 +90,7 @@ class VarId:
 
 @dataclass(frozen=True, slots=True)
 class Constraint:
-    """One of the four constraint families.
-
-    ``iff_or`` reads vars[0] <-> OR(vars[1:]) (an empty disjunction pins
-    vars[0] to 0); ``linear_le`` reads sum(coeffs[i] * vars[i]) <= 0.
-    """
+    """A ``Row`` with its positions named by ``VarId``s."""
 
     form: str
     vars: tuple[VarId, ...]
@@ -110,7 +106,9 @@ class Constraint:
 # One 0/1 value per position of ``CopModel.all_ids``: ec, dc, rf, then cl.
 Assignment = list[int]
 
-# A constraint compiled to positions: (form, positions of its vars, coeffs).
+# A constraint over assignment positions: (form, positions, coeffs), one of
+# the four families.  ``iff_or`` reads ps[0] <-> OR(ps[1:]) (an empty
+# disjunction pins ps[0] to 0); ``linear_le`` reads sum(coeffs[i] * ps[i]) <= 0.
 Row = tuple[str, tuple[int, ...], tuple[int, ...]]
 
 
@@ -123,8 +121,8 @@ class CopModel:
     rf_atoms: tuple[Fact, ...]
     rf_bits: tuple[int, ...]  # each rf atom's bit in the decoders' AtomIndex
     rf_in_kb: tuple[bool, ...]
-    constraints: tuple[Constraint, ...]
-    class_members: tuple[tuple[VarId, ...], ...]  # the members of cl_k
+    rows: tuple[Row, ...]  # each constraint over assignment positions
+    class_positions: tuple[tuple[int, ...], ...]  # the members of cl_k
     constant_offset: int
     gamma: Fraction
     avg_facts: Fraction
@@ -135,7 +133,7 @@ class CopModel:
             EC: len(self.ec_candidates),
             DC: len(self.dc_candidates),
             RF: len(self.rf_atoms),
-            CL: len(self.class_members),
+            CL: len(self.class_positions),
         }
 
     def all_ids(self) -> list[VarId]:
@@ -148,69 +146,63 @@ class CopModel:
         sizes = self._sizes()
         return dict(zip(sizes, accumulate(sizes.values(), initial=0)))
 
-    def _positions(self, variables: tuple[VarId, ...]) -> tuple[int, ...]:
-        first = self.first
-        return tuple([first[v.kind] + v.index for v in variables])
-
     @cached_property
-    def rows(self) -> tuple[Row, ...]:
-        """Each constraint compiled to positions, parallel to ``constraints``."""
+    def constraints(self) -> tuple[Constraint, ...]:
+        """Each row with its positions named by ``all_ids``."""
+        ids = self.all_ids()
         return tuple(
             [
-                (con.form, self._positions(con.vars), con.coeffs)
-                for con in self.constraints
+                Constraint(form, tuple([ids[p] for p in ps]), coeffs)
+                for form, ps, coeffs in self.rows
             ]
         )
 
     @cached_property
-    def class_positions(self) -> tuple[tuple[int, ...], ...]:
-        """The positions of the members of each cl."""
-        return tuple(map(self._positions, self.class_members))
+    def class_members(self) -> tuple[tuple[VarId, ...], ...]:
+        """The members of each cl, named by ``all_ids``."""
+        ids = self.all_ids()
+        return tuple(tuple([ids[p] for p in ps]) for ps in self.class_positions)
 
     def size_summary(self) -> dict:
         return {
             "ec": len(self.ec_candidates),
             "dc": len(self.dc_candidates),
             "rf": len(self.rf_atoms),
-            "constraints": len(self.constraints),
+            "constraints": len(self.rows),
         }
 
 
-def _generality(groups: dict, kind: str, class_members: list) -> list[Constraint]:
-    """Generality constraints within each group of (index, consequence mask).
+def _generality(groups: dict, class_positions: list, cl_first: int) -> list[Row]:
+    """Generality rows within each group of (position, consequence mask).
 
-    A class of k >= 2 members gets the next ``cl`` variable, appended to
-    ``class_members``; a lone candidate stands for its own class.  Two
-    classes whose sets are strictly nested get one pair constraint over the
-    variables that stand for them.
+    A class of k >= 2 members gets the next ``cl`` position, its members
+    appended to ``class_positions``; a lone candidate stands for its own
+    class.  Two classes whose sets are strictly nested get one pair row over
+    the positions that stand for them.
     """
-    constraints = []
+    rows: list[Row] = []
     for members in groups.values():
         classes: dict = {}
-        for i, mask in members:
-            classes.setdefault(mask, []).append(VarId(i, kind))
+        for p, mask in members:
+            classes.setdefault(mask, []).append(p)
         distinct = sorted(
-            classes.items(), key=lambda kv: (kv[0].bit_count(), kv[1][0].index)
+            classes.items(), key=lambda kv: (kv[0].bit_count(), kv[1][0])
         )
         stands = []
-        for _, vs in distinct:
-            if len(vs) == 1:
-                stands.append(vs[0])
+        for _, ps in distinct:
+            if len(ps) == 1:
+                stands.append(ps[0])
                 continue
-            cl = VarId(len(class_members), CL)
-            class_members.append(tuple(vs))
+            cl = cl_first + len(class_positions)
+            class_positions.append(tuple(ps))
             stands.append(cl)
-            constraints.append(Constraint(IFF_OR, (cl, *vs)))
-            constraints.append(
-                Constraint(LINEAR_LE, (*vs, cl), (1,) * len(vs) + (-1,))
-            )
+            rows.append((IFF_OR, (cl, *ps), ()))
+            rows.append((LINEAR_LE, (*ps, cl), (1,) * len(ps) + (-1,)))
         for x, (a, _) in enumerate(distinct):
             for y in range(x + 1, len(distinct)):
                 if a & ~distinct[y][0] == 0:
-                    constraints.append(
-                        Constraint(AT_MOST_ONE_OF_PAIR, (stands[x], stands[y]))
-                    )
-    return constraints
+                    rows.append((AT_MOST_ONE_OF_PAIR, (stands[x], stands[y]), ()))
+    return rows
 
 
 def build_model(
@@ -247,84 +239,77 @@ def build_model(
                     "with no defining encoder in the pool"
                 )
 
-    constraints: list[Constraint] = []
-    warnings: list[str] = []
-
-    # (a) bottleneck, scaled to integers over the common denominator.
-    g = avg_facts_per_predicate(kb)
-    bound = gamma * g
-    ec_ids = [VarId(i, EC) for i in range(len(encoders))]
-    coeffs = tuple(
-        c.weight * bound.denominator - bound.numerator for c in encoders
-    )
-    constraints.append(Constraint(LINEAR_LE, tuple(ec_ids), coeffs))
-
-    # (b) coupling: every encoder is defined by the decoders using its latent.
-    dc_using: dict[int, list[int]] = {i: [] for i in range(len(encoders))}
-    for j, d in enumerate(decoders):
-        for lit in d.clause.body:
-            ei = latent_of[lit.predicate]
-            if j not in dc_using[ei]:
-                dc_using[ei].append(j)
-    for i in range(len(encoders)):
-        constraints.append(
-            Constraint(
-                IFF_OR,
-                (VarId(i, EC),) + tuple(VarId(j, DC) for j in dc_using[i]),
-            )
-        )
-
-    # (c) generality over consequence classes.  Encoders compare argument
-    # tuples; decoders with different heads are never substitutes.
-    class_members: list[tuple[VarId, ...]] = []
-    enc_groups: dict = {}
-    for i, c in enumerate(encoders):
-        enc_groups.setdefault(c.clause.head.predicate.arity, []).append(
-            (i, c.mask)
-        )
-    dec_groups: dict = {}
-    for j, d in enumerate(decoders):
-        dec_groups.setdefault(d.clause.head.predicate, []).append((j, d.mask))
-    constraints += _generality(enc_groups, EC, class_members)
-    constraints += _generality(dec_groups, DC, class_members)
-
-    # (d) coverage: at least one decoder per input predicate that has any.
-    heads: dict[Predicate, list[int]] = {}
-    for j, d in enumerate(decoders):
-        heads.setdefault(d.clause.head.predicate, []).append(j)
-    kb_predicates = {f.predicate for f in kb.facts}
-    for p in sorted(kb.input_predicates, key=predicate_order):
-        if p in heads:
-            constraints.append(
-                Constraint(AT_LEAST_ONE, tuple(VarId(j, DC) for j in heads[p]))
-            )
-        elif p in kb_predicates:
-            warnings.append(
-                f"no candidate decoder reconstructs {p}; "
-                "coverage constraint skipped"
-            )
-
-    # (e) rf definitions and the objective layout.  Atoms are decoded from
-    # their bits only here, and sorted by fact order.
+    # The layout: ec, dc, rf, then cl positions, so encoder i sits at i and
+    # decoder j at dc_first + j.  The rf atoms are the bits some decoder
+    # reconstructs, decoded only here and sorted by fact order.
+    dc_first = len(encoders)
     reconstructable: dict[int, list[int]] = {}
     union = 0
-    for j, d in enumerate(decoders):
+    for pos, d in enumerate(decoders, dc_first):
         union |= d.mask
         for bit in bit_positions(d.mask):
-            reconstructable.setdefault(bit, []).append(j)
+            reconstructable.setdefault(bit, []).append(pos)
     rf = sorted(
         ((Fact(*index.atoms[bit]), bit) for bit in reconstructable),
         key=lambda fb: fact_order(fb[0]),
     )
     rf_atoms = tuple(atom for atom, _ in rf)
     rf_bits = tuple(bit for _, bit in rf)
-    for i, bit in enumerate(rf_bits):
-        constraints.append(
-            Constraint(
-                IFF_OR,
-                (VarId(i, RF),) + tuple(VarId(j, DC) for j in reconstructable[bit]),
-            )
+    rf_first = dc_first + len(decoders)
+    cl_first = rf_first + len(rf_bits)
+
+    rows: list[Row] = []
+    warnings: list[str] = []
+
+    # (a) bottleneck, scaled to integers over the common denominator.
+    g = avg_facts_per_predicate(kb)
+    bound = gamma * g
+    coeffs = tuple(
+        c.weight * bound.denominator - bound.numerator for c in encoders
+    )
+    rows.append((LINEAR_LE, tuple(range(len(encoders))), coeffs))
+
+    # (b) coupling: every encoder is defined by the decoders using its latent.
+    dc_using: dict[int, list[int]] = {i: [] for i in range(len(encoders))}
+    for pos, d in enumerate(decoders, dc_first):
+        for lit in d.clause.body:
+            ei = latent_of[lit.predicate]
+            if pos not in dc_using[ei]:
+                dc_using[ei].append(pos)
+    for i in range(len(encoders)):
+        rows.append((IFF_OR, (i, *dc_using[i]), ()))
+
+    # (c) generality over consequence classes.  Encoders compare argument
+    # tuples; decoders with different heads are never substitutes.
+    class_positions: list[tuple[int, ...]] = []
+    enc_groups: dict = {}
+    for i, c in enumerate(encoders):
+        enc_groups.setdefault(c.clause.head.predicate.arity, []).append(
+            (i, c.mask)
         )
+    dec_groups: dict = {}
+    for pos, d in enumerate(decoders, dc_first):
+        dec_groups.setdefault(d.clause.head.predicate, []).append((pos, d.mask))
+    rows += _generality(enc_groups, class_positions, cl_first)
+    rows += _generality(dec_groups, class_positions, cl_first)
+
+    # (d) coverage: at least one decoder per input predicate that has any.
+    heads: dict[Predicate, list[int]] = {}
+    for pos, d in enumerate(decoders, dc_first):
+        heads.setdefault(d.clause.head.predicate, []).append(pos)
+    kb_predicates = {f.predicate for f in kb.facts}
+    for p in sorted(kb.input_predicates, key=predicate_order):
+        if p in heads:
+            rows.append((AT_LEAST_ONE, tuple(heads[p]), ()))
+        elif p in kb_predicates:
+            warnings.append(
+                f"no candidate decoder reconstructs {p}; "
+                "coverage constraint skipped"
+            )
+
+    # (e) rf definitions and the objective.
+    for i, bit in enumerate(rf_bits):
+        rows.append((IFF_OR, (rf_first + i, *reconstructable[bit]), ()))
     rf_in_kb = tuple(bool(kb_mask >> bit & 1) for bit in rf_bits)
     offset = len(kb.facts) - (union & kb_mask).bit_count()
 
@@ -334,8 +319,8 @@ def build_model(
         rf_atoms=rf_atoms,
         rf_bits=rf_bits,
         rf_in_kb=rf_in_kb,
-        constraints=tuple(constraints),
-        class_members=tuple(class_members),
+        rows=tuple(rows),
+        class_positions=tuple(class_positions),
         constant_offset=offset,
         gamma=gamma,
         avg_facts=g,
@@ -346,8 +331,8 @@ def build_model(
 def check_assignment(model: CopModel, assignment: Assignment) -> list[Constraint]:
     """Every constraint the assignment violates; empty means feasible."""
     value = assignment.__getitem__
-    violations = []
-    for con, (form, ps, coeffs) in zip(model.constraints, model.rows):
+    violated = []
+    for k, (form, ps, coeffs) in enumerate(model.rows):
         if form == IFF_OR:
             ok = value(ps[0]) == any(map(value, ps[1:]))
         elif form == AT_MOST_ONE_OF_PAIR:
@@ -357,8 +342,8 @@ def check_assignment(model: CopModel, assignment: Assignment) -> list[Constraint
         else:
             ok = sum(map(mul, coeffs, map(value, ps))) <= 0
         if not ok:
-            violations.append(con)
-    return violations
+            violated.append(k)
+    return [model.constraints[k] for k in violated]
 
 
 def objective_value(model: CopModel, assignment: Assignment) -> int:

@@ -55,6 +55,9 @@ UNASSIGNED = -1
 
 _STAGNATION_WINDOW = 25
 
+# Failures the seed's fallback search may take before it gives up.
+_FALLBACK_FAIL_LIMIT = 50_000
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -115,7 +118,7 @@ class _Searcher:
     def _compile(self) -> None:
         model = self.model
         first = model.first
-        self.n = n = first[CL] + len(model.class_members)
+        self.n = n = first[CL] + len(model.class_positions)
         # The positions each class position stands for.
         members = {
             first[CL] + k: ps for k, ps in enumerate(model.class_positions)
@@ -416,7 +419,6 @@ def _bottleneck_excess(model: CopModel, assignment: Assignment) -> int:
 
 def initial_solution(
     model: CopModel,
-    fallback_fail_limit: int = 50_000,
     searcher: _Searcher | None = None,
     deadline: float = math.inf,
 ) -> Assignment:
@@ -472,7 +474,7 @@ def initial_solution(
         return assignment
     if searcher is None:
         searcher = _Searcher(model)
-    result = searcher.solve({}, fallback_fail_limit, math.inf, deadline=deadline)
+    result = searcher.solve({}, _FALLBACK_FAIL_LIMIT, math.inf, deadline=deadline)
     if result.best is None:
         detail = "infeasible" if result.complete else "no seed found within limits"
         raise InfeasibleError(f"cannot construct a feasible seed: {detail}")

@@ -16,7 +16,14 @@ from typing import Iterable, Iterator
 import alp
 from alp.candidates import AtomIndex, CandidateClause, GenerationConfig
 from alp.errors import CapacityError
-from alp.kb import Constant, Fact, KnowledgeBase, Predicate, predicate_order
+from alp.kb import (
+    ORIGIN_BACKGROUND,
+    Constant,
+    Fact,
+    KnowledgeBase,
+    Predicate,
+    predicate_order,
+)
 from alp.logic import (
     CONJUNCTION,
     DISJUNCTION,
@@ -118,6 +125,11 @@ def herbrand_base(
     for p in preds:
         atoms.update(Fact(p, args) for args in _tuples(consts, p.arity))
     return frozenset(atoms)
+
+
+def background_predicates(kb: KnowledgeBase) -> frozenset[Predicate]:
+    """The KB's vocabulary of background origin."""
+    return frozenset(p for p in kb.vocabulary if p.origin == ORIGIN_BACKGROUND)
 
 
 def _tuples(consts: list[Constant], n: int) -> Iterator[tuple[Constant, ...]]:
@@ -341,7 +353,18 @@ def drop_constraints(model, generality=False, coverage=False):
         and not (coverage and con.form == AT_LEAST_ONE)
     )
     members = () if generality else model.class_members
-    return replace(model, constraints=kept, class_members=members)
+    return with_constraints(model, kept, members)
+
+
+def with_constraints(model, constraints, class_members):
+    """The model with only the given constraints and classes, which name
+    their variables by ``VarId``; each is placed at its ``position``."""
+
+    def at(variables):
+        return tuple(position(model, v) for v in variables)
+
+    rows = tuple((con.form, at(con.vars), con.coeffs) for con in constraints)
+    return replace(model, rows=rows, class_positions=tuple(map(at, class_members)))
 
 
 def position(model, var) -> int:

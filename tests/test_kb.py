@@ -19,6 +19,7 @@ from alp.kb import (
     serialize_kb,
 )
 from helpers import (
+    background_predicates,
     const,
     fact,
     fig1_kb,
@@ -78,7 +79,7 @@ class TestParse:
         kb = parse_kb("#background male/1\nmale(vader).\nfather(vader,luke).")
         assert {f.predicate.name for f in kb.background} == {"male"}
         assert {f.predicate.name for f in kb.facts} == {"father"}
-        assert kb.background_predicates == {pred("male", 1, "background")}
+        assert background_predicates(kb) == {pred("male", 1, "background")}
 
     def test_modes_parsed(self):
         doc = parse_kb_document("#mode father(+,-)\nfather(a,b).")

@@ -365,6 +365,18 @@ class TestProgramText:
         assert pred("male", 1, "background") in body_preds
         assert parse_program(serialize_program(alp)) == alp
 
+    def test_background_declaration_names_one_arity(self):
+        text = (
+            "#background p/2\n"
+            "#encoder\n"
+            "latent_1(X) :- p(X),p(X,Y).\n"
+            "#decoder\n"
+        )
+        alp = parse_program(text)
+        body_preds = {l.predicate for c in alp.encoder.clauses for l in c.body}
+        assert body_preds == {pred("p", 1), pred("p", 2, "background")}
+        assert parse_program(serialize_program(alp)) == alp
+
     def test_clause_outside_section_rejected(self):
         with pytest.raises(Exception, match="section"):
             parse_program("latent_1(X) :- p(X).\n")
@@ -425,7 +437,8 @@ def _outcome(text):
 
 # Outcomes recorded with the two-pass parser that came before the line
 # reader, except the two body columns of test_body_columns_count_from_line_start,
-# which it counted from the start of the split-off literal.
+# which it counted from the start of the split-off literal, and the
+# ``#background p/2`` entry, which it read as p at every arity.
 @pytest.mark.parametrize(
     "text, expected",
     [
@@ -447,9 +460,9 @@ def _outcome(text):
             "#encoder\nlatent_1(X) :- p(X,a).\n",
             "#encoder\nlatent_1(X) :- p(X,a).\n#decoder\n",
         ),
-        (  # #background names a predicate for every arity
+        (  # #background p/2 leaves p/1 an input predicate
             "#background p/2\n#encoder\nlatent_1(X) :- p(X).\n",
-            "#background p/1\n#encoder\nlatent_1(X) :- p(X).\n#decoder\n",
+            "#encoder\nlatent_1(X) :- p(X).\n#decoder\n",
         ),
         (
             "#encoder\nlatent_1(X) :- p(X). % c\n\xa0\n#decoder\np(X) :- latent_1(X).\xa0\n",

@@ -1,5 +1,6 @@
 """Model compilation: variables, the four constraint families, objective."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -422,8 +423,8 @@ def audit_models():
 
 
 class TestCompiledAudit:
-    """``check_assignment`` and ``objective_value`` read positions compiled
-    once per model; the reference reads each constraint's ``VarId``s at
+    """``check_assignment`` and ``objective_value`` read the model's
+    position rows; the reference reads each constraint's ``VarId``s at
     their documented positions."""
 
     def assignments(self, model, rng):
@@ -529,3 +530,26 @@ class TestDumpModel:
         assert any(l.startswith("constraint iff_or") for l in lines)
         assert lines[-1] == f"offset {model.constant_offset}"
         assert any(l.startswith("objective missing rf_0") for l in lines)
+
+
+@pytest.mark.parametrize(
+    "workload, digest",
+    [
+        ("family-dec1", "ceb14465623ec230e206a3208fa6efd45e1ab935d8c0570a06e5cdae63a68c12"),
+        ("default-bias", "2ca93ee6e5e3d15206e7eabd61984d550e229cc9ee1e5acaa3ab96410c01bdc8"),
+    ],
+)
+def test_benchmark_models_pinned(workload, digest):
+    """SHA-256 of ``dump_model`` over every KB of seed 1 of a benchmark
+    workload, built at the workload's gamma and decoder body length;
+    recorded while constraints were still built as ``VarId`` tuples."""
+    workloads = load_workloads()
+    settings = workloads.WORKLOADS[workload].learn
+    config = GenerationConfig(max_decoder_body_len=settings.max_dec_len)
+    h = hashlib.sha256()
+    for generated in workloads.generate(workloads.WORKLOADS[workload], 1)[0]:
+        doc = parse_kb_document(generated.text)
+        encoders, decoders, _, _ = prepare_pool(doc.kb, doc.modes, config)
+        model = build_model(encoders, decoders, doc.kb, Fraction(settings.gamma))
+        h.update(dump_model(model).encode())
+    assert h.hexdigest() == digest

@@ -54,6 +54,7 @@ from helpers import (
     position,
     pred,
     random_kb,
+    with_constraints,
 )
 
 MOTHER = pred("mother", 2)
@@ -422,6 +423,22 @@ def test_solver_path_hashes_no_varid(monkeypatch):
     assert max(iterations) > 0  # LNS improved at least once
 
 
+def test_building_and_searching_make_no_constraint(monkeypatch):
+    """From a feasible greedy seed, ``build_model`` and ``lns_minimize``
+    work on the position rows alone and never build a ``Constraint``."""
+
+    def refuse(self):
+        raise AssertionError("a Constraint was built")
+
+    monkeypatch.setattr(Constraint, "__post_init__", refuse)
+    kb = fig1_kb()
+    encoders, decoders, _, _ = pipeline_pool(kb)
+    model = build_model(encoders, decoders, kb, Fraction(2))
+    assert check_assignment(model, initial_solution(model)) == []
+    solution = lns_minimize(model, SearchConfig(iterations=20, fail_limit=1000))
+    assert objective_value(model, solution.assignment) == solution.objective
+
+
 def two_decoder_model(*constraints, class_members=()):
     """Two encoders, their two decoders and one rf, under only the given
     constraints and classes: each propagation family can be exercised on
@@ -447,7 +464,7 @@ def two_decoder_model(*constraints, class_members=()):
         for latent in (L1, L2)
     ]
     model = build_model(encoders, decoders, kb, Fraction(1))
-    return replace(model, constraints=constraints, class_members=class_members)
+    return with_constraints(model, constraints, class_members)
 
 
 EC0, EC1, DC0, DC1, RF0, CL0 = (
