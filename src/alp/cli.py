@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 parse failure (bad syntax or unreadable path),
 3 infeasible model, 4 capacity ceiling, 5 vocabulary mismatch, 1 anything
-else.  Set ALP_LOG=info for stage logging or ALP_LOG=trace to also stream
-one TSV line per improving solver iteration to stderr.
+else.  Set ALP_LOG=info to log the files written and ``enumerate``'s
+pruning counts, or ALP_LOG=trace to also stream one TSV line per improving
+solver iteration to stderr.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields, replace
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 from .candidates import GenerationConfig
@@ -36,26 +39,18 @@ GRID_LENGTHS = (2, 3)
 GRID_GAMMAS = ("0.3", "0.5", "0.7")
 
 
-def _gen_config(args) -> GenerationConfig:
-    return GenerationConfig(
-        max_encoder_body_len=args.max_enc_len,
-        max_decoder_body_len=args.max_dec_len,
-        max_head_vars=args.max_head_vars,
-        allow_disjunction=not args.no_disjunction,
-        allow_negation=args.allow_negation,
-        max_candidates=args.max_candidates,
-    )
+def _config(cls, args):
+    """A ``GenerationConfig`` or ``SearchConfig`` from the options named
+    after its fields."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
-def _search_config(args) -> SearchConfig:
-    return SearchConfig(
-        alpha=args.alpha,
-        beta=args.beta,
-        iterations=args.iterations,
-        fail_limit=args.fail_limit,
-        time_limit=args.time_limit,
-        seed=args.seed,
-    )
+def _write_out(path: str | None, text: str) -> None:
+    """Write ``text`` to the ``--out`` path, or to stdout without one."""
+    if path:
+        Path(path).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
 
 
 def _read_document(path: str):
@@ -92,8 +87,8 @@ def _parse_gamma(text: str) -> Fraction:
 
 def cmd_learn(args) -> int:
     document = _read_document(args.kb)
-    gen_config = _gen_config(args)
-    search_config = _search_config(args)
+    gen_config = _config(GenerationConfig, args)
+    search_config = _config(SearchConfig, args)
     if args.grid:
         return _run_grid(args, document, gen_config, search_config)
     gamma = _parse_gamma(args.gamma)
@@ -102,7 +97,7 @@ def cmd_learn(args) -> int:
         progress=_progress_fn(),
     )
     report = run_report(result, gen_config, search_config, gamma)
-    _write_outputs(args, result, report)
+    _write_outputs(args, report, result)
     if args.json:
         print(json.dumps(report, indent=2))
     else:
@@ -115,87 +110,67 @@ def cmd_learn(args) -> int:
     return 0
 
 
-def _write_outputs(args, result, report) -> None:
-    Path(args.out_model).write_text(serialize_program(result.alp), encoding="utf-8")
-    Path(args.out_latent).write_text(_facts_text(result.latent), encoding="utf-8")
-    Path(args.report).write_text(
-        json.dumps(report, indent=2) + "\n", encoding="utf-8"
-    )
-    if args.dump_model:
-        Path(args.dump_model).write_text(dump_model(result.model), encoding="utf-8")
-    log.info("wrote %s, %s, %s", args.out_model, args.out_latent, args.report)
+def _write_outputs(args, report, result=None, tag=None) -> None:
+    """Write the run report and a learned result's program and latent facts.
 
+    A grid cell suffixes each path with its ``tag``; only a single run
+    writes ``--dump-model`` and logs what it wrote.
+    """
 
-def _suffixed(path: str, tag: str) -> str:
-    p = Path(path)
-    return str(p.with_name(f"{p.stem}-{tag}{p.suffix}"))
+    def write(path: str, text: str) -> None:
+        p = Path(path)
+        if tag:
+            p = p.with_name(f"{p.stem}-{tag}{p.suffix}")
+        p.write_text(text, encoding="utf-8")
+
+    write(args.report, json.dumps(report, indent=2) + "\n")
+    if result is None:
+        return
+    write(args.out_model, serialize_program(result.alp))
+    write(args.out_latent, _facts_text(result.latent))
+    if tag is None:
+        if args.dump_model:
+            write(args.dump_model, dump_model(result.model))
+        log.info("wrote %s, %s, %s", args.out_model, args.out_latent, args.report)
 
 
 def _run_grid(args, document, gen_config, search_config) -> int:
-    from dataclasses import replace
-
-    for enc_len in GRID_LENGTHS:
-        for dec_len in GRID_LENGTHS:
-            for gamma_text in GRID_GAMMAS:
-                tag = f"enc{enc_len}-dec{dec_len}-g{gamma_text}"
-                cell_gen = replace(
-                    gen_config,
-                    max_encoder_body_len=enc_len,
-                    max_decoder_body_len=dec_len,
-                )
-                gamma = Fraction(gamma_text)
-                try:
-                    result = learn(
-                        document.kb, document.modes, cell_gen, search_config, gamma
-                    )
-                except (InfeasibleError, CapacityError) as exc:
-                    status = (
-                        "infeasible" if isinstance(exc, InfeasibleError) else "capacity"
-                    )
-                    report = {"schema": 1, "status": status, "detail": str(exc)}
-                    Path(_suffixed(args.report, tag)).write_text(
-                        json.dumps(report, indent=2) + "\n", encoding="utf-8"
-                    )
-                    print(f"{tag}\t{status}")
-                    continue
-                report = run_report(result, cell_gen, search_config, gamma)
-                report["status"] = "ok"
-                Path(_suffixed(args.report, tag)).write_text(
-                    json.dumps(report, indent=2) + "\n", encoding="utf-8"
-                )
-                Path(_suffixed(args.out_model, tag)).write_text(
-                    serialize_program(result.alp), encoding="utf-8"
-                )
-                Path(_suffixed(args.out_latent, tag)).write_text(
-                    _facts_text(result.latent), encoding="utf-8"
-                )
-                print(f"{tag}\tobjective {result.solution.objective}")
+    for enc_len, dec_len, gamma_text in product(GRID_LENGTHS, GRID_LENGTHS, GRID_GAMMAS):
+        tag = f"enc{enc_len}-dec{dec_len}-g{gamma_text}"
+        cell_gen = replace(
+            gen_config, max_encoder_body_len=enc_len, max_decoder_body_len=dec_len
+        )
+        gamma = Fraction(gamma_text)
+        try:
+            result = learn(document.kb, document.modes, cell_gen, search_config, gamma)
+        except (InfeasibleError, CapacityError) as exc:
+            status = "infeasible" if isinstance(exc, InfeasibleError) else "capacity"
+            _write_outputs(
+                args, {"schema": 1, "status": status, "detail": str(exc)}, tag=tag
+            )
+            print(f"{tag}\t{status}")
+            continue
+        report = run_report(result, cell_gen, search_config, gamma)
+        report["status"] = "ok"
+        _write_outputs(args, report, result, tag)
+        print(f"{tag}\tobjective {result.solution.objective}")
     return 0
 
 
 def cmd_enumerate(args) -> int:
     document = _read_document(args.kb)
-    gen_config = _gen_config(args)
-    encoders, decoders, report, counts = prepare_pool(
-        document.kb, document.modes, gen_config
+    encoders, decoders, pruning, _ = prepare_pool(
+        document.kb, document.modes, _config(GenerationConfig, args)
     )
-    lines = ["#encoder"]
-    lines.extend(str(c.clause) for c in encoders)
-    lines.append("#decoder")
-    lines.extend(str(c.clause) for c in decoders)
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-    tsv = ["id\tkind\tweight\tconsequences"]
-    for i, c in enumerate(encoders):
-        tsv.append(f"ec_{i}\tencoder\t{c.weight}\t{c.weight}")
-    for j, c in enumerate(decoders):
-        tsv.append(f"dc_{j}\tdecoder\t{c.weight}\t{c.weight}")
+    lines = ["#encoder", *(str(c.clause) for c in encoders)]
+    lines += ["#decoder", *(str(c.clause) for c in decoders)]
+    _write_out(args.out, "\n".join(lines) + "\n")
     if args.tsv:
-        Path(args.tsv).write_text("\n".join(tsv) + "\n", encoding="utf-8")
-    log.info("pruning: %s", report.counters())
+        tsv = ["id\tkind\tweight\tconsequences"]
+        tsv += [f"ec_{i}\tencoder\t{c.weight}\t{c.weight}" for i, c in enumerate(encoders)]
+        tsv += [f"dc_{j}\tdecoder\t{c.weight}\t{c.weight}" for j, c in enumerate(decoders)]
+        _write_out(args.tsv, "\n".join(tsv) + "\n")
+    log.info("pruning: %s", pruning)
     return 0
 
 
@@ -227,17 +202,22 @@ def _remap_facts(facts, known: dict, role: str) -> frozenset[Fact]:
     )
 
 
+def _background(kb: KnowledgeBase, known: dict) -> frozenset[Fact]:
+    """The background facts of predicates the model mentions.  The others
+    cannot change a latent fact and are never reconstructed."""
+    return frozenset(
+        Fact(known[key], f.args)
+        for f in kb.background
+        if (key := (f.predicate.name, f.predicate.arity)) in known
+    )
+
+
 def cmd_encode(args) -> int:
     alp = _load_model(args.model)
     kb = _read_document(args.kb).kb
     known = _model_predicates(alp)
-    facts = _remap_facts(kb.facts | kb.background, known, "knowledge base")
-    latent = apply_program(alp.encoder, facts)
-    text = _facts_text(latent)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    facts = _remap_facts(kb.facts, known, "knowledge base") | _background(kb, known)
+    _write_out(args.out, _facts_text(apply_program(alp.encoder, facts)))
     return 0
 
 
@@ -249,12 +229,7 @@ def cmd_decode(args) -> int:
         for p in alp.latent_vocabulary | alp.encoder.head_predicates()
     }
     facts = _remap_facts(latent_kb.facts, latents, "latent")
-    recon = apply_program(alp.decoder, facts)
-    text = _facts_text(recon)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write_out(args.out, _facts_text(apply_program(alp.decoder, facts)))
     return 0
 
 
@@ -262,11 +237,10 @@ def cmd_eval(args) -> int:
     alp = _load_model(args.model)
     document = _read_document(args.kb)
     known = _model_predicates(alp)
-    kb_facts = _remap_facts(
-        document.kb.facts, known, "knowledge base"
+    kb = KnowledgeBase.from_facts(
+        _remap_facts(document.kb.facts, known, "knowledge base"),
+        _background(document.kb, known),
     )
-    background = _remap_facts(document.kb.background, known, "background")
-    kb = KnowledgeBase.from_facts(kb_facts, background)
     recon = reconstruct(alp, kb)
     missing_facts, false_facts = kb.facts - recon, recon - kb.facts
     missing, false = len(missing_facts), len(false_facts)
@@ -296,16 +270,19 @@ def cmd_eval(args) -> int:
 
 def _add_gen_options(sub):
     lengths = range(1, 5)
+    config = GenerationConfig
     sub.add_argument(
-        "--max-enc-len", type=int, choices=lengths, default=2, dest="max_enc_len"
+        "--max-enc-len", type=int, choices=lengths,
+        default=config.max_encoder_body_len, dest="max_encoder_body_len",
     )
     sub.add_argument(
-        "--max-dec-len", type=int, choices=lengths, default=2, dest="max_dec_len"
+        "--max-dec-len", type=int, choices=lengths,
+        default=config.max_decoder_body_len, dest="max_decoder_body_len",
     )
-    sub.add_argument("--max-head-vars", type=int, default=2, dest="max_head_vars")
+    sub.add_argument("--max-head-vars", type=int, default=config.max_head_vars)
     sub.add_argument("--allow-negation", action="store_true")
-    sub.add_argument("--no-disjunction", action="store_true")
-    sub.add_argument("--max-candidates", type=int, default=200_000)
+    sub.add_argument("--no-disjunction", action="store_false", dest="allow_disjunction")
+    sub.add_argument("--max-candidates", type=int, default=config.max_candidates)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,16 +296,14 @@ def build_parser() -> argparse.ArgumentParser:
     learn_p.add_argument("kb")
     _add_gen_options(learn_p)
     learn_p.add_argument("--gamma", default="0.5", help="compression parameter")
-    learn_p.add_argument("--alpha", type=float, default=70.0)
-    learn_p.add_argument("--beta", type=float, default=90.0)
-    learn_p.add_argument("--iterations", type=int, default=500)
-    learn_p.add_argument("--fail-limit", type=int, default=10_000, dest="fail_limit")
-    learn_p.add_argument("--time-limit", type=float, default=600.0, dest="time_limit")
-    learn_p.add_argument("--seed", type=int, default=0)
-    learn_p.add_argument("--out-model", default="model.alp", dest="out_model")
-    learn_p.add_argument("--out-latent", default="latent.facts", dest="out_latent")
+    for f in fields(SearchConfig):  # --alpha ... --seed
+        learn_p.add_argument(
+            f"--{f.name.replace('_', '-')}", type=type(f.default), default=f.default
+        )
+    learn_p.add_argument("--out-model", default="model.alp")
+    learn_p.add_argument("--out-latent", default="latent.facts")
     learn_p.add_argument("--report", default="report.json")
-    learn_p.add_argument("--dump-model", default=None, dest="dump_model")
+    learn_p.add_argument("--dump-model")
     learn_p.add_argument("--grid", action="store_true")
     learn_p.add_argument("--json", action="store_true")
     learn_p.set_defaults(func=cmd_learn)

@@ -124,8 +124,6 @@ class CopModel:
     rows: tuple[Row, ...]  # each constraint over assignment positions
     class_positions: tuple[tuple[int, ...], ...]  # the members of cl_k
     constant_offset: int
-    gamma: Fraction
-    avg_facts: Fraction
     warnings: tuple[str, ...] = ()
 
     def _sizes(self) -> dict[str, int]:
@@ -262,8 +260,7 @@ def build_model(
     warnings: list[str] = []
 
     # (a) bottleneck, scaled to integers over the common denominator.
-    g = avg_facts_per_predicate(kb)
-    bound = gamma * g
+    bound = gamma * avg_facts_per_predicate(kb)
     coeffs = tuple(
         c.weight * bound.denominator - bound.numerator for c in encoders
     )
@@ -322,8 +319,6 @@ def build_model(
         rows=tuple(rows),
         class_positions=tuple(class_positions),
         constant_offset=offset,
-        gamma=gamma,
-        avg_facts=g,
         warnings=tuple(warnings),
     )
 

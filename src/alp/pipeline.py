@@ -10,7 +10,7 @@ model property, and raises.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .candidates import (
@@ -24,7 +24,6 @@ from .kb import KnowledgeBase, ModeDeclaration, Predicate
 from .logic import Alp, apply_program, encode
 from .model import CopModel, build_model, induced_alp
 from .pruning import (
-    PruneReport,
     build_report,
     prune_corrupt,
     prune_naming_variants,
@@ -39,9 +38,7 @@ class LearnResult:
     latent: frozenset
     solution: Solution
     model: CopModel
-    prune_report: PruneReport
-    encoders: tuple[CandidateClause, ...]
-    decoders: tuple[CandidateClause, ...]
+    pruning: dict
     counts: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
     loss: dict = field(default_factory=dict)
@@ -52,7 +49,7 @@ def prepare_pool(
     kb: KnowledgeBase,
     modes: dict[Predicate, ModeDeclaration],
     config: GenerationConfig,
-) -> tuple[list[CandidateClause], list[CandidateClause], PruneReport, dict]:
+) -> tuple[list[CandidateClause], list[CandidateClause], dict, dict]:
     """Generate and prune the candidate pool.
 
     Naming-variant pruning runs before decoder generation, so decoders are
@@ -64,7 +61,7 @@ def prepare_pool(
     decoders = generate_decoder_candidates(enc_survivors, kb, config)
     dec_sig = prune_signature_variants(decoders)
     dec_survivors = prune_corrupt(dec_sig, kb)
-    report = build_report(
+    pruning = build_report(
         len(encoders), len(decoders), enc_survivors, len(dec_sig), dec_survivors
     )
     counts = {
@@ -73,7 +70,7 @@ def prepare_pool(
         "decoders_generated": len(decoders),
         "decoders_pruned": len(dec_survivors),
     }
-    return enc_survivors, dec_survivors, report, counts
+    return enc_survivors, dec_survivors, pruning, counts
 
 
 def learn(
@@ -88,7 +85,7 @@ def learn(
     t0 = time.monotonic()
 
     t = time.monotonic()
-    encoders, decoders, prune_report, counts = prepare_pool(kb, modes, gen_config)
+    encoders, decoders, pruning, counts = prepare_pool(kb, modes, gen_config)
     timings["enumerate_and_prune"] = time.monotonic() - t
 
     t = time.monotonic()
@@ -122,9 +119,7 @@ def learn(
         latent=latent,
         solution=solution,
         model=model,
-        prune_report=prune_report,
-        encoders=tuple(encoders),
-        decoders=tuple(decoders),
+        pruning=pruning,
         counts=counts,
         timings=timings,
         loss={"objective": solution.objective, "missing": missing, "false": false},
@@ -139,24 +134,13 @@ def run_report(
     gamma: Fraction,
 ) -> dict:
     """The JSON-ready run report; timing fields are not deterministic."""
+    generation = asdict(gen_config)
+    del generation["max_candidates"]
     return {
         "schema": 1,
-        "config": {
-            "gamma": str(gamma),
-            "max_encoder_body_len": gen_config.max_encoder_body_len,
-            "max_decoder_body_len": gen_config.max_decoder_body_len,
-            "max_head_vars": gen_config.max_head_vars,
-            "allow_disjunction": gen_config.allow_disjunction,
-            "allow_negation": gen_config.allow_negation,
-            "alpha": search_config.alpha,
-            "beta": search_config.beta,
-            "iterations": search_config.iterations,
-            "fail_limit": search_config.fail_limit,
-            "time_limit": search_config.time_limit,
-            "seed": search_config.seed,
-        },
+        "config": {"gamma": str(gamma), **generation, **asdict(search_config)},
         "candidates": result.counts,
-        "pruning": result.prune_report.counters(),
+        "pruning": result.pruning,
         "model": result.model.size_summary(),
         "warnings": list(result.model.warnings),
         "solver": {

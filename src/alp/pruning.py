@@ -8,43 +8,10 @@ reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
 
 from .candidates import CandidateClause, latent_ordinal, pool_index
 from .kb import KnowledgeBase
-
-
-@dataclass(frozen=True)
-class PruneReport:
-    """Counts reconcile exactly: input = removed + survivors."""
-
-    input_count: int
-    removed_naming: int
-    removed_signature: int
-    removed_corruption: int
-    survivors: tuple[CandidateClause, ...]
-
-    def __post_init__(self):
-        total = (
-            self.removed_naming
-            + self.removed_signature
-            + self.removed_corruption
-            + len(self.survivors)
-        )
-        if total != self.input_count:
-            raise ValueError(
-                f"prune counts do not reconcile: {total} != {self.input_count}"
-            )
-
-    def counters(self) -> dict:
-        return {
-            "input_count": self.input_count,
-            "removed_naming": self.removed_naming,
-            "removed_signature": self.removed_signature,
-            "removed_corruption": self.removed_corruption,
-            "survivors": len(self.survivors),
-        }
 
 
 def prune_naming_variants(
@@ -104,14 +71,12 @@ def build_report(
     encoders_out: list[CandidateClause],
     decoders_after_signature: int,
     decoders_out: list[CandidateClause],
-) -> PruneReport:
-    removed_naming = encoders_in - len(encoders_out)
-    removed_signature = decoders_in - decoders_after_signature
-    removed_corruption = decoders_after_signature - len(decoders_out)
-    return PruneReport(
-        input_count=encoders_in + decoders_in,
-        removed_naming=removed_naming,
-        removed_signature=removed_signature,
-        removed_corruption=removed_corruption,
-        survivors=tuple(encoders_out) + tuple(decoders_out),
-    )
+) -> dict:
+    """The run report's pruning counts: input = removed + survivors."""
+    return {
+        "input_count": encoders_in + decoders_in,
+        "removed_naming": encoders_in - len(encoders_out),
+        "removed_signature": decoders_in - decoders_after_signature,
+        "removed_corruption": decoders_after_signature - len(decoders_out),
+        "survivors": len(encoders_out) + len(decoders_out),
+    }

@@ -395,22 +395,6 @@ class _Searcher:
                     last_conflict = p
 
 
-def solve_exact(
-    model: CopModel,
-    fixed: dict[int, int] | None = None,
-    fail_limit: int = 10_000,
-    incumbent_bound: float = float("inf"),
-    incumbent: Assignment | None = None,
-) -> ExactResult:
-    """Complete depth-first branch and bound over the unfixed positions.
-
-    Returns the best completion strictly below incumbent_bound, or None if
-    there is none (complete=True) or the fail limit struck first
-    (complete=False).
-    """
-    return _Searcher(model).solve(fixed or {}, fail_limit, incumbent_bound, incumbent)
-
-
 def _bottleneck_excess(model: CopModel, assignment: Assignment) -> int:
     form, ps, coeffs = model.rows[0]
     assert form == LINEAR_LE

@@ -37,7 +37,9 @@ from alp.logic import reconstruction_loss
 from alp.model import (
     AT_LEAST_ONE,
     AT_MOST_ONE_OF_PAIR,
+    Assignment,
     CL,
+    CopModel,
     DC,
     EC,
     IFF_OR,
@@ -49,6 +51,7 @@ from alp.model import (
     objective_value,
 )
 from alp.pipeline import prepare_pool
+from alp.solver import ExactResult, _Searcher
 
 
 def cli_subprocess_env(hashseed: str) -> dict[str, str]:
@@ -497,3 +500,19 @@ def synthesize_lossless_instance(rng: random.Random):
         avg = Fraction(sum(truth_weights), len(truth_weights))
         if avg <= Fraction(7, 10) * g:
             return kb
+
+
+def solve_exact(
+    model: CopModel,
+    fixed: dict[int, int] | None = None,
+    fail_limit: int = 10_000,
+    incumbent_bound: float = float("inf"),
+    incumbent: Assignment | None = None,
+) -> ExactResult:
+    """Complete depth-first branch and bound over the unfixed positions.
+
+    Returns the best completion strictly below incumbent_bound, or None if
+    there is none (complete=True) or the fail limit struck first
+    (complete=False).
+    """
+    return _Searcher(model).solve(fixed or {}, fail_limit, incumbent_bound, incumbent)

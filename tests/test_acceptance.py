@@ -247,7 +247,7 @@ def test_pruning_preserves_optimum():
     report("pruning-preserves-optimum", tested == 20, f"{tested} instances")
 
 
-def _bottleneck_holds(model, assignment) -> bool:
+def _bottleneck_holds(model, assignment, gamma, kb) -> bool:
     total_weight = sum(
         c.weight * assignment[position(model, VarId(i, EC))]
         for i, c in enumerate(model.ec_candidates)
@@ -258,7 +258,7 @@ def _bottleneck_holds(model, assignment) -> bool:
     )
     if selected == 0:
         return True
-    return Fraction(total_weight, selected) <= model.gamma * model.avg_facts
+    return Fraction(total_weight, selected) <= gamma * avg_facts_per_predicate(kb)
 
 
 def test_bottleneck_enforced_on_solutions():
@@ -276,8 +276,8 @@ def test_bottleneck_enforced_on_solutions():
             )
         except InfeasibleError:
             continue
-        assert _bottleneck_holds(model, seed)
-        assert _bottleneck_holds(model, solution.assignment)
+        assert _bottleneck_holds(model, seed, gamma, kb)
+        assert _bottleneck_holds(model, solution.assignment, gamma, kb)
         checked += 1
     report("bottleneck-enforced", True, f"{checked} solutions")
 
@@ -331,8 +331,7 @@ def test_pruning_magnitude_logged():
     config = GenerationConfig(
         max_encoder_body_len=2, max_decoder_body_len=1, max_candidates=400_000
     )
-    _, _, prune_report, _ = prepare_pool(kb, {}, config)
-    counters = prune_report.counters()
+    _, _, counters, _ = prepare_pool(kb, {}, config)
     removed = (
         counters["removed_naming"]
         + counters["removed_signature"]

@@ -421,12 +421,12 @@ def test_pruned_pool_pinned(case, sizes, digest):
     its weight and decoded consequences, then the pruning counters.
     Recorded before consequences became bitsets."""
     kb, config = _pinned_case(case)
-    encoders, decoders, report, _ = prepare_pool(kb, {}, config)
+    encoders, decoders, pruning, _ = prepare_pool(kb, {}, config)
     assert (len(encoders), len(decoders)) == sizes
     h = hashlib.sha256()
     for c in (*encoders, *decoders):
         h.update(_pinned_row(c))
-    h.update(repr(report.counters()).encode())
+    h.update(repr(pruning).encode())
     assert h.hexdigest() == digest
 
 

@@ -141,6 +141,32 @@ class TestEncodeDecode:
         assert main(["decode", str(model), str(latents), "--out", str(recon)]) == 0
         assert recon.exists()
 
+    def test_unused_background_predicate_is_dropped(self, tmp_path, capsys):
+        """Background facts of a predicate no chosen encoder uses cannot
+        change a latent fact: eval and encode of the training KB agree with
+        learn instead of failing on the vocabulary."""
+        kb = tmp_path / "background.facts"
+        kb.write_text(
+            "#background male/1\n"
+            "father(vader,luke).\nfather(vader,leia).\n"
+            "mother(padme,luke).\nmother(padme,leia).\n"
+            "parent(vader,luke).\nparent(vader,leia).\n"
+            "parent(padme,luke).\nparent(padme,leia).\n"
+            "male(vader).\nmale(luke).\n",
+            encoding="utf-8",
+        )
+        assert main(learn_args(kb, tmp_path)) == 0
+        model = tmp_path / "model.alp"
+        assert "male" not in model.read_text()
+        report = json.loads((tmp_path / "report.json").read_text())
+        capsys.readouterr()  # drop the learn summary line
+        assert main(["eval", str(model), str(kb), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["loss"] == report["loss"]["objective"]
+        latents = tmp_path / "enc.facts"
+        assert main(["encode", str(model), str(kb), "--out", str(latents)]) == 0
+        assert latents.read_bytes() == (tmp_path / "latent.facts").read_bytes()
+
     def test_lossless_round_trip_is_byte_identical(self, tmp_path, capsys):
         kb = tmp_path / "self.facts"
         kb.write_text(SELF_KB, encoding="utf-8")

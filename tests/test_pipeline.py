@@ -35,13 +35,13 @@ def test_background_predicates_feed_encoders_but_not_loss():
     )
     # background atoms are never reconstruction targets
     recon_preds = {
-        c.clause.head.predicate.name for c in result.decoders
+        c.clause.head.predicate.name for c in result.model.dc_candidates
     }
     assert "male" not in recon_preds and "female" not in recon_preds
     # the learner is free to use them inside encoder bodies
     body_preds = {
         l.predicate.name
-        for c in result.encoders
+        for c in result.model.ec_candidates
         for l in c.clause.body
     }
     assert {"male", "female"} & body_preds
@@ -57,7 +57,7 @@ def test_negation_enabled_pipeline_stays_consistent():
     result = learn(kb, {}, config, quick_search(seed=2), Fraction(1))
     assert result.solution.objective == result.loss["objective"]
     negated_somewhere = any(
-        l.negated for c in result.encoders for l in c.clause.body
+        l.negated for c in result.model.ec_candidates for l in c.clause.body
     )
     assert negated_somewhere  # the pool actually contains negated bodies
 
@@ -74,7 +74,7 @@ def test_modes_from_file_restrict_enumeration():
     )
     # under p(+,-) a second p-atom may never reuse the existing second slot:
     # bodies like p(X,Y),p(Z,Y) are impossible
-    for cand in result.encoders:
+    for cand in result.model.ec_candidates:
         literals = [l for l in cand.clause.body if l.predicate.name == "p"]
         if len(literals) == 2 and cand.clause.body_connective == "conjunction":
             first, second = literals

@@ -7,7 +7,6 @@ import pytest
 from alp.candidates import AtomIndex
 from alp.logic import Clause, DECODER, ENCODER
 from alp.pruning import (
-    PruneReport,
     prune_corrupt,
     prune_naming_variants,
     prune_signature_variants,
@@ -217,22 +216,3 @@ class TestCorruption:
         clean = self.decoder(1, 0, AtomIndex(self.kb().facts))
         with pytest.raises(ValueError, match="another KB"):
             prune_corrupt([clean], kb_of(fact(P2, "a", "b")))
-
-
-class TestPruneReport:
-    def test_counts_must_reconcile(self):
-        with pytest.raises(ValueError, match="reconcile"):
-            PruneReport(10, 2, 2, 2, survivors=())
-
-    def test_counters_payload(self):
-        clean = dec_candidate(
-            lit(P2, "X", "Y"), (lit(L1, "X", "Y"),), [fact(P2, "a", "b")], AtomIndex()
-        )
-        report = PruneReport(3, 1, 1, 0, survivors=(clean,))
-        assert report.counters() == {
-            "input_count": 3,
-            "removed_naming": 1,
-            "removed_signature": 1,
-            "removed_corruption": 0,
-            "survivors": 1,
-        }

@@ -37,9 +37,9 @@ from alp.solver import (
     _Searcher,
     initial_solution,
     lns_minimize,
-    solve_exact,
 )
 from helpers import (
+    solve_exact,
     assignment_of,
     brute_force_loss_optimum,
     brute_force_objective,
