@@ -39,7 +39,6 @@ from alp.solver import (
     lns_minimize,
 )
 from helpers import (
-    solve_exact,
     assignment_of,
     brute_force_loss_optimum,
     brute_force_objective,
@@ -54,6 +53,7 @@ from helpers import (
     position,
     pred,
     random_kb,
+    solve_exact,
     with_constraints,
 )
 
