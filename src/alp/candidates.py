@@ -15,7 +15,9 @@ latent vocabulary, with heads drawn from the input predicates.
 Both generators plan every (body, head) pair, check the count against
 ``max_candidates`` before any join, then join each body once and project
 all of its heads from that join.  A candidate's consequences are an ``int``
-bitset over its pool's AtomIndex.
+bitset over its pool's AtomIndex.  ``generate_pruned_decoders`` prunes
+signature variants and corrupt decoders on those bitsets as it meets them,
+and builds a candidate only for the decoders that survive.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, product
 from math import comb
+from operator import itemgetter
 from typing import Iterator
 
 from .errors import CapacityError
@@ -136,7 +139,7 @@ class CandidateClause:
 
     ``text`` is ``str(clause)``, rendered once: it is the candidate's sort
     key.  The ``Clause`` itself is built and checked on first use, since
-    pruning drops most candidates having read only their text, head, body
+    naming-variant pruning drops most encoders having read only their head
     and mask.
     """
 
@@ -328,33 +331,13 @@ def _planned_variables(
     return variables
 
 
-def _evaluate(
-    literals: tuple[Literal, ...],
-    connective: str,
-    head_args: list[tuple[Variable, ...]],
-    heads: list[tuple[Predicate, int]],
-    store: FactStore,
-    kind: str,
-    index: AtomIndex,
-) -> list[CandidateClause]:
-    """The candidates ``head :- body`` whose consequences are nonempty.
+def _body_text(literals: tuple[Literal, ...], connective: str) -> str:
+    return ("," if connective == CONJUNCTION else ";").join(map(str, literals))
 
-    Each head is a predicate and a position in ``head_args``.  The body is
-    joined once and every argument tuple projected from that join once;
-    the body's text is rendered once and each head's text is added to it.
-    """
-    rows = body_rows(literals, connective, store, head_args)
-    if not any(rows):  # the body has no substitution
-        return []
-    arg_texts = [",".join(v.name for v in args) for args in head_args]
-    body_text = ("," if connective == CONJUNCTION else ";").join(map(str, literals))
-    out = []
-    for pred, a in heads:
-        mask = index.mask(None if kind == ENCODER else pred, rows[a])
-        text = f"{pred.name}({arg_texts[a]}) :- {body_text}."
-        head = Literal(pred, head_args[a])
-        out.append(CandidateClause(head, literals, connective, kind, mask, index, text))
-    return out
+
+def _clause_text(pred: Predicate, args: tuple[Variable, ...], body_text: str) -> str:
+    """``str`` of the clause ``pred(args) :- body``."""
+    return f"{pred.name}({','.join(v.name for v in args)}) :- {body_text}."
 
 
 def generate_encoder_candidates(
@@ -367,7 +350,8 @@ def generate_encoder_candidates(
     Every candidate is evaluated on the KB (with background facts) to fill
     its consequences; candidates entailing nothing are dropped.  Latent
     ordinals are assigned before the drop, so names depend only on the
-    vocabulary and config, not on the fact content.
+    vocabulary and config, not on the fact content.  Each body is joined
+    once and every head projected from that join.
     """
     predicates = sorted(kb.vocabulary, key=predicate_order)
     input_preds = [p for p in predicates if p.origin != ORIGIN_BACKGROUND]
@@ -394,14 +378,20 @@ def generate_encoder_candidates(
     ordinal = 1
     for (literals, connective), vs in zip(bodies, variables):
         subsets = [args for size in sizes for args in combinations(vs, size)]
-        heads = [
-            (Predicate(f"latent_{ordinal + i}", len(args), ORIGIN_LATENT), i)
-            for i, args in enumerate(subsets)
-        ]
+        rows = body_rows(literals, connective, store, subsets)
+        if any(rows):  # the body has a substitution
+            body_text = _body_text(literals, connective)
+            for i, args in enumerate(subsets):
+                pred = Predicate(f"latent_{ordinal + i}", len(args), ORIGIN_LATENT)
+                mask = index.mask(None, rows[i])
+                text = _clause_text(pred, args, body_text)
+                out.append(
+                    CandidateClause(
+                        Literal(pred, args), literals, connective, ENCODER, mask,
+                        index, text,
+                    )
+                )
         ordinal += len(subsets)
-        out.extend(
-            _evaluate(literals, connective, subsets, heads, store, ENCODER, index)
-        )
     return out
 
 
@@ -417,20 +407,40 @@ def latent_ordinal(pred: Predicate) -> int:
     return int(pred.name.rsplit("_", 1)[1])
 
 
-def generate_decoder_candidates(
+def body_predicates(literals: tuple[Literal, ...]) -> frozenset[Predicate]:
+    return frozenset(l.predicate for l in literals)
+
+
+def signature(head: Predicate, mask: int, body_preds: frozenset[Predicate]) -> tuple:
+    """A decoder's signature-variant class: its head predicate, its
+    consequences and its body predicates (``body_predicates``)."""
+    return head, mask, body_preds
+
+
+def is_corrupt(mask: int, kb_mask: int) -> bool:
+    """At least as many consequences lie outside the KB as inside it: a
+    corruption level of 0.5 or more."""
+    return 2 * (mask & ~kb_mask).bit_count() >= mask.bit_count()
+
+
+def _decoder_masks(
     latent_candidates: list[CandidateClause],
     kb: KnowledgeBase,
     config: GenerationConfig,
-) -> list[CandidateClause]:
-    """Enumerate decoder clauses from the latent vocabulary.
+    index: AtomIndex,
+) -> Iterator[tuple[Body, Predicate, tuple[Variable, ...], int]]:
+    """Every decoder as (body, head predicate, head arguments, mask), in
+    generation order, its consequences indexed in ``index`` as it is met.
 
     The latent fact context is the union of the encoder candidates'
     consequences; decoder heads range over the input predicates of arity at
-    least 1, one candidate per predicate per variable tuple of its arity.
+    least 1, one decoder per predicate per variable tuple of its arity.  A
+    body without a substitution yields no decoder.  The decoders of one
+    body share its ``Body`` tuple.
     """
     latents = sorted({c.head.predicate for c in latent_candidates}, key=predicate_order)
     if not latents:
-        return []
+        return
     modes = {p: ModeDeclaration.all_either(p) for p in latents}
     bodies = enumerate_bodies(
         latents,
@@ -447,22 +457,79 @@ def generate_decoder_candidates(
         DECODER, bodies, [p.arity for p in input_preds], config
     )
     store = FactStore(latent_facts(latent_candidates))
-    index = AtomIndex(kb.facts)
     arities = sorted({p.arity for p in input_preds})
-    out = []
-    for (literals, connective), vs in zip(bodies, variables):
+    for body, vs in zip(bodies, variables):
         # The head predicates of one arity share its variable subsets.
         head_args: list[tuple[Variable, ...]] = []
         offset: dict[int, int] = {}
         for a in arities:
             offset[a] = len(head_args)
             head_args += combinations(vs, a)
-        heads = [
-            (p, offset[p.arity] + i)
-            for p in input_preds
-            for i in range(comb(len(vs), p.arity))
-        ]
-        out.extend(
-            _evaluate(literals, connective, head_args, heads, store, DECODER, index)
-        )
+        rows = body_rows(*body, store, head_args)
+        if not any(rows):  # the body has no substitution
+            continue
+        for pred in input_preds:
+            start = offset[pred.arity]
+            for a in range(start, start + comb(len(vs), pred.arity)):
+                yield body, pred, head_args[a], index.mask(pred, rows[a])
+
+
+def generate_decoder_candidates(
+    latent_candidates: list[CandidateClause],
+    kb: KnowledgeBase,
+    config: GenerationConfig,
+) -> list[CandidateClause]:
+    """Every decoder clause over the latent vocabulary, unpruned, in
+    generation order (see ``_decoder_masks``)."""
+    index = AtomIndex(kb.facts)
+    out = []
+    last = body_text = None
+    for body, pred, args, mask in _decoder_masks(latent_candidates, kb, config, index):
+        if body is not last:
+            last, body_text = body, _body_text(*body)
+        text = _clause_text(pred, args, body_text)
+        head = Literal(pred, args)
+        out.append(CandidateClause(head, *body, DECODER, mask, index, text))
     return out
+
+
+def generate_pruned_decoders(
+    latent_candidates: list[CandidateClause],
+    kb: KnowledgeBase,
+    config: GenerationConfig,
+) -> tuple[list[CandidateClause], int, int]:
+    """The decoders that survive signature-variant and corruption pruning,
+    in text order, with the number of decoders met and of signature classes
+    they formed.
+
+    Both prunings read only a decoder's mask, so they run as the decoders
+    are met, before any text is rendered: a corrupt decoder is only
+    counted, and of each clean signature class the least text is kept.
+    Corruption is a function of the mask, so a class is corrupt or clean as
+    a whole, and the survivors are ``prune_corrupt(prune_signature_variants(
+    generate_decoder_candidates(...)))``, with masks over an index that
+    holds the same atoms; a candidate object is built for them only.
+    """
+    index = AtomIndex(kb.facts)
+    corrupt: set[tuple] = set()
+    kept: dict[tuple, tuple] = {}  # signature -> (text, body, pred, args, mask)
+    met = 0
+    last = preds = body_text = None
+    for body, pred, args, mask in _decoder_masks(latent_candidates, kb, config, index):
+        met += 1
+        if body is not last:
+            last, preds, body_text = body, body_predicates(body[0]), None
+        key = signature(pred, mask, preds)
+        if is_corrupt(mask, index.kb_mask):
+            corrupt.add(key)
+            continue
+        body_text = body_text or _body_text(*body)
+        text = _clause_text(pred, args, body_text)
+        best = kept.get(key)
+        if best is None or text < best[0]:
+            kept[key] = (text, body, pred, args, mask)
+    survivors = [
+        CandidateClause(Literal(pred, args), *body, DECODER, mask, index, text)
+        for text, body, pred, args, mask in sorted(kept.values(), key=itemgetter(0))
+    ]
+    return survivors, met, len(kept) + len(corrupt)

@@ -86,6 +86,10 @@ def _parse_gamma(text: str) -> Fraction:
 
 
 def cmd_learn(args) -> int:
+    if args.grid and args.dump_model:
+        raise ValueError(
+            "--dump-model cannot be used with --grid, which learns a model per cell"
+        )
     document = _read_document(args.kb)
     gen_config = _config(GenerationConfig, args)
     search_config = _config(SearchConfig, args)
@@ -114,7 +118,8 @@ def _write_outputs(args, report, result=None, tag=None) -> None:
     """Write the run report and a learned result's program and latent facts.
 
     A grid cell suffixes each path with its ``tag``; only a single run
-    writes ``--dump-model`` and logs what it wrote.
+    writes ``--dump-model`` (``cmd_learn`` rejects it with ``--grid``) and
+    logs what it wrote.
     """
 
     def write(path: str, text: str) -> None:
@@ -237,14 +242,23 @@ def cmd_eval(args) -> int:
     alp = _load_model(args.model)
     document = _read_document(args.kb)
     known = _model_predicates(alp)
+    # No decoder head is arity 0 (it would share no variable with its body),
+    # so such facts are missing from every reconstruction, as learn counts
+    # them, not a vocabulary mismatch.
+    unreachable = frozenset(
+        f
+        for f in document.kb.facts
+        if f.predicate.arity == 0 and (f.predicate.name, 0) not in known
+    )
     kb = KnowledgeBase.from_facts(
-        _remap_facts(document.kb.facts, known, "knowledge base"),
+        _remap_facts(document.kb.facts - unreachable, known, "knowledge base"),
         _background(document.kb, known),
     )
     recon = reconstruct(alp, kb)
-    missing_facts, false_facts = kb.facts - recon, recon - kb.facts
+    missing_facts, false_facts = (kb.facts - recon) | unreachable, recon - kb.facts
     missing, false = len(missing_facts), len(false_facts)
-    tally = {f.predicate: [0, 0] for f in kb.facts | recon}  # [missing, false]
+    # [missing, false] per predicate
+    tally = {f.predicate: [0, 0] for f in kb.facts | recon | unreachable}
     for f in missing_facts:
         tally[f.predicate][0] += 1
     for f in false_facts:

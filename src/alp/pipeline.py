@@ -16,19 +16,14 @@ from fractions import Fraction
 from .candidates import (
     CandidateClause,
     GenerationConfig,
-    generate_decoder_candidates,
     generate_encoder_candidates,
+    generate_pruned_decoders,
 )
 from .errors import AlpError
 from .kb import KnowledgeBase, ModeDeclaration, Predicate
 from .logic import Alp, apply_program, encode
 from .model import CopModel, build_model, induced_alp
-from .pruning import (
-    build_report,
-    prune_corrupt,
-    prune_naming_variants,
-    prune_signature_variants,
-)
+from .pruning import build_report, prune_naming_variants
 from .solver import SearchConfig, Solution, lns_minimize, ProgressFn
 
 
@@ -53,21 +48,22 @@ def prepare_pool(
     """Generate and prune the candidate pool.
 
     Naming-variant pruning runs before decoder generation, so decoders are
-    built only over surviving latents; signature and corruption pruning
-    follow.
+    built only over surviving latents.  Signature-variant and corruption
+    pruning run as the decoders are generated; the generator returns the
+    counts the report needs.
     """
     encoders = generate_encoder_candidates(kb, modes, config)
     enc_survivors = prune_naming_variants(encoders)
-    decoders = generate_decoder_candidates(enc_survivors, kb, config)
-    dec_sig = prune_signature_variants(decoders)
-    dec_survivors = prune_corrupt(dec_sig, kb)
+    dec_survivors, decoders, classes = generate_pruned_decoders(
+        enc_survivors, kb, config
+    )
     pruning = build_report(
-        len(encoders), len(decoders), enc_survivors, len(dec_sig), dec_survivors
+        len(encoders), decoders, enc_survivors, classes, dec_survivors
     )
     counts = {
         "encoders_generated": len(encoders),
         "encoders_pruned": len(enc_survivors),
-        "decoders_generated": len(decoders),
+        "decoders_generated": decoders,
         "decoders_pruned": len(dec_survivors),
     }
     return enc_survivors, dec_survivors, pruning, counts

@@ -3,14 +3,22 @@
 All three strategies key on the precomputed consequence bitsets, so they
 cost integer operations only.  Representatives are canonical (lowest latent
 ordinal, or lexicographically least serialization) to keep runs
-reproducible.
+reproducible.  ``candidates.generate_pruned_decoders`` applies the last two
+as it generates; the functions here apply them to any list of decoders.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
 
-from .candidates import CandidateClause, latent_ordinal, pool_index
+from .candidates import (
+    CandidateClause,
+    body_predicates,
+    is_corrupt,
+    latent_ordinal,
+    pool_index,
+    signature,
+)
 from .kb import KnowledgeBase
 
 
@@ -36,33 +44,36 @@ def prune_naming_variants(
 def prune_signature_variants(
     decoders: list[CandidateClause],
 ) -> list[CandidateClause]:
-    """Keep one decoder per (head predicate, consequence set, body predicate
-    set) group; the survivor is the lexicographically least serialization.
+    """Keep one decoder per ``signature`` class (head predicate, consequence
+    set, body predicate set); the survivor is the lexicographically least
+    serialization.
 
-    The decoders of one body share its literal tuple, so each body's
-    predicate set is built once.
+    ``generate_pruned_decoders`` already keeps one decoder per class, so on
+    its output this returns the list unchanged.  The decoders of one
+    body share its literal tuple, so each body's predicate set is built
+    once.
     """
     pool_index(decoders)
-    body_predicates: dict[int, frozenset] = {}
+    body_preds: dict[int, frozenset] = {}
     groups: dict[tuple, CandidateClause] = {}
     for cand in sorted(decoders, key=attrgetter("text")):
-        preds = body_predicates.get(id(cand.body))
+        preds = body_preds.get(id(cand.body))
         if preds is None:
-            preds = frozenset(l.predicate for l in cand.body)
-            body_predicates[id(cand.body)] = preds
-        groups.setdefault((cand.head.predicate, cand.mask, preds), cand)
+            preds = body_preds[id(cand.body)] = body_predicates(cand.body)
+        groups.setdefault(signature(cand.head.predicate, cand.mask, preds), cand)
     return sorted(groups.values(), key=attrgetter("text"))
 
 
 def prune_corrupt(
     decoders: list[CandidateClause], kb: KnowledgeBase
 ) -> list[CandidateClause]:
-    """Drop decoders introducing at least as many false as true facts,
-    i.e. keep those with fewer false facts than half their weight."""
+    """Drop decoders introducing at least as many false as true facts
+    (``is_corrupt``).  ``generate_pruned_decoders`` already drops them, so
+    on its output this returns the list unchanged."""
     if not decoders:
         return []
     kb_mask = pool_index(decoders).kb_mask_of(kb)
-    return [c for c in decoders if 2 * (c.mask & ~kb_mask).bit_count() < c.weight]
+    return [c for c in decoders if not is_corrupt(c.mask, kb_mask)]
 
 
 def build_report(

@@ -12,7 +12,12 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from alp.candidates import GenerationConfig, generate_decoder_candidates, generate_encoder_candidates
+from alp.candidates import (
+    GenerationConfig,
+    generate_decoder_candidates,
+    generate_encoder_candidates,
+    generate_pruned_decoders,
+)
 from alp.errors import CapacityError, InfeasibleError
 from alp.kb import Constant, Fact, KnowledgeBase, ModeDeclaration, Predicate, avg_facts_per_predicate
 from alp.logic import DISJUNCTION, reconstruction_loss
@@ -26,7 +31,7 @@ from alp.model import (
     objective_value,
 )
 from alp.pipeline import prepare_pool
-from alp.pruning import prune_corrupt, prune_naming_variants, prune_signature_variants
+from alp.pruning import prune_naming_variants
 from alp.solver import SearchConfig, initial_solution, lns_minimize
 from helpers import (
     brute_force_loss_optimum,
@@ -233,12 +238,7 @@ def test_pruning_preserves_optimum():
         if not decoders_all or len(decoders_all) > 12:
             continue
         encoders_pruned = prune_naming_variants(encoders_all)
-        decoders_pruned = prune_corrupt(
-            prune_signature_variants(
-                generate_decoder_candidates(encoders_pruned, kb, config)
-            ),
-            kb,
-        )
+        decoders_pruned, _, _ = generate_pruned_decoders(encoders_pruned, kb, config)
         gamma = Fraction(rng.choice([1, 2, 4]))
         full = subset_optimum(encoders_all, decoders_all, kb, gamma)
         pruned = subset_optimum(encoders_pruned, decoders_pruned, kb, gamma)

@@ -13,6 +13,7 @@ from alp.candidates import (
     extend_body,
     generate_decoder_candidates,
     generate_encoder_candidates,
+    generate_pruned_decoders,
     latent_facts,
     latent_ordinal,
 )
@@ -29,7 +30,11 @@ from alp.logic import (
     ground_consequences,
 )
 from alp.pipeline import prepare_pool
-from alp.pruning import prune_naming_variants
+from alp.pruning import (
+    prune_corrupt,
+    prune_naming_variants,
+    prune_signature_variants,
+)
 from helpers import (
     brute_force_consequences,
     candidate,
@@ -308,8 +313,6 @@ class TestDecoderCandidates:
         kb = fig1_kb()
         config = default_config(max_decoder_body_len=2, max_candidates=500_000)
         encoders = generate_encoder_candidates(kb, {}, config)
-        from alp.pruning import prune_naming_variants
-
         decoders = generate_decoder_candidates(
             prune_naming_variants(encoders), kb, config
         )
@@ -348,6 +351,52 @@ class TestDecoderCandidates:
         encoders = generate_encoder_candidates(kb, {}, default_config())
         for cand in generate_decoder_candidates(encoders, kb, default_config()):
             assert cand.clause.head.predicate in kb.input_predicates
+
+
+class TestPrunedDecoders:
+    """``generate_pruned_decoders`` prunes on masks as it generates; what it
+    returns is the two prune functions applied to the unpruned pool."""
+
+    def assert_prunes_the_unpruned_pool(self, kb, config):
+        encoders = prune_naming_variants(generate_encoder_candidates(kb, {}, config))
+        survivors, met, classes = generate_pruned_decoders(encoders, kb, config)
+        unpruned = generate_decoder_candidates(encoders, kb, config)
+        signature_kept = prune_signature_variants(unpruned)
+        expected = prune_corrupt(signature_kept, kb)
+        assert survivors == expected
+        assert [c.text for c in survivors] == [c.text for c in expected]
+        assert [c.text for c in survivors] == [str(c.clause) for c in survivors]
+        if survivors:
+            assert survivors[0].index.atoms == unpruned[0].index.atoms
+        assert (met, classes) == (len(unpruned), len(signature_kept))
+        # the prune functions leave an already pruned pool as it is
+        assert prune_signature_variants(survivors) == survivors
+        assert prune_corrupt(survivors, kb) == survivors
+        return unpruned, survivors
+
+    def test_random_kbs(self):
+        rng = random.Random(67)
+        dropped = 0
+        for _ in range(25):
+            kb = random_kb(rng, max_facts=8)
+            config = default_config(
+                max_decoder_body_len=rng.choice([1, 2]),
+                allow_negation=rng.random() < 0.5,
+                allow_disjunction=rng.random() < 0.8,
+            )
+            unpruned, survivors = self.assert_prunes_the_unpruned_pool(kb, config)
+            dropped += len(unpruned) - len(survivors)
+        assert dropped > 0
+
+    def test_fig1_default_bias(self):
+        unpruned, survivors = self.assert_prunes_the_unpruned_pool(
+            fig1_kb(), default_config(max_decoder_body_len=2)
+        )
+        assert (len(unpruned), len(survivors)) == (14_370, 1_230)
+
+    def test_no_latents(self):
+        kb = kb_of(fact(P2, "a", "b"))
+        assert generate_pruned_decoders([], kb, default_config()) == ([], 0, 0)
 
 
 def _pool(kb, config):

@@ -129,6 +129,30 @@ class TestLearn:
             "  parent/2: missing 0, false 0\n"
         )
 
+    def test_eval_counts_arity_zero_facts_missing(self, tmp_path, capsys):
+        """No decoder reconstructs ``rainy.``: learn counts it missing and
+        so does eval, while encode still rejects it as unknown."""
+        kb = tmp_path / "kb.facts"
+        kb.write_text(
+            "father(vader,luke).\nfather(vader,leia).\n"
+            "mother(padme,luke).\nmother(padme,leia).\nrainy.\n",
+            encoding="utf-8",
+        )
+        args = learn_args(kb, tmp_path, "--json")
+        args[args.index("--gamma") + 1] = "2"
+        assert main(args) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["loss"] == {"objective": 1, "missing": 1, "false": 0}
+        assert "rainy/0" in report["warnings"][0]
+        model = str(tmp_path / "model.alp")
+        assert "rainy" not in (tmp_path / "model.alp").read_text()
+        assert main(["eval", model, str(kb), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["loss"] == report["loss"]["objective"]
+        assert payload["missing"] == 1
+        assert payload["per_predicate"]["rainy/0"] == {"missing": 1, "false": 0}
+        assert main(["encode", model, str(kb)]) == 5
+
 
 class TestEncodeDecode:
     def test_round_trip_reconstruction(self, family, tmp_path, capsys):
@@ -307,6 +331,15 @@ class TestGrid:
             json.loads(p.read_text()).get("status") for p in reports
         }
         assert statuses <= {"ok", "infeasible", "capacity"}
+
+    def test_grid_rejects_dump_model(self, tmp_path, capsys):
+        kb = tmp_path / "self.facts"
+        kb.write_text(SELF_KB, encoding="utf-8")
+        dump = tmp_path / "model.cop"
+        args = learn_args(kb, tmp_path, "--grid", "--dump-model", str(dump))
+        assert main(args) == 2
+        assert "--dump-model cannot be used with --grid" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [kb]
 
 
 class TestDeterminism:
