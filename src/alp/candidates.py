@@ -146,7 +146,6 @@ class CandidateClause:
     head: Literal
     body: tuple[Literal, ...]
     connective: str
-    kind: str
     mask: int
     index: AtomIndex = field(repr=False, compare=False)
     text: str = field(repr=False, compare=False)
@@ -387,8 +386,7 @@ def generate_encoder_candidates(
                 text = _clause_text(pred, args, body_text)
                 out.append(
                     CandidateClause(
-                        Literal(pred, args), literals, connective, ENCODER, mask,
-                        index, text,
+                        Literal(pred, args), literals, connective, mask, index, text
                     )
                 )
         ordinal += len(subsets)
@@ -489,7 +487,7 @@ def generate_decoder_candidates(
             last, body_text = body, _body_text(*body)
         text = _clause_text(pred, args, body_text)
         head = Literal(pred, args)
-        out.append(CandidateClause(head, *body, DECODER, mask, index, text))
+        out.append(CandidateClause(head, *body, mask, index, text))
     return out
 
 
@@ -529,7 +527,7 @@ def generate_pruned_decoders(
         if best is None or text < best[0]:
             kept[key] = (text, body, pred, args, mask)
     survivors = [
-        CandidateClause(Literal(pred, args), *body, DECODER, mask, index, text)
+        CandidateClause(Literal(pred, args), *body, mask, index, text)
         for text, body, pred, args, mask in sorted(kept.values(), key=itemgetter(0))
     ]
     return survivors, met, len(kept) + len(corrupt)

@@ -52,7 +52,6 @@ from .errors import AlpError, InfeasibleError
 from .kb import (
     Fact,
     KnowledgeBase,
-    Predicate,
     avg_facts_per_predicate,
     fact_order,
     predicate_order,
@@ -226,17 +225,6 @@ def build_model(
     index = pool_index(decoders)
     kb_mask = index.kb_mask_of(kb) if index else 0
 
-    latent_of = {
-        c.clause.head.predicate: i for i, c in enumerate(encoders)
-    }
-    for d in decoders:
-        for lit in d.clause.body:
-            if lit.predicate not in latent_of:
-                raise ValueError(
-                    f"decoder {d.clause} uses latent {lit.predicate} "
-                    "with no defining encoder in the pool"
-                )
-
     # The layout: ec, dc, rf, then cl positions, so encoder i sits at i and
     # decoder j at dc_first + j.  The rf atoms are the bits some decoder
     # reconstructs, decoded only here and sorted by fact order.
@@ -267,10 +255,16 @@ def build_model(
     rows.append((LINEAR_LE, tuple(range(len(encoders))), coeffs))
 
     # (b) coupling: every encoder is defined by the decoders using its latent.
+    latent_of = {c.clause.head.predicate: i for i, c in enumerate(encoders)}
     dc_using: dict[int, list[int]] = {i: [] for i in range(len(encoders))}
     for pos, d in enumerate(decoders, dc_first):
         for lit in d.clause.body:
-            ei = latent_of[lit.predicate]
+            ei = latent_of.get(lit.predicate)
+            if ei is None:
+                raise ValueError(
+                    f"decoder {d.clause} uses latent {lit.predicate} "
+                    "with no defining encoder in the pool"
+                )
             if pos not in dc_using[ei]:
                 dc_using[ei].append(pos)
     for i in range(len(encoders)):
@@ -291,13 +285,10 @@ def build_model(
     rows += _generality(dec_groups, class_positions, cl_first)
 
     # (d) coverage: at least one decoder per input predicate that has any.
-    heads: dict[Predicate, list[int]] = {}
-    for pos, d in enumerate(decoders, dc_first):
-        heads.setdefault(d.clause.head.predicate, []).append(pos)
     kb_predicates = {f.predicate for f in kb.facts}
     for p in sorted(kb.input_predicates, key=predicate_order):
-        if p in heads:
-            rows.append((AT_LEAST_ONE, tuple(heads[p]), ()))
+        if p in dec_groups:
+            rows.append((AT_LEAST_ONE, tuple([pos for pos, _ in dec_groups[p]]), ()))
         elif p in kb_predicates:
             warnings.append(
                 f"no candidate decoder reconstructs {p}; "

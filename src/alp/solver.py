@@ -19,11 +19,16 @@ which a generality constraint counts the candidate pairs it stands for,
 overridden by the variable that most recently caused a failure (last
 conflict); the incumbent's value is tried first.
 
-Each LNS iteration freezes a share of the incumbent's structure: alpha % of
-the active decoder variables stay 1 and beta % of the inactive encoder
-variables stay 0; everything else is searched exactly under a fail limit.
-The run's time limit is a deadline that the seed's fallback search and every
-iteration's search poll; reaching it returns the best solution so far.
+The seed is the subsolver's first complete assignment when it tries the
+values of a greedy decoder selection first.  Propagation never contradicts a
+feasible assignment, so a feasible greedy selection is the seed as it is,
+reached without a failure; an infeasible one is repaired by the search.
+Each LNS iteration then freezes a share of the incumbent's structure:
+alpha % of the active decoder variables stay 1 and beta % of the inactive
+encoder variables stay 0; everything else is searched exactly.  Every
+search, the seed's included, stops at the run's fail limit and at its
+deadline (the time limit); reaching the deadline returns the best solution
+so far.
 """
 
 from __future__ import annotations
@@ -47,16 +52,12 @@ from .model import (
     LINEAR_LE,
     RF,
     assignment_from_dc,
-    check_assignment,
     objective_value,
 )
 
 UNASSIGNED = -1
 
 _STAGNATION_WINDOW = 25
-
-# Failures the seed's fallback search may take before it gives up.
-_FALLBACK_FAIL_LIMIT = 50_000
 
 
 @dataclass(frozen=True)
@@ -106,17 +107,11 @@ class _Searcher:
     tuple; an at_least_one row is a body whose head is the always-1
     position.  A class's at-most-one row is left to its iff_or.  The
     generality pairs become a conflict adjacency list per position, the
-    bottleneck one coefficient per position.  The tables are built by the
-    first ``solve``, so that a caller can hold a searcher before it knows
-    whether any search will run.
+    bottleneck one coefficient per position.
     """
 
     def __init__(self, model: CopModel):
         self.model = model
-        self.compiled = False
-
-    def _compile(self) -> None:
-        model = self.model
         first = model.first
         self.n = n = first[CL] + len(model.class_positions)
         # The positions each class position stands for.
@@ -185,7 +180,6 @@ class _Searcher:
         for i, in_kb in enumerate(model.rf_in_kb):
             self.penalty[first[RF] + i] = (1, 0) if in_kb else (0, 1)
         self.static_order = sorted(range(first[RF]), key=lambda p: (-degree[p], p))
-        self.compiled = True
 
     def solve(
         self,
@@ -194,16 +188,16 @@ class _Searcher:
         incumbent_bound: float,
         incumbent: Assignment | None = None,
         deadline: float = math.inf,
+        first: bool = False,
     ) -> ExactResult:
         """Depth-first branch and bound below ``incumbent_bound``.
 
         ``fixed`` maps positions to values; each branch tries the
         incumbent's value first, or 0 without one.  ``deadline`` is a
         ``time.monotonic`` instant, polled every 1,024 nodes; reaching it
-        returns the best completion so far as incomplete.
+        returns the best completion so far as incomplete.  With ``first``
+        the search returns at its first complete assignment, as incomplete.
         """
-        if not self.compiled:
-            self._compile()
         partners, body_of, watch = self.partners, self.body_of, self.watch
         heads, bodies, at_most_one = self.heads, self.bodies, self.at_most_one
         linear_desc, linear_rise = self.linear_desc, self.linear_rise
@@ -362,6 +356,8 @@ class _Searcher:
                     assert UNASSIGNED not in values
                     best = values[:-1]
                     best_obj = lb
+                    if first:
+                        return result(False)
                     conflict = True  # keep searching for strictly better
                 else:
                     if expired():
@@ -401,19 +397,13 @@ def _bottleneck_excess(model: CopModel, assignment: Assignment) -> int:
     return sum(a * assignment[p] for a, p in zip(coeffs, ps))
 
 
-def initial_solution(
-    model: CopModel,
-    searcher: _Searcher | None = None,
-    deadline: float = math.inf,
-) -> Assignment:
-    """Greedy constraint-consistent seed for the LNS.
+def _greedy_selection(model: CopModel) -> Assignment:
+    """The decoder selection the seed's search tries first.
 
     Picks the least-corrupt decoder per input predicate, then sheds the
     heaviest encoders (and their decoders) while the bottleneck is violated,
-    re-covering predicates with lighter alternatives where possible.  Falls
-    back to a bounded exact search when the repair cannot reach feasibility;
-    that search runs on the caller's ``searcher`` (a new one when None) and
-    stops at ``deadline``.
+    re-covering predicates with lighter alternatives where possible.  The
+    selection may still break a generality pair or a coverage row.
     """
     dc_heads = [c.clause.head.predicate for c in model.dc_candidates]
     in_kb = sum(1 << b for b, known in zip(model.rf_bits, model.rf_in_kb) if known)
@@ -454,11 +444,17 @@ def initial_solution(
             key=lambda i: (model.ec_candidates[i].weight, i),
         )
         banned_latents.add(model.ec_candidates[heaviest].clause.head.predicate)
-    if not check_assignment(model, assignment):
-        return assignment
-    if searcher is None:
-        searcher = _Searcher(model)
-    result = searcher.solve({}, _FALLBACK_FAIL_LIMIT, math.inf, deadline=deadline)
+    return assignment
+
+
+def _first_solution(
+    searcher: _Searcher, fail_limit: int, deadline: float
+) -> Assignment:
+    """The LNS seed: the subsolver's first solution under the greedy
+    selection's values, or InfeasibleError when the search proves there is
+    none or stops at a limit first."""
+    greedy = _greedy_selection(searcher.model)
+    result = searcher.solve({}, fail_limit, math.inf, greedy, deadline, first=True)
     if result.best is None:
         detail = "infeasible" if result.complete else "no seed found within limits"
         raise InfeasibleError(f"cannot construct a feasible seed: {detail}")
@@ -479,15 +475,16 @@ def lns_minimize(
     each constraint and recomputes the objective; a violation raises
     ConstraintViolationError and a search objective that disagrees with the
     audit raises AlpError.  The result is proven optimal when the objective
-    hits 0 or a nothing-fixed exact pass ran to completion within its limits.
+    reaches the constant offset, below which no assignment scores, or a
+    nothing-fixed exact pass ran to completion within its limits.
     """
     start = time.monotonic()
     deadline = start + config.time_limit
-    # One searcher serves the seed's fallback and every LNS iteration.
     searcher = _Searcher(model)
-    seed_assignment = initial_solution(model, searcher=searcher, deadline=deadline)
+    seed_assignment = _first_solution(searcher, config.fail_limit, deadline)
     objective = objective_value(model, seed_assignment)
-    incumbent = Solution(seed_assignment, objective, 0, objective == 0)
+    floor = model.constant_offset
+    incumbent = Solution(seed_assignment, objective, 0, objective == floor)
     _emit(progress, 0, incumbent, start, model)
     if incumbent.proven_optimal:
         return incumbent
@@ -536,7 +533,7 @@ def lns_minimize(
             stagnation += 1
         if not fixed and result.complete:
             proven = True
-        if incumbent.objective == 0:
+        if incumbent.objective == floor:
             proven = True
         if proven:
             break

@@ -51,7 +51,7 @@ from alp.model import (
     objective_value,
 )
 from alp.pipeline import prepare_pool
-from alp.solver import ExactResult, _Searcher
+from alp.solver import ExactResult, SearchConfig, _Searcher, _first_solution
 
 
 def cli_subprocess_env(hashseed: str) -> dict[str, str]:
@@ -73,15 +73,21 @@ def cli_subprocess_env(hashseed: str) -> dict[str, str]:
     }
 
 
-def load_workloads():
-    """The benchmark's seeded KB generators (``bench/workloads.py``, which
-    does not import alp)."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+def load_bench(name: str):
+    """The module ``bench/<name>.py``, loaded from its file: ``bench`` is
+    not a package."""
+    path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look the module up
     spec.loader.exec_module(module)
     return module
+
+
+def load_workloads():
+    """The benchmark's seeded KB generators (``bench/workloads.py``, which
+    does not import alp)."""
+    return load_bench("workloads")
 
 
 def pred(name, arity, origin="input"):
@@ -156,7 +162,7 @@ def candidate(clause: Clause, kind: str, facts, index: AtomIndex) -> CandidateCl
     key = None if kind == ENCODER else clause.head.predicate
     mask = index.mask(key, [f.args for f in facts])
     return CandidateClause(
-        clause.head, clause.body, clause.body_connective, kind, mask, index, str(clause)
+        clause.head, clause.body, clause.body_connective, mask, index, str(clause)
     )
 
 
@@ -500,6 +506,14 @@ def synthesize_lossless_instance(rng: random.Random):
         avg = Fraction(sum(truth_weights), len(truth_weights))
         if avg <= Fraction(7, 10) * g:
             return kb
+
+
+def initial_solution(
+    model: CopModel, fail_limit: int = SearchConfig.fail_limit
+) -> Assignment:
+    """The seed ``lns_minimize`` starts from, searched with no deadline: a
+    feasible assignment, or InfeasibleError."""
+    return _first_solution(_Searcher(model), fail_limit, float("inf"))
 
 
 def solve_exact(

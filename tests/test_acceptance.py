@@ -32,13 +32,14 @@ from alp.model import (
 )
 from alp.pipeline import prepare_pool
 from alp.pruning import prune_naming_variants
-from alp.solver import SearchConfig, initial_solution, lns_minimize
+from alp.solver import SearchConfig, lns_minimize
 from helpers import (
     brute_force_loss_optimum,
     cli_subprocess_env,
     default_config,
     drop_constraints,
     fig1_kb,
+    initial_solution,
     lit,
     position,
     pred,

@@ -18,9 +18,10 @@ from alp.candidates import (
     latent_ordinal,
 )
 from alp.errors import CapacityError
-from alp.kb import KnowledgeBase, ModeDeclaration, parse_kb
+from alp.kb import ORIGIN_LATENT, KnowledgeBase, ModeDeclaration, parse_kb
 from alp.logic import (
     CONJUNCTION,
+    DECODER,
     DISJUNCTION,
     ENCODER,
     Clause,
@@ -447,7 +448,8 @@ def _pinned_case(case):
 
 
 def _pinned_row(c) -> bytes:
-    row = (str(c.clause), c.kind, c.weight, sorted(map(str, c.facts())))
+    kind = ENCODER if c.head.predicate.origin == ORIGIN_LATENT else DECODER
+    row = (str(c.clause), kind, c.weight, sorted(map(str, c.facts())))
     return repr(row).encode() + b"\n"
 
 

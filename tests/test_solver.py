@@ -35,16 +35,18 @@ from alp.solver import (
     ExactResult,
     SearchConfig,
     _Searcher,
-    initial_solution,
     lns_minimize,
 )
 from helpers import (
+    FIG1_TEXT,
     assignment_of,
     brute_force_loss_optimum,
     brute_force_objective,
     candidate,
+    default_config,
     fact,
     fig1_kb,
+    initial_solution,
     kb_of,
     lit,
     load_workloads,
@@ -251,6 +253,81 @@ class TestInitialSolution:
         ]
 
 
+class TestSeedDive:
+    """The seed is the subsolver's first solution when it tries the greedy
+    selection's values first."""
+
+    def test_a_feasible_greedy_selection_is_the_seed(self):
+        models = pinned_models()
+        rng = random.Random(109)
+        drawn = 0
+        while drawn < 15:
+            _, model = random_model(rng)
+            if model is not None:
+                models.append(model)
+                drawn += 1
+        feasible = 0
+        for model in models:
+            greedy = solver._greedy_selection(model)
+            if check_assignment(model, greedy):
+                continue
+            dive = _Searcher(model).solve(
+                {}, SearchConfig.fail_limit, math.inf, greedy, first=True
+            )
+            assert (dive.best, dive.failures, dive.complete) == (greedy, 0, False)
+            assert initial_solution(model) == greedy
+            feasible += 1
+        assert feasible >= 15
+
+    @pytest.mark.parametrize("case", ["fig1-dec2", "family-dec1-seed1-kb21"])
+    def test_every_search_gets_the_run_limits(self, searches, case):
+        """Fig. 1 at --max-dec-len 2 and this family KB both start from a
+        greedy selection that breaks a generality pair."""
+        if case == "fig1-dec2":
+            kb, gamma = fig1_kb(), Fraction(2)
+            generation = default_config(max_decoder_body_len=2)
+        else:
+            workloads = load_workloads()
+            kbs, _ = workloads.generate(workloads.WORKLOADS["family-dec1"], 1)
+            kb, gamma = parse_kb_document(kbs[21].text).kb, Fraction(1, 2)
+            generation = default_config()
+        encoders, decoders, _, _ = pipeline_pool(kb, generation)
+        model = build_model(encoders, decoders, kb, gamma)
+        assert check_assignment(model, solver._greedy_selection(model)) != []
+
+        config = SearchConfig(iterations=20, fail_limit=1000)
+        lns_minimize(model, config)
+        assert searches
+        assert {args[1] for args in searches} == {config.fail_limit}
+        deadlines = {args[4] for args in searches}
+        assert len(deadlines) == 1 and math.isfinite(deadlines.pop())
+
+    def test_the_constant_offset_proves_optimality(self, searches):
+        """``rainy.`` has no decoder, so its fact is the model's constant
+        offset: a seed at the offset is optimal, and no LNS search runs."""
+        kb = parse_kb_document(FIG1_TEXT + "rainy.\n").kb
+        encoders, decoders, _, _ = pipeline_pool(kb)
+        model = build_model(encoders, decoders, kb, Fraction(2))
+        assert model.constant_offset == 1
+        solution = lns_minimize(model, SearchConfig(iterations=20, fail_limit=1000))
+        assert (solution.objective, solution.proven_optimal) == (1, True)
+        assert len(searches) == 1  # the seed's dive
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The positional arguments of every ``_Searcher.solve`` call."""
+    calls = []
+    solve = _Searcher.solve
+
+    def recording(self, *args, **kwargs):
+        calls.append(args)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Searcher, "solve", recording)
+    return calls
+
+
 class TestLnsMinimize:
     def test_optimal_seed_returns_immediately(self):
         _, model = tiny_model()
@@ -341,26 +418,29 @@ class TestLnsMinimize:
         config = SearchConfig(iterations=10, fail_limit=300, seed=23)
         assert lns_minimize(model, config) == lns_minimize(model, config)
 
-    def test_time_limit_bounds_the_fallback_seed_search(self):
-        # The greedy repair fails on this model, and the exhaustive fallback
-        # search takes well over the 1,024 nodes between deadline polls.
+    def test_time_limit_bounds_the_seed_dive(self):
+        # The greedy selection is infeasible on this model, so the seed's
+        # dive repairs it; the exhaustive search takes well over the 1,024
+        # nodes between deadline polls.
         rng = random.Random(22)
         for _ in range(4):
             kb = random_kb(rng, max_constants=6, max_facts=30)
         encoders, decoders, _, _ = pipeline_pool(kb)
         model = build_model(encoders, decoders, kb, Fraction(1, 2))
+        assert check_assignment(model, solver._greedy_selection(model)) != []
         full = solve_exact(model, fail_limit=50_000)
         assert full.complete and full.failures > 1024
-        assert initial_solution(model) == full.best
 
         cut = _Searcher(model).solve({}, 50_000, math.inf, deadline=0.0)
         assert not cut.complete
         assert cut.failures < full.failures
         assert check_assignment(model, cut.best) == []
 
+        seed = initial_solution(model)
+        assert check_assignment(model, seed) == []
         solution = lns_minimize(model, SearchConfig(time_limit=0.0))
-        assert solution.assignment == cut.best
-        assert solution.objective == cut.objective > full.objective
+        assert solution.assignment == seed
+        assert solution.objective == objective_value(model, seed) > full.objective
         assert (solution.iteration_found, solution.proven_optimal) == (0, False)
 
     @pytest.mark.parametrize(
@@ -375,7 +455,11 @@ class TestLnsMinimize:
             """Offers the incumbent back as an improvement."""
 
             def solve(self, fixed, fail_limit, incumbent_bound, incumbent=None,
-                      deadline=math.inf):
+                      deadline=math.inf, first=False):
+                if first:  # the seed's dive
+                    return super().solve(
+                        fixed, fail_limit, incumbent_bound, incumbent, deadline, first
+                    )
                 best = list(incumbent)
                 if corrupt == "infeasible":
                     ec0 = position(self.model, EC0)
