@@ -12,9 +12,12 @@ Encoder candidates mint one latent predicate per clause, named
 stable across runs.  Decoder candidates run the same enumeration over the
 latent vocabulary, with heads drawn from the input predicates.
 
-Both generators plan every (body, head) pair, check the count against
-``max_candidates`` before any join, then join each body once and project
-all of its heads from that join.  A candidate's consequences are an ``int``
+Bodies are enumerated and keyed as integer shapes, variables numbered by
+first appearance; ``Literal`` objects are built for the bodies kept only.
+Both generators check the planned (body, head) pairs against
+``max_candidates`` before any join, then join each body once, a
+conjunction from its parent's rows and its last literal, and project all
+of its heads from those rows.  A candidate's consequences are an ``int``
 bitset over its pool's AtomIndex.  ``generate_pruned_decoders`` prunes
 signature variants and corrupt decoders on those bitsets as it meets them,
 and builds a candidate only for the decoders that survive.
@@ -24,11 +27,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import combinations, product
+from functools import cached_property, lru_cache
+from itertools import combinations, count, product
 from math import comb
 from operator import itemgetter
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import CapacityError
 from .kb import (
@@ -53,11 +56,13 @@ from .logic import (
     Clause,
     FactStore,
     Literal,
+    Row,
+    Shape,
     Variable,
     _CANONICAL_PERMUTATION_CAP,
-    body_key,
-    body_rows,
-    body_variables,
+    literal_shapes,
+    project,
+    shape_key,
     var_name,
 )
 
@@ -179,38 +184,72 @@ def pool_index(candidates: list[CandidateClause]) -> AtomIndex | None:
 
 Body = tuple[tuple[Literal, ...], str]  # literals plus connective
 
+
+@dataclass(eq=False, slots=True)
+class _Enumerated:
+    """A body with its variable count and literal shapes.  A conjunction
+    joins its last literal onto its parent's rows (one empty row for a
+    single literal); a disjunction's rows are its disjuncts' in turn."""
+
+    body: Body
+    n_vars: int
+    shapes: tuple[Shape, ...]
+    parent: _Enumerated | None
+
+
 _FRESH = object()  # slot marker during extension
 
 
-def _extend_atom_choices(
-    pred: Predicate, mode: ModeDeclaration, existing: list[Variable]
-) -> list[tuple]:
-    """Argument combinations for one new atom, honoring the mode slots."""
-    if pred.arity == 0:
-        return []  # cannot share a variable
-    all_unbound = all(s == MODE_UNBOUND for s in mode.slots)
-    per_slot = []
-    for s in mode.slots:
-        if s == MODE_BOUND:
-            per_slot.append(list(existing))
-        elif s == MODE_UNBOUND:
-            per_slot.append(list(existing) + [_FRESH] if all_unbound else [_FRESH])
-        else:
-            per_slot.append(list(existing) + [_FRESH])
-    # A combination of fresh variables only would not connect to the body.
-    return [c for c in product(*per_slot) if any(a is not _FRESH for a in c)]
+@lru_cache(maxsize=1 << 12)
+def _variables(ids: tuple[int, ...]) -> tuple[Variable, ...]:
+    return tuple(Variable(var_name(i)) for i in ids)
 
 
-def _materialize(combo: tuple, n_vars: int) -> tuple[Variable, ...]:
-    args = []
-    fresh = n_vars
-    for c in combo:
-        if c is _FRESH:
-            args.append(Variable(var_name(fresh)))
-            fresh += 1
-        else:
-            args.append(c)
-    return tuple(args)
+@lru_cache(maxsize=1 << 16)
+def _literal(shape: Shape) -> Literal:
+    """The literal of a shape over numbered variables, one per shape."""
+    return Literal(shape[0], _variables(shape[2]), shape[1])
+
+
+def _literal_choices(
+    predicates: list[Predicate], modes: dict[Predicate, ModeDeclaration], n: int
+) -> tuple[list[tuple[Shape, int]], list[tuple[Shape, Shape]]]:
+    """The literals that may extend a body of ``n`` variables: positive
+    shapes, each with the variable count after it (fresh variables number on
+    from ``n``), then negated ones, binding every argument, with their twins."""
+    existing = list(range(n))
+    positive = []
+    for pred in predicates:
+        mode = modes.get(pred) or ModeDeclaration.all_either(pred)
+        all_unbound = all(s == MODE_UNBOUND for s in mode.slots)
+        per_slot = [
+            existing if s == MODE_BOUND
+            else [_FRESH] if s == MODE_UNBOUND and not all_unbound
+            else existing + [_FRESH]
+            for s in mode.slots
+        ]
+        for combo in product(*per_slot):
+            if any(c is not _FRESH for c in combo):  # else it would not connect
+                fresh = count(n)
+                ids = tuple(next(fresh) if c is _FRESH else c for c in combo)
+                positive.append(((pred, False, ids), next(fresh)))
+    negated = [
+        ((p, True, ids), (p, False, ids)) for p in predicates if p.arity
+        for ids in product(existing, repeat=p.arity)
+    ]
+    return positive, negated
+
+
+def _extensions(
+    shapes: tuple[Shape, ...], n: int, choices, allow_negation: bool
+) -> list[tuple[Shape, int]]:
+    """The one-literal extensions of a conjunctive body of ``n`` variables
+    (see ``_literal_choices``): no literal twice, one negated at most."""
+    positive, negated = choices
+    out = [c for c in positive if c[0] not in shapes]
+    if allow_negation and not any(s[1] for s in shapes):
+        out += [(s, n) for s, twin in negated if twin not in shapes]
+    return out
 
 
 def extend_body(
@@ -219,72 +258,59 @@ def extend_body(
     modes: dict[Predicate, ModeDeclaration],
     allow_negation: bool = False,
 ) -> list[tuple[Literal, ...]]:
-    """All one-atom extensions of a conjunctive body."""
-    existing = body_variables(literals)
-    out = []
-    for pred in predicates:
-        mode = modes.get(pred) or ModeDeclaration.all_either(pred)
-        for combo in _extend_atom_choices(pred, mode, existing):
-            lit = Literal(pred, _materialize(combo, len(existing)))
-            if lit in literals:
-                continue
-            out.append(literals + (lit,))
-    if allow_negation and not any(l.negated for l in literals) and existing:
-        # One negated atom per body, every argument bound for safety.
-        for pred in predicates:
-            if pred.arity == 0:
-                continue
-            for combo in product(existing, repeat=pred.arity):
-                lit = Literal(pred, tuple(combo), negated=True)
-                if lit in literals or Literal(pred, tuple(combo)) in literals:
-                    continue
-                out.append(literals + (lit,))
-    return out
+    """All one-atom extensions of a conjunctive body whose variables are
+    named by ``var_name`` in order of first appearance."""
+    shapes = tuple(literal_shapes(literals))
+    n = len({i for s in shapes for i in s[2]})
+    out = _extensions(shapes, n, _literal_choices(predicates, modes, n), allow_negation)
+    return [literals + (_literal(s),) for s, _ in out]
 
 
-def _enumerate_conjunctive(
+def _enumerate(
     predicates: list[Predicate],
     modes: dict[Predicate, ModeDeclaration],
     max_len: int,
+    allow_disjunction: bool,
     allow_negation: bool,
-) -> dict[str, tuple[Literal, ...]]:
-    bodies: dict[str, tuple[Literal, ...]] = {}
-    frontier: list[tuple[Literal, ...]] = []
+) -> list[_Enumerated]:
+    """``enumerate_bodies`` as ``_Enumerated`` bodies.  Conjunctions grow a
+    literal at a time, keyed on their shapes; the first body met under a key
+    is kept, and only it is built, as its parent's literals plus one."""
+    conj: dict[str, _Enumerated] = {}
+    frontier = []
     for pred in predicates:
-        lit = Literal(pred, tuple(Variable(var_name(i)) for i in range(pred.arity)))
-        body = (lit,)
-        key = body_key(body)
-        if key not in bodies:
-            bodies[key] = body
-            frontier.append(body)
+        shapes = ((pred, False, tuple(range(pred.arity))),)
+        key = shape_key(shapes)
+        if key not in conj:
+            body = ((_literal(shapes[0]),), CONJUNCTION)
+            conj[key] = entry = _Enumerated(body, pred.arity, shapes, None)
+            frontier.append(entry)
+    choices: dict[int, tuple] = {}  # _literal_choices by variable count
     for _ in range(max_len - 1):
         next_frontier = []
-        for body in frontier:
-            for extended in extend_body(body, predicates, modes, allow_negation):
-                key = body_key(extended)
-                if key not in bodies:
-                    bodies[key] = extended
-                    next_frontier.append(extended)
+        for parent in frontier:
+            n = parent.n_vars
+            if n not in choices:
+                choices[n] = _literal_choices(predicates, modes, n)
+            extensions = _extensions(parent.shapes, n, choices[n], allow_negation)
+            for shape, after in extensions:
+                shapes = parent.shapes + (shape,)
+                key = shape_key(shapes)
+                if key not in conj:
+                    body = (parent.body[0] + (_literal(shape),), CONJUNCTION)
+                    conj[key] = entry = _Enumerated(body, after, shapes, parent)
+                    next_frontier.append(entry)
         frontier = next_frontier
-    return bodies
-
-
-def _enumerate_disjunctive(
-    predicates: list[Predicate], max_len: int
-) -> dict[str, tuple[Literal, ...]]:
-    bodies: dict[str, tuple[Literal, ...]] = {}
-    by_arity: dict[int, list[Predicate]] = {}
-    for p in predicates:
-        if p.arity >= 1:
-            by_arity.setdefault(p.arity, []).append(p)
-    for arity in sorted(by_arity):
-        preds = by_arity[arity]
-        args = tuple(Variable(var_name(i)) for i in range(arity))
-        for size in range(2, min(max_len, len(preds)) + 1):
+    disj: dict[str, _Enumerated] = {}
+    for arity in sorted({p.arity for p in predicates} - {0}):
+        preds = [p for p in predicates if p.arity == arity]
+        for size in range(2, max_len + 1) if allow_disjunction else ():
             for subset in combinations(preds, size):
-                body = tuple(Literal(p, args) for p in subset)
-                bodies[body_key(body, DISJUNCTION)] = body
-    return bodies
+                shapes = tuple((p, False, tuple(range(arity))) for p in subset)
+                body = (tuple(map(_literal, shapes)), DISJUNCTION)
+                key = shape_key(shapes, DISJUNCTION)
+                disj[key] = _Enumerated(body, arity, shapes, None)
+    return [conj[k] for k in sorted(conj)] + [disj[k] for k in sorted(disj)]
 
 
 def enumerate_bodies(
@@ -299,35 +325,52 @@ def enumerate_bodies(
     Bodies identical up to variable renaming and literal order collapse to
     one canonical form.
     """
-    conj = _enumerate_conjunctive(predicates, modes, max_len, allow_negation)
-    out: list[Body] = [(conj[k], CONJUNCTION) for k in sorted(conj)]
-    if allow_disjunction and max_len >= 2:
-        disj = _enumerate_disjunctive(predicates, max_len)
-        out.extend((disj[k], DISJUNCTION) for k in sorted(disj))
-    return out
+    bodies = _enumerate(predicates, modes, max_len, allow_disjunction, allow_negation)
+    return [b.body for b in bodies]
 
 
-def _planned_variables(
+def _joined_bodies(
     kind: str,
-    bodies: list[Body],
+    preds: list[Predicate],
+    modes: dict[Predicate, ModeDeclaration],
     head_sizes: range | list[int],
-    config: GenerationConfig,
-) -> list[list[Variable]]:
-    """Each body's positive variables, once the (body, head) pairs planned
-    over them, one per head size per variable subset of that size, fit
-    under the ceiling.  No body is joined before this check."""
-    variables = [
-        body_variables(l for l in lits if not l.negated) for lits, _ in bodies
-    ]
-    planned = sum(comb(len(vs), k) for vs in variables for k in head_sizes)
-    if planned > config.max_candidates:
-        length = "--max-enc-len" if kind == ENCODER else "--max-dec-len"
+    c: GenerationConfig,
+    facts: Iterable[Fact],
+) -> Iterator[tuple[_Enumerated, list[Row]]]:
+    """The bodies of one kind of candidate, each with its rows over its
+    variables' slots, once the (body, head) pairs planned over them, one
+    per head size per variable subset of that size, fit under the ceiling:
+    no body is joined before.  A parent's rows are kept, so that each body
+    is joined once in any order; a body whose parent has no rows takes no
+    join."""
+    enc = kind == ENCODER
+    max_len = c.max_encoder_body_len if enc else c.max_decoder_body_len
+    bodies = _enumerate(preds, modes, max_len, c.allow_disjunction, c.allow_negation)
+    planned = sum(comb(b.n_vars, k) for b in bodies for k in head_sizes)
+    if planned > c.max_candidates:
         raise CapacityError(
             f"{planned} {kind} candidates planned, over the ceiling of "
-            f"{config.max_candidates}; narrow the language with {length}, "
+            f"{c.max_candidates}; narrow the language with "
+            f"{'--max-enc-len' if enc else '--max-dec-len'}, "
             "--max-head-vars or --no-disjunction, or raise --max-candidates"
         )
-    return variables
+    store = FactStore(facts)
+    parents = {b.parent for b in bodies}
+    kept: dict[_Enumerated, list[Row]] = {}
+
+    def rows_of(b: _Enumerated) -> list[Row]:
+        if b in kept:
+            return kept[b]
+        if b.body[1] == DISJUNCTION:
+            rows = [row for s in b.shapes for row in store.join([()], s)]
+        else:
+            start = [()] if b.parent is None else rows_of(b.parent)
+            rows = store.join(start, b.shapes[-1]) if start else []
+        if b in parents:
+            kept[b] = rows
+        return rows
+
+    return ((b, rows_of(b)) for b in bodies)
 
 
 def _body_text(literals: tuple[Literal, ...], connective: str) -> str:
@@ -363,32 +406,21 @@ def generate_encoder_candidates(
             "with the latent namespace; rename them"
         )
     sizes = range(1, min(config.max_head_vars, max(p.arity for p in input_preds)) + 1)
-    bodies = enumerate_bodies(
-        predicates,
-        modes,
-        config.max_encoder_body_len,
-        config.allow_disjunction,
-        config.allow_negation,
-    )
-    variables = _planned_variables(ENCODER, bodies, sizes, config)
-    store = FactStore(kb.facts | kb.background)
+    facts = kb.facts | kb.background
     index = AtomIndex()
     out = []
     ordinal = 1
-    for (literals, connective), vs in zip(bodies, variables):
-        subsets = [args for size in sizes for args in combinations(vs, size)]
-        rows = body_rows(literals, connective, store, subsets)
-        if any(rows):  # the body has a substitution
-            body_text = _body_text(literals, connective)
-            for i, args in enumerate(subsets):
+    for b, rows in _joined_bodies(ENCODER, predicates, modes, sizes, config, facts):
+        subsets = [s for size in sizes for s in combinations(range(b.n_vars), size)]
+        if rows:  # the body has a substitution
+            body_text = _body_text(*b.body)
+            for i, slots in enumerate(subsets):
+                args = _variables(slots)
                 pred = Predicate(f"latent_{ordinal + i}", len(args), ORIGIN_LATENT)
-                mask = index.mask(None, rows[i])
+                mask = index.mask(None, project(rows, slots))
                 text = _clause_text(pred, args, body_text)
-                out.append(
-                    CandidateClause(
-                        Literal(pred, args), literals, connective, mask, index, text
-                    )
-                )
+                head = Literal(pred, args)
+                out.append(CandidateClause(head, *b.body, mask, index, text))
         ordinal += len(subsets)
     return out
 
@@ -439,37 +471,24 @@ def _decoder_masks(
     latents = sorted({c.head.predicate for c in latent_candidates}, key=predicate_order)
     if not latents:
         return
-    modes = {p: ModeDeclaration.all_either(p) for p in latents}
-    bodies = enumerate_bodies(
-        latents,
-        modes,
-        config.max_decoder_body_len,
-        config.allow_disjunction,
-        config.allow_negation,
-    )
     input_preds = sorted(
         (p for p in kb.vocabulary if p.origin == ORIGIN_INPUT and p.arity >= 1),
         key=predicate_order,
     )
-    variables = _planned_variables(
-        DECODER, bodies, [p.arity for p in input_preds], config
-    )
-    store = FactStore(latent_facts(latent_candidates))
-    arities = sorted({p.arity for p in input_preds})
-    for body, vs in zip(bodies, variables):
-        # The head predicates of one arity share its variable subsets.
-        head_args: list[tuple[Variable, ...]] = []
-        offset: dict[int, int] = {}
-        for a in arities:
-            offset[a] = len(head_args)
-            head_args += combinations(vs, a)
-        rows = body_rows(*body, store, head_args)
-        if not any(rows):  # the body has no substitution
+    arities = [p.arity for p in input_preds]
+    facts = latent_facts(latent_candidates)
+    for b, rows in _joined_bodies(DECODER, latents, {}, arities, config, facts):
+        if not rows:  # the body has no substitution
             continue
+        # The head predicates of one arity share its variable subsets.
+        slots = range(b.n_vars)
+        heads = {
+            a: [(_variables(s), project(rows, s)) for s in combinations(slots, a)]
+            for a in set(arities)
+        }
         for pred in input_preds:
-            start = offset[pred.arity]
-            for a in range(start, start + comb(len(vs), pred.arity)):
-                yield body, pred, head_args[a], index.mask(pred, rows[a])
+            for args, atoms in heads[pred.arity]:
+                yield b.body, pred, args, index.mask(pred, atoms)
 
 
 def generate_decoder_candidates(

@@ -1,14 +1,15 @@
 """Clauses, logic programs, and their bottom-up evaluation.
 
-A body is compiled once into integer slots and joined over rows of
-constants: a row starts with the clause's constants, and each literal's
-first-seen variables take the next slots.  A literal looks its bound slots up
-in a hash index of its predicate keyed by those argument positions, checks a
-variable repeated within it, and appends its new variables.  Negated literals
-come last and keep a row only when its ground atom is absent (closed-world
-assumption); a disjunction is one join per disjunct.  Every head over the
-body is projected from its rows by slot, so one join serves them all.
-Programs here are non-recursive, so one bottom-up pass reaches the fixpoint.
+A body is joined one literal at a time over rows of constants, each literal
+a shape: its predicate, its sign and an integer slot per argument.  A row
+starts with the clause's constants, and each literal's first-seen variables
+take the next slots.  ``FactStore.join`` looks a literal's bound slots up in
+a hash index of its predicate, checks a variable repeated within it, and
+appends its new variables; a negated literal, joined last, keeps a row only
+when its ground atom is absent (closed-world assumption).  A disjunction is
+one join per disjunct.  The candidate generators join a conjunction's last
+literal onto its parent body's rows.  Programs here are non-recursive, so
+one bottom-up pass reaches the fixpoint.
 
 Program text format, round-trippable through the parser:
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import permutations
 from typing import Iterable, Union
 
@@ -153,16 +154,6 @@ class Clause:
         return f"{self.head} :- {sep.join(str(lit) for lit in self.body)}."
 
 
-def body_variables(literals: Iterable[Literal]) -> list[Variable]:
-    """The literals' variables in order of first appearance."""
-    seen: list[Variable] = []
-    for lit in literals:
-        for v in lit.variables():
-            if v not in seen:
-                seen.append(v)
-    return seen
-
-
 @dataclass(frozen=True, slots=True)
 class LogicProgram:
     """A non-recursive set of clauses, all mapping in one direction.
@@ -219,6 +210,12 @@ class Alp:
             raise ValueError("decoder body predicates outside latent vocabulary")
 
 
+Row = tuple[Constant, ...]
+# A literal as (predicate, negated, ids): in a join an id is a slot of the
+# rows, in a canonical key a variable's number or a constant's symbol.
+Shape = tuple[Predicate, bool, tuple]
+
+
 class FactStore:
     """Argument rows by predicate, with hash indexes built lazily per
     pattern of bound positions."""
@@ -241,93 +238,75 @@ class FactStore:
                 cached.setdefault(tuple(args[i] for i in bound), []).append(args)
         return cached
 
-
-Row = tuple[Constant, ...]
-
-
-def _compile(literals: tuple[Literal, ...], head_args: list[tuple[Term, ...]]):
-    """The join plan of a conjunction over slot rows, and each head's slots.
-
-    A row starts with the constants of the literals and heads, and each
-    literal's first-seen variables take the next slots.  A step is the
-    literal's predicate, whether it is negated, its bound positions with
-    their slots, the positions it appends, and (position, earlier position)
-    pairs for a variable repeated within it.  Negated literals come last,
-    so all their positions are bound.
-    """
-    literals = sorted(literals, key=lambda l: l.negated)  # stable
-    slot: dict = {}  # a constant's slot by the constant, a variable's by its name
-    for args in [l.args for l in literals] + head_args:
-        for a in args:
-            if type(a) is not Variable:
-                slot.setdefault(a, len(slot))
-    start = tuple(slot)
-    steps = []
-    for lit in literals:
-        keys = [a.name if type(a) is Variable else a for a in lit.args]
-        bound, slots, new, repeats = [], [], [], []
-        for i, k in enumerate(keys):
-            if k in slot:
-                bound.append(i)
-                slots.append(slot[k])
-            elif k in keys[:i]:
-                repeats.append((i, keys.index(k)))
-            else:
-                new.append(i)
-        for i in new:
-            slot[keys[i]] = len(slot)
-        steps.append((lit.predicate, lit.negated, tuple(bound), slots, new, repeats))
-    return start, steps, [
-        [slot[a.name if type(a) is Variable else a] for a in args] for args in head_args
-    ]
-
-
-def _join(start: Row, steps, store: FactStore) -> list[Row]:
-    """Every row that extends ``start`` and satisfies the steps in order."""
-    rows = [start]
-    for predicate, negated, positions, slots, new, repeats in steps:
-        index = store.index(predicate, positions)
-        if negated:  # closed world: the atom must be absent
-            rows = [r for r in rows if tuple([r[s] for s in slots]) not in index]
-            continue
-        rows = [
+    def join(self, rows: list[Row], shape: Shape) -> list[Row]:
+        """Every extension of the rows that satisfies one literal: the join
+        step of every body.  An id below the rows' width is a bound slot;
+        the others are new slots, numbered on in order of first appearance.
+        A negated literal binds every slot and keeps a row when its atom is
+        absent (closed-world assumption)."""
+        if not rows:
+            return rows
+        predicate, negated, ids = shape
+        width = len(rows[0])
+        first = [ids.index(k) for k in ids]  # each argument's first position
+        bound = tuple(i for i, k in enumerate(ids) if k < width)
+        slots = [ids[i] for i in bound]
+        new = [i for i, k in enumerate(ids) if k >= width and first[i] == i]
+        repeats = [(i, j) for i, j in enumerate(first) if ids[i] >= width and j < i]
+        index = self.index(predicate, bound)
+        if negated:
+            return [r for r in rows if tuple([r[s] for s in slots]) not in index]
+        return [
             row + tuple([args[i] for i in new])
             for row in rows
             for args in index.get(tuple([row[s] for s in slots]), ())
             if not repeats or all(args[i] == args[j] for i, j in repeats)
         ]
-    return rows
 
 
-def body_rows(
-    body: tuple[Literal, ...],
-    connective: str,
-    store: FactStore,
-    head_args: list[tuple[Term, ...]],
-) -> list[set[Row]]:
-    """For each tuple of terms in ``head_args``, its ground instances under
-    every substitution that satisfies the body.
-
-    A conjunction is joined once and every tuple projected from that join;
-    a disjunction is one join per disjunct.
+def _compile(literals: tuple[Literal, ...], head: tuple[Term, ...]):
+    """A conjunction as a start row, its literals' shapes over slot rows in
+    join order (negated literals last, all their slots bound) and the
+    head's slots.  The start row holds the constants of literals and head.
     """
-    joins = [(lit,) for lit in body] if connective == DISJUNCTION else [body]
-    out: list[set[Row]] = [set() for _ in head_args]
-    for literals in joins:
-        start, steps, heads = _compile(literals, head_args)
-        rows = _join(start, steps, store)
-        for projected, slots in zip(out, heads):
-            projected.update(tuple([row[s] for s in slots]) for row in rows)
-    return out
+    literals = sorted(literals, key=lambda l: l.negated)  # stable
+    slot: dict = {}  # a constant's slot by the constant, a variable's by its name
+    for args in [l.args for l in literals] + [head]:
+        for a in args:
+            if type(a) is not Variable:
+                slot.setdefault(a, len(slot))
+    start = tuple(slot)
+
+    def ids(args):
+        return tuple(
+            slot.setdefault(a.name if type(a) is Variable else a, len(slot))
+            for a in args
+        )
+
+    return start, [(l.predicate, l.negated, ids(l.args)) for l in literals], ids(head)
+
+
+def project(rows: list[Row], slots: tuple[int, ...]) -> set[Row]:
+    """The rows' values at the slots, in the rows' order."""
+    return {tuple([row[s] for s in slots]) for row in rows}
 
 
 def ground_consequences(
     clause: Clause, facts: Iterable[Fact] | FactStore
 ) -> frozenset[Fact]:
-    """Every ground head instance whose body is satisfied by the facts."""
+    """Every ground head instance whose body is satisfied by the facts.
+
+    A conjunction is joined literal by literal and the head projected from
+    its rows.  A disjunction is one join per disjunct; disjuncts share one
+    argument tuple, so their rows share the head's slots.
+    """
     store = facts if isinstance(facts, FactStore) else FactStore(facts)
-    (rows,) = body_rows(clause.body, clause.body_connective, store, [clause.head.args])
-    return frozenset(Fact(clause.head.predicate, args) for args in rows)
+    body, rows = clause.body, []
+    disjunction = clause.body_connective == DISJUNCTION
+    for literals in [(l,) for l in body] if disjunction else [body]:
+        start, shapes, head = _compile(literals, clause.head.args)
+        rows += reduce(store.join, shapes, [start])
+    return frozenset(Fact(clause.head.predicate, args) for args in project(rows, head))
 
 
 def apply_program(program: LogicProgram, facts: Iterable[Fact]) -> frozenset[Fact]:
@@ -383,47 +362,49 @@ def _renamed_texts(shapes) -> tuple[str, ...]:
     appearance in this order."""
     mapping: dict[int, int] = {}
     texts = []
-    for name, negated, ids in shapes:
+    for predicate, negated, ids in shapes:
         renamed = []
         for a in ids:
             if type(a) is int:
                 a = mapping.setdefault(a, len(mapping))
             renamed.append(a)
-        texts.append(_literal_text(name, negated, tuple(renamed)))
+        texts.append(_literal_text(predicate.name, negated, tuple(renamed)))
     return tuple(texts)
 
 
-def body_key(body: tuple[Literal, ...], connective: str = CONJUNCTION) -> str:
-    """The canonical text of a body, equal for two bodies exactly when they
-    are equal up to variable renaming and literal order.
+def shape_key(shapes, connective: str = CONJUNCTION) -> str:
+    """The canonical text of a body of literal shapes, equal for two bodies
+    exactly when they are equal up to variable renaming and literal order.
 
     A conjunction takes the least tuple of literal texts over every literal
     order, its variables renamed X, Y, Z, ... by first appearance.  That is
     exact but costs len(body)! renamings, so GenerationConfig caps body
     lengths at ``_CANONICAL_PERMUTATION_CAP``.  Disjuncts share one argument
-    tuple, so a disjunction only sorts them by predicate.  The variables are
-    numbered once per body and each renaming maps those numbers; the
-    comparison is on the rendered texts, since display names do not sort in
-    number order (W comes before X).
+    tuple, so a disjunction only sorts them by predicate.  Texts compare as
+    rendered, since display names do not sort in number order (W < X).
     """
-    numbers: dict[str, int] = {}  # by variable name
-    shapes = [
-        (
-            l.predicate.name,
-            l.negated,
-            tuple(
-                numbers.setdefault(a.name, len(numbers))
-                if type(a) is Variable
-                else a.symbol
-                for a in l.args
-            ),
-        )
-        for l in body
-    ]
     if connective == DISJUNCTION:
-        shapes.sort(key=lambda s: (s[0], len(s[2])))  # (name, arity)
+        shapes = sorted(shapes, key=lambda s: (s[0].name, len(s[2])))
         return ";".join(_renamed_texts(shapes))
     return ",".join(min(map(_renamed_texts, permutations(shapes))))
+
+
+def literal_shapes(literals: Iterable[Literal]) -> list[Shape]:
+    """The literals' shapes, their variables numbered by first appearance
+    and their constants standing as their symbols."""
+    numbers: dict[str, int] = {}  # by variable name
+
+    def number(a: Term):
+        if type(a) is Variable:
+            return numbers.setdefault(a.name, len(numbers))
+        return a.symbol
+
+    return [(l.predicate, l.negated, tuple(map(number, l.args))) for l in literals]
+
+
+def body_key(body: tuple[Literal, ...], connective: str = CONJUNCTION) -> str:
+    """``shape_key`` of a body of literals."""
+    return shape_key(literal_shapes(body), connective)
 
 
 # ----------------------------------------------------------------------

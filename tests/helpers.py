@@ -211,6 +211,11 @@ def brute_force_consequences(clause: Clause, facts) -> frozenset[Fact]:
     return frozenset(out)
 
 
+def body_variables(literals) -> list[Variable]:
+    """The literals' variables in order of first appearance."""
+    return list(dict.fromkeys(v for l in literals for v in l.variables()))
+
+
 def _rename_by_appearance(literals) -> tuple[Literal, ...]:
     mapping: dict[Variable, Variable] = {}
     out = []

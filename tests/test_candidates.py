@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from alp.candidates import (
     AtomIndex,
     GenerationConfig,
+    _joined_bodies,
     enumerate_bodies,
     extend_body,
     generate_decoder_candidates,
@@ -18,14 +20,22 @@ from alp.candidates import (
     latent_ordinal,
 )
 from alp.errors import CapacityError
-from alp.kb import ORIGIN_LATENT, KnowledgeBase, ModeDeclaration, parse_kb
+from alp.kb import (
+    ORIGIN_LATENT,
+    KnowledgeBase,
+    ModeDeclaration,
+    parse_kb,
+    predicate_order,
+)
 from alp.logic import (
     CONJUNCTION,
     DECODER,
     DISJUNCTION,
     ENCODER,
     Clause,
+    FactStore,
     LogicProgram,
+    _compile,
     apply_program,
     body_key,
     ground_consequences,
@@ -152,6 +162,66 @@ class TestBodyEnumeration:
             for l in lits:
                 if l.negated:
                     assert set(l.variables()) <= positive_vars
+
+
+R2 = pred("r", 2)
+ENUMERATION_CASES = {
+    "fig1": (
+        sorted(fig1_kb().vocabulary, key=lambda p: (p.name, p.arity)), {}
+    ),
+    "appendix": ([P2, Q1], APPENDIX_MODES),
+    "either": ([P2, Q1], {}),
+    "mixed": (
+        [P2, Q1, R2],
+        {
+            P2: ModeDeclaration(P2, ("?", "+")),
+            Q1: ModeDeclaration(Q1, ("-",)),
+            R2: ModeDeclaration(R2, ("-", "-")),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "case, max_len, negation, size, digest",
+    [
+        ("fig1", 1, False, 5,
+         "3be5eafa8a213cf3ade89d74d002ac8aebe9376a8edb196fcdd88afc00a02681"),
+        ("fig1", 1, True, 5,
+         "3be5eafa8a213cf3ade89d74d002ac8aebe9376a8edb196fcdd88afc00a02681"),
+        ("fig1", 2, False, 107,
+         "9de0edf92b3a81faa935f51b1dd6f83822b371423112816c7d14b1793661cfd2"),
+        ("fig1", 2, True, 179,
+         "d94f8b414f835d34d39cad005bc5849f546063ecadc9e49af3eb2246e8baebd2"),
+        ("fig1", 3, False, 1653,
+         "5cf170499d06d9949bdeed797b0cc20b2f29ae2de730e8b5dcbd446286cae5c9"),
+        ("fig1", 3, True, 3877,
+         "7e48778d9369e618a32c1c7a1fa40d5ae3a3151ccd155d651f8252f11d72993b"),
+        ("appendix", 3, False, 16,
+         "af428d017ebf2c90b424db5db4dacf7d07723d934519ca09b305e6f92fb91db9"),
+        ("appendix", 3, True, 48,
+         "7eb65bff14616a04372bc8940437766c99036da577e05c72291605f4f6c803ab"),
+        ("either", 3, False, 45,
+         "87bffa94cda71d11f128fd117a35e7dd0e71e6504481fb1983ba7765c15ba394"),
+        ("either", 3, True, 97,
+         "91c4bc334f286ff9dd9c97033e3a6ecad7e2db59235732552c3a2e27e8426fbc"),
+        ("mixed", 3, False, 233,
+         "85e7de7d524bfc446b86722ad50cf1943d2c3f4f69766f8f89dd1969c4593ae3"),
+        ("mixed", 3, True, 542,
+         "81bb3dcc04b6ee9e83457eeb17b0f2b80efdeb9f35a2aff5b0df0bdb6b7b3a8e"),
+    ],
+)
+def test_enumeration_pinned(case, max_len, negation, size, digest):
+    """SHA-256 of ``enumerate_bodies`` output, in order, as (body text,
+    connective), recorded while bodies were enumerated as ``Literal``
+    tuples and keyed one by one with ``body_key``."""
+    predicates, modes = ENUMERATION_CASES[case]
+    bodies = enumerate_bodies(predicates, modes, max_len, True, negation)
+    assert len(bodies) == size
+    h = hashlib.sha256()
+    for lits, conn in bodies:
+        h.update(repr((str(lits), conn)).encode() + b"\n")
+    assert h.hexdigest() == digest
 
 
 def encoder_heads(body, facts, **config):
@@ -376,13 +446,18 @@ class TestPrunedDecoders:
         return unpruned, survivors
 
     def test_random_kbs(self):
+        """Decoder lengths 1 to 3.  Length 3, drawn with negation, is the
+        first length where a positive literal can follow a negated one; its
+        encoders keep to one literal, so that the test stays short."""
         rng = random.Random(67)
         dropped = 0
         for _ in range(25):
             kb = random_kb(rng, max_facts=8)
+            length = rng.choice([1, 2, 3])
             config = default_config(
-                max_decoder_body_len=rng.choice([1, 2]),
-                allow_negation=rng.random() < 0.5,
+                max_encoder_body_len=1 if length == 3 else 2,
+                max_decoder_body_len=length,
+                allow_negation=length == 3 or rng.random() < 0.5,
                 allow_disjunction=rng.random() < 0.8,
             )
             unpruned, survivors = self.assert_prunes_the_unpruned_pool(kb, config)
@@ -398,6 +473,49 @@ class TestPrunedDecoders:
     def test_no_latents(self):
         kb = kb_of(fact(P2, "a", "b"))
         assert generate_pruned_decoders([], kb, default_config()) == ([], 0, 0)
+
+
+def _rows_from_scratch(literals, connective, store):
+    """A body's rows over its variables, joined from the empty row on."""
+    rows = []
+    for part in [(l,) for l in literals] if connective == DISJUNCTION else [literals]:
+        start, shapes, _ = _compile(part, ())
+        rows += reduce(store.join, shapes, [start])
+    return rows
+
+
+def test_one_step_rows_equal_a_join_from_scratch():
+    """On seeded random KBs, the rows each enumerated decoder body joins
+    from its parent's rows and its last literal are, in order, the rows of
+    the whole body joined from scratch, and for up to two variables the
+    substitutions brute force finds.  The bodies met include ones whose
+    parent has no rows and ones where a positive literal follows a negated
+    one."""
+    rng = random.Random(71)
+    without_parent_rows = after_negated = 0
+    for _ in range(12):
+        kb = random_kb(rng, max_facts=6)
+        config = default_config(
+            max_encoder_body_len=1, max_decoder_body_len=3, allow_negation=True
+        )
+        encoders = prune_naming_variants(generate_encoder_candidates(kb, {}, config))
+        latents = sorted({c.head.predicate for c in encoders}, key=predicate_order)
+        context = latent_facts(encoders)
+        store = FactStore(context)
+        joined = list(_joined_bodies(DECODER, latents, {}, [1], config, context))
+        rows_of = dict(joined)
+        for body, rows in joined:
+            literals, connective = body.body
+            assert rows == _rows_from_scratch(literals, connective, store)
+            if body.n_vars <= 2:
+                head = lit(pred("h", body.n_vars), *"XY"[: body.n_vars])
+                clause = Clause(head, literals, connective)
+                facts = brute_force_consequences(clause, context)
+                assert set(rows) == {f.args for f in facts}
+            parent = body.parent
+            without_parent_rows += parent is not None and not rows_of[parent]
+            after_negated += any(l.negated for l in literals[:-1])
+    assert without_parent_rows and after_negated
 
 
 def _pool(kb, config):
@@ -565,11 +683,25 @@ class TestCandidateCeiling:
     def test_no_join_before_the_ceiling(self, monkeypatch):
         kb = fig1_kb()
         encoders = generate_encoder_candidates(kb, {}, default_config())
+        joins = []
+        join = FactStore.join
+
+        def counted(*args):
+            joins.append(args)
+            return join(*args)
+
+        # Positive control: the patched step is the one every join takes.
+        monkeypatch.setattr("alp.logic.FactStore.join", counted)
+        generate_encoder_candidates(kb, {}, default_config())
+        assert joins
+        joins.clear()
+        generate_decoder_candidates(encoders, kb, default_config())
+        assert joins
 
         def no_join(*args):
             raise AssertionError("joined before the ceiling check")
 
-        monkeypatch.setattr("alp.logic._join", no_join)
+        monkeypatch.setattr("alp.logic.FactStore.join", no_join)
         with pytest.raises(CapacityError):
             generate_encoder_candidates(kb, {}, default_config(max_candidates=129))
         with pytest.raises(CapacityError):

@@ -85,9 +85,12 @@ class TestLearn:
         def no_join(*args):
             raise AssertionError("joined before the ceiling check")
 
-        monkeypatch.setattr("alp.logic._join", no_join)
+        monkeypatch.setattr("alp.logic.FactStore.join", no_join)
         assert main(learn_args(family, tmp_path, "--max-candidates", "3")) == 4
         assert "raise --max-candidates" in capsys.readouterr().err
+        # Positive control: under the ceiling the patched step is reached.
+        with pytest.raises(AssertionError, match="joined before"):
+            main(learn_args(family, tmp_path))
 
     def test_dump_model_written(self, family, tmp_path):
         dump = tmp_path / "model.cop"

@@ -19,7 +19,6 @@ from alp.logic import (
     Variable,
     apply_program,
     body_key,
-    body_variables,
     encode,
     ground_consequences,
     loss_parts,
@@ -30,6 +29,7 @@ from alp.logic import (
 )
 from alp.kb import KnowledgeBase, parse_kb, serialize_kb
 from helpers import (
+    body_variables,
     brute_force_consequences,
     canonical_body,
     fact,

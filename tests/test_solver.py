@@ -231,9 +231,9 @@ class TestInitialSolution:
 
     def test_seed_pinned(self):
         """Decoder selections and objectives recorded from the seed before
-        its repair loop was merged.  The repair bans a latent on every one
-        of these draws; the eighth still falls back to search, and three
-        have no feasible seed."""
+        its repair loop was merged.  The seed, now one dive of the exact
+        subsolver, still gives them; three of these draws have no feasible
+        seed."""
         got = []
         for model in pinned_models():
             try:
