@@ -60,7 +60,6 @@ from .logic import (
     Shape,
     Variable,
     _CANONICAL_PERMUTATION_CAP,
-    literal_shapes,
     project,
     shape_key,
     var_name,
@@ -143,9 +142,10 @@ class CandidateClause:
     bitset over its pool's AtomIndex.
 
     ``text`` is ``str(clause)``, rendered once: it is the candidate's sort
-    key.  The ``Clause`` itself is built and checked on first use, since
-    naming-variant pruning drops most encoders having read only their head
-    and mask.
+    key and its line in ``--dump-model`` and ``alp enumerate``.  Pruning,
+    model building and search read only the fields, so the ``Clause`` is
+    built and checked on first use, which ``induced_alp`` makes for the
+    selected candidates only.
     """
 
     head: Literal
@@ -250,20 +250,6 @@ def _extensions(
     if allow_negation and not any(s[1] for s in shapes):
         out += [(s, n) for s, twin in negated if twin not in shapes]
     return out
-
-
-def extend_body(
-    literals: tuple[Literal, ...],
-    predicates: list[Predicate],
-    modes: dict[Predicate, ModeDeclaration],
-    allow_negation: bool = False,
-) -> list[tuple[Literal, ...]]:
-    """All one-atom extensions of a conjunctive body whose variables are
-    named by ``var_name`` in order of first appearance."""
-    shapes = tuple(literal_shapes(literals))
-    n = len({i for s in shapes for i in s[2]})
-    out = _extensions(shapes, n, _literal_choices(predicates, modes, n), allow_negation)
-    return [literals + (_literal(s),) for s, _ in out]
 
 
 def _enumerate(

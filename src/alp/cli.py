@@ -167,8 +167,8 @@ def cmd_enumerate(args) -> int:
     encoders, decoders, pruning, _ = prepare_pool(
         document.kb, document.modes, _config(GenerationConfig, args)
     )
-    lines = ["#encoder", *(str(c.clause) for c in encoders)]
-    lines += ["#decoder", *(str(c.clause) for c in decoders)]
+    lines = ["#encoder", *(c.text for c in encoders)]
+    lines += ["#decoder", *(c.text for c in decoders)]
     _write_out(args.out, "\n".join(lines) + "\n")
     if args.tsv:
         tsv = ["id\tkind\tweight\tconsequences"]

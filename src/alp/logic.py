@@ -389,24 +389,6 @@ def shape_key(shapes, connective: str = CONJUNCTION) -> str:
     return ",".join(min(map(_renamed_texts, permutations(shapes))))
 
 
-def literal_shapes(literals: Iterable[Literal]) -> list[Shape]:
-    """The literals' shapes, their variables numbered by first appearance
-    and their constants standing as their symbols."""
-    numbers: dict[str, int] = {}  # by variable name
-
-    def number(a: Term):
-        if type(a) is Variable:
-            return numbers.setdefault(a.name, len(numbers))
-        return a.symbol
-
-    return [(l.predicate, l.negated, tuple(map(number, l.args))) for l in literals]
-
-
-def body_key(body: tuple[Literal, ...], connective: str = CONJUNCTION) -> str:
-    """``shape_key`` of a body of literals."""
-    return shape_key(literal_shapes(body), connective)
-
-
 # ----------------------------------------------------------------------
 # Program text format.
 # ----------------------------------------------------------------------

@@ -30,8 +30,10 @@ variable, in ``CopModel.all_ids`` order: every ec, then every dc, then
 every rf, then every cl, each kind by index, so ``VarId(i, kind)`` sits at
 ``first[kind] + i``.  The model is built in that form: each constraint is a
 row of positions (``CopModel.rows``), which the audit, the objective and
-the solver read.  ``VarId``s are only a naming view of the rows, for the
-text dump and error messages.
+the solver read.  ``VarId``s and ``Constraint``s are only a naming view
+of the rows, for the text dump, error messages, the benchmark's oracle and
+the tests.  Candidates are read through their fields (head, body, text and
+mask); a ``Clause`` is built only by ``induced_alp``, for the selected ones.
 """
 
 from __future__ import annotations
@@ -154,12 +156,6 @@ class CopModel:
             ]
         )
 
-    @cached_property
-    def class_members(self) -> tuple[tuple[VarId, ...], ...]:
-        """The members of each cl, named by ``all_ids``."""
-        ids = self.all_ids()
-        return tuple(tuple([ids[p] for p in ps]) for ps in self.class_positions)
-
     def size_summary(self) -> dict:
         return {
             "ec": len(self.ec_candidates),
@@ -217,7 +213,7 @@ def build_model(
     gamma = Fraction(gamma)
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    encoders = sorted(encoders, key=lambda c: latent_ordinal(c.clause.head.predicate))
+    encoders = sorted(encoders, key=lambda c: latent_ordinal(c.head.predicate))
     decoders = sorted(decoders, key=lambda c: c.text)
     if not encoders:
         raise InfeasibleError("no candidate encoder clauses survive generation")
@@ -255,14 +251,14 @@ def build_model(
     rows.append((LINEAR_LE, tuple(range(len(encoders))), coeffs))
 
     # (b) coupling: every encoder is defined by the decoders using its latent.
-    latent_of = {c.clause.head.predicate: i for i, c in enumerate(encoders)}
+    latent_of = {c.head.predicate: i for i, c in enumerate(encoders)}
     dc_using: dict[int, list[int]] = {i: [] for i in range(len(encoders))}
     for pos, d in enumerate(decoders, dc_first):
-        for lit in d.clause.body:
+        for lit in d.body:
             ei = latent_of.get(lit.predicate)
             if ei is None:
                 raise ValueError(
-                    f"decoder {d.clause} uses latent {lit.predicate} "
+                    f"decoder {d.text} uses latent {lit.predicate} "
                     "with no defining encoder in the pool"
                 )
             if pos not in dc_using[ei]:
@@ -275,12 +271,10 @@ def build_model(
     class_positions: list[tuple[int, ...]] = []
     enc_groups: dict = {}
     for i, c in enumerate(encoders):
-        enc_groups.setdefault(c.clause.head.predicate.arity, []).append(
-            (i, c.mask)
-        )
+        enc_groups.setdefault(c.head.predicate.arity, []).append((i, c.mask))
     dec_groups: dict = {}
     for pos, d in enumerate(decoders, dc_first):
-        dec_groups.setdefault(d.clause.head.predicate, []).append((pos, d.mask))
+        dec_groups.setdefault(d.head.predicate, []).append((pos, d.mask))
     rows += _generality(enc_groups, class_positions, cl_first)
     rows += _generality(dec_groups, class_positions, cl_first)
 
@@ -341,7 +335,8 @@ def objective_value(model: CopModel, assignment: Assignment) -> int:
     violations = check_assignment(model, assignment)
     if violations:
         raise ConstraintViolationError(
-            f"{len(violations)} violated constraint(s), first: {violations[0]}"
+            f"{len(violations)} violated constraint(s), first: "
+            + _constraint_line(violations[0])
         )
     total = model.constant_offset
     for p, in_kb in enumerate(model.rf_in_kb, model.first[RF]):
@@ -361,10 +356,10 @@ def assignment_from_dc(model: CopModel, selected: set[int]) -> Assignment:
     for j in selected:
         dc[j] = 1
         candidate = model.dc_candidates[j]
-        used_latents.update(lit.predicate for lit in candidate.clause.body)
+        used_latents.update(lit.predicate for lit in candidate.body)
         reconstructed |= candidate.mask
     assignment = [
-        1 if c.clause.head.predicate in used_latents else 0
+        1 if c.head.predicate in used_latents else 0
         for c in model.ec_candidates
     ]
     assignment += dc
@@ -391,25 +386,27 @@ def induced_alp(model: CopModel, assignment: Assignment) -> Alp:
     return Alp(encoder, decoder, frozenset(latents))
 
 
+def _constraint_line(con: Constraint) -> str:
+    """The constraint's line in ``dump_model``."""
+    if con.form == LINEAR_LE:
+        terms = " ".join(f"{a:+d}*{v}" for a, v in zip(con.coeffs, con.vars))
+        return f"constraint linear_le {terms} <= 0"
+    return f"constraint {con.form} {' '.join(map(str, con.vars))}"
+
+
 def dump_model(model: CopModel) -> str:
     """Line-oriented text form for external cross-checks."""
     lines = []
     for i, c in enumerate(model.ec_candidates):
-        lines.append(f"var ec_{i} {c.clause}")
+        lines.append(f"var ec_{i} {c.text}")
     for j, c in enumerate(model.dc_candidates):
-        lines.append(f"var dc_{j} {c.clause}")
+        lines.append(f"var dc_{j} {c.text}")
     for i, atom in enumerate(model.rf_atoms):
         lines.append(f"var rf_{i} {atom}")
-    for k, members in enumerate(model.class_members):
-        lines.append(f"var cl_{k} {' '.join(map(str, members))}")
-    for con in model.constraints:
-        if con.form == LINEAR_LE:
-            terms = " ".join(
-                f"{a:+d}*{v}" for a, v in zip(con.coeffs, con.vars)
-            )
-            lines.append(f"constraint linear_le {terms} <= 0")
-        else:
-            lines.append(f"constraint {con.form} {' '.join(map(str, con.vars))}")
+    ids = model.all_ids()
+    for k, ps in enumerate(model.class_positions):
+        lines.append(f"var cl_{k} {' '.join(str(ids[p]) for p in ps)}")
+    lines += map(_constraint_line, model.constraints)
     for i, in_kb in enumerate(model.rf_in_kb):
         lines.append(f"objective {'missing' if in_kb else 'false'} rf_{i}")
     lines.append(f"offset {model.constant_offset}")

@@ -29,6 +29,7 @@ def prune_naming_variants(
     latent predicate name; the survivor is the lowest latent ordinal.
 
     The encoder pool indexes bare argument rows, so the class is the mask.
+    Dicts keep insertion order, so the survivors stay in ordinal order.
     """
     pool_index(encoders)
     groups: dict[int, CandidateClause] = {}
@@ -36,9 +37,7 @@ def prune_naming_variants(
         encoders, key=lambda c: latent_ordinal(c.head.predicate)
     ):
         groups.setdefault(cand.mask, cand)
-    return sorted(
-        groups.values(), key=lambda c: latent_ordinal(c.head.predicate)
-    )
+    return list(groups.values())
 
 
 def prune_signature_variants(

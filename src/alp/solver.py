@@ -405,7 +405,7 @@ def _greedy_selection(model: CopModel) -> Assignment:
     re-covering predicates with lighter alternatives where possible.  The
     selection may still break a generality pair or a coverage row.
     """
-    dc_heads = [c.clause.head.predicate for c in model.dc_candidates]
+    dc_heads = [c.head.predicate for c in model.dc_candidates]
     in_kb = sum(1 << b for b, known in zip(model.rf_bits, model.rf_in_kb) if known)
     true_counts = [(c.mask & in_kb).bit_count() for c in model.dc_candidates]
     by_head: dict = {}
@@ -416,7 +416,7 @@ def _greedy_selection(model: CopModel) -> Assignment:
 
     def usable(j: int) -> bool:
         return not any(
-            l.predicate in banned_latents for l in model.dc_candidates[j].clause.body
+            l.predicate in banned_latents for l in model.dc_candidates[j].body
         )
 
     def corruption(j: int):
@@ -443,7 +443,7 @@ def _greedy_selection(model: CopModel) -> Assignment:
             (i for i in range(len(model.ec_candidates)) if assignment[i] == 1),
             key=lambda i: (model.ec_candidates[i].weight, i),
         )
-        banned_latents.add(model.ec_candidates[heaviest].clause.head.predicate)
+        banned_latents.add(model.ec_candidates[heaviest].head.predicate)
     return assignment
 
 

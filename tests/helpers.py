@@ -30,7 +30,10 @@ from alp.logic import (
     ENCODER,
     Clause,
     Literal,
+    Shape,
+    Term,
     Variable,
+    shape_key,
     var_name,
 )
 from alp.logic import reconstruction_loss
@@ -251,6 +254,24 @@ def reference_body_key(body, connective=CONJUNCTION) -> str:
     return sep.join(str(l) for l in canonical_body(body, connective))
 
 
+def literal_shapes(literals: Iterable[Literal]) -> list[Shape]:
+    """The literals' shapes, their variables numbered by first appearance
+    and their constants standing as their symbols."""
+    numbers: dict[str, int] = {}  # by variable name
+
+    def number(a: Term):
+        if type(a) is Variable:
+            return numbers.setdefault(a.name, len(numbers))
+        return a.symbol
+
+    return [(l.predicate, l.negated, tuple(map(number, l.args))) for l in literals]
+
+
+def body_key(body: tuple[Literal, ...], connective: str = CONJUNCTION) -> str:
+    """``shape_key`` of a body of literals."""
+    return shape_key(literal_shapes(body), connective)
+
+
 def random_kb(
     rng: random.Random,
     max_constants=6,
@@ -366,11 +387,17 @@ def drop_constraints(model, generality=False, coverage=False):
         if not (generality and is_generality(con))
         and not (coverage and con.form == AT_LEAST_ONE)
     )
-    members = () if generality else model.class_members
+    members = () if generality else class_members(model)
     return with_constraints(model, kept, members)
 
 
-def with_constraints(model, constraints, class_members):
+def class_members(model) -> tuple[tuple[VarId, ...], ...]:
+    """The members of each cl, named by ``all_ids``."""
+    ids = model.all_ids()
+    return tuple(tuple(ids[p] for p in ps) for ps in model.class_positions)
+
+
+def with_constraints(model, constraints, members):
     """The model with only the given constraints and classes, which name
     their variables by ``VarId``; each is placed at its ``position``."""
 
@@ -378,7 +405,7 @@ def with_constraints(model, constraints, class_members):
         return tuple(position(model, v) for v in variables)
 
     rows = tuple((con.form, at(con.vars), con.coeffs) for con in constraints)
-    return replace(model, rows=rows, class_positions=tuple(map(at, class_members)))
+    return replace(model, rows=rows, class_positions=tuple(map(at, members)))
 
 
 def position(model, var) -> int:
@@ -392,7 +419,7 @@ def position(model, var) -> int:
 def assignment_of(model, values) -> list[int]:
     """The dense assignment holding ``values`` ({VarId: value}), 0 elsewhere."""
     n = len(model.ec_candidates) + len(model.dc_candidates)
-    assignment = [0] * (n + len(model.rf_atoms) + len(model.class_members))
+    assignment = [0] * (n + len(model.rf_atoms) + len(model.class_positions))
     for var, value in values.items():
         assignment[position(model, var)] = value
     return assignment

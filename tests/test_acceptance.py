@@ -40,7 +40,6 @@ from helpers import (
     drop_constraints,
     fig1_kb,
     initial_solution,
-    lit,
     position,
     pred,
     random_kb,
@@ -78,8 +77,9 @@ def test_family_example_arithmetic():
 
 def test_mode_bias_fidelity():
     """With p(+,-) and q(-), one extension step of p(X,Y) yields exactly the
-    four expected bodies; pair heads for p(X,Y),p(Y,Z) are exactly three."""
-    from alp.candidates import extend_body
+    four expected bodies of length 2; pair heads for p(X,Y),p(Y,Z) are
+    exactly three."""
+    from alp.candidates import enumerate_bodies
 
     p2, q1 = pred("p", 2), pred("q", 1)
     modes = {
@@ -88,7 +88,8 @@ def test_mode_bias_fidelity():
     }
     extensions = {
         ",".join(map(str, body))
-        for body in extend_body((lit(p2, "X", "Y"),), [p2, q1], modes)
+        for body, _ in enumerate_bodies([p2, q1], modes, 2, allow_disjunction=False)
+        if len(body) == 2
     }
     bodies_ok = extensions == {
         "p(X,Y),p(Y,Z)",

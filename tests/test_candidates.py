@@ -12,7 +12,6 @@ from alp.candidates import (
     GenerationConfig,
     _joined_bodies,
     enumerate_bodies,
-    extend_body,
     generate_decoder_candidates,
     generate_encoder_candidates,
     generate_pruned_decoders,
@@ -37,7 +36,6 @@ from alp.logic import (
     LogicProgram,
     _compile,
     apply_program,
-    body_key,
     ground_consequences,
 )
 from alp.pipeline import prepare_pool
@@ -85,8 +83,10 @@ class TestGenerationConfig:
 
 class TestBodyEnumeration:
     def test_appendix_extension_of_p(self):
-        exts = extend_body((lit(P2, "X", "Y"),), [P2, Q1], APPENDIX_MODES)
-        assert {",".join(map(str, e)) for e in exts} == {
+        """The length-2 bodies are the one-step extensions of p(X,Y): q(X)
+        alone cannot grow, since q(-) binds no existing variable."""
+        bodies = enumerate_bodies([P2, Q1], APPENDIX_MODES, 2, allow_disjunction=False)
+        assert {",".join(map(str, b)) for b, _ in bodies if len(b) == 2} == {
             "p(X,Y),p(Y,Z)",
             "p(X,Y),p(X,Z)",
             "p(X,Y),q(X)",
@@ -567,7 +567,8 @@ def _pinned_case(case):
 
 def _pinned_row(c) -> bytes:
     kind = ENCODER if c.head.predicate.origin == ORIGIN_LATENT else DECODER
-    row = (str(c.clause), kind, c.weight, sorted(map(str, c.facts())))
+    assert c.text == str(c.clause)
+    row = (c.text, kind, c.weight, sorted(map(str, c.facts())))
     return repr(row).encode() + b"\n"
 
 

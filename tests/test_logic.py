@@ -18,7 +18,6 @@ from alp.logic import (
     LogicProgram,
     Variable,
     apply_program,
-    body_key,
     encode,
     ground_consequences,
     loss_parts,
@@ -29,6 +28,7 @@ from alp.logic import (
 )
 from alp.kb import KnowledgeBase, parse_kb, serialize_kb
 from helpers import (
+    body_key,
     body_variables,
     brute_force_consequences,
     canonical_body,

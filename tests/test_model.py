@@ -42,6 +42,7 @@ from helpers import (
     assignment_of,
     brute_force_objective,
     candidate,
+    class_members,
     drop_constraints,
     fact,
     fig1_kb,
@@ -194,7 +195,7 @@ class TestBuildModel:
         def violates_generality(kind, i, j):
             assignment = {v: 0 for v in model.all_ids()}
             assignment[VarId(i, kind)] = assignment[VarId(j, kind)] = 1
-            for k, members in enumerate(model.class_members):
+            for k, members in enumerate(class_members(model)):
                 assignment[VarId(k, CL)] = max(assignment[v] for v in members)
             dense = assignment_of(model, assignment)
             return any(map(is_generality, check_assignment(model, dense)))
@@ -236,7 +237,7 @@ class TestBuildModel:
         )
         model = build_model([e1], [d1] * 1100, kb, Fraction(2))
         members = tuple(VarId(j, DC) for j in range(1100))
-        assert model.class_members == (members,)
+        assert class_members(model) == (members,)
         generality = [c for c in model.constraints if is_generality(c)]
         assert [(c.form, c.vars) for c in generality] == [
             (IFF_OR, (VarId(0, CL),) + members),
@@ -369,6 +370,18 @@ class TestObjectiveValue:
         bad[position(model, VarId(0, EC))] = 0  # break the coupling
         with pytest.raises(ConstraintViolationError):
             objective_value(model, bad)
+
+    def test_violation_names_its_dump_line(self):
+        """The error shows the first violated constraint as ``dump_model``
+        prints it, not as a dataclass repr."""
+        kb, model = self.build_simple()
+        bad = assignment_from_dc(model, {0})
+        bad[position(model, VarId(0, EC))] = 0
+        with pytest.raises(ConstraintViolationError) as err:
+            objective_value(model, bad)
+        line = "constraint iff_or ec_0 dc_0"
+        assert str(err.value) == f"1 violated constraint(s), first: {line}"
+        assert line in dump_model(model).splitlines()
 
 
 class TestCheckAssignment:

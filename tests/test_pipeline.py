@@ -9,7 +9,7 @@ import pytest
 
 from alp.candidates import GenerationConfig
 from alp.kb import KnowledgeBase, parse_kb_document, serialize_kb
-from alp.logic import serialize_program
+from alp.logic import Clause, serialize_program
 from alp.pipeline import learn, run_report
 from alp.solver import SearchConfig
 from helpers import default_config, fig1_kb, synthesize_lossless_instance
@@ -129,3 +129,27 @@ def test_fig1_output_pinned(max_dec_len, digest):
         repr([(i, obj, n_ec, n_dc) for i, obj, _, n_ec, n_dc in result.improvements]),
     ])
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_learn_builds_clauses_for_the_learned_program_only(monkeypatch):
+    """Pruning, the model and the search read candidates through their
+    fields, so on Fig. 1 at the default bias ``learn`` builds one ``Clause``
+    per selected clause, not one per pooled candidate (1,270)."""
+    built = []
+    post_init = Clause.__post_init__
+
+    def counting(self):
+        built.append(str(self))
+        post_init(self)
+
+    monkeypatch.setattr(Clause, "__post_init__", counting)
+    result = learn(
+        fig1_kb(),
+        {},
+        GenerationConfig(),
+        SearchConfig(iterations=20, fail_limit=1000, seed=0),
+        Fraction(2),
+    )
+    selected = result.alp.encoder.clauses + result.alp.decoder.clauses
+    assert sorted(built) == sorted(map(str, selected))
+    assert len(built) == 12
