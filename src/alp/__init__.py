@@ -3,7 +3,6 @@ compress a relational knowledge base into a latent vocabulary and back.
 """
 
 from .kb import (
-    Constant,
     Fact,
     KnowledgeBase,
     ModeDeclaration,
@@ -18,7 +17,6 @@ from .logic import (
     Clause,
     Literal,
     LogicProgram,
-    Variable,
     apply_program,
     ground_consequences,
     parse_program,
@@ -32,7 +30,6 @@ from .pipeline import learn
 __all__ = [
     "Alp",
     "Clause",
-    "Constant",
     "Fact",
     "GenerationConfig",
     "KnowledgeBase",
@@ -41,7 +38,6 @@ __all__ = [
     "ModeDeclaration",
     "Predicate",
     "SearchConfig",
-    "Variable",
     "learn",
     "apply_program",
     "avg_facts_per_predicate",

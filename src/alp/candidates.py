@@ -35,7 +35,6 @@ from typing import Iterable, Iterator
 
 from .errors import CapacityError
 from .kb import (
-    Constant,
     Fact,
     KnowledgeBase,
     MODE_BOUND,
@@ -58,7 +57,6 @@ from .logic import (
     Literal,
     Row,
     Shape,
-    Variable,
     _CANONICAL_PERMUTATION_CAP,
     project,
     shape_key,
@@ -109,8 +107,8 @@ class AtomIndex:
     """
 
     def __init__(self, kb_facts: frozenset[Fact] = frozenset()):
-        self.atoms: list[tuple[Predicate | None, tuple[Constant, ...]]] = []
-        self._bits: dict[Predicate | None, dict[tuple[Constant, ...], int]] = {}
+        self.atoms: list[tuple[Predicate | None, Row]] = []
+        self._bits: dict[Predicate | None, dict[Row, int]] = {}
         for f in sorted(kb_facts, key=fact_order):
             self.mask(f.predicate, (f.args,))
         self.kb_facts = kb_facts
@@ -201,8 +199,8 @@ _FRESH = object()  # slot marker during extension
 
 
 @lru_cache(maxsize=1 << 12)
-def _variables(ids: tuple[int, ...]) -> tuple[Variable, ...]:
-    return tuple(Variable(var_name(i)) for i in ids)
+def _variables(ids: tuple[int, ...]) -> tuple[str, ...]:
+    return tuple(map(var_name, ids))
 
 
 @lru_cache(maxsize=1 << 16)
@@ -259,9 +257,11 @@ def _enumerate(
     allow_disjunction: bool,
     allow_negation: bool,
 ) -> list[_Enumerated]:
-    """``enumerate_bodies`` as ``_Enumerated`` bodies.  Conjunctions grow a
-    literal at a time, keyed on their shapes; the first body met under a key
-    is kept, and only it is built, as its parent's literals plus one."""
+    """All bodies over the predicates, canonically ordered and deduped:
+    bodies identical up to variable renaming and literal order collapse to
+    one canonical form.  Conjunctions grow a literal at a time, keyed on
+    their shapes; the first body met under a key is kept, and only it is
+    built, as its parent's literals plus one."""
     conj: dict[str, _Enumerated] = {}
     frontier = []
     for pred in predicates:
@@ -297,22 +297,6 @@ def _enumerate(
                 key = shape_key(shapes, DISJUNCTION)
                 disj[key] = _Enumerated(body, arity, shapes, None)
     return [conj[k] for k in sorted(conj)] + [disj[k] for k in sorted(disj)]
-
-
-def enumerate_bodies(
-    predicates: list[Predicate],
-    modes: dict[Predicate, ModeDeclaration],
-    max_len: int,
-    allow_disjunction: bool,
-    allow_negation: bool = False,
-) -> list[Body]:
-    """All bodies over the predicates, canonically ordered and deduped.
-
-    Bodies identical up to variable renaming and literal order collapse to
-    one canonical form.
-    """
-    bodies = _enumerate(predicates, modes, max_len, allow_disjunction, allow_negation)
-    return [b.body for b in bodies]
 
 
 def _joined_bodies(
@@ -363,9 +347,9 @@ def _body_text(literals: tuple[Literal, ...], connective: str) -> str:
     return ("," if connective == CONJUNCTION else ";").join(map(str, literals))
 
 
-def _clause_text(pred: Predicate, args: tuple[Variable, ...], body_text: str) -> str:
+def _clause_text(pred: Predicate, args: tuple[str, ...], body_text: str) -> str:
     """``str`` of the clause ``pred(args) :- body``."""
-    return f"{pred.name}({','.join(v.name for v in args)}) :- {body_text}."
+    return f"{pred.name}({','.join(args)}) :- {body_text}."
 
 
 def generate_encoder_candidates(
@@ -444,7 +428,7 @@ def _decoder_masks(
     kb: KnowledgeBase,
     config: GenerationConfig,
     index: AtomIndex,
-) -> Iterator[tuple[Body, Predicate, tuple[Variable, ...], int]]:
+) -> Iterator[tuple[Body, Predicate, tuple[str, ...], int]]:
     """Every decoder as (body, head predicate, head arguments, mask), in
     generation order, its consequences indexed in ``index`` as it is met.
 

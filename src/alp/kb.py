@@ -9,10 +9,11 @@ The fact file format is line oriented (UTF-8):
     father(vader,luke).         a ground fact, terminating period
 
 Predicates not declared with ``#pred`` are inferred from the facts.
-Directives apply file-wide regardless of position.  Arguments must be
-lowercase constant tokens: an uppercase initial means a variable, and
-variables are illegal in data.  Tokens are separated by spaces and tabs
-only.  The line reader here also reads programs (``alp.logic``).
+Directives apply file-wide regardless of position.  A term is a plain
+``str``; one with an uppercase initial is a variable (``is_variable``), as
+in Prolog, and variables are illegal in data, so fact arguments are
+lowercase constants.  Tokens are separated by spaces and tabs only.  The
+line reader here also reads programs (``alp.logic``).
 """
 
 from __future__ import annotations
@@ -58,18 +59,9 @@ class Predicate:
         return f"{self.name}/{self.arity}"
 
 
-@dataclass(frozen=True, slots=True)
-class Constant:
-    """An entity symbol; equality is exact string equality."""
-
-    symbol: str
-
-    def __post_init__(self):
-        if not self.symbol:
-            raise ValueError("empty constant symbol")
-
-    def __str__(self):
-        return self.symbol
+def is_variable(term: str) -> bool:
+    """A term with an uppercase initial is a variable; any other, a constant."""
+    return term[0].isupper()
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,7 +69,7 @@ class Fact:
     """A ground atom asserted true: a predicate applied to constants."""
 
     predicate: Predicate
-    args: tuple[Constant, ...]
+    args: tuple[str, ...]
 
     def __post_init__(self):
         if len(self.args) != self.predicate.arity:
@@ -88,7 +80,7 @@ class Fact:
     def __str__(self):
         if not self.args:
             return self.predicate.name
-        return f"{self.predicate.name}({','.join(a.symbol for a in self.args)})"
+        return f"{self.predicate.name}({','.join(self.args)})"
 
 
 def predicate_order(p: Predicate) -> tuple[str, int]:
@@ -98,7 +90,7 @@ def predicate_order(p: Predicate) -> tuple[str, int]:
 
 def fact_order(f: Fact) -> tuple:
     """Sort key of the canonical fact order: predicate, then argument symbols."""
-    return (f.predicate.name, f.predicate.arity, tuple(a.symbol for a in f.args))
+    return (f.predicate.name, f.predicate.arity, f.args)
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,7 +127,7 @@ class KnowledgeBase:
 
     facts: frozenset[Fact]
     vocabulary: frozenset[Predicate]
-    constants: frozenset[Constant]
+    constants: frozenset[str]
     background: frozenset[Fact] = frozenset()
 
     def __post_init__(self):
@@ -157,7 +149,7 @@ class KnowledgeBase:
         facts: Iterable[Fact],
         background: Iterable[Fact] = (),
         extra_predicates: Iterable[Predicate] = (),
-        extra_constants: Iterable[Constant] = (),
+        extra_constants: Iterable[str] = (),
     ) -> "KnowledgeBase":
         """Build a KB inferring vocabulary and constants from the facts."""
         facts = frozenset(facts)
@@ -226,7 +218,7 @@ def _take(code: str, pos: int, line_no: int, token, message: str) -> tuple[str, 
 
 def _name(code: str, pos: int, line_no: int) -> tuple[str, int]:
     name, pos = _take(code, pos, line_no, _IDENT, "expected an identifier")
-    if name[0].isupper():
+    if is_variable(name):
         message = f"predicate names must be lowercase, got {name!r}"
         raise KbSyntaxError(message, line_no, pos + 1)
     return name, pos
@@ -295,14 +287,14 @@ def parse_kb_document(text: str) -> KbDocument:
         _, name, args, pos = read_atom(code, 0, line_no)
         expect_end(code, expect(code, pos, ".", line_no), line_no, "fact")
         for token in args:
-            if token[0].isupper():
+            if is_variable(token):
                 message = f"variable {token!r} in a fact (data must be ground)"
                 raise KbSyntaxError(message, line_no, 1)
         rows.append((line_no, name, args))
 
     # Directives apply file-wide, so facts are resolved once all are read.
     predicates = {key: Predicate(*key, origin) for key, origin in declared.items()}
-    constants = {t: Constant(t) for t in {t for _, _, args in rows for t in args}}
+    constants = {t: t for _, _, args in rows for t in args}  # one str per symbol
     facts: dict[str, set[Fact]] = {ORIGIN_INPUT: set(), ORIGIN_BACKGROUND: set()}
     for line_no, name, args in rows:
         key = (name, len(args))

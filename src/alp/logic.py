@@ -1,9 +1,11 @@
 """Clauses, logic programs, and their bottom-up evaluation.
 
-A body is joined one literal at a time over rows of constants, each literal
-a shape: its predicate, its sign and an integer slot per argument.  A row
-starts with the clause's constants, and each literal's first-seen variables
-take the next slots.  ``FactStore.join`` looks a literal's bound slots up in
+A term is a plain ``str``: a variable when its initial is uppercase
+(``alp.kb.is_variable``), a constant otherwise.  A body is joined one
+literal at a time over rows of constants, each literal a shape: its
+predicate, its sign and an integer slot per argument.  A row starts with
+the clause's constants, and each literal's first-seen variables take the
+next slots.  ``FactStore.join`` looks a literal's bound slots up in
 a hash index of its predicate, checks a variable repeated within it, and
 appends its new variables; a negated literal, joined last, keeps a row only
 when its ground atom is absent (closed-world assumption).  A disjunction is
@@ -25,15 +27,13 @@ with the line reader of ``alp.kb``; sections may come in either order.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import permutations
-from typing import Iterable, Union
+from typing import Iterable
 
 from .errors import KbSyntaxError
 from .kb import (
-    Constant,
     Fact,
     KnowledgeBase,
     ORIGIN_BACKGROUND,
@@ -42,13 +42,12 @@ from .kb import (
     Predicate,
     code_lines,
     expect_end,
+    is_variable,
     next_char,
     predicate_order,
     read_atom,
     read_directive,
 )
-
-VAR_RE = re.compile(r"[A-Z][a-zA-Z0-9_]*\Z")
 
 CONJUNCTION = "conjunction"
 DISJUNCTION = "disjunction"
@@ -66,28 +65,11 @@ def var_name(i: int) -> str:
 
 
 @dataclass(frozen=True, slots=True)
-class Variable:
-    """A universally quantified variable (uppercase-initial token)."""
-
-    name: str
-
-    def __post_init__(self):
-        if not VAR_RE.match(self.name):
-            raise ValueError(f"bad variable name {self.name!r}")
-
-    def __str__(self):
-        return self.name
-
-
-Term = Union[Variable, Constant]
-
-
-@dataclass(frozen=True, slots=True)
 class Literal:
     """An atom or its negation, with variables or constants as arguments."""
 
     predicate: Predicate
-    args: tuple[Term, ...]
+    args: tuple[str, ...]
     negated: bool = False
 
     def __post_init__(self):
@@ -96,13 +78,13 @@ class Literal:
                 f"{self.predicate} applied to {len(self.args)} arguments"
             )
 
-    def variables(self) -> tuple[Variable, ...]:
-        return tuple(a for a in self.args if isinstance(a, Variable))
+    def variables(self) -> tuple[str, ...]:
+        return tuple(a for a in self.args if is_variable(a))
 
     def __str__(self):
         core = self.predicate.name
         if self.args:
-            core += f"({','.join(str(a) for a in self.args)})"
+            core += f"({','.join(self.args)})"
         return f"not {core}" if self.negated else core
 
 
@@ -210,7 +192,7 @@ class Alp:
             raise ValueError("decoder body predicates outside latent vocabulary")
 
 
-Row = tuple[Constant, ...]
+Row = tuple[str, ...]
 # A literal as (predicate, negated, ids): in a join an id is a slot of the
 # rows, in a canonical key a variable's number or a constant's symbol.
 Shape = tuple[Predicate, bool, tuple]
@@ -221,14 +203,14 @@ class FactStore:
     pattern of bound positions."""
 
     def __init__(self, facts: Iterable[Fact]):
-        self.by_pred: dict[Predicate, list[tuple[Constant, ...]]] = {}
+        self.by_pred: dict[Predicate, list[Row]] = {}
         for f in facts:
             self.by_pred.setdefault(f.predicate, []).append(f.args)
         self._indexes: dict = {}
 
     def index(
         self, predicate: Predicate, bound: tuple[int, ...]
-    ) -> dict[tuple[Constant, ...], list[tuple[Constant, ...]]]:
+    ) -> dict[Row, list[Row]]:
         """The predicate's rows keyed by their values at the bound positions."""
         key = (predicate, bound)
         cached = self._indexes.get(key)
@@ -264,24 +246,21 @@ class FactStore:
         ]
 
 
-def _compile(literals: tuple[Literal, ...], head: tuple[Term, ...]):
+def _compile(literals: tuple[Literal, ...], head: tuple[str, ...]):
     """A conjunction as a start row, its literals' shapes over slot rows in
     join order (negated literals last, all their slots bound) and the
     head's slots.  The start row holds the constants of literals and head.
     """
     literals = sorted(literals, key=lambda l: l.negated)  # stable
-    slot: dict = {}  # a constant's slot by the constant, a variable's by its name
+    slot: dict[str, int] = {}  # a term's slot
     for args in [l.args for l in literals] + [head]:
         for a in args:
-            if type(a) is not Variable:
+            if not is_variable(a):
                 slot.setdefault(a, len(slot))
     start = tuple(slot)
 
     def ids(args):
-        return tuple(
-            slot.setdefault(a.name if type(a) is Variable else a, len(slot))
-            for a in args
-        )
+        return tuple(slot.setdefault(a, len(slot)) for a in args)
 
     return start, [(l.predicate, l.negated, ids(l.args)) for l in literals], ids(head)
 
@@ -398,9 +377,7 @@ def _literal(negated: bool, name: str, tokens, origins: dict) -> Literal:
     """``origins`` holds an origin by name or by (name, arity)."""
     n = len(tokens)
     origin = origins.get(name) or origins.get((name, n), ORIGIN_INPUT)
-    predicate = Predicate(name, n, origin)
-    args = tuple(Variable(t) if t[0].isupper() else Constant(t) for t in tokens)
-    return Literal(predicate, args, negated)
+    return Literal(Predicate(name, n, origin), tokens, negated)
 
 
 def _read_clause(line_no: int, code: str):

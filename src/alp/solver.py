@@ -77,6 +77,8 @@ class SearchConfig:
             raise ValueError("alpha and beta must lie in [0, 100]")
         if self.iterations < 1 or self.fail_limit < 1:
             raise ValueError("iterations and fail_limit must be >= 1")
+        if not 0 <= self.time_limit < math.inf:
+            raise ValueError("time_limit must be finite and >= 0")
 
 
 @dataclass(frozen=True)

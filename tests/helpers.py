@@ -14,14 +14,15 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 import alp
-from alp.candidates import AtomIndex, CandidateClause, GenerationConfig
+from alp.candidates import AtomIndex, CandidateClause, GenerationConfig, _enumerate
 from alp.errors import CapacityError
 from alp.kb import (
     ORIGIN_BACKGROUND,
-    Constant,
     Fact,
     KnowledgeBase,
+    ModeDeclaration,
     Predicate,
+    is_variable,
     predicate_order,
 )
 from alp.logic import (
@@ -31,8 +32,6 @@ from alp.logic import (
     Clause,
     Literal,
     Shape,
-    Term,
-    Variable,
     shape_key,
     var_name,
 )
@@ -97,21 +96,25 @@ def pred(name, arity, origin="input"):
     return Predicate(name, arity, origin)
 
 
-def const(s):
-    return Constant(s)
-
-
-def var(s):
-    return Variable(s)
-
-
 def fact(p, *args):
-    return Fact(p, tuple(Constant(a) for a in args))
+    return Fact(p, args)
 
 
 def lit(p, *args, negated=False):
-    terms = tuple(Variable(a) if a[0].isupper() else Constant(a) for a in args)
-    return Literal(p, terms, negated)
+    return Literal(p, args, negated)
+
+
+def enumerate_bodies(
+    predicates: list[Predicate],
+    modes: dict[Predicate, ModeDeclaration],
+    max_len: int,
+    allow_disjunction: bool,
+    allow_negation: bool = False,
+) -> list[tuple[tuple[Literal, ...], str]]:
+    """The bodies the candidate generators enumerate, as (literals,
+    connective), canonically ordered and deduped."""
+    bodies = _enumerate(predicates, modes, max_len, allow_disjunction, allow_negation)
+    return [b.body for b in bodies]
 
 
 DEFAULT_HERBRAND_CEILING = 1_000_000
@@ -119,7 +122,7 @@ DEFAULT_HERBRAND_CEILING = 1_000_000
 
 def herbrand_base(
     vocabulary: Iterable[Predicate],
-    constants: Iterable[Constant],
+    constants: Iterable[str],
     ceiling: int = DEFAULT_HERBRAND_CEILING,
 ) -> frozenset[Fact]:
     """All ground atoms over the vocabulary and constants.
@@ -129,7 +132,7 @@ def herbrand_base(
     desk-scale instances.
     """
     preds = sorted(set(vocabulary), key=predicate_order)
-    consts = sorted(set(constants), key=lambda c: c.symbol)
+    consts = sorted(set(constants))
     size = sum(len(consts) ** p.arity for p in preds)
     if size > ceiling:
         raise CapacityError(f"Herbrand base has {size} atoms, ceiling {ceiling}")
@@ -144,7 +147,7 @@ def background_predicates(kb: KnowledgeBase) -> frozenset[Predicate]:
     return frozenset(p for p in kb.vocabulary if p.origin == ORIGIN_BACKGROUND)
 
 
-def _tuples(consts: list[Constant], n: int) -> Iterator[tuple[Constant, ...]]:
+def _tuples(consts: list[str], n: int) -> Iterator[tuple[str, ...]]:
     if n == 0:
         yield ()
         return
@@ -184,9 +187,7 @@ def brute_force_consequences(clause: Clause, facts) -> frozenset[Fact]:
     Independent of the join evaluator: used as the ground-truth oracle.
     """
     facts = set(facts)
-    constants = sorted(
-        {a for f in facts for a in f.args}, key=lambda c: c.symbol
-    )
+    constants = sorted({a for f in facts for a in f.args})
     variables = []
     for l in clause.body:
         for v in l.variables():
@@ -197,9 +198,7 @@ def brute_force_consequences(clause: Clause, facts) -> frozenset[Fact]:
         subst = dict(zip(variables, values))
 
         def ground(literal):
-            args = tuple(
-                subst[a] if isinstance(a, Variable) else a for a in literal.args
-            )
+            args = tuple(subst[a] if is_variable(a) else a for a in literal.args)
             return Fact(literal.predicate, args)
 
         if clause.body_connective == DISJUNCTION:
@@ -214,20 +213,20 @@ def brute_force_consequences(clause: Clause, facts) -> frozenset[Fact]:
     return frozenset(out)
 
 
-def body_variables(literals) -> list[Variable]:
+def body_variables(literals) -> list[str]:
     """The literals' variables in order of first appearance."""
     return list(dict.fromkeys(v for l in literals for v in l.variables()))
 
 
 def _rename_by_appearance(literals) -> tuple[Literal, ...]:
-    mapping: dict[Variable, Variable] = {}
+    mapping: dict[str, str] = {}
     out = []
     for l in literals:
         args = []
         for a in l.args:
-            if isinstance(a, Variable):
+            if is_variable(a):
                 if a not in mapping:
-                    mapping[a] = Variable(var_name(len(mapping)))
+                    mapping[a] = var_name(len(mapping))
                 args.append(mapping[a])
             else:
                 args.append(a)
@@ -256,13 +255,11 @@ def reference_body_key(body, connective=CONJUNCTION) -> str:
 
 def literal_shapes(literals: Iterable[Literal]) -> list[Shape]:
     """The literals' shapes, their variables numbered by first appearance
-    and their constants standing as their symbols."""
-    numbers: dict[str, int] = {}  # by variable name
+    and their constants standing as themselves."""
+    numbers: dict[str, int] = {}  # by variable
 
-    def number(a: Term):
-        if type(a) is Variable:
-            return numbers.setdefault(a.name, len(numbers))
-        return a.symbol
+    def number(a: str):
+        return numbers.setdefault(a, len(numbers)) if is_variable(a) else a
 
     return [(l.predicate, l.negated, tuple(map(number, l.args))) for l in literals]
 
@@ -280,7 +277,7 @@ def random_kb(
     max_facts=10,
     min_arity=1,
 ) -> KnowledgeBase:
-    constants = [Constant(f"c{i}") for i in range(rng.randint(2, max_constants))]
+    constants = [f"c{i}" for i in range(rng.randint(2, max_constants))]
     predicates = [
         Predicate(f"p{i}", rng.randint(min_arity, max_arity))
         for i in range(rng.randint(2, max_predicates))
@@ -301,7 +298,7 @@ def random_clause(rng: random.Random, kb: KnowledgeBase) -> Clause:
     body = []
     names = ["X", "Y", "Z", "W"]
     n_vars = rng.randint(1, 3)
-    variables = [Variable(names[i]) for i in range(n_vars)]
+    variables = names[:n_vars]
     for _ in range(rng.randint(1, 3)):
         p = rng.choice(preds)
         body.append(
@@ -328,8 +325,8 @@ def random_rich_clause(rng: random.Random, kb: KnowledgeBase) -> Clause:
     in the body), and one clause in three is a disjunction.
     """
     preds = sorted(kb.vocabulary, key=lambda p: (p.name, p.arity))
-    constants = sorted(kb.constants, key=lambda c: c.symbol) + [Constant("k")]
-    variables = [Variable(n) for n in "XYZ"]
+    constants = sorted(kb.constants) + ["k"]
+    variables = ["X", "Y", "Z"]
 
     def term(choices):
         return rng.choice(constants) if rng.random() < 0.2 else rng.choice(choices)
@@ -522,7 +519,7 @@ def synthesize_lossless_instance(rng: random.Random):
     verified against 0.7 * G before the instance is accepted.
     """
     while True:
-        constants = [Constant(f"e{i}") for i in range(rng.randint(4, 7))]
+        constants = [f"e{i}" for i in range(rng.randint(4, 7))]
         group_size = rng.randint(4, 5)
         n_tuples = rng.randint(4, 8)
         tuples = set()

@@ -6,7 +6,6 @@ check: exhaustive subset enumeration re-scored through the logic evaluator,
 exhaustive substitution, and exact rational arithmetic.
 """
 
-import json
 import random
 import subprocess
 import sys
@@ -19,7 +18,7 @@ from alp.candidates import (
     generate_pruned_decoders,
 )
 from alp.errors import CapacityError, InfeasibleError
-from alp.kb import Constant, Fact, KnowledgeBase, ModeDeclaration, Predicate, avg_facts_per_predicate
+from alp.kb import Fact, KnowledgeBase, ModeDeclaration, Predicate, avg_facts_per_predicate
 from alp.logic import DISJUNCTION, reconstruction_loss
 from alp.model import (
     EC,
@@ -38,6 +37,7 @@ from helpers import (
     cli_subprocess_env,
     default_config,
     drop_constraints,
+    enumerate_bodies,
     fig1_kb,
     initial_solution,
     position,
@@ -79,8 +79,6 @@ def test_mode_bias_fidelity():
     """With p(+,-) and q(-), one extension step of p(X,Y) yields exactly the
     four expected bodies of length 2; pair heads for p(X,Y),p(Y,Z) are
     exactly three."""
-    from alp.candidates import enumerate_bodies
-
     p2, q1 = pred("p", 2), pred("q", 1)
     modes = {
         p2: ModeDeclaration(p2, ("+", "-")),
@@ -99,9 +97,9 @@ def test_mode_bias_fidelity():
     }
     chain_kb = KnowledgeBase.from_facts(
         [
-            Fact(p2, (Constant("a"), Constant("b"))),
-            Fact(p2, (Constant("b"), Constant("c"))),
-            Fact(q1, (Constant("a"),)),
+            Fact(p2, ("a", "b")),
+            Fact(p2, ("b", "c")),
+            Fact(q1, ("a",)),
         ]
     )
     pair_heads = {
@@ -311,7 +309,7 @@ def test_pruning_magnitude_logged():
     """Soft criterion: on a benchmark-shaped KB the three strategies should
     remove at least half the candidates; logged, not asserted."""
     rng = random.Random(5)
-    constants = [Constant(f"e{i}") for i in range(50)]
+    constants = [f"e{i}" for i in range(50)]
     preds = [Predicate(f"q{i}", 2) for i in range(4)] + [
         Predicate(f"u{i}", 1) for i in range(2)
     ]

@@ -11,7 +11,6 @@ from alp.candidates import (
     AtomIndex,
     GenerationConfig,
     _joined_bodies,
-    enumerate_bodies,
     generate_decoder_candidates,
     generate_encoder_candidates,
     generate_pruned_decoders,
@@ -48,6 +47,7 @@ from helpers import (
     brute_force_consequences,
     candidate,
     default_config,
+    enumerate_bodies,
     fact,
     fig1_kb,
     kb_of,
@@ -186,41 +186,41 @@ ENUMERATION_CASES = {
     "case, max_len, negation, size, digest",
     [
         ("fig1", 1, False, 5,
-         "3be5eafa8a213cf3ade89d74d002ac8aebe9376a8edb196fcdd88afc00a02681"),
+         "e0b21cb3f7558c3cb395640729d724f2e4c732afaf64c93a30fe9d3cbd375c4d"),
         ("fig1", 1, True, 5,
-         "3be5eafa8a213cf3ade89d74d002ac8aebe9376a8edb196fcdd88afc00a02681"),
+         "e0b21cb3f7558c3cb395640729d724f2e4c732afaf64c93a30fe9d3cbd375c4d"),
         ("fig1", 2, False, 107,
-         "9de0edf92b3a81faa935f51b1dd6f83822b371423112816c7d14b1793661cfd2"),
+         "c07c7e65497d287e34cf0bf6dd6619234515b0321d32855a1040f61727e38dc1"),
         ("fig1", 2, True, 179,
-         "d94f8b414f835d34d39cad005bc5849f546063ecadc9e49af3eb2246e8baebd2"),
+         "376cd4d7572ff1fed036539ca08b826c99d057d9d81700f2b99902bc73b6363b"),
         ("fig1", 3, False, 1653,
-         "5cf170499d06d9949bdeed797b0cc20b2f29ae2de730e8b5dcbd446286cae5c9"),
+         "9b0d6338ac893122bc945360e65806e33bf028fcf18d789786e045200a58f1bb"),
         ("fig1", 3, True, 3877,
-         "7e48778d9369e618a32c1c7a1fa40d5ae3a3151ccd155d651f8252f11d72993b"),
+         "ff148a37871f1b56ebec14e8cc07b73f9b6a738ed53ee9dab09e271db7cfcf5a"),
         ("appendix", 3, False, 16,
-         "af428d017ebf2c90b424db5db4dacf7d07723d934519ca09b305e6f92fb91db9"),
+         "7c56799c55ee40387e6635f3b8565a6da8ed953d7e102ba789ddbd8916a8637c"),
         ("appendix", 3, True, 48,
-         "7eb65bff14616a04372bc8940437766c99036da577e05c72291605f4f6c803ab"),
+         "fbfcc003df7bbf0cf1fd71f0befaf202a98fc16d6ba3aed0c828519af73ef8d6"),
         ("either", 3, False, 45,
-         "87bffa94cda71d11f128fd117a35e7dd0e71e6504481fb1983ba7765c15ba394"),
+         "abbacc5d39cf4cf5abbf0f15ead60b4864e9b5fc3a44cd3298c1e7452a82f931"),
         ("either", 3, True, 97,
-         "91c4bc334f286ff9dd9c97033e3a6ecad7e2db59235732552c3a2e27e8426fbc"),
+         "4e23c9be2b833ed91ed78339648dc9acc2cb4dd3068b00b756fd6ee051f7eabd"),
         ("mixed", 3, False, 233,
-         "85e7de7d524bfc446b86722ad50cf1943d2c3f4f69766f8f89dd1969c4593ae3"),
+         "8805fae794bbab1df7f87af9c8f2979a3e2e448fc6af99e031c30560a5090c9d"),
         ("mixed", 3, True, 542,
-         "81bb3dcc04b6ee9e83457eeb17b0f2b80efdeb9f35a2aff5b0df0bdb6b7b3a8e"),
+         "5e7db22a43d9ead9014866fb2c206ae7ebfe54c4ec989a448fc4865ec3b66efb"),
     ],
 )
 def test_enumeration_pinned(case, max_len, negation, size, digest):
-    """SHA-256 of ``enumerate_bodies`` output, in order, as (body text,
-    connective), recorded while bodies were enumerated as ``Literal``
-    tuples and keyed one by one with ``body_key``."""
+    """SHA-256 of ``enumerate_bodies`` output, in order, each body as its
+    literals' (predicate repr, argument texts, sign) and its connective."""
     predicates, modes = ENUMERATION_CASES[case]
     bodies = enumerate_bodies(predicates, modes, max_len, True, negation)
     assert len(bodies) == size
     h = hashlib.sha256()
     for lits, conn in bodies:
-        h.update(repr((str(lits), conn)).encode() + b"\n")
+        rows = [(repr(l.predicate), tuple(map(str, l.args)), l.negated) for l in lits]
+        h.update(repr((rows, conn)).encode() + b"\n")
     assert h.hexdigest() == digest
 
 

@@ -310,6 +310,12 @@ class TestOptionsAndTrace:
         args[args.index("--gamma") + 1] = "-1"
         assert main(args) == 2
 
+    @pytest.mark.parametrize("seconds", ["nan", "inf", "-5"])
+    def test_bad_time_limit_is_usage_error(self, family, tmp_path, capsys, seconds):
+        assert main(learn_args(family, tmp_path, "--time-limit", seconds)) == 2
+        assert "time_limit must be finite and >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_trace_stream_emits_tsv(self, family, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("ALP_LOG", "trace")
         assert main(learn_args(family, tmp_path)) == 0

@@ -8,7 +8,6 @@ import pytest
 
 from alp.errors import CapacityError, KbSyntaxError
 from alp.kb import (
-    Constant,
     Fact,
     KnowledgeBase,
     ModeDeclaration,
@@ -20,7 +19,6 @@ from alp.kb import (
 )
 from helpers import (
     background_predicates,
-    const,
     fact,
     fig1_kb,
     herbrand_base,
@@ -205,16 +203,16 @@ class TestSerializeRoundTrip:
 class TestHerbrandBase:
     def test_unary_two_constants(self):
         p = pred("p", 1)
-        hb = herbrand_base([p], [const("a"), const("b")])
+        hb = herbrand_base([p], ["a", "b"])
         assert hb == {fact(p, "a"), fact(p, "b")}
 
     def test_binary_single_constant(self):
         p = pred("p", 2)
-        assert herbrand_base([p], [const("a")]) == {fact(p, "a", "a")}
+        assert herbrand_base([p], ["a"]) == {fact(p, "a", "a")}
 
     def test_mixed_arities_count(self):
         atoms = herbrand_base(
-            [pred("p", 1), pred("q", 2)], [const("a"), const("b")]
+            [pred("p", 1), pred("q", 2)], ["a", "b"]
         )
         assert len(atoms) == 2 + 4
 
@@ -237,7 +235,7 @@ class TestHerbrandBase:
 
     def test_capacity_ceiling(self):
         p = pred("p", 3)
-        consts = [const(f"c{i}") for i in range(30)]
+        consts = [f"c{i}" for i in range(30)]
         with pytest.raises(CapacityError):
             herbrand_base([p], consts, ceiling=1000)
 
@@ -282,21 +280,17 @@ class TestInvariants:
             KnowledgeBase(
                 facts=frozenset([fact(p, "a")]),
                 vocabulary=frozenset([p]),
-                constants=frozenset([const("a")]),
+                constants=frozenset(["a"]),
                 background=frozenset([fact(p, "b")]),
             )
 
     def test_fact_arity_checked(self):
         with pytest.raises(ValueError):
-            Fact(pred("p", 2), (const("a"),))
+            Fact(pred("p", 2), ("a",))
 
     def test_predicate_name_validated(self):
         with pytest.raises(ValueError):
             Predicate("Upper", 1)
-
-    def test_constant_nonempty(self):
-        with pytest.raises(ValueError):
-            Constant("")
 
     def test_mode_slots_length(self):
         with pytest.raises(ValueError):

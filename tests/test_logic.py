@@ -9,14 +9,12 @@ import pytest
 from alp.errors import KbSyntaxError
 from alp.logic import (
     Alp,
-    CONJUNCTION,
     Clause,
     DECODER,
     DISJUNCTION,
     ENCODER,
     Literal,
     LogicProgram,
-    Variable,
     apply_program,
     encode,
     ground_consequences,
@@ -518,7 +516,7 @@ class TestCanonicalForms:
             )
             names = ["A", "B", "C", "D"]
             rng.shuffle(names)
-            renaming = {v: Variable(n) for v, n in zip(body_variables(body), names)}
+            renaming = {v: n for v, n in zip(body_variables(body), names)}
             renamed = [
                 Literal(l.predicate, tuple(renaming[a] for a in l.args)) for l in body
             ]

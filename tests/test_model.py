@@ -20,7 +20,6 @@ from alp.logic import (
 from alp.model import (
     AT_LEAST_ONE,
     AT_MOST_ONE_OF_PAIR,
-    Assignment,
     CL,
     ConstraintViolationError,
     DC,
