@@ -31,7 +31,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations, count, product
 from math import comb
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import CapacityError
 from .kb import (
@@ -162,11 +162,10 @@ class CandidateClause:
         """The number of consequences."""
         return self.mask.bit_count()
 
-    def facts(self) -> frozenset[Fact]:
-        """The consequences, decoded from the bitset."""
-        pred = self.head.predicate
+    def rows(self) -> list[Row]:
+        """The consequences' argument rows, decoded from the bitset."""
         atoms = self.index.atoms
-        return frozenset(Fact(pred, atoms[b][1]) for b in bit_positions(self.mask))
+        return [atoms[b][1] for b in bit_positions(self.mask)]
 
 
 def pool_index(candidates: list[CandidateClause]) -> AtomIndex | None:
@@ -305,7 +304,7 @@ def _joined_bodies(
     modes: dict[Predicate, ModeDeclaration],
     head_sizes: range | list[int],
     c: GenerationConfig,
-    facts: Iterable[Fact],
+    store: FactStore,
 ) -> Iterator[tuple[_Enumerated, list[Row]]]:
     """The bodies of one kind of candidate, each with its rows over its
     variables' slots, once the (body, head) pairs planned over them, one
@@ -324,7 +323,6 @@ def _joined_bodies(
             f"{'--max-enc-len' if enc else '--max-dec-len'}, "
             "--max-head-vars or --no-disjunction, or raise --max-candidates"
         )
-    store = FactStore(facts)
     parents = {b.parent for b in bodies}
     kept: dict[_Enumerated, list[Row]] = {}
 
@@ -376,11 +374,11 @@ def generate_encoder_candidates(
             "with the latent namespace; rename them"
         )
     sizes = range(1, min(config.max_head_vars, max(p.arity for p in input_preds)) + 1)
-    facts = kb.facts | kb.background
+    store = FactStore(kb.facts, kb.background)
     index = AtomIndex()
     out = []
     ordinal = 1
-    for b, rows in _joined_bodies(ENCODER, predicates, modes, sizes, config, facts):
+    for b, rows in _joined_bodies(ENCODER, predicates, modes, sizes, config, store):
         subsets = [s for size in sizes for s in combinations(range(b.n_vars), size)]
         if rows:  # the body has a substitution
             body_text = _body_text(*b.body)
@@ -393,14 +391,6 @@ def generate_encoder_candidates(
                 out.append(CandidateClause(head, *b.body, mask, index, text))
         ordinal += len(subsets)
     return out
-
-
-def latent_facts(encoders: list[CandidateClause]) -> frozenset[Fact]:
-    """Union of the latent facts entailed by the candidate encoder clauses."""
-    facts: set[Fact] = set()
-    for c in encoders:
-        facts.update(c.facts())
-    return frozenset(facts)
 
 
 def latent_ordinal(pred: Predicate) -> int:
@@ -446,8 +436,11 @@ def _decoder_masks(
         key=predicate_order,
     )
     arities = [p.arity for p in input_preds]
-    facts = latent_facts(latent_candidates)
-    for b, rows in _joined_bodies(DECODER, latents, {}, arities, config, facts):
+    context: dict[Predicate, list[Row]] = {}  # as rows: no latent Fact is built
+    for c in latent_candidates:
+        context.setdefault(c.head.predicate, []).extend(c.rows())
+    store = FactStore(rows=context)
+    for b, rows in _joined_bodies(DECODER, latents, {}, arities, config, store):
         if not rows:  # the body has no substitution
             continue
         # The head predicates of one arity share its variable subsets.

@@ -28,7 +28,7 @@ from .errors import (
     VocabularyError,
 )
 from .kb import Fact, KnowledgeBase, parse_kb_document, predicate_order, serialize_kb
-from .logic import Alp, apply_program, parse_program, reconstruct, serialize_program
+from .logic import Alp, apply_program, loss_by_predicate, parse_program, serialize_program
 from .model import dump_model
 from .pipeline import learn, prepare_pool, run_report
 from .solver import SearchConfig
@@ -210,11 +210,8 @@ def _remap_facts(facts, known: dict, role: str) -> frozenset[Fact]:
 def _background(kb: KnowledgeBase, known: dict) -> frozenset[Fact]:
     """The background facts of predicates the model mentions.  The others
     cannot change a latent fact and are never reconstructed."""
-    return frozenset(
-        Fact(known[key], f.args)
-        for f in kb.background
-        if (key := (f.predicate.name, f.predicate.arity)) in known
-    )
+    kept = [f for f in kb.background if (f.predicate.name, f.predicate.arity) in known]
+    return _remap_facts(kept, known, "background")
 
 
 def cmd_encode(args) -> int:
@@ -244,25 +241,18 @@ def cmd_eval(args) -> int:
     known = _model_predicates(alp)
     # No decoder head is arity 0 (it would share no variable with its body),
     # so such facts are missing from every reconstruction, as learn counts
-    # them, not a vocabulary mismatch.
+    # them, not a vocabulary mismatch: they keep their own predicate.
     unreachable = frozenset(
-        f
-        for f in document.kb.facts
-        if f.predicate.arity == 0 and (f.predicate.name, 0) not in known
+        f for f in document.kb.facts if not f.args and (f.predicate.name, 0) not in known
     )
     kb = KnowledgeBase.from_facts(
-        _remap_facts(document.kb.facts - unreachable, known, "knowledge base"),
+        _remap_facts(document.kb.facts - unreachable, known, "knowledge base")
+        | unreachable,
         _background(document.kb, known),
     )
-    recon = reconstruct(alp, kb)
-    missing_facts, false_facts = (kb.facts - recon) | unreachable, recon - kb.facts
-    missing, false = len(missing_facts), len(false_facts)
-    # [missing, false] per predicate
-    tally = {f.predicate: [0, 0] for f in kb.facts | recon | unreachable}
-    for f in missing_facts:
-        tally[f.predicate][0] += 1
-    for f in false_facts:
-        tally[f.predicate][1] += 1
+    tally = loss_by_predicate(alp, kb)  # (missing, false) per predicate
+    missing = sum(m for m, _ in tally.values())
+    false = sum(f for _, f in tally.values())
     per_predicate = {
         f"{p.name}/{p.arity}": {"missing": tally[p][0], "false": tally[p][1]}
         for p in sorted(tally, key=predicate_order)

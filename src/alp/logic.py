@@ -1,17 +1,17 @@
 """Clauses, logic programs, and their bottom-up evaluation.
 
 A term is a plain ``str``: a variable when its initial is uppercase
-(``alp.kb.is_variable``), a constant otherwise.  A body is joined one
-literal at a time over rows of constants, each literal a shape: its
-predicate, its sign and an integer slot per argument.  A row starts with
-the clause's constants, and each literal's first-seen variables take the
-next slots.  ``FactStore.join`` looks a literal's bound slots up in
-a hash index of its predicate, checks a variable repeated within it, and
+(``alp.kb.is_variable``).  A body is joined one literal at a time over rows
+of constants, each literal a shape: its predicate, its sign and an integer
+slot per argument.  ``FactStore.join`` looks a literal's bound slots up in a
+hash index of its predicate's argument rows, checks a repeated variable, and
 appends its new variables; a negated literal, joined last, keeps a row only
-when its ground atom is absent (closed-world assumption).  A disjunction is
-one join per disjunct.  The candidate generators join a conjunction's last
-literal onto its parent body's rows.  Programs here are non-recursive, so
-one bottom-up pass reaches the fixpoint.
+when its atom is absent (closed-world assumption).  Programs here are
+non-recursive, so one bottom-up pass reaches the fixpoint.  Evaluation runs
+on argument rows by predicate from the KB to the loss: the decoder reads the
+encoder's rows and ``loss_parts`` compares rows.  ``Fact`` objects are built
+only where a function returns them: ``encode``, ``reconstruct``,
+``apply_program`` and ``ground_consequences``.
 
 Program text format, round-trippable through the parser:
 
@@ -29,8 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import permutations
-from typing import Iterable
+from itertools import chain, permutations
+from typing import Collection, Iterable
 
 from .errors import KbSyntaxError
 from .kb import (
@@ -199,24 +199,26 @@ Shape = tuple[Predicate, bool, tuple]
 
 
 class FactStore:
-    """Argument rows by predicate, with hash indexes built lazily per
-    pattern of bound positions."""
+    """Argument rows by predicate, the given ``rows`` (taken, not copied)
+    plus the fact sets', with hash indexes built lazily per pattern of
+    bound positions."""
 
-    def __init__(self, facts: Iterable[Fact]):
-        self.by_pred: dict[Predicate, list[Row]] = {}
-        for f in facts:
+    def __init__(self, *fact_sets: Iterable[Fact], rows: dict | None = None):
+        self.by_pred: dict[Predicate, Collection[Row]] = {} if rows is None else rows
+        for f in chain(*fact_sets):
             self.by_pred.setdefault(f.predicate, []).append(f.args)
         self._indexes: dict = {}
 
-    def index(
-        self, predicate: Predicate, bound: tuple[int, ...]
-    ) -> dict[Row, list[Row]]:
-        """The predicate's rows keyed by their values at the bound positions."""
-        key = (predicate, bound)
-        cached = self._indexes.get(key)
+    def index(self, predicate: Predicate, bound: tuple) -> dict[Row, Collection[Row]]:
+        """The predicate's rows keyed by their values at the bound positions;
+        with none bound, its rows themselves, or no key when it has none."""
+        rows = self.by_pred.get(predicate, ())
+        if not bound:
+            return {(): rows} if rows else {}
+        cached = self._indexes.get((predicate, bound))
         if cached is None:
-            cached = self._indexes[key] = {}
-            for args in self.by_pred.get(predicate, ()):
+            cached = self._indexes[predicate, bound] = {}
+            for args in rows:
                 cached.setdefault(tuple(args[i] for i in bound), []).append(args)
         return cached
 
@@ -238,6 +240,8 @@ class FactStore:
         index = self.index(predicate, bound)
         if negated:
             return [r for r in rows if tuple([r[s] for s in slots]) not in index]
+        if new == list(range(len(ids))):  # every argument a new slot, in order
+            return [row + args for row in rows for args in index.get((), ())]
         return [
             row + tuple([args[i] for i in new])
             for row in rows
@@ -266,55 +270,79 @@ def _compile(literals: tuple[Literal, ...], head: tuple[str, ...]):
 
 
 def project(rows: list[Row], slots: tuple[int, ...]) -> set[Row]:
-    """The rows' values at the slots, in the rows' order."""
+    """The set of the rows' values at the slots."""
+    if rows and slots == tuple(range(len(rows[0]))):  # the rows themselves
+        return set(rows)
     return {tuple([row[s] for s in slots]) for row in rows}
 
 
-def ground_consequences(
-    clause: Clause, facts: Iterable[Fact] | FactStore
-) -> frozenset[Fact]:
-    """Every ground head instance whose body is satisfied by the facts.
+def _apply(clauses: Iterable[Clause], store: FactStore) -> dict[Predicate, set[Row]]:
+    """One bottom-up pass, the path of every evaluation: each head
+    predicate's rows.  A conjunction is joined literal by literal and the
+    head projected from its rows; a disjunction is one join per disjunct,
+    all sharing the head's slots."""
+    out: dict[Predicate, set[Row]] = {}
+    for clause in clauses:
+        body, rows = clause.body, []
+        disjunction = clause.body_connective == DISJUNCTION
+        for literals in [(l,) for l in body] if disjunction else [body]:
+            start, shapes, head = _compile(literals, clause.head.args)
+            rows += reduce(store.join, shapes, [start])
+        out.setdefault(clause.head.predicate, set()).update(project(rows, head))
+    return out
 
-    A conjunction is joined literal by literal and the head projected from
-    its rows.  A disjunction is one join per disjunct; disjuncts share one
-    argument tuple, so their rows share the head's slots.
-    """
-    store = facts if isinstance(facts, FactStore) else FactStore(facts)
-    body, rows = clause.body, []
-    disjunction = clause.body_connective == DISJUNCTION
-    for literals in [(l,) for l in body] if disjunction else [body]:
-        start, shapes, head = _compile(literals, clause.head.args)
-        rows += reduce(store.join, shapes, [start])
-    return frozenset(Fact(clause.head.predicate, args) for args in project(rows, head))
+
+def _facts(rows: dict[Predicate, set[Row]]) -> frozenset[Fact]:
+    return frozenset(Fact(p, args) for p, group in rows.items() for args in group)
+
+
+def ground_consequences(clause: Clause, facts: Iterable[Fact]) -> frozenset[Fact]:
+    """Every ground head instance whose body is satisfied by the facts."""
+    return _facts(_apply([clause], FactStore(facts)))
 
 
 def apply_program(program: LogicProgram, facts: Iterable[Fact]) -> frozenset[Fact]:
     """One bottom-up pass: the union of all clause consequences.  A body
     predicate absent from the facts contributes no consequences."""
-    store = FactStore(facts)
-    return frozenset().union(*(ground_consequences(c, store) for c in program.clauses))
+    return _facts(_apply(program.clauses, FactStore(facts)))
 
 
 def encode(alp: Alp, kb: KnowledgeBase) -> frozenset[Fact]:
-    """Latent representation of kb: encoder applied to facts plus background."""
-    return apply_program(alp.encoder, kb.facts | kb.background)
+    """Latent representation of kb: encoder applied to facts plus background
+    (two sets with no predicate in common, so not joined by a union)."""
+    return _facts(_apply(alp.encoder.clauses, FactStore(kb.facts, kb.background)))
 
 
 def reconstruct(alp: Alp, kb: KnowledgeBase) -> frozenset[Fact]:
     """Decoder output for the latent representation of kb."""
-    return apply_program(alp.decoder, encode(alp, kb))
+    latent = _apply(alp.encoder.clauses, FactStore(kb.facts, kb.background))
+    return _facts(_apply(alp.decoder.clauses, FactStore(rows=latent)))
+
+
+def loss_by_predicate(alp: Alp, kb: KnowledgeBase) -> dict[Predicate, tuple[int, int]]:
+    """(missing, false) reconstruction counts of each predicate of kb's
+    non-background facts or of their reconstruction, compared as rows: no
+    Fact is built."""
+    targets = FactStore(kb.facts).by_pred  # the non-background rows
+    latent = _apply(alp.encoder.clauses, FactStore(kb.background, rows=dict(targets)))
+    made = _apply(alp.decoder.clauses, FactStore(rows=latent))
+    counts = {}
+    for p in targets.keys() | {p for p, rows in made.items() if rows}:
+        kept, found = targets.get(p, ()), made.get(p, set())
+        hit = len(found.intersection(kept))
+        counts[p] = (len(kept) - hit, len(found) - hit)
+    return counts
 
 
 def loss_parts(alp: Alp, kb: KnowledgeBase) -> tuple[int, int]:
     """(missing, false) reconstruction counts over non-background facts."""
-    recon = reconstruct(alp, kb)
-    return len(kb.facts - recon), len(recon - kb.facts)
+    counts = loss_by_predicate(alp, kb).values()
+    return sum(m for m, _ in counts), sum(f for _, f in counts)
 
 
 def reconstruction_loss(alp: Alp, kb: KnowledgeBase) -> int:
     """Size of the symmetric difference between kb and its reconstruction."""
-    missing, false = loss_parts(alp, kb)
-    return missing + false
+    return sum(map(sum, loss_by_predicate(alp, kb).values()))
 
 
 # ----------------------------------------------------------------------

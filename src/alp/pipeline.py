@@ -21,7 +21,7 @@ from .candidates import (
 )
 from .errors import AlpError
 from .kb import KnowledgeBase, ModeDeclaration, Predicate
-from .logic import Alp, apply_program, encode
+from .logic import Alp, encode, loss_parts
 from .model import CopModel, build_model, induced_alp
 from .pruning import build_report, prune_naming_variants
 from .solver import SearchConfig, Solution, lns_minimize, ProgressFn
@@ -101,13 +101,11 @@ def learn(
 
     alp = induced_alp(model, solution.assignment)
     latent = encode(alp, kb)
-    reconstruction = apply_program(alp.decoder, latent)
-    missing, false = len(kb.facts - reconstruction), len(reconstruction - kb.facts)
-    recomputed = missing + false
-    if recomputed != solution.objective:
+    missing, false = loss_parts(alp, kb)
+    if missing + false != solution.objective:
         raise AlpError(
             f"objective {solution.objective} disagrees with recomputed "
-            f"reconstruction loss {recomputed}"
+            f"reconstruction loss {missing + false}"
         )
     timings["total"] = time.monotonic() - t0
     return LearnResult(

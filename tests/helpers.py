@@ -18,6 +18,7 @@ from alp.candidates import AtomIndex, CandidateClause, GenerationConfig, _enumer
 from alp.errors import CapacityError
 from alp.kb import (
     ORIGIN_BACKGROUND,
+    ORIGIN_LATENT,
     Fact,
     KnowledgeBase,
     ModeDeclaration,
@@ -27,10 +28,13 @@ from alp.kb import (
 )
 from alp.logic import (
     CONJUNCTION,
+    DECODER,
     DISJUNCTION,
     ENCODER,
+    Alp,
     Clause,
     Literal,
+    LogicProgram,
     Shape,
     shape_key,
     var_name,
@@ -213,6 +217,17 @@ def brute_force_consequences(clause: Clause, facts) -> frozenset[Fact]:
     return frozenset(out)
 
 
+def consequences(c: CandidateClause) -> frozenset[Fact]:
+    """A candidate's consequences as facts, decoded from its bitset."""
+    return frozenset(Fact(c.head.predicate, row) for row in c.rows())
+
+
+def latent_facts(encoders) -> frozenset[Fact]:
+    """Union of the latent facts the candidate encoders entail: the context
+    the decoder candidates are evaluated on."""
+    return frozenset().union(*map(consequences, encoders))
+
+
 def body_variables(literals) -> list[str]:
     """The literals' variables in order of first appearance."""
     return list(dict.fromkeys(v for l in literals for v in l.variables()))
@@ -354,6 +369,75 @@ def random_rich_clause(rng: random.Random, kb: KnowledgeBase) -> Clause:
     head_args = tuple(term(bound or constants) for _ in range(rng.randint(0, 3)))
     head = Literal(Predicate("latent_1", len(head_args), "latent"), head_args)
     return Clause(head, body, connective)
+
+
+def random_kb_with_background(rng: random.Random) -> KnowledgeBase:
+    """``random_kb`` (arity 0 included) plus facts of one background
+    predicate, ``b0``, which may have none."""
+    kb = random_kb(rng, max_constants=4, max_facts=8, min_arity=0)
+    b0 = Predicate("b0", rng.randint(0, 2), ORIGIN_BACKGROUND)
+    constants = sorted(kb.constants)
+    background = {
+        Fact(b0, tuple(rng.choice(constants) for _ in range(b0.arity)))
+        for _ in range(rng.randint(0, 3))
+    }
+    return KnowledgeBase.from_facts(
+        kb.facts, background, kb.vocabulary | {b0}, kb.constants
+    )
+
+
+def random_alp(rng: random.Random, kb: KnowledgeBase) -> Alp:
+    """A random program over kb.  Each encoder clause is a
+    ``random_rich_clause`` over kb, with its own latent head; each decoder
+    clause is one over those latents, with the head of an input predicate
+    (which may have no facts) whose arguments are the body's variables or,
+    one time in five, a constant."""
+    encoder = []
+    for i in range(1, rng.randint(1, 3) + 1):
+        c = random_rich_clause(rng, kb)
+        latent = Predicate(f"latent_{i}", len(c.head.args), ORIGIN_LATENT)
+        encoder.append(Clause(Literal(latent, c.head.args), c.body, c.body_connective))
+    latents = {c.head.predicate for c in encoder}
+    latent_kb = KnowledgeBase.from_facts((), (), latents, kb.constants)
+    heads = sorted(kb.input_predicates, key=predicate_order)
+    decoder = []
+    for _ in range(rng.randint(1, 3)):
+        c = random_rich_clause(rng, latent_kb)
+        bound = sorted({v for l in c.body if not l.negated for v in l.variables()})
+        p = rng.choice(heads)
+        args = tuple(
+            rng.choice(sorted(kb.constants))
+            if not bound or rng.random() < 0.2
+            else rng.choice(bound)
+            for _ in range(p.arity)
+        )
+        decoder.append(Clause(Literal(p, args), c.body, c.body_connective))
+    return Alp(
+        LogicProgram(tuple(encoder), ENCODER),
+        LogicProgram(tuple(decoder), DECODER),
+        frozenset(latents),
+    )
+
+
+def reference_loss_by_predicate(alp: Alp, kb: KnowledgeBase) -> dict:
+    """(missing, false) per predicate of kb's facts or of their
+    reconstruction, from fact sets: brute-force consequences of every
+    encoder clause, of every decoder clause over their union, then set
+    differences."""
+    latent = frozenset().union(
+        *(brute_force_consequences(c, kb.facts | kb.background) for c in alp.encoder.clauses)
+    )
+    recon = frozenset().union(
+        *(brute_force_consequences(c, latent) for c in alp.decoder.clauses)
+    )
+    missing, false = kb.facts - recon, recon - kb.facts
+    return {
+        p: (
+            sum(f.predicate == p for f in missing),
+            sum(f.predicate == p for f in false),
+        )
+        for p in {f.predicate for f in kb.facts | recon}
+    }
 
 
 def default_config(**overrides) -> GenerationConfig:

@@ -14,7 +14,6 @@ from alp.candidates import (
     generate_decoder_candidates,
     generate_encoder_candidates,
     generate_pruned_decoders,
-    latent_facts,
     latent_ordinal,
 )
 from alp.errors import CapacityError
@@ -46,11 +45,13 @@ from alp.pruning import (
 from helpers import (
     brute_force_consequences,
     candidate,
+    consequences,
     default_config,
     enumerate_bodies,
     fact,
     fig1_kb,
     kb_of,
+    latent_facts,
     lit,
     load_workloads,
     pred,
@@ -311,13 +312,13 @@ class TestEncoderCandidates:
             for cand in encoders:
                 program = LogicProgram((cand.clause,), ENCODER)
                 entailed = apply_program(program, kb.facts | kb.background)
-                assert cand.facts() == entailed == brute_force_consequences(
+                assert consequences(cand) == entailed == brute_force_consequences(
                     cand.clause, kb.facts | kb.background
                 )
                 assert cand.weight == bin(cand.mask).count("1") == len(entailed)
             context = latent_facts(encoders)
             for cand in generate_decoder_candidates(encoders, kb, default_config()):
-                assert cand.facts() == brute_force_consequences(cand.clause, context)
+                assert consequences(cand) == brute_force_consequences(cand.clause, context)
                 assert cand.weight == bin(cand.mask).count("1")
 
     def test_deterministic_naming(self):
@@ -373,7 +374,7 @@ class TestDecoderCandidates:
         cands = generate_decoder_candidates([enc], kb, default_config())
         arity2 = [c for c in cands if c.clause.head.predicate == P2]
         assert len(arity2) >= 1
-        assert any(c.facts() == {fact(P2, "a", "b")} for c in arity2)
+        assert any(consequences(c) == {fact(P2, "a", "b")} for c in arity2)
 
     def test_no_latent_facts_no_candidates(self):
         kb = kb_of(fact(P2, "a", "b"))
@@ -408,7 +409,7 @@ class TestDecoderCandidates:
             encoders = generate_encoder_candidates(kb, {}, config)
             context = latent_facts(encoders)
             for cand in generate_decoder_candidates(encoders, kb, config):
-                facts = cand.facts()
+                facts = consequences(cand)
                 assert facts == ground_consequences(cand.clause, context)
                 assert facts == brute_force_consequences(cand.clause, context)
                 assert cand.weight == len(facts)
@@ -502,7 +503,7 @@ def test_one_step_rows_equal_a_join_from_scratch():
         latents = sorted({c.head.predicate for c in encoders}, key=predicate_order)
         context = latent_facts(encoders)
         store = FactStore(context)
-        joined = list(_joined_bodies(DECODER, latents, {}, [1], config, context))
+        joined = list(_joined_bodies(DECODER, latents, {}, [1], config, store))
         rows_of = dict(joined)
         for body, rows in joined:
             literals, connective = body.body
@@ -568,7 +569,7 @@ def _pinned_case(case):
 def _pinned_row(c) -> bytes:
     kind = ENCODER if c.head.predicate.origin == ORIGIN_LATENT else DECODER
     assert c.text == str(c.clause)
-    row = (c.text, kind, c.weight, sorted(map(str, c.facts())))
+    row = (c.text, kind, c.weight, sorted(map(str, consequences(c))))
     return repr(row).encode() + b"\n"
 
 

@@ -164,6 +164,7 @@ def test_parse_outcome_pinned(text, expected):
         ("family-dec1", 1, "e4edd8648045b9b7c98d4c2a86c6eba74f6d9f25ed1b997882d92fc8b9d70e6a"),
         ("family-dec1", 2, "d7127a7b02099a082480ce1d93aa4781ead38c5780a7ff7a3a6a73d3480fe388"),
     ],
+    ids=["default-bias-1", "default-bias-2", "family-dec1-1", "family-dec1-2"],
 )
 def test_benchmark_kbs_pinned(workload, seed, digest):
     """SHA-256 of every benchmark KB text of one seed, its large KB last,

@@ -1,11 +1,13 @@
 """Clause evaluation, programs, reconstruction loss, clause covering."""
 
 import hashlib
+import json
 import random
 from itertools import permutations
 
 import pytest
 
+from alp.cli import main
 from alp.errors import KbSyntaxError
 from alp.logic import (
     Alp,
@@ -18,13 +20,14 @@ from alp.logic import (
     apply_program,
     encode,
     ground_consequences,
+    loss_by_predicate,
     loss_parts,
     parse_program,
     reconstruct,
     reconstruction_loss,
     serialize_program,
 )
-from alp.kb import KnowledgeBase, parse_kb, serialize_kb
+from alp.kb import Fact, KnowledgeBase, parse_kb, predicate_order, serialize_kb
 from helpers import (
     body_key,
     body_variables,
@@ -36,10 +39,13 @@ from helpers import (
     lit,
     load_workloads,
     pred,
+    random_alp,
     random_clause,
     random_kb,
+    random_kb_with_background,
     random_rich_clause,
     reference_body_key,
+    reference_loss_by_predicate,
 )
 
 PARENT = pred("parent", 2)
@@ -143,6 +149,19 @@ class TestGroundConsequences:
             fact(pred("latent_1", 0, "latent"))
         }
         assert encode(alp, kb_of(fact(r, "a"), extra_predicates=[q])) == frozenset()
+
+    def test_negated_arity_zero_literal(self):
+        """``not q`` keeps every row when q has no facts and drops every row
+        when it has one, through ``encode`` and ``ground_consequences``."""
+        alp = parse_program("#encoder\nlatent_1(X) :- r(X),not q.\n#decoder\n")
+        (clause,) = alp.encoder.clauses
+        q, r = pred("q", 0), pred("r", 1)
+        latent = pred("latent_1", 1, "latent")
+        rows = {fact(r, "a"), fact(r, "b")}
+        kept = {fact(latent, "a"), fact(latent, "b")}
+        for facts, expected in [(rows, kept), (rows | {fact(q)}, frozenset())]:
+            assert ground_consequences(clause, facts) == expected
+            assert encode(alp, kb_of(*facts, extra_predicates=[q])) == expected
 
     def test_apply_path_pinned(self):
         """SHA-256 of the encoding and the reconstruction of the benchmark's
@@ -344,6 +363,94 @@ class TestReconstructionLoss:
             background=[fact(male, "vader")],
         )
         assert reconstruction_loss(alp, kb) == 0
+
+
+    def test_loss_matches_fact_set_reference(self, tmp_path, capsys):
+        """On seeded random KBs and programs, the row-level loss per
+        predicate, ``loss_parts`` and ``alp eval --json``'s tally equal a
+        reference built from brute-force consequences and fact-set
+        differences.  Eval runs when the model mentions every KB predicate
+        of arity 1 or more, and otherwise exits 5."""
+        seen = dict.fromkeys(
+            ["background", "empty head", "unreached", "or", "head constant",
+             "recovered", "eval", "eval exit 5"],
+            0,
+        )
+        rng = random.Random(61)
+        for _ in range(200):
+            kb = random_kb_with_background(rng)
+            alp = random_alp(rng, kb)
+            expected = reference_loss_by_predicate(alp, kb)
+            assert loss_by_predicate(alp, kb) == expected, serialize_program(alp)
+            totals = tuple(sum(c[i] for c in expected.values()) for i in (0, 1))
+            assert loss_parts(alp, kb) == totals
+            assert reconstruction_loss(alp, kb) == sum(totals)
+
+            model, facts = tmp_path / "model.alp", tmp_path / "kb.facts"
+            model.write_text(serialize_program(alp), encoding="utf-8")
+            facts.write_text(serialize_kb(kb), encoding="utf-8")
+            clauses = alp.encoder.clauses + alp.decoder.clauses
+            mentioned = {l.predicate for c in clauses for l in (c.head, *c.body)}
+            known = all(f.predicate in mentioned for f in kb.facts if f.args)
+            code = main(["eval", str(model), str(facts), "--json"])
+            out = capsys.readouterr().out
+            if not known:
+                assert code == 5
+                seen["eval exit 5"] += 1
+                continue
+            assert code == 0
+            assert json.loads(out) == {
+                "loss": sum(totals),
+                "missing": totals[0],
+                "false": totals[1],
+                "per_predicate": {
+                    f"{p.name}/{p.arity}": {"missing": m, "false": f}
+                    for p, (m, f) in sorted(
+                        expected.items(), key=lambda item: predicate_order(item[0])
+                    )
+                },
+            }
+            heads = {c.head.predicate for c in alp.decoder.clauses}
+            fact_preds = {f.predicate for f in kb.facts}
+            seen["eval"] += 1
+            seen["background"] += bool(kb.background) and any(
+                l.predicate.origin == "background"
+                for c in alp.encoder.clauses
+                for l in c.body
+            )
+            seen["empty head"] += bool(heads - fact_preds)
+            seen["unreached"] += bool(fact_preds - heads)
+            seen["or"] += any(
+                c.body_connective == DISJUNCTION for c in alp.decoder.clauses
+            )
+            seen["head constant"] += any(
+                len(c.head.variables()) < len(c.head.args) for c in alp.decoder.clauses
+            )
+            seen["recovered"] += totals[0] < len(kb.facts)
+        assert min(seen.values()) >= 20, seen
+
+    def test_loss_and_encode_build_facts_only_for_the_result(self, monkeypatch):
+        """On the benchmark's large family KB (family-dec1, seed 1) under
+        FAMILY_PROGRAM, ``loss_parts`` builds no ``Fact`` and ``encode`` and
+        ``reconstruct`` build one per fact they return."""
+        workloads = load_workloads()
+        _, large = workloads.generate(workloads.WORKLOADS["family-dec1"], 1)
+        kb = parse_kb(large.text)
+        alp = parse_program(workloads.FAMILY_PROGRAM)
+        built = [0]
+        post_init = Fact.__post_init__
+
+        def counting(self):
+            built[0] += 1
+            post_init(self)
+
+        monkeypatch.setattr(Fact, "__post_init__", counting)
+        assert loss_parts(alp, kb) == (0, large.dropped_parent)
+        assert built[0] == 0
+        for evaluate in (encode, reconstruct):
+            result = evaluate(alp, kb)
+            assert built[0] == len(result) > 0
+            built[0] = 0
 
 
 class TestProgramText:

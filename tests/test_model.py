@@ -42,6 +42,7 @@ from helpers import (
     brute_force_objective,
     candidate,
     class_members,
+    consequences,
     drop_constraints,
     fact,
     fig1_kb,
@@ -211,15 +212,15 @@ class TestBuildModel:
             encoders, decoders = model.ec_candidates, model.dc_candidates
             for i in range(len(encoders)):
                 for j in range(i + 1, len(encoders)):
-                    a = {f.args for f in encoders[i].facts()}
-                    b = {f.args for f in encoders[j].facts()}
+                    a = set(encoders[i].rows())
+                    b = set(encoders[j].rows())
                     naive = encoders[i].clause.head.predicate.arity == (
                         encoders[j].clause.head.predicate.arity
                     ) and (a <= b or b <= a)
                     assert violates_generality(EC, i, j) == naive
             for i in range(len(decoders)):
                 for j in range(i + 1, len(decoders)):
-                    a, b = decoders[i].facts(), decoders[j].facts()
+                    a, b = consequences(decoders[i]), consequences(decoders[j])
                     naive = decoders[i].clause.head.predicate == (
                         decoders[j].clause.head.predicate
                     ) and (a <= b or b <= a)

@@ -107,6 +107,7 @@ def test_report_payload_shape():
         (1, "26a124d086505b38857df17c2b92b436d2b37c00d177b4c257b535195f189bd8"),
         (2, "e11148099257515193dbf681574833e7d8650753a0e93f1aea72e29ab6eabce2"),
     ],
+    ids=["max-dec-len-1", "max-dec-len-2"],
 )
 def test_fig1_output_pinned(max_dec_len, digest):
     """SHA-256 of the learned program, latent facts, objective and
