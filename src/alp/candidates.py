@@ -18,9 +18,13 @@ Both generators check the planned (body, head) pairs against
 ``max_candidates`` before any join, then join each body once, a
 conjunction from its parent's rows and its last literal, and project all
 of its heads from those rows.  A candidate's consequences are an ``int``
-bitset over its pool's AtomIndex.  ``generate_pruned_decoders`` prunes
-signature variants and corrupt decoders on those bitsets as it meets them,
-and builds a candidate only for the decoders that survive.
+bitset over its pool's AtomIndex.  Both decoder generators read one
+enumeration, ``_decoder_heads``: each body's rows projected once per head
+variable tuple, shared by every head predicate of that arity.
+``generate_pruned_decoders`` keys each projection as a bitset of bare rows,
+prunes signature variants and corrupt decoders once per such row class for
+all head predicates of its arity, and builds a candidate only for the
+decoders that survive.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import combinations, count, product
+from itertools import combinations, count, groupby, product
 from math import comb
 from operator import itemgetter
 from typing import Iterator
@@ -103,7 +107,8 @@ class AtomIndex:
     its own latent predicate, so the encoder pool indexes bare rows (under
     the predicate None) and its naming key is the bitset itself.  The
     decoder pool indexes the KB's facts first, so the KB is the low bits,
-    ``kb_mask``; atoms outside the KB are indexed as the decoders meet them.
+    ``kb_mask``; the atoms outside the KB follow as candidates are built
+    (for the pruned pool, the survivors' atoms only).
     """
 
     def __init__(self, kb_facts: frozenset[Fact] = frozenset()):
@@ -345,9 +350,14 @@ def _body_text(literals: tuple[Literal, ...], connective: str) -> str:
     return ("," if connective == CONJUNCTION else ";").join(map(str, literals))
 
 
+def _clause_suffix(args: tuple[str, ...], body_text: str) -> str:
+    """The text of a clause ``name(args) :- body.`` after its ``name(``."""
+    return f"{','.join(args)}) :- {body_text}."
+
+
 def _clause_text(pred: Predicate, args: tuple[str, ...], body_text: str) -> str:
     """``str`` of the clause ``pred(args) :- body``."""
-    return f"{pred.name}({','.join(args)}) :- {body_text}."
+    return f"{pred.name}({_clause_suffix(args, body_text)}"
 
 
 def generate_encoder_candidates(
@@ -413,45 +423,44 @@ def is_corrupt(mask: int, kb_mask: int) -> bool:
     return 2 * (mask & ~kb_mask).bit_count() >= mask.bit_count()
 
 
-def _decoder_masks(
+def _head_predicates(kb: KnowledgeBase) -> list[Predicate]:
+    """The decoder heads: the input predicates of arity at least 1."""
+    return sorted(
+        (p for p in kb.vocabulary if p.origin == ORIGIN_INPUT and p.arity >= 1),
+        key=predicate_order,
+    )
+
+
+def _decoder_heads(
     latent_candidates: list[CandidateClause],
     kb: KnowledgeBase,
     config: GenerationConfig,
-    index: AtomIndex,
-) -> Iterator[tuple[Body, Predicate, tuple[str, ...], int]]:
-    """Every decoder as (body, head predicate, head arguments, mask), in
-    generation order, its consequences indexed in ``index`` as it is met.
+) -> Iterator[tuple[Body, int, tuple[str, ...], set[Row]]]:
+    """Every decoder body with a substitution, once per head arity and
+    variable tuple of that arity, as (body, arity, head arguments, the
+    body's rows projected on them), in generation order.  The rows serve
+    every head predicate of the arity, and the items of one body share its
+    ``Body`` tuple.
 
     The latent fact context is the union of the encoder candidates'
     consequences; decoder heads range over the input predicates of arity at
-    least 1, one decoder per predicate per variable tuple of its arity.  A
-    body without a substitution yields no decoder.  The decoders of one
-    body share its ``Body`` tuple.
+    least 1 (``_head_predicates``), one decoder per predicate per variable
+    tuple of its arity.
     """
     latents = sorted({c.head.predicate for c in latent_candidates}, key=predicate_order)
     if not latents:
         return
-    input_preds = sorted(
-        (p for p in kb.vocabulary if p.origin == ORIGIN_INPUT and p.arity >= 1),
-        key=predicate_order,
-    )
-    arities = [p.arity for p in input_preds]
+    arities = [p.arity for p in _head_predicates(kb)]  # one per head predicate
+    head_arities = sorted(set(arities))
     context: dict[Predicate, list[Row]] = {}  # as rows: no latent Fact is built
     for c in latent_candidates:
         context.setdefault(c.head.predicate, []).extend(c.rows())
     store = FactStore(rows=context)
     for b, rows in _joined_bodies(DECODER, latents, {}, arities, config, store):
-        if not rows:  # the body has no substitution
-            continue
-        # The head predicates of one arity share its variable subsets.
-        slots = range(b.n_vars)
-        heads = {
-            a: [(_variables(s), project(rows, s)) for s in combinations(slots, a)]
-            for a in set(arities)
-        }
-        for pred in input_preds:
-            for args, atoms in heads[pred.arity]:
-                yield b.body, pred, args, index.mask(pred, atoms)
+        if rows:  # the body has a substitution
+            for arity in head_arities:
+                for slots in combinations(range(b.n_vars), arity):
+                    yield b.body, arity, _variables(slots), project(rows, slots)
 
 
 def generate_decoder_candidates(
@@ -460,16 +469,22 @@ def generate_decoder_candidates(
     config: GenerationConfig,
 ) -> list[CandidateClause]:
     """Every decoder clause over the latent vocabulary, unpruned, in
-    generation order (see ``_decoder_masks``)."""
+    generation order: body by body, then by head predicate, then by
+    variable tuple (see ``_decoder_heads``)."""
     index = AtomIndex(kb.facts)
+    heads = _head_predicates(kb)
     out = []
-    last = body_text = None
-    for body, pred, args, mask in _decoder_masks(latent_candidates, kb, config, index):
-        if body is not last:
-            last, body_text = body, _body_text(*body)
-        text = _clause_text(pred, args, body_text)
-        head = Literal(pred, args)
-        out.append(CandidateClause(head, *body, mask, index, text))
+    decoders = _decoder_heads(latent_candidates, kb, config)
+    for body, items in groupby(decoders, itemgetter(0)):
+        items = list(items)
+        body_text = _body_text(*body)
+        for pred in heads:
+            for _, arity, args, rows in items:
+                if arity == pred.arity:
+                    text = _clause_text(pred, args, body_text)
+                    head = Literal(pred, args)
+                    mask = index.mask(pred, rows)
+                    out.append(CandidateClause(head, *body, mask, index, text))
     return out
 
 
@@ -482,34 +497,51 @@ def generate_pruned_decoders(
     in text order, with the number of decoders met and of signature classes
     they formed.
 
-    Both prunings read only a decoder's mask, so they run as the decoders
-    are met, before any text is rendered: a corrupt decoder is only
-    counted, and of each clean signature class the least text is kept.
-    Corruption is a function of the mask, so a class is corrupt or clean as
-    a whole, and the survivors are ``prune_corrupt(prune_signature_variants(
-    generate_decoder_candidates(...)))``, with masks over an index that
-    holds the same atoms; a candidate object is built for them only.
+    Both prunings read only which rows a decoder's head holds, so they run
+    once per row class, shared by every head predicate of its arity.  Each
+    projection of ``_decoder_heads`` is a bitset over one index of bare
+    rows; the class is that row mask plus the body predicates, and of each
+    class the least text suffix ``args) :- body.`` is kept.  The decoders of
+    one head predicate share the prefix ``name(``, so that suffix is the
+    least text of the class for every one of them.  A class is then corrupt
+    or clean for each head predicate of its arity, against the rows of that
+    predicate's KB facts (``is_corrupt``), and the survivors are
+    ``prune_corrupt(prune_signature_variants(generate_decoder_candidates(
+    ...)))``.  Only for them is a candidate built, with a mask over an index
+    that holds the KB's facts as its low bits and then the survivors' atoms.
     """
-    index = AtomIndex(kb.facts)
-    corrupt: set[tuple] = set()
-    kept: dict[tuple, tuple] = {}  # signature -> (text, body, pred, args, mask)
+    heads = _head_predicates(kb)
+    by_arity: dict[int, list[Predicate]] = {}
+    for pred in heads:
+        by_arity.setdefault(pred.arity, []).append(pred)
+    row_index = AtomIndex()
+    kb_rows = FactStore(kb.facts).by_pred
+    kb_masks = {p: row_index.mask(None, kb_rows.get(p, ())) for p in heads}
+    # (row mask, body predicates) -> (suffix, body, arity, args)
+    kept: dict[tuple, tuple] = {}
     met = 0
     last = preds = body_text = None
-    for body, pred, args, mask in _decoder_masks(latent_candidates, kb, config, index):
-        met += 1
+    for body, arity, args, rows in _decoder_heads(latent_candidates, kb, config):
+        met += len(by_arity[arity])
         if body is not last:
-            last, preds, body_text = body, body_predicates(body[0]), None
-        key = signature(pred, mask, preds)
-        if is_corrupt(mask, index.kb_mask):
-            corrupt.add(key)
-            continue
-        body_text = body_text or _body_text(*body)
-        text = _clause_text(pred, args, body_text)
+            last, preds, body_text = body, body_predicates(body[0]), _body_text(*body)
+        suffix = _clause_suffix(args, body_text)
+        key = (row_index.mask(None, rows), preds)
         best = kept.get(key)
-        if best is None or text < best[0]:
-            kept[key] = (text, body, pred, args, mask)
-    survivors = [
-        CandidateClause(Literal(pred, args), *body, mask, index, text)
-        for text, body, pred, args, mask in sorted(kept.values(), key=itemgetter(0))
-    ]
-    return survivors, met, len(kept) + len(corrupt)
+        if best is None or suffix < best[0]:
+            kept[key] = (suffix, body, arity, args)
+    clean = []
+    for (row_mask, _), (suffix, body, arity, args) in kept.items():
+        for pred in by_arity[arity]:
+            if not is_corrupt(row_mask, kb_masks[pred]):
+                clean.append((f"{pred.name}({suffix}", pred, body, args, row_mask))
+    clean.sort(key=itemgetter(0))
+    index = AtomIndex(kb.facts)
+    atoms = row_index.atoms
+    survivors = []
+    for text, pred, body, args, row_mask in clean:
+        rows = [atoms[bit][1] for bit in bit_positions(row_mask)]
+        mask = index.mask(pred, rows)
+        survivors.append(CandidateClause(Literal(pred, args), *body, mask, index, text))
+    classes = sum(len(by_arity[arity]) for _, _, arity, _ in kept.values())
+    return survivors, met, classes

@@ -227,20 +227,16 @@ class FactStore:
         step of every body.  An id below the rows' width is a bound slot;
         the others are new slots, numbered on in order of first appearance.
         A negated literal binds every slot and keeps a row when its atom is
-        absent (closed-world assumption)."""
+        absent (closed-world assumption).  How the ids bind is planned once
+        per (ids, width) by ``_join_plan``."""
         if not rows:
             return rows
         predicate, negated, ids = shape
-        width = len(rows[0])
-        first = [ids.index(k) for k in ids]  # each argument's first position
-        bound = tuple(i for i, k in enumerate(ids) if k < width)
-        slots = [ids[i] for i in bound]
-        new = [i for i, k in enumerate(ids) if k >= width and first[i] == i]
-        repeats = [(i, j) for i, j in enumerate(first) if ids[i] >= width and j < i]
+        bound, slots, new, repeats, whole_row = _join_plan(ids, len(rows[0]))
         index = self.index(predicate, bound)
         if negated:
             return [r for r in rows if tuple([r[s] for s in slots]) not in index]
-        if new == list(range(len(ids))):  # every argument a new slot, in order
+        if whole_row:
             return [row + args for row in rows for args in index.get((), ())]
         return [
             row + tuple([args[i] for i in new])
@@ -248,6 +244,20 @@ class FactStore:
             for args in index.get(tuple([row[s] for s in slots]), ())
             if not repeats or all(args[i] == args[j] for i, j in repeats)
         ]
+
+
+@lru_cache(maxsize=1 << 12)
+def _join_plan(ids: tuple[int, ...], width: int) -> tuple:
+    """How a literal's ids join onto rows of ``width`` slots: its bound
+    positions and their slots, the positions of its new slots (an id's
+    first occurrence), the (position, first position) pairs of a repeated
+    new id, and whether every argument is a new slot, in order."""
+    first = [ids.index(k) for k in ids]  # each argument's first position
+    bound = tuple(i for i, k in enumerate(ids) if k < width)
+    slots = tuple(ids[i] for i in bound)
+    new = tuple(i for i, k in enumerate(ids) if k >= width and first[i] == i)
+    repeats = tuple((i, j) for i, j in enumerate(first) if ids[i] >= width and j < i)
+    return bound, slots, new, repeats, new == tuple(range(len(ids)))
 
 
 def _compile(literals: tuple[Literal, ...], head: tuple[str, ...]):

@@ -21,6 +21,7 @@ from alp.kb import (
     ORIGIN_LATENT,
     KnowledgeBase,
     ModeDeclaration,
+    fact_order,
     parse_kb,
     predicate_order,
 )
@@ -425,6 +426,11 @@ class TestDecoderCandidates:
             assert cand.clause.head.predicate in kb.input_predicates
 
 
+def described(c):
+    """A candidate as its text, weight and decoded consequences."""
+    return c.text, c.weight, consequences(c)
+
+
 class TestPrunedDecoders:
     """``generate_pruned_decoders`` prunes on masks as it generates; what it
     returns is the two prune functions applied to the unpruned pool."""
@@ -435,11 +441,18 @@ class TestPrunedDecoders:
         unpruned = generate_decoder_candidates(encoders, kb, config)
         signature_kept = prune_signature_variants(unpruned)
         expected = prune_corrupt(signature_kept, kb)
-        assert survivors == expected
-        assert [c.text for c in survivors] == [c.text for c in expected]
+        # The two pools index their atoms differently, so masks do not compare.
+        assert list(map(described, survivors)) == list(map(described, expected))
         assert [c.text for c in survivors] == [str(c.clause) for c in survivors]
         if survivors:
-            assert survivors[0].index.atoms == unpruned[0].index.atoms
+            # the KB's facts as the low bits, then the survivors' atoms only
+            index = survivors[0].index
+            kb_atoms = [(f.predicate, f.args) for f in sorted(kb.facts, key=fact_order)]
+            assert index.atoms[: len(kb_atoms)] == kb_atoms
+            assert index.kb_mask_of(kb) == (1 << len(kb_atoms)) - 1
+            reached = {(f.predicate, f.args) for c in survivors for f in consequences(c)}
+            assert len(set(index.atoms)) == len(index.atoms)
+            assert set(index.atoms[len(kb_atoms) :]) == reached - set(kb_atoms)
         assert (met, classes) == (len(unpruned), len(signature_kept))
         # the prune functions leave an already pruned pool as it is
         assert prune_signature_variants(survivors) == survivors
@@ -474,6 +487,35 @@ class TestPrunedDecoders:
     def test_no_latents(self):
         kb = kb_of(fact(P2, "a", "b"))
         assert generate_pruned_decoders([], kb, default_config()) == ([], 0, 0)
+
+
+@pytest.mark.parametrize(
+    "counts, pruning, digest",
+    [
+        (
+            {"encoders_generated": 181, "encoders_pruned": 81,
+             "decoders_generated": 82_655, "decoders_pruned": 12_202},
+            {"input_count": 82_836, "removed_naming": 100,
+             "removed_signature": 23_874, "removed_corruption": 46_579,
+             "survivors": 12_283},
+            "745f0e7ef9ec9c627e7c2b9aaa39748eafa1530ee7e8764926206d83caaf5f54",
+        ),
+    ],
+    ids=["f76-default-bias"],
+)
+def test_default_bias_family_pool_pinned(counts, pruning, digest):
+    """``prepare_pool`` on the 76-fact family KB ``family_kb(Random(1), 4,
+    3)`` at the default bias: its counts, its pruning report and the
+    SHA-256 of the surviving decoders' (text, sorted consequences), recorded
+    before the decoders were pruned once per row class."""
+    kb = parse_kb(load_workloads().family_kb(random.Random(1), 4, 3).text)
+    assert len(kb.facts) == 76
+    _, decoders, report, sizes = prepare_pool(kb, {}, GenerationConfig())
+    assert (sizes, report) == (counts, pruning)
+    h = hashlib.sha256()
+    for c in decoders:
+        h.update(repr((c.text, sorted(map(str, consequences(c))))).encode() + b"\n")
+    assert h.hexdigest() == digest
 
 
 def _rows_from_scratch(literals, connective, store):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from functools import reduce
 from itertools import permutations
 
 import pytest
@@ -15,8 +16,10 @@ from alp.logic import (
     DECODER,
     DISJUNCTION,
     ENCODER,
+    FactStore,
     Literal,
     LogicProgram,
+    _join_plan,
     apply_program,
     encode,
     ground_consequences,
@@ -216,6 +219,68 @@ class TestGroundConsequences:
             assert ground_consequences(clause, smaller) <= (
                 ground_consequences(clause, kb.facts)
             )
+
+
+class TestJoin:
+    """``FactStore.join`` step by step from a start row, each case against
+    the brute-force substitutions of the clause it joins."""
+
+    P, Q, R = pred("p", 2), pred("q", 2), pred("r", 1)
+    FACTS = {
+        fact(P, "a", "a"), fact(P, "a", "b"), fact(P, "b", "c"), fact(P, "c", "c"),
+        fact(Q, "a", "b"), fact(Q, "b", "a"), fact(Q, "c", "a"),
+        fact(R, "a"), fact(R, "c"),
+    }
+
+    def assert_joins(self, start, shapes, head_slots, head, body):
+        """The rows joined from ``start`` through ``shapes``, read at the
+        head's slots, are the consequences of ``h(head) :- body``."""
+        rows = reduce(FactStore(self.FACTS).join, shapes, [start])
+        assert len(rows) == len(set(rows))
+        clause = Clause(lit(pred("h", len(head)), *head), body)
+        expected = {f.args for f in brute_force_consequences(clause, self.FACTS)}
+        assert {tuple(row[s] for s in head_slots) for row in rows} == expected
+        assert expected
+        return rows
+
+    def test_same_ids_bind_or_not_by_width(self):
+        """p's ids (1, 2) bind slot 1 after q(X,Y) and are both new after r(X)."""
+        P, Q, R = self.P, self.Q, self.R
+        _join_plan.cache_clear()
+        self.assert_joins(
+            (), [(Q, False, (0, 1)), (P, False, (1, 2))], (0, 1, 2), "XYZ",
+            (lit(Q, "X", "Y"), lit(P, "Y", "Z")),
+        )
+        self.assert_joins(
+            (), [(R, False, (0,)), (P, False, (1, 2))], (0, 1, 2), "XYZ",
+            (lit(R, "X"), lit(P, "Y", "Z")),
+        )
+        # one plan per (ids, width): a cached plan serves only its own width
+        assert _join_plan((1, 2), 2) == ((0,), (1,), (1,), (), False)
+        assert _join_plan((1, 2), 1) == ((), (), (0, 1), (), True)
+        assert _join_plan.cache_info().currsize == 4  # q, r, and p at each width
+
+    def test_repeated_new_variable(self):
+        P, Q = self.P, self.Q
+        rows = self.assert_joins(
+            (), [(Q, False, (0, 1)), (P, False, (2, 2))], (0, 1, 2), "XYZ",
+            (lit(Q, "X", "Y"), lit(P, "Z", "Z")),
+        )
+        assert all(len(row) == 3 for row in rows)
+
+    def test_negated_literal(self):
+        P, Q = self.P, self.Q
+        self.assert_joins(
+            (), [(Q, False, (0, 1)), (P, True, (1, 0))], (0, 1), "XY",
+            (lit(Q, "X", "Y"), lit(P, "Y", "X", negated=True)),
+        )
+
+    def test_start_row_of_constants(self):
+        """The start row holds the constant a in slot 0: p(a,Y)."""
+        rows = self.assert_joins(
+            ("a",), [(self.P, False, (0, 1))], (1,), "Y", (lit(self.P, "a", "Y"),)
+        )
+        assert all(row[0] == "a" for row in rows)
 
 
 class TestClauseInvariants:
