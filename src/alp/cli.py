@@ -1,5 +1,10 @@
 """Command line interface: learn, enumerate, encode, decode, eval.
 
+``encode``, ``decode`` and ``eval`` evaluate each file's facts as they are,
+as the library does: a predicate is its name and arity, so the ``#background``
+lines of a model and of a fact file need not agree.  One check first names
+the facts' predicates the model does not mention; ``eval`` skips arity-0 facts.
+
 Exit codes: 0 success, 2 parse failure (bad syntax or unreadable path),
 3 infeasible model, 4 capacity ceiling, 5 vocabulary mismatch, 1 anything
 else.  Set ALP_LOG=info to log the files written and ``enumerate``'s
@@ -27,8 +32,8 @@ from .errors import (
     KbSyntaxError,
     VocabularyError,
 )
-from .kb import Fact, KnowledgeBase, parse_kb_document, predicate_order, serialize_kb
-from .logic import Alp, apply_program, loss_by_predicate, parse_program, serialize_program
+from .kb import KnowledgeBase, parse_kb_document, predicate_order, serialize_kb
+from .logic import Alp, apply_program, encode, loss_by_predicate, parse_program, serialize_program
 from .model import dump_model
 from .pipeline import learn, prepare_pool, run_report
 from .solver import SearchConfig
@@ -183,73 +188,42 @@ def _load_model(path: str) -> Alp:
     return parse_program(Path(path).read_text(encoding="utf-8"))
 
 
-def _model_predicates(alp: Alp) -> dict[tuple[str, int], object]:
-    known = {}
-    for program in (alp.encoder, alp.decoder):
-        for clause in program.clauses:
-            for lit in (clause.head, *clause.body):
-                known[(lit.predicate.name, lit.predicate.arity)] = lit.predicate
-    return known
+def _model_predicates(alp: Alp) -> frozenset:
+    """Every predicate a clause of the model mentions."""
+    return alp.latent_vocabulary | alp.encoder.body_predicates() | alp.decoder.head_predicates()
 
 
-def _remap_facts(facts, known: dict, role: str) -> frozenset[Fact]:
-    unknown = sorted(
-        {
-            f"{f.predicate.name}/{f.predicate.arity}"
-            for f in facts
-            if (f.predicate.name, f.predicate.arity) not in known
-        }
-    )
+def _check_vocabulary(facts, known, role: str) -> None:
+    """Raise ``VocabularyError`` naming the facts' predicates outside ``known``."""
+    unknown = sorted({str(f.predicate) for f in facts if f.predicate not in known})
     if unknown:
         raise VocabularyError(f"{role} predicates unknown to the model: {unknown}")
-    return frozenset(
-        Fact(known[(f.predicate.name, f.predicate.arity)], f.args) for f in facts
-    )
-
-
-def _background(kb: KnowledgeBase, known: dict) -> frozenset[Fact]:
-    """The background facts of predicates the model mentions.  The others
-    cannot change a latent fact and are never reconstructed."""
-    kept = [f for f in kb.background if (f.predicate.name, f.predicate.arity) in known]
-    return _remap_facts(kept, known, "background")
 
 
 def cmd_encode(args) -> int:
     alp = _load_model(args.model)
     kb = _read_document(args.kb).kb
-    known = _model_predicates(alp)
-    facts = _remap_facts(kb.facts, known, "knowledge base") | _background(kb, known)
-    _write_out(args.out, _facts_text(apply_program(alp.encoder, facts)))
+    _check_vocabulary(kb.facts, _model_predicates(alp), "knowledge base")
+    _write_out(args.out, _facts_text(encode(alp, kb)))
     return 0
 
 
 def cmd_decode(args) -> int:
     alp = _load_model(args.model)
-    latent_kb = _read_document(args.latent).kb
-    latents = {
-        (p.name, p.arity): p
-        for p in alp.latent_vocabulary | alp.encoder.head_predicates()
-    }
-    facts = _remap_facts(latent_kb.facts, latents, "latent")
+    facts = _read_document(args.latent).kb.facts
+    _check_vocabulary(facts, alp.latent_vocabulary, "latent")
     _write_out(args.out, _facts_text(apply_program(alp.decoder, facts)))
     return 0
 
 
 def cmd_eval(args) -> int:
     alp = _load_model(args.model)
-    document = _read_document(args.kb)
-    known = _model_predicates(alp)
+    kb = _read_document(args.kb).kb
     # No decoder head is arity 0 (it would share no variable with its body),
     # so such facts are missing from every reconstruction, as learn counts
-    # them, not a vocabulary mismatch: they keep their own predicate.
-    unreachable = frozenset(
-        f for f in document.kb.facts if not f.args and (f.predicate.name, 0) not in known
-    )
-    kb = KnowledgeBase.from_facts(
-        _remap_facts(document.kb.facts - unreachable, known, "knowledge base")
-        | unreachable,
-        _background(document.kb, known),
-    )
+    # them, not a vocabulary mismatch.
+    checked = (f for f in kb.facts if f.args)
+    _check_vocabulary(checked, _model_predicates(alp), "knowledge base")
     tally = loss_by_predicate(alp, kb)  # (missing, false) per predicate
     missing = sum(m for m, _ in tally.values())
     false = sum(f for _, f in tally.values())

@@ -19,7 +19,7 @@ line reader here also reads programs (``alp.logic``).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -41,11 +41,14 @@ _KB_DIRECTIVES = ("pred", "background", "mode")
 
 @dataclass(frozen=True, slots=True)
 class Predicate:
-    """A predicate symbol, identified by (name, arity) within one vocabulary."""
+    """A predicate symbol ``name/arity``.  Equality and hash are
+    ``(name, arity)``: ``origin`` (input, latent or background) records how
+    a file declared the symbol, for the checks and writers that read it,
+    but ``male/1`` read from a fact file and from a program is one key."""
 
     name: str
     arity: int
-    origin: str = ORIGIN_INPUT
+    origin: str = field(default=ORIGIN_INPUT, compare=False)
 
     def __post_init__(self):
         if not NAME_RE.match(self.name):
@@ -122,7 +125,7 @@ class KnowledgeBase:
 
     ``facts`` holds the reconstruction targets; ``background`` holds facts of
     background-origin predicates, which encoders may use but which are never
-    reconstructed.
+    reconstructed.  No predicate, by name and arity, has facts in both.
     """
 
     facts: frozenset[Fact]

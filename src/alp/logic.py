@@ -142,7 +142,8 @@ class LogicProgram:
 
     Encoder clauses have input or background predicates in the body and a
     latent predicate in the head; decoder clauses have latent bodies and
-    input heads.
+    input heads.  Heads are checked first, so a latent where a program may
+    not write or read it is named as the fault, not only as recursion.
     """
 
     clauses: tuple[Clause, ...]
@@ -151,21 +152,23 @@ class LogicProgram:
     def __post_init__(self):
         if self.direction not in (ENCODER, DECODER):
             raise ValueError(f"bad direction {self.direction!r}")
-        heads = {c.head.predicate for c in self.clauses}
+        encoder = self.direction == ENCODER
+        for c in self.clauses:
+            if encoder and c.head.predicate.origin != ORIGIN_LATENT:
+                raise ValueError(f"encoder head {c.head.predicate} is not latent")
+            if not encoder and c.head.predicate.origin != ORIGIN_INPUT:
+                raise ValueError(f"decoder head {c.head.predicate} is not an input")
+        heads = self.head_predicates()
         for c in self.clauses:
             for lit in c.body:
-                if lit.predicate in heads:
-                    raise ValueError(
-                        f"recursive use of {lit.predicate} in {c}"
-                    )
-                if self.direction == ENCODER and lit.predicate.origin == ORIGIN_LATENT:
-                    raise ValueError(f"encoder body uses latent {lit.predicate}")
-                if self.direction == DECODER and lit.predicate.origin != ORIGIN_LATENT:
-                    raise ValueError(f"decoder body uses non-latent {lit.predicate}")
-            if self.direction == ENCODER and c.head.predicate.origin != ORIGIN_LATENT:
-                raise ValueError(f"encoder head {c.head.predicate} is not latent")
-            if self.direction == DECODER and c.head.predicate.origin != ORIGIN_INPUT:
-                raise ValueError(f"decoder head {c.head.predicate} is not an input")
+                p = lit.predicate
+                recursive = f", a recursive use in {c}" if p in heads else ""
+                if encoder and p.origin == ORIGIN_LATENT:
+                    raise ValueError(f"encoder body uses latent {p}{recursive}")
+                if not encoder and p.origin != ORIGIN_LATENT:
+                    raise ValueError(f"decoder body uses non-latent {p}{recursive}")
+                if recursive:
+                    raise ValueError(f"recursive use of {p} in {c}")
 
     def head_predicates(self) -> frozenset[Predicate]:
         return frozenset(c.head.predicate for c in self.clauses)
@@ -445,7 +448,9 @@ def parse_program(text: str) -> Alp:
     """Parse ``#encoder`` / ``#decoder`` sections into an Alp.
 
     Head predicates of encoder clauses become the latent vocabulary; the
-    decoder may only reference those latents in clause bodies.
+    decoder may only reference those latents in clause bodies.  A latent
+    name is latent wherever it stands, so ``LogicProgram`` rejects one in
+    an encoder body or a decoder head.
     """
     sections: dict[str, list] = {ENCODER: [], DECODER: []}
     section = None
@@ -464,33 +469,24 @@ def parse_program(text: str) -> Alp:
             sections[section].append(_read_clause(line_no, code))
     # Sections come in either order, so origins are known once all are read.
     latent = {head[1]: ORIGIN_LATENT for head, _, _ in sections[ENCODER]}
+    origins = background | latent
 
-    def program(direction: str, head_origins: dict, body_origins: dict) -> LogicProgram:
+    def program(direction: str) -> LogicProgram:
         clauses = []
         for head, body, connective in sections[direction]:
-            literals = tuple(_literal(*l, body_origins) for l in body)
-            clauses.append(Clause(_literal(*head, head_origins), literals, connective))
+            literals = tuple(_literal(*l, origins) for l in body)
+            clauses.append(Clause(_literal(*head, latent), literals, connective))
         return LogicProgram(tuple(clauses), direction)
 
-    encoder = program(ENCODER, latent, background)
-    decoder = program(DECODER, {}, latent)
+    encoder = program(ENCODER)
+    decoder = program(DECODER)
     return Alp(encoder, decoder, encoder.head_predicates() | decoder.body_predicates())
 
 
 def serialize_program(alp: Alp) -> str:
     """Write an Alp in the #encoder/#decoder text format."""
-    out = []
-    backgrounds = sorted(
-        {
-            p
-            for c in alp.encoder.clauses
-            for l in c.body
-            if (p := l.predicate).origin == ORIGIN_BACKGROUND
-        },
-        key=predicate_order,
-    )
-    for p in backgrounds:
-        out.append(f"#background {p.name}/{p.arity}")
+    background = [p for p in alp.encoder.body_predicates() if p.origin == ORIGIN_BACKGROUND]
+    out = [f"#background {p}" for p in sorted(background, key=predicate_order)]
     out.append("#encoder")
     out.extend(str(c) for c in alp.encoder.clauses)
     out.append("#decoder")

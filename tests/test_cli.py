@@ -7,6 +7,8 @@ import sys
 import pytest
 
 from alp.cli import main
+from alp.kb import parse_kb
+from alp.logic import encode, loss_by_predicate, parse_program, reconstruction_loss
 from helpers import FIG1_TEXT, cli_subprocess_env, herbrand_base
 
 SELF_KB = "p(a,b).\np(c,d).\np(e,f).\n"
@@ -270,6 +272,108 @@ class TestEncodeDecode:
         decoded = parse_kb(recon.read_text())
         hb = herbrand_base(original.vocabulary, original.constants)
         assert decoded.facts <= hb
+
+
+JEDI_MODEL = "#encoder\nlatent_1(X) :- male(X).\n#decoder\njedi(X) :- latent_1(X).\n"
+JEDI_KB = "male(luke).\nmale(vader).\njedi(luke).\njedi(vader).\n"
+
+
+class TestDeclarations:
+    """A predicate is its name and arity, so a model and a fact file need
+    not agree on ``#background`` lines, and ``alp`` and the library give
+    the same loss whichever file declares one."""
+
+    @pytest.mark.parametrize(
+        "model_background, kb_background, loss",
+        [(False, False, 2), (True, False, 2), (False, True, 0), (True, True, 0)],
+        ids=["neither", "model", "kb", "both"],
+    )
+    def test_library_and_cli_agree(
+        self, tmp_path, capsys, model_background, kb_background, loss
+    ):
+        """The KB's male/1 facts are encoded whichever file declares male/1
+        background; they count as missing (2) unless the KB declares it."""
+        model_text = "#background male/1\n" * model_background + JEDI_MODEL
+        kb_text = "#background male/1\n" * kb_background + JEDI_KB
+        model, kb = tmp_path / "m.alp", tmp_path / "kb.facts"
+        model.write_text(model_text, encoding="utf-8")
+        kb.write_text(kb_text, encoding="utf-8")
+        assert main(["eval", str(model), str(kb), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        alp, parsed = parse_program(model_text), parse_kb(kb_text)
+        tally = loss_by_predicate(alp, parsed)
+        assert payload["loss"] == reconstruction_loss(alp, parsed) == loss
+        assert payload["per_predicate"] == {
+            str(p): {"missing": m, "false": f} for p, (m, f) in tally.items()
+        }
+        assert main(["encode", str(model), str(kb)]) == 0
+        latent = "#pred latent_1/1\nlatent_1(luke).\nlatent_1(vader).\n"
+        assert capsys.readouterr().out == latent
+        assert {str(f) for f in encode(alp, parsed)} == {"latent_1(luke)", "latent_1(vader)"}
+
+    def test_kb_background_for_a_decoded_predicate(self, tmp_path, capsys):
+        """Outputs recorded before fact files were read as they are: the
+        KB's background male/1 facts feed the encoder, and the decoded ones
+        count as false."""
+        model = tmp_path / "m.alp"
+        model.write_text(
+            "#encoder\nlatent_1(X) :- male(X).\nlatent_2(X,Y) :- father(X,Y).\n"
+            "#decoder\nmale(X) :- latent_1(X).\nfather(X,Y) :- latent_2(X,Y).\n",
+            encoding="utf-8",
+        )
+        kb = tmp_path / "kb.facts"
+        kb.write_text(
+            "#background male/1\nmale(luke).\nmale(vader).\n"
+            "father(vader,luke).\nfather(vader,leia).\n",
+            encoding="utf-8",
+        )
+        assert main(["encode", str(model), str(kb)]) == 0
+        assert capsys.readouterr().out == (
+            "#pred latent_1/1\n#pred latent_2/2\nlatent_1(luke).\nlatent_1(vader).\n"
+            "latent_2(vader,leia).\nlatent_2(vader,luke).\n"
+        )
+        assert main(["eval", str(model), str(kb)]) == 0
+        assert capsys.readouterr().out == (
+            "loss 2 (missing 0, false 2)\n"
+            "  father/2: missing 0, false 0\n  male/1: missing 0, false 2\n"
+        )
+        latent = tmp_path / "latent.facts"
+        latent.write_text(
+            "#pred latent_1/1\n#pred latent_2/2\n#pred latent_9/3\n"
+            "latent_1(luke).\nlatent_2(vader,leia).\n",
+            encoding="utf-8",
+        )
+        assert main(["decode", str(model), str(latent)]) == 0
+        assert capsys.readouterr().out == (
+            "#pred father/2\n#pred male/1\nfather(vader,leia).\nmale(luke).\n"
+        )
+
+    @pytest.mark.parametrize(
+        "program, message",
+        [
+            (
+                "#encoder\nlatent_1(X) :- p(X).\nlatent_2(X) :- latent_1(X).\n"
+                "#decoder\np(X) :- latent_2(X).\n",
+                "encoder body uses latent latent_1/1",
+            ),
+            (
+                "#encoder\nlatent_1(X) :- p(X).\nlatent_2(X) :- p(X).\n"
+                "#decoder\np(X) :- latent_1(X).\nlatent_2(X) :- latent_1(X).\n",
+                "decoder head latent_2/1 is not an input",
+            ),
+        ],
+        ids=["encoder-body", "decoder-head"],
+    )
+    def test_misplaced_latent_is_parse_failure(self, tmp_path, capsys, program, message):
+        """A latent read by the encoder or written by the decoder was once
+        read as an empty input predicate, and eval exited 0 with loss 2."""
+        model, kb = tmp_path / "m.alp", tmp_path / "p.facts"
+        model.write_text(program, encoding="utf-8")
+        kb.write_text("p(a).\np(b).\n", encoding="utf-8")
+        for command in ("eval", "encode"):
+            assert main([command, str(model), str(kb)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"alp: parse failure: {message}")
 
 
 class TestEnumerate:

@@ -274,6 +274,20 @@ class TestAvgFactsPerPredicate:
         assert avg_facts_per_predicate(kb) == 2
 
 
+class TestPredicateIdentity:
+    """A predicate is its name and arity; its origin is not part of it."""
+
+    def test_origin_is_not_identity(self):
+        p, q = Predicate("p", 1, "input"), Predicate("p", 1, "background")
+        assert p == q and hash(p) == hash(q)
+        assert p != Predicate("p", 2) and p != Predicate("q", 1)
+
+    def test_overlap_checked_by_name_and_arity(self):
+        data, background = fact(pred("p", 1), "a"), fact(pred("p", 1, "background"), "b")
+        with pytest.raises(ValueError, match="background predicates appear as facts"):
+            KnowledgeBase.from_facts([data], background=[background])
+
+
 class TestInvariants:
     def test_background_never_in_facts(self):
         p = pred("p", 1, "background")

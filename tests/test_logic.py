@@ -547,6 +547,47 @@ class TestProgramText:
         assert body_preds == {pred("p", 1), pred("p", 2, "background")}
         assert parse_program(serialize_program(alp)) == alp
 
+    def test_origins_round_trip(self):
+        """Equality ignores origins, so they are compared as written."""
+        alp = parse_program(
+            "#background male/1\n#encoder\nlatent_1(X,Y) :- father(X,Y),male(X).\n"
+            "#decoder\nfather(X,Y) :- latent_1(X,Y).\n"
+        )
+
+        def origins(alp):
+            programs = (alp.encoder, alp.decoder)
+            return [
+                {(str(l.predicate), l.predicate.origin) for c in p.clauses for l in (c.head, *c.body)}
+                for p in programs
+            ]
+
+        assert origins(alp) == [
+            {("latent_1/2", "latent"), ("father/2", "input"), ("male/1", "background")},
+            {("father/2", "input"), ("latent_1/2", "latent")},
+        ]
+        assert origins(parse_program(serialize_program(alp))) == origins(alp)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "#encoder\nlatent_1(X) :- p(X).\nlatent_2(X) :- latent_1(X).\n",
+                "encoder body uses latent latent_1/1",
+            ),
+            (
+                "#decoder\np(X) :- latent_1(X).\nlatent_1(X) :- latent_1(X).\n"
+                "#encoder\nlatent_1(X) :- p(X).\n",
+                "decoder head latent_1/1 is not an input",
+            ),
+        ],
+        ids=["encoder-body", "decoder-head"],
+    )
+    def test_latent_named_where_a_program_may_not_use_it(self, text, message):
+        """A latent name is latent in every position, and heads are checked
+        before bodies, so the fault is the latent, not only recursion."""
+        with pytest.raises(ValueError, match=message):
+            parse_program(text)
+
     def test_clause_outside_section_rejected(self):
         with pytest.raises(Exception, match="section"):
             parse_program("latent_1(X) :- p(X).\n")
