@@ -415,10 +415,9 @@ def shape_key(shapes, connective: str = CONJUNCTION) -> str:
 
 
 def _literal(negated: bool, name: str, tokens, origins: dict) -> Literal:
-    """``origins`` holds an origin by name or by (name, arity)."""
-    n = len(tokens)
-    origin = origins.get(name) or origins.get((name, n), ORIGIN_INPUT)
-    return Literal(Predicate(name, n, origin), tokens, negated)
+    """``origins`` holds an origin by (name, arity); the default is input."""
+    origin = origins.get((name, len(tokens)), ORIGIN_INPUT)
+    return Literal(Predicate(name, len(tokens), origin), tokens, negated)
 
 
 def _read_clause(line_no: int, code: str):
@@ -449,8 +448,8 @@ def parse_program(text: str) -> Alp:
 
     Head predicates of encoder clauses become the latent vocabulary; the
     decoder may only reference those latents in clause bodies.  A latent
-    name is latent wherever it stands, so ``LogicProgram`` rejects one in
-    an encoder body or a decoder head.
+    predicate (name and arity) is latent wherever it stands, so
+    ``LogicProgram`` rejects one in an encoder body or a decoder head.
     """
     sections: dict[str, list] = {ENCODER: [], DECODER: []}
     section = None
@@ -468,7 +467,7 @@ def parse_program(text: str) -> Alp:
         else:
             sections[section].append(_read_clause(line_no, code))
     # Sections come in either order, so origins are known once all are read.
-    latent = {head[1]: ORIGIN_LATENT for head, _, _ in sections[ENCODER]}
+    latent = {(head[1], len(head[2])): ORIGIN_LATENT for head, _, _ in sections[ENCODER]}
     origins = background | latent
 
     def program(direction: str) -> LogicProgram:

@@ -361,12 +361,17 @@ class TestDeclarations:
                 "#decoder\np(X) :- latent_1(X).\nlatent_2(X) :- latent_1(X).\n",
                 "decoder head latent_2/1 is not an input",
             ),
+            (
+                "#encoder\nlatent_1(X) :- p(X).\n#decoder\np(X) :- latent_1(X,X).\n",
+                "decoder body uses non-latent latent_1/2",
+            ),
         ],
-        ids=["encoder-body", "decoder-head"],
+        ids=["encoder-body", "decoder-head", "decoder-body-other-arity"],
     )
     def test_misplaced_latent_is_parse_failure(self, tmp_path, capsys, program, message):
-        """A latent read by the encoder or written by the decoder was once
-        read as an empty input predicate, and eval exited 0 with loss 2."""
+        """A latent read by the encoder or written by the decoder, or one no
+        encoder head defines at the decoder's arity, was once read as an
+        empty predicate, and eval exited 0 with loss 2."""
         model, kb = tmp_path / "m.alp", tmp_path / "p.facts"
         model.write_text(program, encoding="utf-8")
         kb.write_text("p(a).\np(b).\n", encoding="utf-8")
@@ -374,6 +379,26 @@ class TestDeclarations:
             assert main([command, str(model), str(kb)]) == 2
             err = capsys.readouterr().err
             assert err.startswith(f"alp: parse failure: {message}")
+
+    def test_latent_name_at_another_arity_is_an_input(self, tmp_path, capsys):
+        """``latent_1/2`` beside the latent ``latent_1/1`` is an input
+        predicate; the outputs are the bytes recorded before origins left
+        predicate identity."""
+        model, kb = tmp_path / "m.alp", tmp_path / "kb.facts"
+        model.write_text(
+            "#encoder\nlatent_1(X) :- latent_1(X,Y).\n"
+            "#decoder\np(X) :- latent_1(X).\nlatent_1(X,Y) :- latent_1(X),latent_1(Y).\n",
+            encoding="utf-8",
+        )
+        kb.write_text("latent_1(a,b).\np(a).\np(c).\n", encoding="utf-8")
+        assert main(["eval", str(model), str(kb)]) == 0
+        assert capsys.readouterr().out == (
+            "loss 3 (missing 2, false 1)\n"
+            "  latent_1/2: missing 1, false 1\n"
+            "  p/1: missing 1, false 0\n"
+        )
+        assert main(["encode", str(model), str(kb)]) == 0
+        assert capsys.readouterr().out == "#pred latent_1/1\nlatent_1(a).\n"
 
 
 class TestEnumerate:

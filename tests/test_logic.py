@@ -547,12 +547,26 @@ class TestProgramText:
         assert body_preds == {pred("p", 1), pred("p", 2, "background")}
         assert parse_program(serialize_program(alp)) == alp
 
-    def test_origins_round_trip(self):
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (
+                "#background male/1\n#encoder\nlatent_1(X,Y) :- father(X,Y),male(X).\n"
+                "#decoder\nfather(X,Y) :- latent_1(X,Y).\n",
+                [
+                    {("latent_1/2", "latent"), ("father/2", "input"), ("male/1", "background")},
+                    {("father/2", "input"), ("latent_1/2", "latent")},
+                ],
+            ),
+            (
+                "#background p/2\n#encoder\nlatent_1(X) :- p(X),p(X,Y).\n#decoder\n",
+                [{("latent_1/1", "latent"), ("p/1", "input"), ("p/2", "background")}, set()],
+            ),
+        ],
+        ids=["male", "same-name-other-arity"],
+    )
+    def test_origins_round_trip(self, text, expected):
         """Equality ignores origins, so they are compared as written."""
-        alp = parse_program(
-            "#background male/1\n#encoder\nlatent_1(X,Y) :- father(X,Y),male(X).\n"
-            "#decoder\nfather(X,Y) :- latent_1(X,Y).\n"
-        )
 
         def origins(alp):
             programs = (alp.encoder, alp.decoder)
@@ -561,11 +575,25 @@ class TestProgramText:
                 for p in programs
             ]
 
-        assert origins(alp) == [
-            {("latent_1/2", "latent"), ("father/2", "input"), ("male/1", "background")},
-            {("father/2", "input"), ("latent_1/2", "latent")},
-        ]
-        assert origins(parse_program(serialize_program(alp))) == origins(alp)
+        alp = parse_program(text)
+        assert origins(alp) == expected
+        assert origins(parse_program(serialize_program(alp))) == expected
+
+    def test_latent_name_at_another_arity_is_an_input(self):
+        """Latent origins are keyed by name and arity, so ``latent_1/2`` is an
+        input predicate beside the latent ``latent_1/1``."""
+        alp = parse_program(
+            "#encoder\nlatent_1(X) :- latent_1(X,Y).\n"
+            "#decoder\nlatent_1(X,Y) :- latent_1(X),latent_1(Y).\n"
+        )
+        (encoder,), (decoder,) = alp.encoder.clauses, alp.decoder.clauses
+        assert (encoder.head.predicate.origin, encoder.body[0].predicate.origin) == (
+            "latent",
+            "input",
+        )
+        assert decoder.head.predicate.origin == "input"
+        assert {l.predicate.origin for l in decoder.body} == {"latent"}
+        assert alp.latent_vocabulary == {pred("latent_1", 1, "latent")}
 
     @pytest.mark.parametrize(
         "text, message",
@@ -579,12 +607,18 @@ class TestProgramText:
                 "#encoder\nlatent_1(X) :- p(X).\n",
                 "decoder head latent_1/1 is not an input",
             ),
+            (
+                "#encoder\nlatent_1(X) :- p(X).\n#decoder\nq(X,Y) :- latent_1(X,Y).\n",
+                "decoder body uses non-latent latent_1/2",
+            ),
         ],
-        ids=["encoder-body", "decoder-head"],
+        ids=["encoder-body", "decoder-head", "decoder-body-other-arity"],
     )
     def test_latent_named_where_a_program_may_not_use_it(self, text, message):
-        """A latent name is latent in every position, and heads are checked
-        before bodies, so the fault is the latent, not only recursion."""
+        """A latent predicate is latent in every position, and heads are
+        checked before bodies, so the fault is the latent, not only
+        recursion.  A decoder body may read only latents an encoder head
+        defines, at their arity."""
         with pytest.raises(ValueError, match=message):
             parse_program(text)
 
