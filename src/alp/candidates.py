@@ -62,6 +62,7 @@ from .logic import (
     Row,
     Shape,
     _CANONICAL_PERMUTATION_CAP,
+    kb_store,
     project,
     shape_key,
     var_name,
@@ -384,7 +385,7 @@ def generate_encoder_candidates(
             "with the latent namespace; rename them"
         )
     sizes = range(1, min(config.max_head_vars, max(p.arity for p in input_preds)) + 1)
-    store = FactStore(kb.facts, kb.background)
+    store = kb_store(kb)
     index = AtomIndex()
     out = []
     ordinal = 1
@@ -455,7 +456,7 @@ def _decoder_heads(
     context: dict[Predicate, list[Row]] = {}  # as rows: no latent Fact is built
     for c in latent_candidates:
         context.setdefault(c.head.predicate, []).extend(c.rows())
-    store = FactStore(rows=context)
+    store = FactStore(context)
     for b, rows in _joined_bodies(DECODER, latents, {}, arities, config, store):
         if rows:  # the body has a substitution
             for arity in head_arities:
@@ -515,8 +516,7 @@ def generate_pruned_decoders(
     for pred in heads:
         by_arity.setdefault(pred.arity, []).append(pred)
     row_index = AtomIndex()
-    kb_rows = FactStore(kb.facts).by_pred
-    kb_masks = {p: row_index.mask(None, kb_rows.get(p, ())) for p in heads}
+    kb_masks = {p: row_index.mask(None, kb.rows.get(p, ())) for p in heads}
     # (row mask, body predicates) -> (suffix, body, arity, args)
     kept: dict[tuple, tuple] = {}
     met = 0

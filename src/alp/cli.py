@@ -193,9 +193,9 @@ def _model_predicates(alp: Alp) -> frozenset:
     return alp.latent_vocabulary | alp.encoder.body_predicates() | alp.decoder.head_predicates()
 
 
-def _check_vocabulary(facts, known, role: str) -> None:
-    """Raise ``VocabularyError`` naming the facts' predicates outside ``known``."""
-    unknown = sorted({str(f.predicate) for f in facts if f.predicate not in known})
+def _check_vocabulary(predicates, known, role: str) -> None:
+    """Raise ``VocabularyError`` naming the predicates outside ``known``."""
+    unknown = sorted(str(p) for p in predicates if p not in known)
     if unknown:
         raise VocabularyError(f"{role} predicates unknown to the model: {unknown}")
 
@@ -203,16 +203,16 @@ def _check_vocabulary(facts, known, role: str) -> None:
 def cmd_encode(args) -> int:
     alp = _load_model(args.model)
     kb = _read_document(args.kb).kb
-    _check_vocabulary(kb.facts, _model_predicates(alp), "knowledge base")
+    _check_vocabulary(kb.rows, _model_predicates(alp), "knowledge base")
     _write_out(args.out, _facts_text(encode(alp, kb)))
     return 0
 
 
 def cmd_decode(args) -> int:
     alp = _load_model(args.model)
-    facts = _read_document(args.latent).kb.facts
-    _check_vocabulary(facts, alp.latent_vocabulary, "latent")
-    _write_out(args.out, _facts_text(apply_program(alp.decoder, facts)))
+    latent = _read_document(args.latent).kb
+    _check_vocabulary(latent.rows, alp.latent_vocabulary, "latent")
+    _write_out(args.out, _facts_text(apply_program(alp.decoder, latent.facts)))
     return 0
 
 
@@ -222,7 +222,7 @@ def cmd_eval(args) -> int:
     # No decoder head is arity 0 (it would share no variable with its body),
     # so such facts are missing from every reconstruction, as learn counts
     # them, not a vocabulary mismatch.
-    checked = (f for f in kb.facts if f.args)
+    checked = (p for p in kb.rows if p.arity)
     _check_vocabulary(checked, _model_predicates(alp), "knowledge base")
     tally = loss_by_predicate(alp, kb)  # (missing, false) per predicate
     missing = sum(m for m, _ in tally.values())

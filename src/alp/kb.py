@@ -12,8 +12,13 @@ Predicates not declared with ``#pred`` are inferred from the facts.
 Directives apply file-wide regardless of position.  A term is a plain
 ``str``; one with an uppercase initial is a variable (``is_variable``), as
 in Prolog, and variables are illegal in data, so fact arguments are
-lowercase constants.  Tokens are separated by spaces and tabs only.  The
-line reader here also reads programs (``alp.logic``).
+lowercase constants.  Tokens are separated by spaces and tabs only.  One
+regular expression reads a well-formed fact line (``read_fact_line``); every
+other line goes to the line reader, which also reads programs
+(``alp.logic``) and reports a syntax error's line and column.
+
+A ``KnowledgeBase`` groups its facts' argument rows by predicate once, when
+it is built (``rows``, ``background_rows``); evaluation reads those rows.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .errors import KbSyntaxError
@@ -44,11 +50,13 @@ class Predicate:
     """A predicate symbol ``name/arity``.  Equality and hash are
     ``(name, arity)``: ``origin`` (input, latent or background) records how
     a file declared the symbol, for the checks and writers that read it,
-    but ``male/1`` read from a fact file and from a program is one key."""
+    but ``male/1`` read from a fact file and from a program is one key.
+    The hash is computed once, since every row grouping hashes predicates."""
 
     name: str
     arity: int
     origin: str = field(default=ORIGIN_INPUT, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not NAME_RE.match(self.name):
@@ -57,6 +65,10 @@ class Predicate:
             raise ValueError(f"negative arity for {self.name}")
         if self.origin not in (ORIGIN_INPUT, ORIGIN_LATENT, ORIGIN_BACKGROUND):
             raise ValueError(f"unknown origin {self.origin!r}")
+        object.__setattr__(self, "_hash", hash((self.name, self.arity)))
+
+    def __hash__(self):
+        return self._hash
 
     def __str__(self):
         return f"{self.name}/{self.arity}"
@@ -84,6 +96,17 @@ class Fact:
         if not self.args:
             return self.predicate.name
         return f"{self.predicate.name}({','.join(self.args)})"
+
+
+Row = tuple[str, ...]  # a fact's arguments
+
+
+def rows_by_predicate(facts: Iterable[Fact]) -> dict[Predicate, list[Row]]:
+    """The facts' argument rows grouped by predicate, in the facts' order."""
+    rows: dict[Predicate, list[Row]] = {}
+    for f in facts:
+        rows.setdefault(f.predicate, []).append(f.args)
+    return rows
 
 
 def predicate_order(p: Predicate) -> tuple[str, int]:
@@ -126,25 +149,34 @@ class KnowledgeBase:
     ``facts`` holds the reconstruction targets; ``background`` holds facts of
     background-origin predicates, which encoders may use but which are never
     reconstructed.  No predicate, by name and arity, has facts in both.
+
+    ``rows`` and ``background_rows`` group the argument rows of ``facts``
+    and of ``background`` by predicate, once, for every evaluation to read
+    and none to change; being derived, they take no part in equality.
     """
 
     facts: frozenset[Fact]
     vocabulary: frozenset[Predicate]
     constants: frozenset[str]
     background: frozenset[Fact] = frozenset()
+    rows: dict[Predicate, list[Row]] = field(init=False, repr=False, compare=False)
+    background_rows: dict[Predicate, list[Row]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        background_preds = {f.predicate for f in self.background}
-        fact_preds = {f.predicate for f in self.facts}
-        if background_preds & fact_preds:
-            bad = sorted(str(p) for p in background_preds & fact_preds)
+        rows = rows_by_predicate(self.facts)
+        background_rows = rows_by_predicate(self.background)
+        if rows.keys() & background_rows.keys():
+            bad = sorted(str(p) for p in rows.keys() & background_rows.keys())
             raise ValueError(f"background predicates appear as facts: {bad}")
-        for f in self.facts | self.background:
-            if f.predicate not in self.vocabulary:
-                raise ValueError(f"fact {f} uses undeclared predicate {f.predicate}")
-            for a in f.args:
-                if a not in self.constants:
-                    raise ValueError(f"fact {f} uses undeclared constant {a}")
+        for p, group in chain(rows.items(), background_rows.items()):
+            if p not in self.vocabulary:
+                raise ValueError(f"fact {Fact(p, group[0])} uses undeclared predicate {p}")
+            for args in group:
+                for a in args:
+                    if a not in self.constants:
+                        raise ValueError(f"fact {Fact(p, args)} uses undeclared constant {a}")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "background_rows", background_rows)
 
     @classmethod
     def from_facts(
@@ -157,9 +189,10 @@ class KnowledgeBase:
         """Build a KB inferring vocabulary and constants from the facts."""
         facts = frozenset(facts)
         background = frozenset(background)
-        vocab = {f.predicate for f in facts | background}
+        both = facts | background
+        vocab = {f.predicate for f in both}
         vocab.update(extra_predicates)
-        constants = {a for f in facts | background for a in f.args}
+        constants = {a for f in both for a in f.args}
         constants.update(extra_constants)
         return cls(facts, frozenset(vocab), frozenset(constants), background)
 
@@ -183,6 +216,12 @@ _GAP = re.compile(r"[ \t]*")
 _IDENT = re.compile(r"[ \t]*([A-Za-z][A-Za-z0-9_]*)")
 _ARITY = re.compile(r"[ \t]*([0-9]+)")
 _SLOT = re.compile(r"[ \t]*([-+?])")
+# A ground fact line: a lowercase name, optional (constant, ...), then '.'.
+_FACT_LINE = re.compile(
+    r"[ \t]*([a-z][A-Za-z0-9_]*)[ \t]*"
+    r"(?:\(((?:[ \t]*[a-z][A-Za-z0-9_]*[ \t]*,)*[ \t]*[a-z][A-Za-z0-9_]*)[ \t]*\))?"
+    r"[ \t]*\.[ \t]*"
+)
 
 
 def code_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -253,6 +292,16 @@ def read_atom(code: str, pos: int, line_no: int, negatable: bool = False):
     return negated, name, args, pos
 
 
+def read_fact_line(code: str) -> tuple[str, tuple[str, ...]] | None:
+    """(name, constants) of a well-formed ground fact line, or None for any
+    other line, which the line reader then reads or rejects."""
+    m = _FACT_LINE.fullmatch(code)
+    if m is None:
+        return None
+    name, args = m.groups()
+    return name, tuple(_IDENT.findall(args)) if args else ()
+
+
 def read_directive(line_no: int, code: str, allowed: tuple[str, ...]):
     """Read a ``#`` line: (directive, (name, arity), mode slots, position after)."""
     pos = expect(code, 0, "#", line_no)
@@ -278,6 +327,10 @@ def parse_kb_document(text: str) -> KbDocument:
     mode_slots: dict[tuple[str, int], tuple[str, ...]] = {}
     rows: list[tuple[int, str, tuple[str, ...]]] = []  # (line, name, args)
     for line_no, code in code_lines(text):
+        fact = read_fact_line(code)
+        if fact is not None:
+            rows.append((line_no, *fact))
+            continue
         if code.lstrip().startswith("#"):
             directive, key, slots, pos = read_directive(line_no, code, _KB_DIRECTIVES)
             expect_end(code, pos, line_no, "directive")

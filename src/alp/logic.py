@@ -8,10 +8,12 @@ hash index of its predicate's argument rows, checks a repeated variable, and
 appends its new variables; a negated literal, joined last, keeps a row only
 when its atom is absent (closed-world assumption).  Programs here are
 non-recursive, so one bottom-up pass reaches the fixpoint.  Evaluation runs
-on argument rows by predicate from the KB to the loss: the decoder reads the
-encoder's rows and ``loss_parts`` compares rows.  ``Fact`` objects are built
-only where a function returns them: ``encode``, ``reconstruct``,
-``apply_program`` and ``ground_consequences``.
+on argument rows by predicate from the KB to the loss: a KB's store reads
+the rows the KB grouped once when it was built (``KnowledgeBase.rows`` and
+``background_rows``), the decoder reads the encoder's rows and
+``loss_parts`` compares rows.  ``Fact`` objects are built only where a
+function returns them: ``encode``, ``reconstruct``, ``apply_program`` and
+``ground_consequences``.
 
 Program text format, round-trippable through the parser:
 
@@ -29,8 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import chain, permutations
-from typing import Collection, Iterable
+from itertools import permutations
+from typing import Collection, Iterable, Mapping
 
 from .errors import KbSyntaxError
 from .kb import (
@@ -40,6 +42,7 @@ from .kb import (
     ORIGIN_INPUT,
     ORIGIN_LATENT,
     Predicate,
+    Row,
     code_lines,
     expect_end,
     is_variable,
@@ -47,6 +50,7 @@ from .kb import (
     predicate_order,
     read_atom,
     read_directive,
+    rows_by_predicate,
 )
 
 CONJUNCTION = "conjunction"
@@ -195,21 +199,18 @@ class Alp:
             raise ValueError("decoder body predicates outside latent vocabulary")
 
 
-Row = tuple[str, ...]
 # A literal as (predicate, negated, ids): in a join an id is a slot of the
 # rows, in a canonical key a variable's number or a constant's symbol.
 Shape = tuple[Predicate, bool, tuple]
 
 
 class FactStore:
-    """Argument rows by predicate, the given ``rows`` (taken, not copied)
-    plus the fact sets', with hash indexes built lazily per pattern of
-    bound positions."""
+    """Argument rows by predicate, taken as given (neither copied nor
+    changed), with hash indexes built lazily per pattern of bound
+    positions."""
 
-    def __init__(self, *fact_sets: Iterable[Fact], rows: dict | None = None):
-        self.by_pred: dict[Predicate, Collection[Row]] = {} if rows is None else rows
-        for f in chain(*fact_sets):
-            self.by_pred.setdefault(f.predicate, []).append(f.args)
+    def __init__(self, rows: Mapping[Predicate, Collection[Row]]):
+        self.by_pred = rows
         self._indexes: dict = {}
 
     def index(self, predicate: Predicate, bound: tuple) -> dict[Row, Collection[Row]]:
@@ -311,34 +312,39 @@ def _facts(rows: dict[Predicate, set[Row]]) -> frozenset[Fact]:
 
 def ground_consequences(clause: Clause, facts: Iterable[Fact]) -> frozenset[Fact]:
     """Every ground head instance whose body is satisfied by the facts."""
-    return _facts(_apply([clause], FactStore(facts)))
+    return _facts(_apply([clause], FactStore(rows_by_predicate(facts))))
 
 
 def apply_program(program: LogicProgram, facts: Iterable[Fact]) -> frozenset[Fact]:
     """One bottom-up pass: the union of all clause consequences.  A body
     predicate absent from the facts contributes no consequences."""
-    return _facts(_apply(program.clauses, FactStore(facts)))
+    return _facts(_apply(program.clauses, FactStore(rows_by_predicate(facts))))
+
+
+def kb_store(kb: KnowledgeBase) -> FactStore:
+    """A store of the KB's rows, of facts and background alike (grouped
+    apart, with no predicate in common, so merged without a union)."""
+    return FactStore(kb.rows | kb.background_rows)
 
 
 def encode(alp: Alp, kb: KnowledgeBase) -> frozenset[Fact]:
-    """Latent representation of kb: encoder applied to facts plus background
-    (two sets with no predicate in common, so not joined by a union)."""
-    return _facts(_apply(alp.encoder.clauses, FactStore(kb.facts, kb.background)))
+    """Latent representation of kb: encoder applied to facts plus background."""
+    return _facts(_apply(alp.encoder.clauses, kb_store(kb)))
 
 
 def reconstruct(alp: Alp, kb: KnowledgeBase) -> frozenset[Fact]:
     """Decoder output for the latent representation of kb."""
-    latent = _apply(alp.encoder.clauses, FactStore(kb.facts, kb.background))
-    return _facts(_apply(alp.decoder.clauses, FactStore(rows=latent)))
+    latent = _apply(alp.encoder.clauses, kb_store(kb))
+    return _facts(_apply(alp.decoder.clauses, FactStore(latent)))
 
 
 def loss_by_predicate(alp: Alp, kb: KnowledgeBase) -> dict[Predicate, tuple[int, int]]:
     """(missing, false) reconstruction counts of each predicate of kb's
     non-background facts or of their reconstruction, compared as rows: no
     Fact is built."""
-    targets = FactStore(kb.facts).by_pred  # the non-background rows
-    latent = _apply(alp.encoder.clauses, FactStore(kb.background, rows=dict(targets)))
-    made = _apply(alp.decoder.clauses, FactStore(rows=latent))
+    targets = kb.rows  # the non-background rows
+    latent = _apply(alp.encoder.clauses, kb_store(kb))
+    made = _apply(alp.decoder.clauses, FactStore(latent))
     counts = {}
     for p in targets.keys() | {p for p, rows in made.items() if rows}:
         kept, found = targets.get(p, ()), made.get(p, set())

@@ -279,11 +279,10 @@ def build_model(
     rows += _generality(dec_groups, class_positions, cl_first)
 
     # (d) coverage: at least one decoder per input predicate that has any.
-    kb_predicates = {f.predicate for f in kb.facts}
     for p in sorted(kb.input_predicates, key=predicate_order):
         if p in dec_groups:
             rows.append((AT_LEAST_ONE, tuple([pos for pos, _ in dec_groups[p]]), ()))
-        elif p in kb_predicates:
+        elif p in kb.rows:  # the predicate has facts
             warnings.append(
                 f"no candidate decoder reconstructs {p}; "
                 "coverage constraint skipped"

@@ -24,6 +24,7 @@ from alp.kb import (
     fact_order,
     parse_kb,
     predicate_order,
+    rows_by_predicate,
 )
 from alp.logic import (
     CONJUNCTION,
@@ -544,7 +545,7 @@ def test_one_step_rows_equal_a_join_from_scratch():
         encoders = prune_naming_variants(generate_encoder_candidates(kb, {}, config))
         latents = sorted({c.head.predicate for c in encoders}, key=predicate_order)
         context = latent_facts(encoders)
-        store = FactStore(context)
+        store = FactStore(rows_by_predicate(context))
         joined = list(_joined_bodies(DECODER, latents, {}, [1], config, store))
         rows_of = dict(joined)
         for body, rows in joined:

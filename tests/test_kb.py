@@ -1,11 +1,13 @@
 """Knowledge base parsing, serialization, Herbrand base, fact statistics."""
 
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from alp.candidates import GenerationConfig
 from alp.errors import CapacityError, KbSyntaxError
 from alp.kb import (
     Fact,
@@ -13,11 +15,19 @@ from alp.kb import (
     ModeDeclaration,
     Predicate,
     avg_facts_per_predicate,
+    expect,
+    expect_end,
+    is_variable,
     parse_kb,
     parse_kb_document,
+    read_atom,
+    read_fact_line,
     serialize_kb,
 )
+from alp.logic import encode, loss_by_predicate, parse_program, reconstruct
+from alp.pipeline import prepare_pool
 from helpers import (
+    FIG1_TEXT,
     background_predicates,
     fact,
     fig1_kb,
@@ -177,6 +187,154 @@ def test_benchmark_kbs_pinned(workload, seed, digest):
     assert h.hexdigest() == digest
 
 
+def _reader_fact(code):
+    """(name, args) of a fact line as the line reader reads it, or None
+    where it rejects the line or reads a variable, which a fact may not
+    hold."""
+    try:
+        _, name, args, pos = read_atom(code, 0, 1)
+        expect_end(code, expect(code, pos, ".", 1), 1, "fact")
+    except KbSyntaxError:
+        return None
+    return None if any(map(is_variable, args)) else (name, args)
+
+
+# Fact lines and whether the fact-line regex reads them; every line it
+# declines goes to the line reader, which reads or rejects it.
+FACT_LINES = [
+    ("p.", True),
+    ("rainy .", True),
+    (" \tp\t . \t", True),
+    ("p(a).", True),
+    ("father(vader,luke).", True),
+    ("p ( a , b ) .", True),
+    ("\tp\t(\ta\t,\tbC_2\t)\t.\t", True),
+    (" p( a1 ,b ,c_ ) . ", True),
+    ("p().", False),
+    ("p( ).", False),
+    ("p(a,).", False),
+    ("p(,a).", False),
+    ("p(a,,b).", False),
+    ("p(a b).", False),
+    ("P(a).", False),
+    ("p(_a).", False),
+    ("p(1).", False),
+    ("p(X).", False),
+    ("p(a,Y).", False),
+    ("p(X,a).", False),
+    ("p(a,_b,c).", False),
+    ("p(a)..", False),
+    ("p(a). q(b).", False),
+    ("p(a)", False),
+    ("p(a))).", False),
+    ("p((a)).", False),
+    ("not p(a).", False),
+    ("not p.", False),
+    ("p(a).\xa0", False),
+    ("\xa0p(a).", False),
+    ("p\xa0(a).", False),
+    ("p(\xa0a).", False),
+    ("p(a,\xa0b).", False),
+    ("p(a)\xa0.", False),
+]
+
+
+@pytest.mark.parametrize("code, read", FACT_LINES)
+def test_fact_line_regex_reads_what_the_reader_reads(code, read):
+    found = read_fact_line(code)
+    assert (found is not None) == read
+    assert found in (None, _reader_fact(code))
+
+
+def test_fact_line_regex_agrees_with_the_reader_on_random_lines():
+    """Random lines of fact tokens: the regex declines a line or reads the
+    line reader's (name, args)."""
+    tokens = ["p", "q1", "bC_2", "P", "X", "_a", "1", "not ", "(", ")", ",", "."]
+    tokens += [" ", "\t", "\xa0"]
+    rng = random.Random(22)
+    read = 0
+    for _ in range(20_000):
+        code = "".join(rng.choices(tokens, k=rng.randint(1, 12)))
+        if rng.random() < 0.5:  # a fact with random blanks, ground or not
+            args = rng.choices(["a", "bC_2", "q1", "X", "_a", "1"], [8, 8, 8, 1, 1, 1], k=rng.randint(0, 3))
+            blank = lambda: "".join(rng.choices(" \t", k=rng.randint(0, 2)))
+            inner = ",".join(blank() + a + blank() for a in args)
+            code = blank() + "p" + blank() + (f"({inner})" if args else "") + blank() + "."
+        found = read_fact_line(code)
+        if found is not None:
+            assert found == _reader_fact(code), code
+            read += 1
+    assert read > 5_000
+
+
+class TestKbRows:
+    """A KB groups its argument rows by predicate once, when it is built."""
+
+    TEXT = "#background male/1\n" + "\n".join(
+        ["father(a,b).", "father(b,c).", "mother(d,b).", "male(a).", "male(b).", "jedi."]
+    )
+
+    @staticmethod
+    def snapshot(kb):
+        groups = kb.rows | kb.background_rows
+        return {p: (id(rows), list(rows)) for p, rows in groups.items()}
+
+    def test_rows_group_facts_and_background_apart(self):
+        kb = parse_kb(self.TEXT)
+        assert {str(p): sorted(r) for p, r in kb.rows.items()} == {
+            "father/2": [("a", "b"), ("b", "c")],
+            "mother/2": [("d", "b")],
+            "jedi/0": [()],
+        }
+        assert {str(p): sorted(r) for p, r in kb.background_rows.items()} == {
+            "male/1": [("a",), ("b",)]
+        }
+
+    def test_parsed_and_built_kbs_have_equal_rows(self):
+        workloads = load_workloads()
+        _, large = workloads.generate(workloads.WORKLOADS["family-dec1"], 1)
+        for text in (self.TEXT, large.text, FIG1_TEXT):
+            parsed = parse_kb(text)
+            built = KnowledgeBase.from_facts(parsed.facts, parsed.background)
+            for a, b in ((parsed.rows, built.rows), (parsed.background_rows, built.background_rows)):
+                assert a.keys() == b.keys()
+                for p in a:
+                    assert sorted(a[p]) == sorted(b[p])
+                    assert len(set(a[p])) == len(a[p])
+
+    def test_equal_kbs_compare_and_hash_equal(self):
+        parsed = parse_kb(self.TEXT)
+        built = KnowledgeBase.from_facts(
+            parsed.facts, parsed.background, parsed.vocabulary, parsed.constants
+        )
+        assert parsed == built and hash(parsed) == hash(built)
+        assert "rows" not in repr(parsed)
+
+    def test_replace_recomputes_rows(self):
+        kb = parse_kb(self.TEXT)
+        jedi = next(f for f in kb.facts if f.predicate.name == "jedi")
+        fewer = dataclasses.replace(kb, facts=kb.facts - {jedi})
+        assert jedi.predicate not in fewer.rows and jedi.predicate in kb.rows
+        assert fewer.rows.keys() == kb.rows.keys() - {jedi.predicate}
+        assert fewer.background_rows == kb.background_rows
+
+    def test_evaluation_leaves_rows_unchanged(self):
+        workloads = load_workloads()
+        _, large = workloads.generate(workloads.WORKLOADS["family-dec1"], 1)
+        program = "#background male/1\n" + workloads.FAMILY_PROGRAM
+        alp = parse_program(program.replace("male(X) :- latent_3(X).\n", ""))
+        for kb in (parse_kb(self.TEXT), parse_kb("#background male/1\n" + large.text)):
+            before = self.snapshot(kb)
+            encode(alp, kb)
+            reconstruct(alp, kb)
+            loss_by_predicate(alp, kb)
+            assert self.snapshot(kb) == before
+        kb = parse_kb(self.TEXT)
+        before = self.snapshot(kb)
+        prepare_pool(kb, {}, GenerationConfig())
+        assert self.snapshot(kb) == before
+
+
 class TestSerializeRoundTrip:
     def test_round_trip_is_identity_on_facts(self):
         rng = random.Random(3)
@@ -281,6 +439,12 @@ class TestPredicateIdentity:
         p, q = Predicate("p", 1, "input"), Predicate("p", 1, "background")
         assert p == q and hash(p) == hash(q)
         assert p != Predicate("p", 2) and p != Predicate("q", 1)
+
+    def test_hash_is_that_of_name_and_arity(self):
+        """The hash is computed once, and is the one a dataclass derives
+        from the compared fields, so set orders do not change with it."""
+        assert hash(Predicate("p", 1, "latent")) == hash(("p", 1))
+        assert hash(dataclasses.replace(Predicate("p", 1), name="q")) == hash(("q", 1))
 
     def test_overlap_checked_by_name_and_arity(self):
         data, background = fact(pred("p", 1), "a"), fact(pred("p", 1, "background"), "b")

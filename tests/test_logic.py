@@ -30,7 +30,14 @@ from alp.logic import (
     reconstruction_loss,
     serialize_program,
 )
-from alp.kb import Fact, KnowledgeBase, parse_kb, predicate_order, serialize_kb
+from alp.kb import (
+    Fact,
+    KnowledgeBase,
+    parse_kb,
+    predicate_order,
+    rows_by_predicate,
+    serialize_kb,
+)
 from helpers import (
     body_key,
     body_variables,
@@ -235,7 +242,7 @@ class TestJoin:
     def assert_joins(self, start, shapes, head_slots, head, body):
         """The rows joined from ``start`` through ``shapes``, read at the
         head's slots, are the consequences of ``h(head) :- body``."""
-        rows = reduce(FactStore(self.FACTS).join, shapes, [start])
+        rows = reduce(FactStore(rows_by_predicate(self.FACTS)).join, shapes, [start])
         assert len(rows) == len(set(rows))
         clause = Clause(lit(pred("h", len(head)), *head), body)
         expected = {f.args for f in brute_force_consequences(clause, self.FACTS)}
