@@ -187,16 +187,15 @@ class Alp:
 
     encoder: LogicProgram
     decoder: LogicProgram
-    latent_vocabulary: frozenset[Predicate]
 
     def __post_init__(self):
         if self.encoder.direction != ENCODER or self.decoder.direction != DECODER:
             raise ValueError("programs passed in the wrong slots")
-        for p in self.latent_vocabulary:
-            if p.origin != ORIGIN_LATENT:
-                raise ValueError(f"{p} in latent vocabulary is not latent")
-        if not self.decoder.body_predicates() <= self.latent_vocabulary:
-            raise ValueError("decoder body predicates outside latent vocabulary")
+
+    @property
+    def latent_vocabulary(self) -> frozenset[Predicate]:
+        """The latents the encoder writes or the decoder reads."""
+        return self.encoder.head_predicates() | self.decoder.body_predicates()
 
 
 # A literal as (predicate, negated, ids): in a join an id is a slot of the
@@ -483,9 +482,7 @@ def parse_program(text: str) -> Alp:
             clauses.append(Clause(_literal(*head, latent), literals, connective))
         return LogicProgram(tuple(clauses), direction)
 
-    encoder = program(ENCODER)
-    decoder = program(DECODER)
-    return Alp(encoder, decoder, encoder.head_predicates() | decoder.body_predicates())
+    return Alp(program(ENCODER), program(DECODER))
 
 
 def serialize_program(alp: Alp) -> str:

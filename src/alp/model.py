@@ -29,10 +29,11 @@ An assignment is a dense list of 0/1 values with one position per
 variable, in ``CopModel.all_ids`` order: every ec, then every dc, then
 every rf, then every cl, each kind by index, so ``VarId(i, kind)`` sits at
 ``first[kind] + i``.  The model is built in that form: each constraint is a
-row of positions (``CopModel.rows``), which the audit, the objective and
-the solver read.  ``VarId``s and ``Constraint``s are only a naming view
-of the rows, for the text dump, error messages, the benchmark's oracle and
-the tests.  Candidates are read through their fields (head, body, text and
+row of positions (``CopModel.rows``), which the audit, the objective, the
+solver, the text dump and error messages read; the last two name each
+position by its ``VarId`` from ``all_ids``.  ``Constraint``, the rows with
+their positions named, is a view that only the benchmark's oracle and the
+tests use.  Candidates are read through their fields (head, body, text and
 mask); a ``Clause`` is built only by ``induced_alp``, for the selected ones.
 """
 
@@ -55,7 +56,6 @@ from .kb import (
     Fact,
     KnowledgeBase,
     avg_facts_per_predicate,
-    fact_order,
     predicate_order,
 )
 from .logic import (
@@ -97,12 +97,6 @@ class Constraint:
     vars: tuple[VarId, ...]
     coeffs: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        if self.form == LINEAR_LE and len(self.coeffs) != len(self.vars):
-            raise ValueError("linear constraint needs one coefficient per var")
-        if self.form == AT_MOST_ONE_OF_PAIR and len(self.vars) != 2:
-            raise ValueError("pairwise constraint needs exactly two vars")
-
 
 # One 0/1 value per position of ``CopModel.all_ids``: ec, dc, rf, then cl.
 Assignment = list[int]
@@ -119,7 +113,6 @@ class CopModel:
 
     ec_candidates: tuple[CandidateClause, ...]
     dc_candidates: tuple[CandidateClause, ...]
-    rf_atoms: tuple[Fact, ...]
     rf_bits: tuple[int, ...]  # each rf atom's bit in the decoders' AtomIndex
     rf_in_kb: tuple[bool, ...]
     rows: tuple[Row, ...]  # each constraint over assignment positions
@@ -131,7 +124,7 @@ class CopModel:
         return {
             EC: len(self.ec_candidates),
             DC: len(self.dc_candidates),
-            RF: len(self.rf_atoms),
+            RF: len(self.rf_bits),
             CL: len(self.class_positions),
         }
 
@@ -144,6 +137,11 @@ class CopModel:
         """The position of index 0 of each kind."""
         sizes = self._sizes()
         return dict(zip(sizes, accumulate(sizes.values(), initial=0)))
+
+    @cached_property
+    def rf_atoms(self) -> tuple[Fact, ...]:
+        """The atom of each rf position, decoded from the decoders' index."""
+        return tuple([Fact(*self.dc_candidates[0].index.atoms[b]) for b in self.rf_bits])
 
     @cached_property
     def constraints(self) -> tuple[Constraint, ...]:
@@ -160,7 +158,7 @@ class CopModel:
         return {
             "ec": len(self.ec_candidates),
             "dc": len(self.dc_candidates),
-            "rf": len(self.rf_atoms),
+            "rf": len(self.rf_bits),
             "constraints": len(self.rows),
         }
 
@@ -222,8 +220,8 @@ def build_model(
     kb_mask = index.kb_mask_of(kb) if index else 0
 
     # The layout: ec, dc, rf, then cl positions, so encoder i sits at i and
-    # decoder j at dc_first + j.  The rf atoms are the bits some decoder
-    # reconstructs, decoded only here and sorted by fact order.
+    # decoder j at dc_first + j.  The rf positions are the bits some decoder
+    # reconstructs, in the fact order (name, arity, row) of their atoms.
     dc_first = len(encoders)
     reconstructable: dict[int, list[int]] = {}
     union = 0
@@ -231,12 +229,10 @@ def build_model(
         union |= d.mask
         for bit in bit_positions(d.mask):
             reconstructable.setdefault(bit, []).append(pos)
-    rf = sorted(
-        ((Fact(*index.atoms[bit]), bit) for bit in reconstructable),
-        key=lambda fb: fact_order(fb[0]),
+    atoms = index.atoms if index else []
+    rf_bits = tuple(
+        sorted(reconstructable, key=lambda b: (*predicate_order(atoms[b][0]), atoms[b][1]))
     )
-    rf_atoms = tuple(atom for atom, _ in rf)
-    rf_bits = tuple(bit for _, bit in rf)
     rf_first = dc_first + len(decoders)
     cl_first = rf_first + len(rf_bits)
 
@@ -297,7 +293,6 @@ def build_model(
     return CopModel(
         ec_candidates=tuple(encoders),
         dc_candidates=tuple(decoders),
-        rf_atoms=rf_atoms,
         rf_bits=rf_bits,
         rf_in_kb=rf_in_kb,
         rows=tuple(rows),
@@ -307,8 +302,8 @@ def build_model(
     )
 
 
-def check_assignment(model: CopModel, assignment: Assignment) -> list[Constraint]:
-    """Every constraint the assignment violates; empty means feasible."""
+def check_assignment(model: CopModel, assignment: Assignment) -> list[int]:
+    """The indices in ``model.rows`` of the violated rows; empty means feasible."""
     value = assignment.__getitem__
     violated = []
     for k, (form, ps, coeffs) in enumerate(model.rows):
@@ -322,7 +317,7 @@ def check_assignment(model: CopModel, assignment: Assignment) -> list[Constraint
             ok = sum(map(mul, coeffs, map(value, ps))) <= 0
         if not ok:
             violated.append(k)
-    return [model.constraints[k] for k in violated]
+    return violated
 
 
 def objective_value(model: CopModel, assignment: Assignment) -> int:
@@ -335,7 +330,7 @@ def objective_value(model: CopModel, assignment: Assignment) -> int:
     if violations:
         raise ConstraintViolationError(
             f"{len(violations)} violated constraint(s), first: "
-            + _constraint_line(violations[0])
+            + _row_line(model.all_ids(), model.rows[violations[0]])
         )
     total = model.constant_offset
     for p, in_kb in enumerate(model.rf_in_kb, model.first[RF]):
@@ -379,18 +374,16 @@ def induced_alp(model: CopModel, assignment: Assignment) -> Alp:
         for c, v in zip(model.dc_candidates, assignment[n_ec:])
         if v == 1
     )
-    encoder = LogicProgram(enc_clauses, ENCODER)
-    decoder = LogicProgram(dec_clauses, DECODER)
-    latents = encoder.head_predicates() | decoder.body_predicates()
-    return Alp(encoder, decoder, frozenset(latents))
+    return Alp(LogicProgram(enc_clauses, ENCODER), LogicProgram(dec_clauses, DECODER))
 
 
-def _constraint_line(con: Constraint) -> str:
-    """The constraint's line in ``dump_model``."""
-    if con.form == LINEAR_LE:
-        terms = " ".join(f"{a:+d}*{v}" for a, v in zip(con.coeffs, con.vars))
+def _row_line(ids: list[VarId], row: Row) -> str:
+    """The row's line in ``dump_model``, each position named by ``ids``."""
+    form, ps, coeffs = row
+    if form == LINEAR_LE:
+        terms = " ".join(f"{a:+d}*{ids[p]}" for a, p in zip(coeffs, ps))
         return f"constraint linear_le {terms} <= 0"
-    return f"constraint {con.form} {' '.join(map(str, con.vars))}"
+    return f"constraint {form} {' '.join(str(ids[p]) for p in ps)}"
 
 
 def dump_model(model: CopModel) -> str:
@@ -405,7 +398,7 @@ def dump_model(model: CopModel) -> str:
     ids = model.all_ids()
     for k, ps in enumerate(model.class_positions):
         lines.append(f"var cl_{k} {' '.join(str(ids[p]) for p in ps)}")
-    lines += map(_constraint_line, model.constraints)
+    lines += [_row_line(ids, row) for row in model.rows]
     for i, in_kb in enumerate(model.rf_in_kb):
         lines.append(f"objective {'missing' if in_kb else 'false'} rf_{i}")
     lines.append(f"offset {model.constant_offset}")

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
@@ -169,6 +169,13 @@ class _Searcher:
         self.heads = heads
         self.bodies = bodies
         self.at_most_one = at_most_one
+        # Unassigned, only an empty iff_or (head to 0) or a one-member
+        # at_least_one (member to 1) acts; the rest wait for an assignment.
+        self.root_checks = [
+            c
+            for c, body in enumerate(bodies)
+            if not body or heads[c] == n and len(body) == 1
+        ]
         # The least sum the bottleneck can reach with nothing assigned, what
         # position p at value v adds to it, and its positive terms, largest
         # first.
@@ -302,7 +309,7 @@ class _Searcher:
             assign(p, v)
         if (
             check_linear()
-            or any(check(c) for c in range(len(heads)))
+            or any(check(c) for c in self.root_checks)
             or propagate()
         ):
             return ExactResult(None, None, True, 1)
@@ -495,7 +502,6 @@ def lns_minimize(
     ec_positions = range(model.first[DC])
     dc_positions = range(model.first[DC], model.first[RF])
     stagnation = 0
-    proven = False
     for iteration in range(1, config.iterations + 1):
         if time.monotonic() > deadline:
             break
@@ -533,18 +539,9 @@ def lns_minimize(
             stagnation = 0
         else:
             stagnation += 1
-        if not fixed and result.complete:
-            proven = True
-        if incumbent.objective == floor:
-            proven = True
-        if proven:
-            break
-    return Solution(
-        incumbent.assignment,
-        incumbent.objective,
-        incumbent.iteration_found,
-        proven,
-    )
+        if not fixed and result.complete or incumbent.objective == floor:
+            return replace(incumbent, proven_optimal=True)
+    return incumbent
 
 
 def _emit(

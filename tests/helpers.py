@@ -415,7 +415,6 @@ def random_alp(rng: random.Random, kb: KnowledgeBase) -> Alp:
     return Alp(
         LogicProgram(tuple(encoder), ENCODER),
         LogicProgram(tuple(decoder), DECODER),
-        frozenset(latents),
     )
 
 
@@ -507,8 +506,9 @@ def assignment_of(model, values) -> list[int]:
 
 
 def reference_violations(model, assignment) -> list:
-    """``check_assignment`` evaluated through ``Constraint.vars``, reading
-    each variable's value at its ``position``."""
+    """The constraints of the rows ``check_assignment`` reports, evaluated
+    through ``Constraint.vars``, reading each variable's value at its
+    ``position``."""
     violations = []
     for con in model.constraints:
         values = [assignment[position(model, v)] for v in con.vars]

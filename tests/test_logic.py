@@ -406,9 +406,7 @@ class TestReconstructionLoss:
         assert reconstruction_loss(alp, kb) == 2
 
     def test_everything_missing_with_empty_programs(self):
-        alp = Alp(
-            LogicProgram((), ENCODER), LogicProgram((), DECODER), frozenset()
-        )
+        alp = Alp(LogicProgram((), ENCODER), LogicProgram((), DECODER))
         kb = kb_of(fact(pred("p", 1), "a"))
         assert reconstruction_loss(alp, kb) == 1
 

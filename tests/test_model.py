@@ -142,7 +142,8 @@ class TestBuildModel:
         assert bottleneck.coeffs == (31,)
         assignment = assignment_from_dc(model, {0})
         assert any(
-            c.form == LINEAR_LE for c in check_assignment(model, assignment)
+            model.constraints[k].form == LINEAR_LE
+            for k in check_assignment(model, assignment)
         )
 
     def test_single_perfect_decoder_optimum_zero(self):
@@ -198,7 +199,8 @@ class TestBuildModel:
             for k, members in enumerate(class_members(model)):
                 assignment[VarId(k, CL)] = max(assignment[v] for v in members)
             dense = assignment_of(model, assignment)
-            return any(map(is_generality, check_assignment(model, dense)))
+            violated = check_assignment(model, dense)
+            return any(is_generality(model.constraints[k]) for k in violated)
 
         rng = random.Random(109)
         tested = 0
@@ -247,7 +249,8 @@ class TestBuildModel:
         pairs = [(0, 1), (0, 1099)] + [rng.sample(range(1100), 2) for _ in range(20)]
         for pair in pairs:
             selection = assignment_from_dc(model, set(pair))
-            assert generality[1] in check_assignment(model, selection)
+            violated = check_assignment(model, selection)
+            assert generality[1] in [model.constraints[k] for k in violated]
         single = assignment_from_dc(model, {rng.randrange(1100)})
         assert not check_assignment(model, single)
 
@@ -276,8 +279,8 @@ class TestBuildModel:
         assert any({v.kind for v in c.vars} == {DC} for c in pairs)
         both = assignment_from_dc(model, {0, 1})
         assert any(
-            c.form == AT_MOST_ONE_OF_PAIR
-            for c in check_assignment(model, both)
+            model.constraints[k].form == AT_MOST_ONE_OF_PAIR
+            for k in check_assignment(model, both)
         )
 
     def test_unknown_latent_rejected(self):
@@ -405,7 +408,7 @@ class TestCheckAssignment:
         model = build_model([e1], [d1], kb, Fraction(1))
         assignment = assignment_from_dc(model, {0})
         assignment[position(model, VarId(0, EC))] = 0
-        violated = check_assignment(model, assignment)
+        violated = [model.constraints[k] for k in check_assignment(model, assignment)]
         assert any(
             c.form == IFF_OR and c.vars[0].kind == EC for c in violated
         )
@@ -474,7 +477,7 @@ class TestCompiledAudit:
             for assignment in self.assignments(model, rng):
                 got = check_assignment(model, assignment)
                 expected = reference_violations(model, assignment)
-                assert list(map(id, got)) == list(map(id, expected))
+                assert [id(model.constraints[k]) for k in got] == list(map(id, expected))
                 value = reference_objective(model, assignment)
                 if value is None:
                     infeasible += 1

@@ -11,6 +11,7 @@ from alp import GenerationConfig, parse_kb_document
 from alp.candidates import AtomIndex
 from alp import solver
 from alp.errors import AlpError, InfeasibleError
+from alp.kb import Fact
 from alp.logic import Clause, DECODER, ENCODER
 from alp.model import (
     AT_LEAST_ONE,
@@ -23,6 +24,7 @@ from alp.model import (
     RF,
     Constraint,
     ConstraintViolationError,
+    CopModel,
     VarId,
     assignment_from_dc,
     build_model,
@@ -509,15 +511,22 @@ def test_solver_path_hashes_no_varid(monkeypatch):
 
 def test_building_and_searching_make_no_constraint(monkeypatch):
     """From a feasible greedy seed, ``build_model`` and ``lns_minimize``
-    work on the position rows alone and never build a ``Constraint``."""
+    work on the position rows alone: they never build the ``Constraint``
+    view, and ``build_model`` builds no ``Fact``."""
 
     def refuse(self):
-        raise AssertionError("a Constraint was built")
+        raise AssertionError("the Constraint view was built")
 
-    monkeypatch.setattr(Constraint, "__post_init__", refuse)
+    monkeypatch.setattr(CopModel, "constraints", property(refuse))
     kb = fig1_kb()
     encoders, decoders, _, _ = pipeline_pool(kb)
+    facts = []
+    check_arity = Fact.__post_init__
+    monkeypatch.setattr(
+        Fact, "__post_init__", lambda f: facts.append(f) or check_arity(f)
+    )
     model = build_model(encoders, decoders, kb, Fraction(2))
+    assert facts == []
     assert check_assignment(model, initial_solution(model)) == []
     solution = lns_minimize(model, SearchConfig(iterations=20, fail_limit=1000))
     assert objective_value(model, solution.assignment) == solution.objective
@@ -643,6 +652,29 @@ class TestPropagation:
             model, {EC1: 1, DC0: 0, DC1: 0, RF0: 0}, incumbent={EC0: 1}
         )
         assert best[EC0] == 0
+
+
+def test_the_root_checks_only_what_can_act_unassigned():
+    """The root checks only the constraints that can act with nothing
+    assigned; propagation reaches the same fixpoint in any order, so every
+    search returns what it returns when the root checks every constraint."""
+    rng = random.Random(131)
+    compared = acting = 0
+    while compared < 30:
+        _, model = random_model(rng)
+        if model is None:
+            continue
+        compared += 1
+        searcher, reference = _Searcher(model), _Searcher(model)
+        reference.root_checks = range(len(reference.heads))
+        acting += len(searcher.root_checks)
+        for share in (0.0, 0.1, 0.3, 0.6):
+            picked = rng.sample(range(searcher.n), int(searcher.n * share))
+            fixed = {p: rng.randint(0, 1) for p in picked}
+            for fail_limit in (10, 10**6):
+                got = searcher.solve(fixed, fail_limit, math.inf)
+                assert got == reference.solve(fixed, fail_limit, math.inf)
+    assert acting > 0
 
 
 def pinned_models():
