@@ -42,6 +42,7 @@ from .kb import (
     Fact,
     KnowledgeBase,
     MODE_BOUND,
+    MODE_EITHER,
     MODE_UNBOUND,
     ModeDeclaration,
     ORIGIN_BACKGROUND,
@@ -223,13 +224,13 @@ def _literal_choices(
     existing = list(range(n))
     positive = []
     for pred in predicates:
-        mode = modes.get(pred) or ModeDeclaration.all_either(pred)
-        all_unbound = all(s == MODE_UNBOUND for s in mode.slots)
+        slots = modes[pred].slots if pred in modes else (MODE_EITHER,) * pred.arity
+        all_unbound = all(s == MODE_UNBOUND for s in slots)
         per_slot = [
             existing if s == MODE_BOUND
             else [_FRESH] if s == MODE_UNBOUND and not all_unbound
             else existing + [_FRESH]
-            for s in mode.slots
+            for s in slots
         ]
         for combo in product(*per_slot):
             if any(c is not _FRESH for c in combo):  # else it would not connect
@@ -410,12 +411,6 @@ def latent_ordinal(pred: Predicate) -> int:
 
 def body_predicates(literals: tuple[Literal, ...]) -> frozenset[Predicate]:
     return frozenset(l.predicate for l in literals)
-
-
-def signature(head: Predicate, mask: int, body_preds: frozenset[Predicate]) -> tuple:
-    """A decoder's signature-variant class: its head predicate, its
-    consequences and its body predicates (``body_predicates``)."""
-    return head, mask, body_preds
 
 
 def is_corrupt(mask: int, kb_mask: int) -> bool:

@@ -137,10 +137,6 @@ class ModeDeclaration:
             if s not in MODE_SLOTS:
                 raise ValueError(f"bad mode slot {s!r}")
 
-    @classmethod
-    def all_either(cls, predicate: Predicate) -> "ModeDeclaration":
-        return cls(predicate, (MODE_EITHER,) * predicate.arity)
-
 
 @dataclass(frozen=True)
 class KnowledgeBase:

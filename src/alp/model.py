@@ -30,10 +30,12 @@ variable, in ``CopModel.all_ids`` order: every ec, then every dc, then
 every rf, then every cl, each kind by index, so ``VarId(i, kind)`` sits at
 ``first[kind] + i``.  The model is built in that form: each constraint is a
 row of positions (``CopModel.rows``), which the audit, the objective, the
-solver, the text dump and error messages read; the last two name each
-position by its ``VarId`` from ``all_ids``.  ``Constraint``, the rows with
-their positions named, is a view that only the benchmark's oracle and the
-tests use.  Candidates are read through their fields (head, body, text and
+completion of a decoder selection, the solver, the text dump and error
+messages read; the last two name each position by its ``VarId`` from
+``all_ids``.  Each ``iff_or`` row follows the rows that set its body, so
+one pass completes a selection.  ``Constraint``, the rows with their
+positions named, is a view that only the benchmark's oracle and the tests
+use.  Candidates are read through their fields (head, body, text and
 mask); a ``Clause`` is built only by ``induced_alp``, for the selected ones.
 """
 
@@ -206,7 +208,10 @@ def build_model(
 
     ``gamma`` is the compression parameter; the bottleneck bounds the
     average number of latent facts per selected latent predicate by
-    gamma * (average facts per input predicate).
+    gamma * (average facts per input predicate).  Invariant: the coupling
+    rows, which set ec, precede the class rows, whose members may be ec, and
+    the rf rows come last, so ``assignment_from_dc`` completes a selection
+    in one pass over the rows.
     """
     gamma = Fraction(gamma)
     if gamma <= 0:
@@ -224,9 +229,7 @@ def build_model(
     # reconstructs, in the fact order (name, arity, row) of their atoms.
     dc_first = len(encoders)
     reconstructable: dict[int, list[int]] = {}
-    union = 0
     for pos, d in enumerate(decoders, dc_first):
-        union |= d.mask
         for bit in bit_positions(d.mask):
             reconstructable.setdefault(bit, []).append(pos)
     atoms = index.atoms if index else []
@@ -288,7 +291,7 @@ def build_model(
     for i, bit in enumerate(rf_bits):
         rows.append((IFF_OR, (rf_first + i, *reconstructable[bit]), ()))
     rf_in_kb = tuple(bool(kb_mask >> bit & 1) for bit in rf_bits)
-    offset = len(kb.facts) - (union & kb_mask).bit_count()
+    offset = len(kb.facts) - sum(rf_in_kb)
 
     return CopModel(
         ec_candidates=tuple(encoders),
@@ -341,25 +344,17 @@ def objective_value(model: CopModel, assignment: Assignment) -> int:
 def assignment_from_dc(model: CopModel, selected: set[int]) -> Assignment:
     """Extend a decoder selection to the full variable set.
 
-    ec, rf and cl values follow their defining disjunctions, which is the
-    unique completion satisfying them.
+    Each ``iff_or`` row, in ``model.rows`` order, sets its head to the OR of
+    its body: the unique completion satisfying them.  One pass suffices by
+    the row order that ``build_model`` keeps.
     """
-    dc = [0] * len(model.dc_candidates)
-    used_latents = set()
-    reconstructed = 0
+    assignment = [0] * (model.first[CL] + len(model.class_positions))
     for j in selected:
-        dc[j] = 1
-        candidate = model.dc_candidates[j]
-        used_latents.update(lit.predicate for lit in candidate.body)
-        reconstructed |= candidate.mask
-    assignment = [
-        1 if c.head.predicate in used_latents else 0
-        for c in model.ec_candidates
-    ]
-    assignment += dc
-    assignment += [reconstructed >> bit & 1 for bit in model.rf_bits]
+        assignment[model.first[DC] + j] = 1
     value = assignment.__getitem__
-    assignment += [max(map(value, ps)) for ps in model.class_positions]
+    for form, ps, _ in model.rows:
+        if form == IFF_OR:
+            assignment[ps[0]] = int(any(map(value, ps[1:])))
     return assignment
 
 

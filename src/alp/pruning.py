@@ -17,7 +17,6 @@ from .candidates import (
     is_corrupt,
     latent_ordinal,
     pool_index,
-    signature,
 )
 from .kb import KnowledgeBase
 
@@ -43,7 +42,7 @@ def prune_naming_variants(
 def prune_signature_variants(
     decoders: list[CandidateClause],
 ) -> list[CandidateClause]:
-    """Keep one decoder per ``signature`` class (head predicate, consequence
+    """Keep one decoder per signature class (head predicate, consequence
     set, body predicate set); the survivor is the lexicographically least
     serialization.
 
@@ -59,7 +58,7 @@ def prune_signature_variants(
         preds = body_preds.get(id(cand.body))
         if preds is None:
             preds = body_preds[id(cand.body)] = body_predicates(cand.body)
-        groups.setdefault(signature(cand.head.predicate, cand.mask, preds), cand)
+        groups.setdefault((cand.head.predicate, cand.mask, preds), cand)
     return sorted(groups.values(), key=attrgetter("text"))
 
 

@@ -400,19 +400,15 @@ class _Searcher:
                     last_conflict = p
 
 
-def _bottleneck_excess(model: CopModel, assignment: Assignment) -> int:
-    form, ps, coeffs = model.rows[0]
-    assert form == LINEAR_LE
-    return sum(a * assignment[p] for a, p in zip(coeffs, ps))
-
-
 def _greedy_selection(model: CopModel) -> Assignment:
     """The decoder selection the seed's search tries first.
 
-    Picks the least-corrupt decoder per input predicate, then sheds the
-    heaviest encoders (and their decoders) while the bottleneck is violated,
-    re-covering predicates with lighter alternatives where possible.  The
-    selection may still break a generality pair or a coverage row.
+    Picks the least-corrupt decoder per input predicate.  While the
+    bottleneck row, summed over the encoders the selection uses, is
+    violated, bans the heaviest of them, drops the decoders using it and
+    re-covers predicates with the decoders left.  ``assignment_from_dc``
+    completes the selection once; it may still break a generality pair or a
+    coverage row.
     """
     dc_heads = [c.head.predicate for c in model.dc_candidates]
     in_kb = sum(1 << b for b, known in zip(model.rf_bits, model.rf_in_kb) if known)
@@ -421,12 +417,12 @@ def _greedy_selection(model: CopModel) -> Assignment:
     for j, p in enumerate(dc_heads):
         by_head.setdefault(p, []).append(j)
     heads = sorted(by_head, key=predicate_order)
-    banned_latents: set = set()
+    encoder_of = {c.head.predicate: i for i, c in enumerate(model.ec_candidates)}
+    _, _, bottleneck = model.rows[0]  # one coefficient per ec position
+    banned: set[int] = set()
 
-    def usable(j: int) -> bool:
-        return not any(
-            l.predicate in banned_latents for l in model.dc_candidates[j].body
-        )
+    def uses(j: int) -> set[int]:
+        return {encoder_of[l.predicate] for l in model.dc_candidates[j].body}
 
     def corruption(j: int):
         """Share of false atoms, then more true atoms, then the clause text."""
@@ -435,25 +431,21 @@ def _greedy_selection(model: CopModel) -> Assignment:
         return (Fraction(size - true, size), -true, model.dc_candidates[j].text)
 
     selected: set[int] = set()
-    # A pass over the bottleneck bans a latent that the selection still
+    # A pass over the bottleneck bans an encoder that the selection still
     # uses, so by the last pass the bottleneck holds or nothing is selected.
     for _ in range(len(model.ec_candidates) + 1):
-        selected = {j for j in selected if usable(j)}
+        selected = {j for j in selected if banned.isdisjoint(uses(j))}
         covered = {dc_heads[j] for j in selected}
         for p in heads:
             if p not in covered:
-                js = [j for j in by_head[p] if usable(j)]
+                js = [j for j in by_head[p] if banned.isdisjoint(uses(j))]
                 if js:
                     selected.add(min(js, key=corruption))
-        assignment = assignment_from_dc(model, selected)
-        if _bottleneck_excess(model, assignment) <= 0:
+        used = set().union(*map(uses, selected))
+        if sum(bottleneck[i] for i in used) <= 0:
             break
-        heaviest = max(
-            (i for i in range(len(model.ec_candidates)) if assignment[i] == 1),
-            key=lambda i: (model.ec_candidates[i].weight, i),
-        )
-        banned_latents.add(model.ec_candidates[heaviest].head.predicate)
-    return assignment
+        banned.add(max(used, key=lambda i: (model.ec_candidates[i].weight, i)))
+    return assignment_from_dc(model, selected)
 
 
 def _first_solution(

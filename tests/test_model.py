@@ -7,7 +7,11 @@ from fractions import Fraction
 import pytest
 
 from alp import GenerationConfig, parse_kb_document
-from alp.candidates import AtomIndex
+from alp.candidates import (
+    AtomIndex,
+    generate_encoder_candidates,
+    generate_pruned_decoders,
+)
 from alp.errors import InfeasibleError
 from alp.logic import (
     CONJUNCTION,
@@ -36,13 +40,14 @@ from alp.model import (
     objective_value,
 )
 from alp.pipeline import prepare_pool
-from alp.solver import SearchConfig, lns_minimize
+from alp.solver import SearchConfig, _greedy_selection, lns_minimize
 from helpers import (
     assignment_of,
     brute_force_objective,
     candidate,
     class_members,
     consequences,
+    default_config,
     drop_constraints,
     fact,
     fig1_kb,
@@ -487,6 +492,69 @@ class TestCompiledAudit:
                     feasible += 1
                     assert objective_value(model, assignment) == value
         assert feasible >= 10 and infeasible >= 150
+
+
+def variant_models():
+    """Models of seeded random pools that keep naming variants, so some
+    encoder classes have two or more members: their class rows read ec
+    positions, which the coupling rows set."""
+    rng = random.Random(137)
+    models = []
+    while len(models) < 6:
+        kb = random_kb(rng, max_facts=10)
+        encoders = generate_encoder_candidates(kb, {}, default_config())
+        decoders, _, _ = generate_pruned_decoders(encoders, kb, default_config())
+        if encoders and decoders:
+            models.append(build_model(encoders, decoders, kb, Fraction(1)))
+    return models
+
+
+class TestCompletion:
+    """``assignment_from_dc`` reads the model's ``iff_or`` rows; these
+    checks read the candidates, ``rf_atoms`` and ``class_positions``."""
+
+    def test_completion_follows_the_candidates(self):
+        rng = random.Random(131)
+        for model in audit_models() + variant_models():
+            n_dc = len(model.dc_candidates)
+            shares = (0.0, 0.05, 0.05, 0.2, 0.2, 0.5, 0.5, 1.0)
+            for share in shares:
+                selected = {j for j in range(n_dc) if rng.random() < share}
+                assignment = assignment_from_dc(model, selected)
+                assert len(assignment) == len(model.all_ids())
+
+                def value(kind, i):
+                    return assignment[position(model, VarId(i, kind))]
+
+                assert {j for j in range(n_dc) if value(DC, j)} == selected
+                chosen = [model.dc_candidates[j] for j in selected]
+                used = {l.predicate for c in chosen for l in c.body}
+                assert [value(EC, i) for i in range(len(model.ec_candidates))] == [
+                    int(c.head.predicate in used) for c in model.ec_candidates
+                ]
+                reconstructed = frozenset().union(*map(consequences, chosen))
+                assert [value(RF, k) for k in range(len(model.rf_atoms))] == [
+                    int(atom in reconstructed) for atom in model.rf_atoms
+                ]
+                assert [value(CL, k) for k in range(len(model.class_positions))] == [
+                    max(assignment[p] for p in ps) for ps in model.class_positions
+                ]
+                violated = check_assignment(model, assignment)
+                assert all(model.rows[k][0] != IFF_OR for k in violated)
+
+    def test_greedy_selection_is_completed_and_meets_the_bottleneck(self):
+        emptied = 0
+        for model in audit_models() + variant_models():
+            greedy = _greedy_selection(model)
+            n_dc = len(model.dc_candidates)
+            selected = {
+                j for j in range(n_dc) if greedy[position(model, VarId(j, DC))]
+            }
+            assert greedy == assignment_from_dc(model, selected)
+            assert model.rows[0][0] == LINEAR_LE
+            assert 0 not in check_assignment(model, greedy)
+            emptied += not selected
+        assert emptied >= 1  # some models ban every latent in use
 
 
 class TestLossConsistency:
