@@ -17,8 +17,10 @@ regular expression reads a well-formed fact line (``read_fact_line``); every
 other line goes to the line reader, which also reads programs
 (``alp.logic``) and reports a syntax error's line and column.
 
-A ``KnowledgeBase`` groups its facts' argument rows by predicate once, when
-it is built (``rows``, ``background_rows``); evaluation reads those rows.
+A ``Fact`` is the immutable tuple ``(predicate, args)``, equal to a plain
+tuple with the same items.  A ``KnowledgeBase`` groups its facts' argument
+rows by predicate once, when it is built (``rows``, ``background_rows``);
+evaluation reads those rows.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import KbSyntaxError
@@ -79,23 +82,31 @@ def is_variable(term: str) -> bool:
     return term[0].isupper()
 
 
-@dataclass(frozen=True, slots=True)
-class Fact:
-    """A ground atom asserted true: a predicate applied to constants."""
+class Fact(tuple):
+    """A ground atom asserted true: the immutable tuple ``(predicate, args)``,
+    built and hashed in C as a plain tuple, its items also read by name.
+    ``Fact(p, args)`` checks the arity; ``Fact._make((p, args))``, named as
+    namedtuple's, skips it, for callers that guarantee the arity and say how."""
 
-    predicate: Predicate
-    args: tuple[str, ...]
+    __slots__ = ()
+    predicate = property(itemgetter(0), doc="The fact's ``Predicate``.")
+    args = property(itemgetter(1), doc="The fact's constants, one per argument.")
+    _make = classmethod(tuple.__new__)
 
-    def __post_init__(self):
-        if len(self.args) != self.predicate.arity:
-            raise ValueError(
-                f"{self.predicate} applied to {len(self.args)} arguments"
-            )
+    def __new__(cls, predicate: Predicate, args: tuple[str, ...]):
+        if len(args) != predicate.arity:
+            raise ValueError(f"{predicate} applied to {len(args)} arguments")
+        return tuple.__new__(cls, (predicate, args))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"Fact(predicate={self[0]!r}, args={self[1]!r})"
 
     def __str__(self):
-        if not self.args:
-            return self.predicate.name
-        return f"{self.predicate.name}({','.join(self.args)})"
+        predicate, args = self
+        return f"{predicate.name}({','.join(args)})" if args else predicate.name
 
 
 Row = tuple[str, ...]  # a fact's arguments
@@ -104,8 +115,8 @@ Row = tuple[str, ...]  # a fact's arguments
 def rows_by_predicate(facts: Iterable[Fact]) -> dict[Predicate, list[Row]]:
     """The facts' argument rows grouped by predicate, in the facts' order."""
     rows: dict[Predicate, list[Row]] = {}
-    for f in facts:
-        rows.setdefault(f.predicate, []).append(f.args)
+    for predicate, args in facts:
+        rows.setdefault(predicate, []).append(args)
     return rows
 
 
@@ -186,9 +197,9 @@ class KnowledgeBase:
         facts = frozenset(facts)
         background = frozenset(background)
         both = facts | background
-        vocab = {f.predicate for f in both}
+        vocab = {p for p, _ in both}
         vocab.update(extra_predicates)
-        constants = {a for f in both for a in f.args}
+        constants = {a for _, args in both for a in args}
         constants.update(extra_constants)
         return cls(facts, frozenset(vocab), frozenset(constants), background)
 
@@ -317,7 +328,8 @@ def read_directive(line_no: int, code: str, allowed: tuple[str, ...]):
 
 
 def parse_kb_document(text: str) -> KbDocument:
-    """Parse a fact file into a knowledge base and its mode declarations."""
+    """Parse a fact file into a knowledge base and its mode declarations.
+    Facts are built unchecked: a predicate is keyed by (name, len(args))."""
     declared: dict[tuple[str, int], str] = {}  # (name, arity) -> origin
     first_arity: dict[str, int] = {}  # by name, from the first directive
     mode_slots: dict[tuple[str, int], tuple[str, ...]] = {}
@@ -355,7 +367,7 @@ def parse_kb_document(text: str) -> KbDocument:
                 message = f"{name}/{len(args)} conflicts with declared"
                 raise KbSyntaxError(f"{message} {name}/{first_arity[name]}", line_no, 1)
             predicates[key] = Predicate(*key)
-        fact = Fact(predicates[key], tuple(map(constants.__getitem__, args)))
+        fact = Fact._make((predicates[key], tuple(map(constants.__getitem__, args))))
         facts[fact.predicate.origin].add(fact)
     kb = KnowledgeBase.from_facts(
         facts[ORIGIN_INPUT], facts[ORIGIN_BACKGROUND], predicates.values()

@@ -11,9 +11,10 @@ non-recursive, so one bottom-up pass reaches the fixpoint.  Evaluation runs
 on argument rows by predicate from the KB to the loss: a KB's store reads
 the rows the KB grouped once when it was built (``KnowledgeBase.rows`` and
 ``background_rows``), the decoder reads the encoder's rows and
-``loss_parts`` compares rows.  ``Fact`` objects are built only where a
-function returns them: ``encode``, ``reconstruct``, ``apply_program`` and
-``ground_consequences``.
+``loss_parts`` compares rows.  ``Fact``s, immutable ``(predicate, args)``
+tuples, are built only where a function returns them: ``encode``,
+``reconstruct``, ``apply_program`` and ``ground_consequences``, unchecked
+and in C, since every row is a projection onto a checked head.
 
 Program text format, round-trippable through the parser:
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import permutations
+from itertools import chain, permutations, repeat
 from typing import Collection, Iterable, Mapping
 
 from .errors import KbSyntaxError
@@ -306,7 +307,10 @@ def _apply(clauses: Iterable[Clause], store: FactStore) -> dict[Predicate, set[R
 
 
 def _facts(rows: dict[Predicate, set[Row]]) -> frozenset[Fact]:
-    return frozenset(Fact(p, args) for p, group in rows.items() for args in group)
+    """The rows as facts, built unchecked: each row is a projection onto a
+    clause head, whose arity ``Literal`` checked."""
+    groups = (map(Fact._make, zip(repeat(p), group)) for p, group in rows.items())
+    return frozenset(chain.from_iterable(groups))
 
 
 def ground_consequences(clause: Clause, facts: Iterable[Fact]) -> frozenset[Fact]:

@@ -142,8 +142,9 @@ class CopModel:
 
     @cached_property
     def rf_atoms(self) -> tuple[Fact, ...]:
-        """The atom of each rf position, decoded from the decoders' index."""
-        return tuple([Fact(*self.dc_candidates[0].index.atoms[b]) for b in self.rf_bits])
+        """The atom of each rf position, decoded from the decoders' index
+        unchecked: its rows are projections onto heads of their arity."""
+        return tuple([Fact._make(self.dc_candidates[0].index.atoms[b]) for b in self.rf_bits])
 
     @cached_property
     def constraints(self) -> tuple[Constraint, ...]:

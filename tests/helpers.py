@@ -104,6 +104,26 @@ def fact(p, *args):
     return Fact(p, args)
 
 
+def count_facts_built(monkeypatch) -> list[int]:
+    """A one-item counter of the ``Fact``s built from now on, through the
+    checked constructor ``Fact(p, args)`` or the unchecked ``Fact._make``:
+    the two ways the library builds one."""
+    built = [0]
+    new, make = Fact.__new__, Fact._make
+
+    def counting_new(cls, predicate, args):
+        built[0] += 1
+        return new(cls, predicate, args)
+
+    def counting_make(pair):
+        built[0] += 1
+        return make(pair)
+
+    monkeypatch.setattr(Fact, "__new__", counting_new)
+    monkeypatch.setattr(Fact, "_make", counting_make)
+    return built
+
+
 def lit(p, *args, negated=False):
     return Literal(p, args, negated)
 

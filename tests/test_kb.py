@@ -1,7 +1,9 @@
 """Knowledge base parsing, serialization, Herbrand base, fact statistics."""
 
+import copy
 import dataclasses
 import hashlib
+import pickle
 import random
 from fractions import Fraction
 
@@ -24,7 +26,14 @@ from alp.kb import (
     read_fact_line,
     serialize_kb,
 )
-from alp.logic import encode, loss_by_predicate, parse_program, reconstruct
+from alp.logic import (
+    apply_program,
+    encode,
+    ground_consequences,
+    loss_by_predicate,
+    parse_program,
+    reconstruct,
+)
 from alp.pipeline import prepare_pool
 from helpers import (
     FIG1_TEXT,
@@ -450,6 +459,70 @@ class TestPredicateIdentity:
         data, background = fact(pred("p", 1), "a"), fact(pred("p", 1, "background"), "b")
         with pytest.raises(ValueError, match="background predicates appear as facts"):
             KnowledgeBase.from_facts([data], background=[background])
+
+
+class TestFact:
+    """A fact is the immutable tuple (predicate, args): it keeps the
+    dataclass's checks, hash, text forms and identity."""
+
+    FATHER = Predicate("father", 2, "background")
+
+    def test_arity_checked_with_the_same_message(self):
+        with pytest.raises(ValueError) as error:
+            Fact(pred("p", 2), ("a",))
+        assert str(error.value) == "p/2 applied to 1 arguments"
+
+    def test_hash_is_that_of_the_pair(self):
+        args = ("vader", "luke")
+        assert hash(Fact(self.FATHER, args)) == hash((self.FATHER, args))
+        assert hash(fact(pred("rainy", 0))) == hash((pred("rainy", 0), ()))
+
+    def test_repr_and_str_are_the_dataclasss(self):
+        f = Fact(self.FATHER, ("vader", "luke"))
+        assert repr(f) == (
+            "Fact(predicate=Predicate(name='father', arity=2, origin='background'), "
+            "args=('vader', 'luke'))"
+        )
+        assert str(f) == "father(vader,luke)"
+        assert repr(fact(pred("rainy", 0))) == (
+            "Fact(predicate=Predicate(name='rainy', arity=0, origin='input'), args=())"
+        )
+        assert str(fact(pred("rainy", 0))) == "rainy"
+
+    def test_equality_ignores_origin(self):
+        f = Fact(self.FATHER, ("vader", "luke"))
+        assert f == Fact(pred("father", 2), ("vader", "luke"))
+        assert f == (pred("father", 2, "latent"), ("vader", "luke"))
+        assert f != Fact(self.FATHER, ("luke", "vader"))
+
+    def test_immutable(self):
+        f = Fact(self.FATHER, ("vader", "luke"))
+        for name in ("predicate", "args", "other"):
+            with pytest.raises(AttributeError):
+                setattr(f, name, ())
+
+    def test_copies_round_trip(self):
+        f = Fact(self.FATHER, ("vader", "luke"))
+        for copied in (copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert type(copied) is Fact and copied == f
+            assert repr(copied) == repr(f)
+
+    def test_every_returned_fact_is_a_fact(self):
+        kb = fig1_kb()
+        alp = parse_program(
+            "#encoder\nlatent_1(X,Y) :- mother(X,Y);father(X,Y).\n"
+            "#decoder\nmother(X,Y) :- latent_1(X,Y).\n"
+        )
+        clause = alp.encoder.clauses[0]
+        results = [
+            kb.facts,
+            encode(alp, kb),
+            reconstruct(alp, kb),
+            apply_program(alp.encoder, kb.facts),
+            ground_consequences(clause, kb.facts),
+        ]
+        assert all(results)
+        assert {type(f) for facts in results for f in facts} == {Fact}
 
 
 class TestInvariants:

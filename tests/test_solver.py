@@ -11,7 +11,6 @@ from alp import GenerationConfig, parse_kb_document
 from alp.candidates import AtomIndex
 from alp import solver
 from alp.errors import AlpError, InfeasibleError
-from alp.kb import Fact
 from alp.logic import Clause, DECODER, ENCODER
 from alp.model import (
     AT_LEAST_ONE,
@@ -45,6 +44,7 @@ from helpers import (
     brute_force_loss_optimum,
     brute_force_objective,
     candidate,
+    count_facts_built,
     default_config,
     fact,
     fig1_kb,
@@ -520,13 +520,9 @@ def test_building_and_searching_make_no_constraint(monkeypatch):
     monkeypatch.setattr(CopModel, "constraints", property(refuse))
     kb = fig1_kb()
     encoders, decoders, _, _ = pipeline_pool(kb)
-    facts = []
-    check_arity = Fact.__post_init__
-    monkeypatch.setattr(
-        Fact, "__post_init__", lambda f: facts.append(f) or check_arity(f)
-    )
+    built = count_facts_built(monkeypatch)
     model = build_model(encoders, decoders, kb, Fraction(2))
-    assert facts == []
+    assert built == [0]
     assert check_assignment(model, initial_solution(model)) == []
     solution = lns_minimize(model, SearchConfig(iterations=20, fail_limit=1000))
     assert objective_value(model, solution.assignment) == solution.objective
