@@ -3,21 +3,32 @@
 The subsolver builds its propagation tables once from the model's rows,
 which already name variables by assignment position, and branches over
 ec/dc positions only; rf positions follow from their defining disjunctions
-by propagation.  Propagation is counter based, in the manner of
-watched-literal SAT solvers: every iff_or and at_least_one constraint keeps
-how many of its body positions are 1 and how many are unassigned, and the
-bottleneck keeps the least sum it can still reach.  The counters move on
-assignment and move back on backtracking, so checking a constraint costs
-O(1) and a body is scanned only when a value is forced.  A consequence
-class's iff_or also carries its at-most-one row: two members at 1 are a
-conflict, and one member at 1 sets the others to 0.  The pairs between
-nested classes form a conflict graph: setting a position to 1 sets its
-neighbours to 0.  Nodes are pruned against the incumbent using the decided
-rf penalties plus the constant offset, which never overestimates any
-completion.  Variable order is static by descending constraint degree, in
-which a generality constraint counts the candidate pairs it stands for,
-overridden by the variable that most recently caused a failure (last
-conflict); the incumbent's value is tried first.
+by propagation.  Propagation is event driven, in the manner of
+watched-literal SAT solvers.  Setting a position only writes its value and
+queues it.  The counts move when propagation pops the position onto the
+trail, and move back on backtracking: every iff_or and at_least_one
+constraint counts its body positions at 1 and those not yet counted, the
+bound the decided rf penalties, the bottleneck the least sum it can still
+reach.  The pop fires only the rules of its event.  A body member at 1 sets
+the head to 1; in a consequence class, whose iff_or carries the class's
+at-most-one row, a second member at 1 is a conflict and the other members
+go to 0.  A body member at 0 sets the head to 0 once no member is at 1 or
+uncounted, and under a head at 1 sets the one member left open to 1.  A
+head at 0 sets its open members to 0; a head at 1 with one member uncounted
+and none at 1 sets that member to 1.  A head's pop needs no conflict test
+of its own: a member counted against it already failed at its own pop.  A
+position at 1 sets its neighbours in the conflict graph of the pairs
+between nested classes to 0, and a rise of the bottleneck's sum zeroes
+every open term that would exceed it.  The root forces the head of an empty
+iff_or to 0 and the member of a one-member at_least_one to 1, and makes one
+bottleneck pass.  Unit propagation reaches one fixpoint in any order, so
+the search tree does not depend on the order of the queue.  Nodes are
+pruned against the incumbent using the decided rf penalties plus the
+constant offset, which never overestimates any completion.  Variable order
+is static by descending constraint degree, in which a generality constraint
+counts the candidate pairs it stands for, overridden by the variable that
+most recently caused a failure (last conflict); the incumbent's value is
+tried first.
 
 The seed is the subsolver's first complete assignment when it tries the
 values of a greedy decoder selection first.  Propagation never contradicts a
@@ -107,9 +118,12 @@ class _Searcher:
     holds each constraint's), plus one more that is always 1; the searcher
     holds no ``VarId``.  Each iff_or row keeps its head position and body
     tuple; an at_least_one row is a body whose head is the always-1
-    position.  A class's at-most-one row is left to its iff_or.  The
-    generality pairs become a conflict adjacency list per position, the
-    bottleneck one coefficient per position.
+    position.  A class's at-most-one row is left to its iff_or.  Each
+    position lists the rows it heads (``head_of``) and the rows whose body
+    holds it (``body_of``): the rules its pop fires at 0 or 1, as the
+    module docstring lists them.  The generality pairs become a conflict
+    adjacency list per position, the bottleneck one coefficient per
+    position.  ``solve`` moves a row's counts when it pops a body member.
     """
 
     def __init__(self, model: CopModel):
@@ -123,7 +137,7 @@ class _Searcher:
         degree = [0] * n
         partners: list[list[int]] = [[] for _ in range(n)]
         body_of: list[list[int]] = [[] for _ in range(n)]
-        watch: list[list[int]] = [[] for _ in range(n)]
+        head_of: list[list[int]] = [[] for _ in range(n)]
         heads: list[int] = []
         bodies: list[tuple[int, ...]] = []
         at_most_one: list[bool] = []
@@ -155,26 +169,28 @@ class _Searcher:
             at_most_one.append(ps[0] in members)
             if form == IFF_OR:
                 heads.append(ps[0])
-                watch[ps[0]].append(c)
+                head_of[ps[0]].append(c)
                 ps = ps[1:]
             else:  # at_least_one: a body whose head is the constant-1 position
                 heads.append(n)
             bodies.append(tuple(ps))
             for p in ps:
                 body_of[p].append(c)
-                watch[p].append(c)
         self.partners = partners
         self.body_of = body_of
-        self.watch = watch
+        self.head_of = head_of
         self.heads = heads
         self.bodies = bodies
+        self.body_sizes = [len(body) for body in bodies]
         self.at_most_one = at_most_one
         # Unassigned, only an empty iff_or (head to 0) or a one-member
-        # at_least_one (member to 1) acts; the rest wait for an assignment.
-        self.root_checks = [
-            c
+        # at_least_one (member to 1) acts; the rest wait for an event.  Each
+        # is kept as the (position, value) it forces.
+        self.root_checks = [(heads[c], 0) for c, body in enumerate(bodies) if not body]
+        self.root_checks += [
+            (body[0], 1)
             for c, body in enumerate(bodies)
-            if not body or heads[c] == n and len(body) == 1
+            if heads[c] == n and len(body) == 1
         ]
         # The least sum the bottleneck can reach with nothing assigned, what
         # position p at value v adds to it, and its positive terms, largest
@@ -207,34 +223,27 @@ class _Searcher:
         returns the best completion so far as incomplete.  With ``first``
         the search returns at its first complete assignment, as incomplete.
         """
-        partners, body_of, watch = self.partners, self.body_of, self.watch
+        partners, body_of, head_of = self.partners, self.body_of, self.head_of
         heads, bodies, at_most_one = self.heads, self.bodies, self.at_most_one
         linear_desc, linear_rise = self.linear_desc, self.linear_rise
         penalty = self.penalty
         static_order = self.static_order
         values = [UNASSIGNED] * self.n + [1]  # + the always-1 position
-        ones = [0] * len(heads)
-        free = [len(body) for body in bodies]
-        trail: list[int] = []
-        queue: list[int] = []  # assigned positions whose constraints wait
-        lb = self.model.constant_offset  # decided objective terms so far
+        ones = [0] * len(heads)  # counted body positions at 1
+        free = self.body_sizes[:]  # body positions not counted
+        trail: list[int] = []  # the counted positions
+        queue: list[int] = []  # set positions that wait to be counted
+        push = queue.append
+        lb = self.model.constant_offset  # counted objective terms
         linear_sum = self.linear_floor  # least bottleneck sum still reachable
 
-        def assign(p: int, v: int) -> None:
-            nonlocal lb, linear_sum
-            values[p] = v
-            trail.append(p)
-            queue.append(p)
-            lb += penalty[p][v]
-            linear_sum += linear_rise[p][v]
-            for c in body_of[p]:
-                free[c] -= 1
-                ones[c] += v
-
         def undo(mark: int) -> None:
+            """Unsets the queue, then every position counted after ``mark``."""
             nonlocal lb, linear_sum
-            while len(trail) > mark:
-                p = trail.pop()
+            for p in queue:
+                values[p] = UNASSIGNED
+            queue.clear()
+            for p in trail[mark:]:
                 v = values[p]
                 values[p] = UNASSIGNED
                 lb -= penalty[p][v]
@@ -242,38 +251,14 @@ class _Searcher:
                 for c in body_of[p]:
                     free[c] += 1
                     ones[c] -= v
+            del trail[mark:]
 
-        def check(c: int) -> bool:
-            """Propagates head <-> OR(body) of constraint c; True on conflict."""
-            h = heads[c]
-            vh = values[h]
-            if ones[c]:
-                if vh == 0:
-                    return True
-                if vh == UNASSIGNED:
-                    assign(h, 1)
-                if at_most_one[c]:
-                    if ones[c] > 1:
-                        return True
-                    if free[c]:
-                        for q in bodies[c]:
-                            if values[q] == UNASSIGNED:
-                                assign(q, 0)
-            elif not free[c]:
-                if vh == 1:
-                    return True
-                if vh == UNASSIGNED:
-                    assign(h, 0)
-            elif vh == 0:
-                for q in bodies[c]:
-                    if values[q] == UNASSIGNED:
-                        assign(q, 0)
-            elif vh == 1 and free[c] == 1:
-                for q in bodies[c]:
-                    if values[q] == UNASSIGNED:
-                        assign(q, 1)
-                        break
-            return False
+        def fill(c: int, v: int) -> None:
+            """Sets every open body position of constraint c to v."""
+            for q in bodies[c]:
+                if values[q] == UNASSIGNED:
+                    values[q] = v
+                    push(q)
 
         def check_linear() -> bool:
             """Zeroes every free term that would exceed the bottleneck."""
@@ -283,35 +268,82 @@ class _Searcher:
                 if a + linear_sum <= 0:
                     break
                 if values[q] == UNASSIGNED:
-                    assign(q, 0)
+                    values[q] = 0
+                    push(q)
             return False
 
         def propagate() -> bool:
-            """Runs the queue to the fixpoint; True on conflict."""
+            """Counts queued positions until none is left, each firing the
+            rules of its event; True on conflict.  A conflict in a body
+            loop returns once the loop has counted every constraint."""
+            nonlocal lb, linear_sum
+            pop, count = queue.pop, trail.append
+            failed = False
             while queue:
-                p = queue.pop()
+                p = pop()
                 v = values[p]
+                count(p)
+                lb += penalty[p][v]
+                if linear_rise[p][v]:
+                    linear_sum += linear_rise[p][v]
+                    if check_linear():
+                        return True
                 if v:
                     for q in partners[p]:
-                        vq = values[q]
-                        if vq == 1:
+                        if values[q] == 1:
                             return True
-                        if vq == UNASSIGNED:
-                            assign(q, 0)
-                if linear_rise[p][v] and check_linear():
-                    return True
-                for c in watch[p]:
-                    if check(c):
+                        if values[q] == UNASSIGNED:
+                            values[q] = 0
+                            push(q)
+                    for c in body_of[p]:
+                        free[c] -= 1
+                        ones[c] += 1
+                        h = heads[c]
+                        if values[h] == UNASSIGNED:
+                            values[h] = 1
+                            push(h)
+                        elif not values[h]:
+                            failed = True
+                        if at_most_one[c]:
+                            if ones[c] > 1:
+                                failed = True
+                            elif free[c]:
+                                fill(c, 0)
+                    if failed:
                         return True
+                    for c in head_of[p]:
+                        if free[c] == 1 and not ones[c]:
+                            fill(c, 1)
+                else:
+                    for c in body_of[p]:
+                        free[c] -= 1
+                        if not ones[c] and free[c] < 2:
+                            h = heads[c]
+                            if free[c]:
+                                if values[h] == 1:
+                                    fill(c, 1)
+                            elif values[h] == 1:
+                                failed = True
+                            elif values[h] == UNASSIGNED:
+                                values[h] = 0
+                                push(h)
+                    if failed:
+                        return True
+                    for c in head_of[p]:
+                        if free[c]:
+                            fill(c, 0)
             return False
 
         for p, v in fixed.items():
-            assign(p, v)
-        if (
-            check_linear()
-            or any(check(c) for c in self.root_checks)
-            or propagate()
-        ):
+            values[p] = v
+            push(p)
+        for p, v in self.root_checks:
+            if values[p] == 1 - v:
+                return ExactResult(None, None, True, 1)
+            if values[p] == UNASSIGNED:
+                values[p] = v
+                push(p)
+        if check_linear() or propagate():
             return ExactResult(None, None, True, 1)
 
         best: Assignment | None = None
@@ -342,8 +374,8 @@ class _Searcher:
 
         def branch(p: int, v: int) -> bool:
             """Sets p = v and propagates; True on conflict."""
-            queue.clear()
-            assign(p, v)
+            values[p] = v
+            push(p)
             return propagate()
 
         def expired() -> bool:

@@ -663,3 +663,159 @@ def solve_exact(
     (complete=False).
     """
     return _Searcher(model).solve(fixed or {}, fail_limit, incumbent_bound, incumbent)
+
+
+def eager_solve(
+    searcher: _Searcher,
+    fixed: dict[int, int],
+    fail_limit: int,
+    incumbent_bound: float = float("inf"),
+    incumbent: Assignment | None = None,
+) -> ExactResult:
+    """``_Searcher.solve`` as an eager propagator, over the searcher's
+    tables: every assignment moves the counters at once and queues its
+    position, and each popped position re-checks every constraint it is the
+    head or a body member of.  The root checks every constraint.  Unit
+    propagation reaches one fixpoint in any order, so the event-driven
+    solver must return the same result on every search."""
+    s = searcher
+    heads, bodies, at_most_one = s.heads, s.bodies, s.at_most_one
+    unassigned = -1
+    watch = [list(cs) for cs in s.body_of]
+    for c, h in enumerate(heads):
+        if h < s.n:
+            watch[h].append(c)
+    values = [unassigned] * s.n + [1]
+    ones = [0] * len(heads)
+    free = [len(body) for body in bodies]
+    trail: list[int] = []
+    queue: list[int] = []
+    state = {"lb": s.model.constant_offset, "linear": s.linear_floor}
+
+    def assign(p, v):
+        values[p] = v
+        trail.append(p)
+        queue.append(p)
+        state["lb"] += s.penalty[p][v]
+        state["linear"] += s.linear_rise[p][v]
+        for c in s.body_of[p]:
+            free[c] -= 1
+            ones[c] += v
+
+    def undo(mark):
+        while len(trail) > mark:
+            p = trail.pop()
+            v = values[p]
+            values[p] = unassigned
+            state["lb"] -= s.penalty[p][v]
+            state["linear"] -= s.linear_rise[p][v]
+            for c in s.body_of[p]:
+                free[c] += 1
+                ones[c] -= v
+
+    def check(c):
+        h = heads[c]
+        vh = values[h]
+        if ones[c]:
+            if vh == 0 or at_most_one[c] and ones[c] > 1:
+                return True
+            if vh == unassigned:
+                assign(h, 1)
+            if at_most_one[c]:
+                for q in bodies[c]:
+                    if values[q] == unassigned:
+                        assign(q, 0)
+        elif not free[c]:
+            if vh == 1:
+                return True
+            if vh == unassigned:
+                assign(h, 0)
+        elif vh == 0:
+            for q in bodies[c]:
+                if values[q] == unassigned:
+                    assign(q, 0)
+        elif vh == 1 and free[c] == 1:
+            for q in bodies[c]:
+                if values[q] == unassigned:
+                    assign(q, 1)
+        return False
+
+    def check_linear():
+        if state["linear"] > 0:
+            return True
+        for a, q in s.linear_desc:
+            if a + state["linear"] > 0 and values[q] == unassigned:
+                assign(q, 0)
+        return False
+
+    def propagate():
+        while queue:
+            p = queue.pop()
+            v = values[p]
+            for q in s.partners[p] if v else ():
+                if values[q] == 1:
+                    return True
+                if values[q] == unassigned:
+                    assign(q, 0)
+            if s.linear_rise[p][v] and check_linear():
+                return True
+            if any(check(c) for c in watch[p]):
+                return True
+        return False
+
+    for p, v in fixed.items():
+        assign(p, v)
+    if check_linear() or any(check(c) for c in range(len(heads))) or propagate():
+        return ExactResult(None, None, True, 1)
+
+    best, best_obj, failures = None, incumbent_bound, 0
+    last_conflict = None
+    first_values = incumbent if incumbent is not None else [0] * s.n
+    frames: list[list] = []  # [position, value left to try or None, trail length]
+
+    def branch(p, v):
+        queue.clear()
+        assign(p, v)
+        return propagate()
+
+    def next_var():
+        if last_conflict is not None and values[last_conflict] == unassigned:
+            return last_conflict
+        return next((p for p in s.static_order if values[p] == unassigned), None)
+
+    def result(complete):
+        objective = best_obj if best is not None else None
+        return ExactResult(best, objective, complete, failures)
+
+    while True:
+        conflict = state["lb"] >= best_obj
+        if not conflict:
+            p = next_var()
+            if p is None:
+                best, best_obj = values[:-1], state["lb"]
+                conflict = True
+            else:
+                v = first_values[p]
+                frames.append([p, 1 - v, len(trail)])
+                conflict = branch(p, v)
+                if conflict:
+                    failures += 1
+                    last_conflict = p
+        else:
+            failures += 1
+        while conflict:
+            if failures >= fail_limit:
+                return result(False)
+            if not frames:
+                return result(True)
+            p, v, mark = frames[-1]
+            undo(mark)
+            if v is None:
+                frames.pop()
+                continue
+            frames[-1][1] = None
+            conflict = branch(p, v)
+            if conflict:
+                failures += 1
+                last_conflict = p
+

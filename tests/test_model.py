@@ -476,13 +476,17 @@ class TestCompiledAudit:
             assert [position(model, v) for v in ids] == list(range(len(ids)))
 
     def test_matches_the_varid_reference(self):
+        """Also on models whose encoder classes have members, and on
+        assignments that break pair rows, which ``check_assignment`` reads
+        from the positions at 1."""
         rng = random.Random(127)
-        feasible = infeasible = 0
-        for model in audit_models():
+        feasible = infeasible = pairs = 0
+        for model in audit_models() + variant_models():
             for assignment in self.assignments(model, rng):
                 got = check_assignment(model, assignment)
                 expected = reference_violations(model, assignment)
                 assert [id(model.constraints[k]) for k in got] == list(map(id, expected))
+                pairs += any(c.form == AT_MOST_ONE_OF_PAIR for c in expected)
                 value = reference_objective(model, assignment)
                 if value is None:
                     infeasible += 1
@@ -491,7 +495,7 @@ class TestCompiledAudit:
                 else:
                     feasible += 1
                     assert objective_value(model, assignment) == value
-        assert feasible >= 10 and infeasible >= 150
+        assert feasible >= 10 and infeasible >= 150 and pairs >= 50
 
 
 def variant_models():

@@ -46,6 +46,7 @@ from helpers import (
     candidate,
     count_facts_built,
     default_config,
+    eager_solve,
     fact,
     fig1_kb,
     initial_solution,
@@ -572,9 +573,9 @@ def class_model(*constraints):
 
 
 class TestPropagation:
-    """Each family forces a value before any branching: the incumbent asks
-    for the opposite value first, so a value left to the search would cost
-    at least one failure."""
+    """Each rule that an event fires forces a value, or finds a conflict,
+    before any branching: the incumbent asks for the opposite value first,
+    so a value left to the search would cost at least one failure."""
 
     def solve(self, model, fixed, incumbent=None):
         """``solve_exact`` with ``fixed`` and the incumbent given by VarId,
@@ -612,6 +613,13 @@ class TestPropagation:
         )
         assert (best[DC0], best[DC1]) == (0, 0)
 
+    def test_iff_or_head_at_one_sets_its_last_open_member(self):
+        model = two_decoder_model(Constraint(IFF_OR, (RF0, DC1)))
+        best = self.forced(
+            model, {EC0: 0, EC1: 0, DC0: 0, RF0: 1}, incumbent={DC1: 0}
+        )
+        assert best[DC1] == 1
+
     def test_iff_or_body_at_one_sets_its_head(self):
         model = two_decoder_model(Constraint(IFF_OR, (RF0, DC0, DC1)))
         best = self.forced(
@@ -619,10 +627,44 @@ class TestPropagation:
         )
         assert best[RF0] == 1
 
+    def test_iff_or_body_at_one_under_a_head_at_zero_fails_at_the_root(self):
+        model = two_decoder_model(Constraint(IFF_OR, (RF0, DC0, DC1)))
+        result = self.solve(model, {DC0: 1, RF0: 0})
+        assert (result.best, result.complete, result.failures) == (None, True, 1)
+
+    def test_iff_or_body_at_zero_clears_its_head(self):
+        model = two_decoder_model(Constraint(IFF_OR, (RF0, DC0, DC1)))
+        best = self.forced(
+            model, {EC0: 0, EC1: 0, DC0: 0, DC1: 0}, incumbent={RF0: 1}
+        )
+        assert best[RF0] == 0
+
+    def test_iff_or_body_at_zero_under_a_head_at_one_fails_at_the_root(self):
+        model = two_decoder_model(Constraint(IFF_OR, (RF0, DC0, DC1)))
+        result = self.solve(model, {DC0: 0, DC1: 0, RF0: 1})
+        assert (result.best, result.complete, result.failures) == (None, True, 1)
+
+    def test_empty_iff_or_clears_its_head_at_the_root(self):
+        model = two_decoder_model(Constraint(IFF_OR, (RF0,)))
+        best = self.forced(
+            model, {EC0: 0, EC1: 0, DC0: 0, DC1: 0}, incumbent={RF0: 1}
+        )
+        assert best[RF0] == 0
+
+    def test_empty_iff_or_with_its_head_at_one_fails_at_the_root(self):
+        model = two_decoder_model(Constraint(IFF_OR, (RF0,)))
+        result = self.solve(model, {RF0: 1})
+        assert (result.best, result.complete, result.failures) == (None, True, 1)
+
     def test_last_unknown_of_at_least_one_is_set(self):
         model = two_decoder_model(Constraint(AT_LEAST_ONE, (DC0, DC1)))
         best = self.forced(model, {EC0: 0, EC1: 0, DC0: 0, RF0: 0}, incumbent={})
         assert best[DC1] == 1
+
+    def test_one_member_at_least_one_is_set_at_the_root(self):
+        model = two_decoder_model(Constraint(AT_LEAST_ONE, (DC0,)))
+        best = self.forced(model, {EC0: 0, EC1: 0, DC1: 0, RF0: 0}, incumbent={})
+        assert best[DC0] == 1
 
     def test_class_member_at_one_clears_its_class(self):
         best = self.forced(
@@ -643,17 +685,32 @@ class TestPropagation:
         assert (best[CL0], best[DC0], best[DC1]) == (0, 0, 0)
 
     def test_bottleneck_clears_an_over_weight_encoder(self):
+        # EC1 at 1 adds nothing to the sum: only the root's pass acts.
         model = two_decoder_model(Constraint(LINEAR_LE, (EC0, EC1), (3, -1)))
         best = self.forced(
             model, {EC1: 1, DC0: 0, DC1: 0, RF0: 0}, incumbent={EC0: 1}
         )
         assert best[EC0] == 0
 
+    def test_bottleneck_rise_clears_an_over_weight_encoder(self):
+        # EC1 at 0 raises the least reachable sum from -3 to 0.
+        model = two_decoder_model(Constraint(LINEAR_LE, (EC0, EC1), (3, -3)))
+        best = self.forced(
+            model, {EC1: 0, DC0: 0, DC1: 0, RF0: 0}, incumbent={EC0: 1}
+        )
+        assert best[EC0] == 0
+
+    def test_bottleneck_over_its_bound_fails_at_the_root(self):
+        model = two_decoder_model(Constraint(LINEAR_LE, (EC0, EC1), (3, -1)))
+        result = self.solve(model, {EC0: 1, EC1: 1})
+        assert (result.best, result.complete, result.failures) == (None, True, 1)
+
 
 def test_the_root_checks_only_what_can_act_unassigned():
-    """The root checks only the constraints that can act with nothing
-    assigned; propagation reaches the same fixpoint in any order, so every
-    search returns what it returns when the root checks every constraint."""
+    """The searcher fires only the rules of each event, and at the root
+    only the two forms that act with nothing assigned; every search returns
+    what the eager reference propagator, which checks every constraint at
+    the root and on every assignment, returns."""
     rng = random.Random(131)
     compared = acting = 0
     while compared < 30:
@@ -661,15 +718,14 @@ def test_the_root_checks_only_what_can_act_unassigned():
         if model is None:
             continue
         compared += 1
-        searcher, reference = _Searcher(model), _Searcher(model)
-        reference.root_checks = range(len(reference.heads))
+        searcher = _Searcher(model)
         acting += len(searcher.root_checks)
         for share in (0.0, 0.1, 0.3, 0.6):
             picked = rng.sample(range(searcher.n), int(searcher.n * share))
             fixed = {p: rng.randint(0, 1) for p in picked}
             for fail_limit in (10, 10**6):
                 got = searcher.solve(fixed, fail_limit, math.inf)
-                assert got == reference.solve(fixed, fail_limit, math.inf)
+                assert got == eager_solve(searcher, fixed, fail_limit)
     assert acting > 0
 
 
