@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, compress
+from itertools import accumulate
 from operator import mul
 
 from .candidates import (
@@ -156,23 +156,6 @@ class CopModel:
                 for form, ps, coeffs in self.rows
             ]
         )
-
-    @cached_property
-    def pair_index(self) -> tuple[list[list[tuple[int, int]]], list[int]]:
-        """Per position, the (partner, row index) of each
-        at_most_one_of_pair row naming it; then the indices of the rows of
-        the other forms."""
-        n = sum(self._sizes().values())
-        partners: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        others = []
-        for k, (form, ps, _) in enumerate(self.rows):
-            if form == AT_MOST_ONE_OF_PAIR:
-                a, b = ps
-                partners[a].append((b, k))
-                partners[b].append((a, k))
-            else:
-                others.append(k)
-        return partners, others
 
     def size_summary(self) -> dict:
         return {
@@ -324,28 +307,21 @@ def build_model(
 
 
 def check_assignment(model: CopModel, assignment: Assignment) -> list[int]:
-    """The indices in ``model.rows`` of the violated rows, ascending; empty
-    means feasible.  A pair row is read from its positions at 1."""
-    partners, others = model.pair_index
+    """The indices in ``model.rows`` of the violated rows; empty means feasible."""
     value = assignment.__getitem__
-    violated = {
-        k
-        for p in compress(range(len(partners)), assignment)
-        for q, k in partners[p]
-        if value(q)
-    }
-    rows = model.rows
-    for k in others:
-        form, ps, coeffs = rows[k]
+    violated = []
+    for k, (form, ps, coeffs) in enumerate(model.rows):
         if form == IFF_OR:
             ok = value(ps[0]) == any(map(value, ps[1:]))
+        elif form == AT_MOST_ONE_OF_PAIR:
+            ok = value(ps[0]) + value(ps[1]) <= 1
         elif form == AT_LEAST_ONE:
             ok = any(map(value, ps))
         else:
             ok = sum(map(mul, coeffs, map(value, ps))) <= 0
         if not ok:
-            violated.add(k)
-    return sorted(violated)
+            violated.append(k)
+    return violated
 
 
 def objective_value(model: CopModel, assignment: Assignment) -> int:

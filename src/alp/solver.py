@@ -274,8 +274,9 @@ class _Searcher:
 
         def propagate() -> bool:
             """Counts queued positions until none is left, each firing the
-            rules of its event; True on conflict.  A conflict in a body
-            loop returns once the loop has counted every constraint."""
+            rules of its event; True on conflict.  A conflict returns only
+            once the body loop has counted every row of its position, so
+            ``undo`` reverts exactly what was counted."""
             nonlocal lb, linear_sum
             pop, count = queue.pop, trail.append
             failed = False
@@ -286,13 +287,12 @@ class _Searcher:
                 lb += penalty[p][v]
                 if linear_rise[p][v]:
                     linear_sum += linear_rise[p][v]
-                    if check_linear():
-                        return True
+                    failed = check_linear()
                 if v:
                     for q in partners[p]:
                         if values[q] == 1:
-                            return True
-                        if values[q] == UNASSIGNED:
+                            failed = True
+                        elif values[q] == UNASSIGNED:
                             values[q] = 0
                             push(q)
                     for c in body_of[p]:

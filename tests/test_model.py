@@ -477,8 +477,7 @@ class TestCompiledAudit:
 
     def test_matches_the_varid_reference(self):
         """Also on models whose encoder classes have members, and on
-        assignments that break pair rows, which ``check_assignment`` reads
-        from the positions at 1."""
+        assignments that break pair rows."""
         rng = random.Random(127)
         feasible = infeasible = pairs = 0
         for model in audit_models() + variant_models():

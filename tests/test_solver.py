@@ -65,6 +65,7 @@ from helpers import (
 MOTHER = pred("mother", 2)
 L1 = pred("latent_1", 2, "latent")
 L2 = pred("latent_2", 2, "latent")
+L3 = pred("latent_3", 2, "latent")
 
 
 def tiny_model():
@@ -529,10 +530,10 @@ def test_building_and_searching_make_no_constraint(monkeypatch):
     assert objective_value(model, solution.assignment) == solution.objective
 
 
-def two_decoder_model(*constraints, class_members=()):
-    """Two encoders, their two decoders and one rf, under only the given
-    constraints and classes: each propagation family can be exercised on
-    its own."""
+def two_decoder_model(*constraints, class_members=(), latents=(L1, L2)):
+    """An encoder and its decoder per latent (two by default) and one rf,
+    under only the given constraints and classes: each propagation family
+    can be exercised on its own."""
     kb = kb_of(fact(MOTHER, "padme", "leia"))
     enc_index, dec_index = AtomIndex(), AtomIndex(kb.facts)
     encoders = [
@@ -542,7 +543,7 @@ def two_decoder_model(*constraints, class_members=()):
             [fact(latent, "padme", "leia")],
             enc_index,
         )
-        for latent in (L1, L2)
+        for latent in latents
     ]
     decoders = [
         candidate(
@@ -551,14 +552,15 @@ def two_decoder_model(*constraints, class_members=()):
             [fact(MOTHER, "padme", "leia")],
             dec_index,
         )
-        for latent in (L1, L2)
+        for latent in latents
     ]
     model = build_model(encoders, decoders, kb, Fraction(1))
     return with_constraints(model, constraints, class_members)
 
 
-EC0, EC1, DC0, DC1, RF0, CL0 = (
-    VarId(0, EC), VarId(1, EC), VarId(0, DC), VarId(1, DC), VarId(0, RF), VarId(0, CL)
+EC0, EC1, EC2, DC0, DC1, DC2, RF0, CL0 = (
+    VarId(0, EC), VarId(1, EC), VarId(2, EC), VarId(0, DC), VarId(1, DC),
+    VarId(2, DC), VarId(0, RF), VarId(0, CL),
 )
 
 
@@ -705,6 +707,43 @@ class TestPropagation:
         result = self.solve(model, {EC0: 1, EC1: 1})
         assert (result.best, result.complete, result.failures) == (None, True, 1)
 
+    def test_a_partner_conflict_counts_the_rows_of_its_position(self):
+        # DC0 = 0 sets DC1 and DC2, a pair, to 1 through two heads at 1; the
+        # pop of DC2 fails at its partner.  Backtracking must then restore
+        # the counts of DC2's rf row, or DC0 = 1 leaves RF0 unsettled.
+        model = two_decoder_model(
+            Constraint(IFF_OR, (EC0, DC0, DC1)),
+            Constraint(IFF_OR, (EC1, DC0, DC2)),
+            Constraint(IFF_OR, (EC2, DC0)),
+            Constraint(AT_MOST_ONE_OF_PAIR, (DC1, DC2)),
+            Constraint(IFF_OR, (RF0, DC2)),
+            latents=(L1, L2, L3),
+        )
+        fixed = {position(model, EC0): 1, position(model, EC1): 1}
+        searcher = _Searcher(model)
+        result = searcher.solve(fixed, 10**6, math.inf)
+        assert result == eager_solve(searcher, fixed, 10**6)
+        assert (result.objective, result.complete) == (0, True)
+
+    def test_a_bottleneck_conflict_counts_the_rows_of_its_position(self):
+        # DC0 = 1 sets EC0 and EC1 to 1; the pop of EC0 takes the bottleneck
+        # over its bound.  Backtracking must then restore the counts of
+        # EC0's row, or DC0 = 0 leaves RF0 unsettled.
+        model = two_decoder_model(
+            Constraint(IFF_OR, (EC0, DC0)),
+            Constraint(IFF_OR, (EC1, DC0)),
+            Constraint(IFF_OR, (RF0, EC0)),
+            Constraint(AT_LEAST_ONE, (DC0, DC1)),
+            Constraint(AT_LEAST_ONE, (DC0, DC1)),
+            Constraint(LINEAR_LE, (EC0, EC1, DC1), (1, 1, -1)),
+        )
+        fixed = {position(model, DC1): 1}
+        searcher = _Searcher(model)
+        incumbent = assignment_of(model, {DC0: 1})
+        result = searcher.solve(fixed, 10**6, math.inf, incumbent)
+        assert result == eager_solve(searcher, fixed, 10**6, incumbent=incumbent)
+        assert (result.objective, result.complete, result.failures) == (1, True, 1)
+
 
 def test_the_root_checks_only_what_can_act_unassigned():
     """The searcher fires only the rules of each event, and at the root
@@ -727,6 +766,52 @@ def test_the_root_checks_only_what_can_act_unassigned():
                 got = searcher.solve(fixed, fail_limit, math.inf)
                 assert got == eager_solve(searcher, fixed, fail_limit)
     assert acting > 0
+
+
+def tangled_model(rng, model):
+    """``model`` with random rows added: consequence classes over encoders
+    or over decoders, pairs between any two positions, and iff_or and
+    at_least_one rows over shared bodies, so that one event reaches many
+    rows and a conflict can strike any of them."""
+    first, rows = model.first, list(model.rows)
+    classes = list(model.class_positions)
+    for kind, end in ((EC, first[DC]), (DC, first[RF])):
+        if end - first[kind] >= 2:
+            members = tuple(rng.sample(range(first[kind], end), 2))
+            cl = first[CL] + len(classes)
+            classes.append(members)
+            rows.append((IFF_OR, (cl, *members), ()))
+            rows.append((LINEAR_LE, (*members, cl), (1, 1, -1)))
+    n = first[CL] + len(classes)
+    for _ in range(rng.randint(2, 6)):
+        rows.append((AT_MOST_ONE_OF_PAIR, tuple(rng.sample(range(n), 2)), ()))
+    for _ in range(rng.randint(1, 4)):
+        ps = tuple(rng.sample(range(n), min(n, rng.randint(2, 4))))
+        rows.append((rng.choice((IFF_OR, AT_LEAST_ONE)), ps, ()))
+    return replace(model, rows=tuple(rows), class_positions=tuple(classes))
+
+
+def test_tangled_models_search_as_the_eager_propagator():
+    """On models whose positions sit in many pairs, classes and shared
+    bodies, every search, conflicts and backtracking included, returns what
+    the eager reference propagator returns."""
+    rng = random.Random(17)
+    compared = 0
+    while compared < 30:
+        _, model = random_model(rng)
+        if model is None:
+            continue
+        compared += 1
+        model = tangled_model(rng, model)
+        searcher = _Searcher(model)
+        for share in (0.0, 0.1, 0.3):
+            picked = rng.sample(range(searcher.n), int(searcher.n * share))
+            fixed = {p: rng.randint(0, 1) for p in picked}
+            incumbent = [rng.randint(0, 1) for _ in range(searcher.n)]
+            for fail_limit in (10, 10**6):
+                got = searcher.solve(fixed, fail_limit, math.inf, incumbent)
+                want = eager_solve(searcher, fixed, fail_limit, incumbent=incumbent)
+                assert got == want
 
 
 def pinned_models():
