@@ -189,40 +189,41 @@ ENUMERATION_CASES = {
     "case, max_len, negation, size, digest",
     [
         ("fig1", 1, False, 5,
-         "e0b21cb3f7558c3cb395640729d724f2e4c732afaf64c93a30fe9d3cbd375c4d"),
+         "89f81ecd609ce56c657f06acce114ca35f71ca8463a3dc66fa70391f79939971"),
         ("fig1", 1, True, 5,
-         "e0b21cb3f7558c3cb395640729d724f2e4c732afaf64c93a30fe9d3cbd375c4d"),
+         "89f81ecd609ce56c657f06acce114ca35f71ca8463a3dc66fa70391f79939971"),
         ("fig1", 2, False, 107,
-         "c07c7e65497d287e34cf0bf6dd6619234515b0321d32855a1040f61727e38dc1"),
+         "d02b79540f1c320189dbfec8514d58ff1848eba21f24ed1e3bdf90c20ae9e415"),
         ("fig1", 2, True, 179,
-         "376cd4d7572ff1fed036539ca08b826c99d057d9d81700f2b99902bc73b6363b"),
+         "39e72248292e2b3fcae5f72ac86288492f7ed21b359e0e5ebc329eb8ab03257c"),
         ("fig1", 3, False, 1653,
-         "9b0d6338ac893122bc945360e65806e33bf028fcf18d789786e045200a58f1bb"),
+         "de1e2f6d12a6f8f0d109c0147a93be1d85aae47cbf86f57d285336e8329420e2"),
         ("fig1", 3, True, 3877,
-         "ff148a37871f1b56ebec14e8cc07b73f9b6a738ed53ee9dab09e271db7cfcf5a"),
+         "a7d03b9f75327508d0c3dcfe6640eb76c843a95f6d5095bb833e19096850b20c"),
         ("appendix", 3, False, 16,
-         "7c56799c55ee40387e6635f3b8565a6da8ed953d7e102ba789ddbd8916a8637c"),
+         "25c516c2cb19916cc7ed5950aad65a6ef3858b5d358af315ef9a9462ccf88730"),
         ("appendix", 3, True, 48,
-         "fbfcc003df7bbf0cf1fd71f0befaf202a98fc16d6ba3aed0c828519af73ef8d6"),
+         "5fb11e418ce3ef33d2d39a0a7eba2b05bba9ad08045e6b38d630f4852453e054"),
         ("either", 3, False, 45,
-         "abbacc5d39cf4cf5abbf0f15ead60b4864e9b5fc3a44cd3298c1e7452a82f931"),
+         "4f8d9cec13651e4530561fc18bcf2644e820c6b9f7452b10c6fe9276f416e84d"),
         ("either", 3, True, 97,
-         "4e23c9be2b833ed91ed78339648dc9acc2cb4dd3068b00b756fd6ee051f7eabd"),
+         "f94578e010b0d47fca05957987cbb7638777ccf867add2e63b0d82da4020965e"),
         ("mixed", 3, False, 233,
-         "8805fae794bbab1df7f87af9c8f2979a3e2e448fc6af99e031c30560a5090c9d"),
+         "c0174ce2ee2e8566ba0a233f2663b32ae9550db50f460bb136f2227db40e21d2"),
         ("mixed", 3, True, 542,
-         "5e7db22a43d9ead9014866fb2c206ae7ebfe54c4ec989a448fc4865ec3b66efb"),
+         "0afefee10c5b6f462fcd72ea4fc3f55fd6646af6f233bac3509c679372c63973"),
     ],
 )
 def test_enumeration_pinned(case, max_len, negation, size, digest):
     """SHA-256 of ``enumerate_bodies`` output, in order, each body as its
-    literals' (predicate repr, argument texts, sign) and its connective."""
+    literals' (predicate text ``name/arity``, argument texts, sign) and its
+    connective."""
     predicates, modes = ENUMERATION_CASES[case]
     bodies = enumerate_bodies(predicates, modes, max_len, True, negation)
     assert len(bodies) == size
     h = hashlib.sha256()
     for lits, conn in bodies:
-        rows = [(repr(l.predicate), tuple(map(str, l.args)), l.negated) for l in lits]
+        rows = [(str(l.predicate), tuple(map(str, l.args)), l.negated) for l in lits]
         h.update(repr((rows, conn)).encode() + b"\n")
     assert h.hexdigest() == digest
 
