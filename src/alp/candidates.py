@@ -45,12 +45,7 @@ from .kb import (
     MODE_EITHER,
     MODE_UNBOUND,
     ModeDeclaration,
-    ORIGIN_BACKGROUND,
-    ORIGIN_INPUT,
-    ORIGIN_LATENT,
     Predicate,
-    fact_order,
-    predicate_order,
 )
 from .logic import (
     CONJUNCTION,
@@ -116,7 +111,7 @@ class AtomIndex:
     def __init__(self, kb_facts: frozenset[Fact] = frozenset()):
         self.atoms: list[tuple[Predicate | None, Row]] = []
         self._bits: dict[Predicate | None, dict[Row, int]] = {}
-        for f in sorted(kb_facts, key=fact_order):
+        for f in sorted(kb_facts):
             self.mask(f.predicate, (f.args,))
         self.kb_facts = kb_facts
         self.kb_mask = (1 << len(self.atoms)) - 1
@@ -375,8 +370,8 @@ def generate_encoder_candidates(
     vocabulary and config, not on the fact content.  Each body is joined
     once and every head projected from that join.
     """
-    predicates = sorted(kb.vocabulary, key=predicate_order)
-    input_preds = [p for p in predicates if p.origin != ORIGIN_BACKGROUND]
+    predicates = sorted(kb.vocabulary)
+    input_preds = [p for p in predicates if p not in kb.background_predicates]
     if not input_preds:
         return []
     reserved = [p for p in predicates if re.fullmatch(r"latent_\d+", p.name)]
@@ -396,7 +391,7 @@ def generate_encoder_candidates(
             body_text = _body_text(*b.body)
             for i, slots in enumerate(subsets):
                 args = _variables(slots)
-                pred = Predicate(f"latent_{ordinal + i}", len(args), ORIGIN_LATENT)
+                pred = Predicate(f"latent_{ordinal + i}", len(args))
                 mask = index.mask(None, project(rows, slots))
                 text = _clause_text(pred, args, body_text)
                 head = Literal(pred, args)
@@ -421,10 +416,7 @@ def is_corrupt(mask: int, kb_mask: int) -> bool:
 
 def _head_predicates(kb: KnowledgeBase) -> list[Predicate]:
     """The decoder heads: the input predicates of arity at least 1."""
-    return sorted(
-        (p for p in kb.vocabulary if p.origin == ORIGIN_INPUT and p.arity >= 1),
-        key=predicate_order,
-    )
+    return sorted(p for p in kb.input_predicates if p.arity >= 1)
 
 
 def _decoder_heads(
@@ -443,7 +435,7 @@ def _decoder_heads(
     least 1 (``_head_predicates``), one decoder per predicate per variable
     tuple of its arity.
     """
-    latents = sorted({c.head.predicate for c in latent_candidates}, key=predicate_order)
+    latents = sorted({c.head.predicate for c in latent_candidates})
     if not latents:
         return
     arities = [p.arity for p in _head_predicates(kb)]  # one per head predicate

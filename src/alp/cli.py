@@ -5,8 +5,9 @@ as the library does: a predicate is its name and arity, so the ``#background``
 lines of a model and of a fact file need not agree.  One check first names
 the facts' predicates the model does not mention; ``eval`` skips arity-0 facts.
 
-Exit codes: 0 success, 2 parse failure (bad syntax or unreadable path),
-3 infeasible model, 4 capacity ceiling, 5 vocabulary mismatch, 1 anything
+Exit codes: 0 success, 2 parse failure (bad syntax, an unreadable path, or
+an output path ``learn`` cannot write, found before it learns), 3
+infeasible model, 4 capacity ceiling, 5 vocabulary mismatch, 1 anything
 else.  Set ALP_LOG=info to log the files written and ``enumerate``'s
 pruning counts, or ALP_LOG=trace to also stream one TSV line per improving
 solver iteration to stderr.
@@ -15,6 +16,7 @@ solver iteration to stderr.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import logging
 import os
@@ -32,7 +34,7 @@ from .errors import (
     KbSyntaxError,
     VocabularyError,
 )
-from .kb import KnowledgeBase, parse_kb_document, predicate_order, serialize_kb
+from .kb import KnowledgeBase, parse_kb_document, serialize_kb
 from .logic import Alp, apply_program, encode, loss_by_predicate, parse_program, serialize_program
 from .model import dump_model
 from .pipeline import learn, prepare_pool, run_report
@@ -56,6 +58,29 @@ def _write_out(path: str | None, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+
+
+def _tagged(path: str, tag: str | None) -> Path:
+    """The path, its stem suffixed with a grid cell's ``tag`` if given."""
+    p = Path(path)
+    return p.with_name(f"{p.stem}-{tag}{p.suffix}") if tag else p
+
+
+def _check_outputs(args, tags=(None,)) -> None:
+    """Raise, before any learning, the ``OSError`` that writing an output of
+    the run, or of each grid cell by its ``tag``, would raise: for a missing
+    or non-directory parent, a directory, or no write permission."""
+    names = [n for n in (args.report, args.out_model, args.out_latent, args.dump_model) if n]
+    for p in [_tagged(name, tag) for tag in tags for name in names]:
+        if p.is_dir():
+            code = errno.EISDIR
+        elif not p.parent.is_dir():
+            code = errno.ENOTDIR if p.parent.exists() else errno.ENOENT
+        elif not os.access(p if p.exists() else p.parent, os.W_OK):
+            code = errno.EACCES
+        else:
+            continue
+        raise OSError(code, os.strerror(code), str(p))
 
 
 def _read_document(path: str):
@@ -101,6 +126,7 @@ def cmd_learn(args) -> int:
     if args.grid:
         return _run_grid(args, document, gen_config, search_config)
     gamma = _parse_gamma(args.gamma)
+    _check_outputs(args)
     result = learn(
         document.kb, document.modes, gen_config, search_config, gamma,
         progress=_progress_fn(),
@@ -128,10 +154,7 @@ def _write_outputs(args, report, result=None, tag=None) -> None:
     """
 
     def write(path: str, text: str) -> None:
-        p = Path(path)
-        if tag:
-            p = p.with_name(f"{p.stem}-{tag}{p.suffix}")
-        p.write_text(text, encoding="utf-8")
+        _tagged(path, tag).write_text(text, encoding="utf-8")
 
     write(args.report, json.dumps(report, indent=2) + "\n")
     if result is None:
@@ -145,8 +168,10 @@ def _write_outputs(args, report, result=None, tag=None) -> None:
 
 
 def _run_grid(args, document, gen_config, search_config) -> int:
-    for enc_len, dec_len, gamma_text in product(GRID_LENGTHS, GRID_LENGTHS, GRID_GAMMAS):
-        tag = f"enc{enc_len}-dec{dec_len}-g{gamma_text}"
+    cells = list(product(GRID_LENGTHS, GRID_LENGTHS, GRID_GAMMAS))
+    tags = [f"enc{enc_len}-dec{dec_len}-g{gamma_text}" for enc_len, dec_len, gamma_text in cells]
+    _check_outputs(args, tags)
+    for tag, (enc_len, dec_len, gamma_text) in zip(tags, cells):
         cell_gen = replace(
             gen_config, max_encoder_body_len=enc_len, max_decoder_body_len=dec_len
         )
@@ -228,8 +253,8 @@ def cmd_eval(args) -> int:
     missing = sum(m for m, _ in tally.values())
     false = sum(f for _, f in tally.values())
     per_predicate = {
-        f"{p.name}/{p.arity}": {"missing": tally[p][0], "false": tally[p][1]}
-        for p in sorted(tally, key=predicate_order)
+        str(p): {"missing": tally[p][0], "false": tally[p][1]}
+        for p in sorted(tally)
     }
     payload = {
         "loss": missing + false,

@@ -17,28 +17,25 @@ regular expression reads a well-formed fact line (``read_fact_line``); every
 other line goes to the line reader, which also reads programs
 (``alp.logic``) and reports a syntax error's line and column.
 
-A ``Fact`` is the immutable tuple ``(predicate, args)``, equal to a plain
-tuple with the same items.  A ``KnowledgeBase`` groups its facts' argument
-rows by predicate once, when it is built (``rows``, ``background_rows``);
-evaluation reads those rows.
+A ``Predicate`` is the tuple ``(name, arity)`` and a ``Fact`` the tuple
+``(predicate, args)``, so their own order is the canonical order.  A
+``KnowledgeBase`` holds which predicates are background ones, and groups
+its facts' argument rows by predicate once, when it is built (``rows``,
+``background_rows``); evaluation reads those rows.
 """
 
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import KbSyntaxError
 
 NAME_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
-
-ORIGIN_INPUT = "input"
-ORIGIN_LATENT = "latent"
-ORIGIN_BACKGROUND = "background"
 
 MODE_BOUND = "+"
 MODE_UNBOUND = "-"
@@ -48,33 +45,22 @@ MODE_SLOTS = (MODE_BOUND, MODE_UNBOUND, MODE_EITHER)
 _KB_DIRECTIVES = ("pred", "background", "mode")
 
 
-@dataclass(frozen=True, slots=True)
-class Predicate:
-    """A predicate symbol ``name/arity``.  Equality and hash are
-    ``(name, arity)``: ``origin`` (input, latent or background) records how
-    a file declared the symbol, for the checks and writers that read it,
-    but ``male/1`` read from a fact file and from a program is one key.
-    The hash is computed once, since every row grouping hashes predicates."""
+class Predicate(namedtuple("Predicate", "name arity")):
+    """A predicate symbol ``name/arity``: the immutable tuple ``(name,
+    arity)``, built, compared and hashed in C.  ``Predicate(name, arity)``
+    checks both."""
 
-    name: str
-    arity: int
-    origin: str = field(default=ORIGIN_INPUT, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not NAME_RE.match(self.name):
-            raise ValueError(f"bad predicate name {self.name!r}")
-        if self.arity < 0:
-            raise ValueError(f"negative arity for {self.name}")
-        if self.origin not in (ORIGIN_INPUT, ORIGIN_LATENT, ORIGIN_BACKGROUND):
-            raise ValueError(f"unknown origin {self.origin!r}")
-        object.__setattr__(self, "_hash", hash((self.name, self.arity)))
-
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, name: str, arity: int):
+        if not NAME_RE.match(name):
+            raise ValueError(f"bad predicate name {name!r}")
+        if arity < 0:
+            raise ValueError(f"negative arity for {name}")
+        return tuple.__new__(cls, (name, arity))
 
     def __str__(self):
-        return f"{self.name}/{self.arity}"
+        return f"{self[0]}/{self[1]}"
 
 
 def is_variable(term: str) -> bool:
@@ -82,27 +68,19 @@ def is_variable(term: str) -> bool:
     return term[0].isupper()
 
 
-class Fact(tuple):
-    """A ground atom asserted true: the immutable tuple ``(predicate, args)``,
-    built and hashed in C as a plain tuple, its items also read by name.
-    ``Fact(p, args)`` checks the arity; ``Fact._make((p, args))``, named as
-    namedtuple's, skips it, for callers that guarantee the arity and say how."""
+class Fact(namedtuple("Fact", "predicate args")):
+    """A ground atom asserted true: the immutable tuple ``(predicate, args)``
+    of a ``Predicate`` and its constants, built and hashed in C as a plain
+    tuple.  ``Fact(p, args)`` checks the arity; ``Fact._make((p, args))``
+    skips it, in C, for callers that guarantee the arity and say how."""
 
     __slots__ = ()
-    predicate = property(itemgetter(0), doc="The fact's ``Predicate``.")
-    args = property(itemgetter(1), doc="The fact's constants, one per argument.")
     _make = classmethod(tuple.__new__)
 
     def __new__(cls, predicate: Predicate, args: tuple[str, ...]):
         if len(args) != predicate.arity:
             raise ValueError(f"{predicate} applied to {len(args)} arguments")
         return tuple.__new__(cls, (predicate, args))
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    def __repr__(self):
-        return f"Fact(predicate={self[0]!r}, args={self[1]!r})"
 
     def __str__(self):
         predicate, args = self
@@ -118,16 +96,6 @@ def rows_by_predicate(facts: Iterable[Fact]) -> dict[Predicate, list[Row]]:
     for predicate, args in facts:
         rows.setdefault(predicate, []).append(args)
     return rows
-
-
-def predicate_order(p: Predicate) -> tuple[str, int]:
-    """Sort key of the canonical predicate order: name, then arity."""
-    return (p.name, p.arity)
-
-
-def fact_order(f: Fact) -> tuple:
-    """Sort key of the canonical fact order: predicate, then argument symbols."""
-    return (f.predicate.name, f.predicate.arity, f.args)
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,9 +121,10 @@ class ModeDeclaration:
 class KnowledgeBase:
     """An immutable set of ground facts with its vocabulary and constants.
 
-    ``facts`` holds the reconstruction targets; ``background`` holds facts of
-    background-origin predicates, which encoders may use but which are never
-    reconstructed.  No predicate, by name and arity, has facts in both.
+    ``facts`` holds the reconstruction targets and ``background`` the facts
+    of ``background_predicates``, which encoders may use but which are never
+    reconstructed; a background predicate may have no facts.  None has facts
+    in ``facts``, and the other predicates of the vocabulary are the inputs.
 
     ``rows`` and ``background_rows`` group the argument rows of ``facts``
     and of ``background`` by predicate, once, for every evaluation to read
@@ -166,14 +135,16 @@ class KnowledgeBase:
     vocabulary: frozenset[Predicate]
     constants: frozenset[str]
     background: frozenset[Fact] = frozenset()
+    background_predicates: frozenset[Predicate] = frozenset()
     rows: dict[Predicate, list[Row]] = field(init=False, repr=False, compare=False)
     background_rows: dict[Predicate, list[Row]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = rows_by_predicate(self.facts)
         background_rows = rows_by_predicate(self.background)
-        if rows.keys() & background_rows.keys():
-            bad = sorted(str(p) for p in rows.keys() & background_rows.keys())
+        background = self.background_predicates.union(background_rows)
+        if rows.keys() & background:
+            bad = sorted(str(p) for p in rows.keys() & background)
             raise ValueError(f"background predicates appear as facts: {bad}")
         for p, group in chain(rows.items(), background_rows.items()):
             if p not in self.vocabulary:
@@ -182,6 +153,7 @@ class KnowledgeBase:
                 for a in args:
                     if a not in self.constants:
                         raise ValueError(f"fact {Fact(p, args)} uses undeclared constant {a}")
+        object.__setattr__(self, "background_predicates", background)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "background_rows", background_rows)
 
@@ -205,9 +177,7 @@ class KnowledgeBase:
 
     @property
     def input_predicates(self) -> frozenset[Predicate]:
-        return frozenset(
-            p for p in self.vocabulary if p.origin != ORIGIN_BACKGROUND
-        )
+        return self.vocabulary - self.background_predicates
 
 
 @dataclass(frozen=True)
@@ -330,7 +300,8 @@ def read_directive(line_no: int, code: str, allowed: tuple[str, ...]):
 def parse_kb_document(text: str) -> KbDocument:
     """Parse a fact file into a knowledge base and its mode declarations.
     Facts are built unchecked: a predicate is keyed by (name, len(args))."""
-    declared: dict[tuple[str, int], str] = {}  # (name, arity) -> origin
+    predicates: dict[tuple[str, int], Predicate] = {}  # declared, then used
+    background: set[Predicate] = set()
     first_arity: dict[str, int] = {}  # by name, from the first directive
     mode_slots: dict[tuple[str, int], tuple[str, ...]] = {}
     rows: list[tuple[int, str, tuple[str, ...]]] = []  # (line, name, args)
@@ -342,8 +313,9 @@ def parse_kb_document(text: str) -> KbDocument:
         if code.lstrip().startswith("#"):
             directive, key, slots, pos = read_directive(line_no, code, _KB_DIRECTIVES)
             expect_end(code, pos, line_no, "directive")
-            kept = declared.get(key, ORIGIN_INPUT)
-            declared[key] = ORIGIN_BACKGROUND if directive == "background" else kept
+            predicate = predicates.setdefault(key, Predicate(*key))
+            if directive == "background":
+                background.add(predicate)
             if slots is not None:
                 mode_slots[key] = slots
             first_arity.setdefault(*key)
@@ -357,9 +329,9 @@ def parse_kb_document(text: str) -> KbDocument:
         rows.append((line_no, name, args))
 
     # Directives apply file-wide, so facts are resolved once all are read.
-    predicates = {key: Predicate(*key, origin) for key, origin in declared.items()}
     constants = {t: t for _, _, args in rows for t in args}  # one str per symbol
-    facts: dict[str, set[Fact]] = {ORIGIN_INPUT: set(), ORIGIN_BACKGROUND: set()}
+    facts: set[Fact] = set()
+    background_facts: set[Fact] = set()
     for line_no, name, args in rows:
         key = (name, len(args))
         if key not in predicates:
@@ -367,10 +339,12 @@ def parse_kb_document(text: str) -> KbDocument:
                 message = f"{name}/{len(args)} conflicts with declared"
                 raise KbSyntaxError(f"{message} {name}/{first_arity[name]}", line_no, 1)
             predicates[key] = Predicate(*key)
-        fact = Fact._make((predicates[key], tuple(map(constants.__getitem__, args))))
-        facts[fact.predicate.origin].add(fact)
-    kb = KnowledgeBase.from_facts(
-        facts[ORIGIN_INPUT], facts[ORIGIN_BACKGROUND], predicates.values()
+        predicate = predicates[key]
+        fact = Fact._make((predicate, tuple(map(constants.__getitem__, args))))
+        (background_facts if predicate in background else facts).add(fact)
+    kb = KnowledgeBase(
+        frozenset(facts), frozenset(predicates.values()), frozenset(constants),
+        frozenset(background_facts), frozenset(background),
     )
     modes = (ModeDeclaration(predicates[k], s) for k, s in mode_slots.items())
     return KbDocument(kb, {mode.predicate: mode for mode in modes})
@@ -388,15 +362,13 @@ def serialize_kb(kb: KnowledgeBase, modes: dict[Predicate, ModeDeclaration] | No
     output is canonical; parse(serialize(kb)) reproduces kb exactly.
     """
     out = []
-    for p in sorted(kb.vocabulary, key=predicate_order):
-        if p.origin == ORIGIN_BACKGROUND:
-            out.append(f"#background {p.name}/{p.arity}")
-        else:
-            out.append(f"#pred {p.name}/{p.arity}")
+    for p in sorted(kb.vocabulary):
+        directive = "background" if p in kb.background_predicates else "pred"
+        out.append(f"#{directive} {p}")
     if modes:
-        for p in sorted(modes, key=predicate_order):
+        for p in sorted(modes):
             out.append(f"#mode {p.name}({','.join(modes[p].slots)})")
-    for f in sorted(kb.facts | kb.background, key=fact_order):
+    for f in sorted(kb.facts | kb.background):
         out.append(f"{f}.")
     return "\n".join(out) + ("\n" if out else "")
 

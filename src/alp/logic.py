@@ -39,16 +39,12 @@ from .errors import KbSyntaxError
 from .kb import (
     Fact,
     KnowledgeBase,
-    ORIGIN_BACKGROUND,
-    ORIGIN_INPUT,
-    ORIGIN_LATENT,
     Predicate,
     Row,
     code_lines,
     expect_end,
     is_variable,
     next_char,
-    predicate_order,
     read_atom,
     read_directive,
     rows_by_predicate,
@@ -143,13 +139,9 @@ class Clause:
 
 @dataclass(frozen=True, slots=True)
 class LogicProgram:
-    """A non-recursive set of clauses, all mapping in one direction.
-
-    Encoder clauses have input or background predicates in the body and a
-    latent predicate in the head; decoder clauses have latent bodies and
-    input heads.  Heads are checked first, so a latent where a program may
-    not write or read it is named as the fault, not only as recursion.
-    """
+    """A non-recursive set of clauses, all mapping in one direction: no
+    predicate is both a head and a body predicate.  An encoder's heads are
+    its latents, so an encoder body that reads one is named as such."""
 
     clauses: tuple[Clause, ...]
     direction: str
@@ -157,22 +149,13 @@ class LogicProgram:
     def __post_init__(self):
         if self.direction not in (ENCODER, DECODER):
             raise ValueError(f"bad direction {self.direction!r}")
-        encoder = self.direction == ENCODER
-        for c in self.clauses:
-            if encoder and c.head.predicate.origin != ORIGIN_LATENT:
-                raise ValueError(f"encoder head {c.head.predicate} is not latent")
-            if not encoder and c.head.predicate.origin != ORIGIN_INPUT:
-                raise ValueError(f"decoder head {c.head.predicate} is not an input")
         heads = self.head_predicates()
         for c in self.clauses:
             for lit in c.body:
                 p = lit.predicate
-                recursive = f", a recursive use in {c}" if p in heads else ""
-                if encoder and p.origin == ORIGIN_LATENT:
-                    raise ValueError(f"encoder body uses latent {p}{recursive}")
-                if not encoder and p.origin != ORIGIN_LATENT:
-                    raise ValueError(f"decoder body uses non-latent {p}{recursive}")
-                if recursive:
+                if p in heads and self.direction == ENCODER:
+                    raise ValueError(f"encoder body uses latent {p}, a recursive use in {c}")
+                if p in heads:
                     raise ValueError(f"recursive use of {p} in {c}")
 
     def head_predicates(self) -> frozenset[Predicate]:
@@ -182,21 +165,41 @@ class LogicProgram:
         return frozenset(l.predicate for c in self.clauses for l in c.body)
 
 
+def _check_decoder(latents: frozenset[Predicate], clauses: tuple[Clause, ...]) -> None:
+    """A decoder writes only inputs and reads only latents: heads are
+    checked first, so a latent it writes is named as the fault, not only
+    as recursion."""
+    for c in clauses:
+        if c.head.predicate in latents:
+            raise ValueError(f"decoder head {c.head.predicate} is not an input")
+    heads = {c.head.predicate for c in clauses}
+    for c in clauses:
+        for lit in c.body:
+            p = lit.predicate
+            if p not in latents:
+                recursive = f", a recursive use in {c}" if p in heads else ""
+                raise ValueError(f"decoder body uses non-latent {p}{recursive}")
+
+
 @dataclass(frozen=True, slots=True)
 class Alp:
-    """An auto-encoding logic program: decoder composed with encoder."""
+    """An auto-encoding logic program: decoder composed with encoder.  The
+    latents are the encoder's heads; ``background`` holds the predicates
+    declared background knowledge, which the encoder may read."""
 
     encoder: LogicProgram
     decoder: LogicProgram
+    background: frozenset[Predicate] = frozenset()
 
     def __post_init__(self):
         if self.encoder.direction != ENCODER or self.decoder.direction != DECODER:
             raise ValueError("programs passed in the wrong slots")
+        _check_decoder(self.latent_vocabulary, self.decoder.clauses)
 
     @property
     def latent_vocabulary(self) -> frozenset[Predicate]:
-        """The latents the encoder writes or the decoder reads."""
-        return self.encoder.head_predicates() | self.decoder.body_predicates()
+        """The latents: the encoder's heads, which the decoder reads."""
+        return self.encoder.head_predicates()
 
 
 # A literal as (predicate, negated, ids): in a join an id is a slot of the
@@ -413,7 +416,7 @@ def shape_key(shapes, connective: str = CONJUNCTION) -> str:
     rendered, since display names do not sort in number order (W < X).
     """
     if connective == DISJUNCTION:
-        shapes = sorted(shapes, key=lambda s: (s[0].name, len(s[2])))
+        shapes = sorted(shapes, key=lambda s: s[0])  # by predicate
         return ";".join(_renamed_texts(shapes))
     return ",".join(min(map(_renamed_texts, permutations(shapes))))
 
@@ -423,10 +426,8 @@ def shape_key(shapes, connective: str = CONJUNCTION) -> str:
 # ----------------------------------------------------------------------
 
 
-def _literal(negated: bool, name: str, tokens, origins: dict) -> Literal:
-    """``origins`` holds an origin by (name, arity); the default is input."""
-    origin = origins.get((name, len(tokens)), ORIGIN_INPUT)
-    return Literal(Predicate(name, len(tokens), origin), tokens, negated)
+def _literal(negated: bool, name: str, tokens) -> Literal:
+    return Literal(Predicate(name, len(tokens)), tokens, negated)
 
 
 def _read_clause(line_no: int, code: str):
@@ -457,42 +458,44 @@ def parse_program(text: str) -> Alp:
 
     Head predicates of encoder clauses become the latent vocabulary; the
     decoder may only reference those latents in clause bodies.  A latent
-    predicate (name and arity) is latent wherever it stands, so
-    ``LogicProgram`` rejects one in an encoder body or a decoder head.
+    predicate (name and arity) is latent wherever it stands, so an encoder
+    body or a decoder head that uses one is rejected.  The encoder is
+    checked first, and the decoder before its own recursion check.
     """
     sections: dict[str, list] = {ENCODER: [], DECODER: []}
     section = None
-    background: dict[tuple[str, int], str] = {}  # origin by (name, arity)
+    background: set[Predicate] = set()
     for line_no, code in code_lines(text):
         if code.lstrip().startswith("#"):
             directive, key, _, pos = read_directive(line_no, code, _PROGRAM_DIRECTIVES)
             expect_end(code, pos, line_no, "directive")
             if directive == "background":
-                background[key] = ORIGIN_BACKGROUND
+                background.add(Predicate(*key))
             else:
                 section = directive
         elif section is None:
             raise KbSyntaxError("clause outside #encoder/#decoder section", line_no, 1)
         else:
             sections[section].append(_read_clause(line_no, code))
-    # Sections come in either order, so origins are known once all are read.
-    latent = {(head[1], len(head[2])): ORIGIN_LATENT for head, _, _ in sections[ENCODER]}
-    origins = background | latent
 
-    def program(direction: str) -> LogicProgram:
-        clauses = []
-        for head, body, connective in sections[direction]:
-            literals = tuple(_literal(*l, origins) for l in body)
-            clauses.append(Clause(_literal(*head, latent), literals, connective))
-        return LogicProgram(tuple(clauses), direction)
+    def clauses(direction: str) -> tuple[Clause, ...]:
+        return tuple(
+            Clause(_literal(*head), tuple(_literal(*l) for l in body), connective)
+            for head, body, connective in sections[direction]
+        )
 
-    return Alp(program(ENCODER), program(DECODER))
+    # Sections come in either order, so roles are known once all are read.
+    encoder = LogicProgram(clauses(ENCODER), ENCODER)
+    decoder = clauses(DECODER)
+    _check_decoder(encoder.head_predicates(), decoder)
+    return Alp(encoder, LogicProgram(decoder, DECODER), frozenset(background))
 
 
 def serialize_program(alp: Alp) -> str:
-    """Write an Alp in the #encoder/#decoder text format."""
-    background = [p for p in alp.encoder.body_predicates() if p.origin == ORIGIN_BACKGROUND]
-    out = [f"#background {p}" for p in sorted(background, key=predicate_order)]
+    """Write an Alp in the #encoder/#decoder text format, with a
+    ``#background`` line for each background predicate the encoder reads."""
+    background = alp.background & alp.encoder.body_predicates()
+    out = [f"#background {p}" for p in sorted(background)]
     out.append("#encoder")
     out.extend(str(c) for c in alp.encoder.clauses)
     out.append("#decoder")

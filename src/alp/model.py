@@ -37,6 +37,8 @@ one pass completes a selection.  ``Constraint``, the rows with their
 positions named, is a view that only the benchmark's oracle and the tests
 use.  Candidates are read through their fields (head, body, text and
 mask); a ``Clause`` is built only by ``induced_alp``, for the selected ones.
+The model keeps the KB's background predicates, which ``induced_alp``
+gives the program it builds, so that its text declares those it reads.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ from .errors import AlpError, InfeasibleError
 from .kb import (
     Fact,
     KnowledgeBase,
+    Predicate,
     avg_facts_per_predicate,
-    predicate_order,
 )
 from .logic import (
     Alp,
@@ -120,6 +122,7 @@ class CopModel:
     rows: tuple[Row, ...]  # each constraint over assignment positions
     class_positions: tuple[tuple[int, ...], ...]  # the members of cl_k
     constant_offset: int
+    background: frozenset[Predicate]  # the KB's, for induced_alp
     warnings: tuple[str, ...] = ()
 
     def _sizes(self) -> dict[str, int]:
@@ -234,9 +237,7 @@ def build_model(
         for bit in bit_positions(d.mask):
             reconstructable.setdefault(bit, []).append(pos)
     atoms = index.atoms if index else []
-    rf_bits = tuple(
-        sorted(reconstructable, key=lambda b: (*predicate_order(atoms[b][0]), atoms[b][1]))
-    )
+    rf_bits = tuple(sorted(reconstructable, key=atoms.__getitem__))
     rf_first = dc_first + len(decoders)
     cl_first = rf_first + len(rf_bits)
 
@@ -279,7 +280,7 @@ def build_model(
     rows += _generality(dec_groups, class_positions, cl_first)
 
     # (d) coverage: at least one decoder per input predicate that has any.
-    for p in sorted(kb.input_predicates, key=predicate_order):
+    for p in sorted(kb.input_predicates):
         if p in dec_groups:
             rows.append((AT_LEAST_ONE, tuple([pos for pos, _ in dec_groups[p]]), ()))
         elif p in kb.rows:  # the predicate has facts
@@ -302,6 +303,7 @@ def build_model(
         rows=tuple(rows),
         class_positions=tuple(class_positions),
         constant_offset=offset,
+        background=kb.background_predicates,
         warnings=tuple(warnings),
     )
 
@@ -370,7 +372,8 @@ def induced_alp(model: CopModel, assignment: Assignment) -> Alp:
         for c, v in zip(model.dc_candidates, assignment[n_ec:])
         if v == 1
     )
-    return Alp(LogicProgram(enc_clauses, ENCODER), LogicProgram(dec_clauses, DECODER))
+    encoder, decoder = LogicProgram(enc_clauses, ENCODER), LogicProgram(dec_clauses, DECODER)
+    return Alp(encoder, decoder, model.background)
 
 
 def _row_line(ids: list[VarId], row: Row) -> str:

@@ -52,7 +52,6 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import AlpError, InfeasibleError
-from .kb import predicate_order
 from .model import (
     AT_MOST_ONE_OF_PAIR,
     Assignment,
@@ -448,7 +447,7 @@ def _greedy_selection(model: CopModel) -> Assignment:
     by_head: dict = {}
     for j, p in enumerate(dc_heads):
         by_head.setdefault(p, []).append(j)
-    heads = sorted(by_head, key=predicate_order)
+    heads = sorted(by_head)
     encoder_of = {c.head.predicate: i for i, c in enumerate(model.ec_candidates)}
     _, _, bottleneck = model.rows[0]  # one coefficient per ec position
     banned: set[int] = set()

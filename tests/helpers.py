@@ -17,14 +17,11 @@ import alp
 from alp.candidates import AtomIndex, CandidateClause, GenerationConfig, _enumerate
 from alp.errors import CapacityError
 from alp.kb import (
-    ORIGIN_BACKGROUND,
-    ORIGIN_LATENT,
     Fact,
     KnowledgeBase,
     ModeDeclaration,
     Predicate,
     is_variable,
-    predicate_order,
 )
 from alp.logic import (
     CONJUNCTION,
@@ -96,8 +93,8 @@ def load_workloads():
     return load_bench("workloads")
 
 
-def pred(name, arity, origin="input"):
-    return Predicate(name, arity, origin)
+def pred(name, arity):
+    return Predicate(name, arity)
 
 
 def fact(p, *args):
@@ -155,7 +152,7 @@ def herbrand_base(
     CapacityError guards against accidental blowups.  A test oracle for
     desk-scale instances.
     """
-    preds = sorted(set(vocabulary), key=predicate_order)
+    preds = sorted(set(vocabulary))
     consts = sorted(set(constants))
     size = sum(len(consts) ** p.arity for p in preds)
     if size > ceiling:
@@ -164,11 +161,6 @@ def herbrand_base(
     for p in preds:
         atoms.update(Fact(p, args) for args in _tuples(consts, p.arity))
     return frozenset(atoms)
-
-
-def background_predicates(kb: KnowledgeBase) -> frozenset[Predicate]:
-    """The KB's vocabulary of background origin."""
-    return frozenset(p for p in kb.vocabulary if p.origin == ORIGIN_BACKGROUND)
 
 
 def _tuples(consts: list[str], n: int) -> Iterator[tuple[str, ...]]:
@@ -346,7 +338,7 @@ def random_clause(rng: random.Random, kb: KnowledgeBase) -> Clause:
                 body_vars.append(v)
     k = rng.randint(1, len(body_vars))
     head_args = tuple(body_vars[:k])
-    head = Literal(Predicate("latent_1", k, "latent"), head_args)
+    head = Literal(Predicate("latent_1", k), head_args)
     return Clause(head, tuple(body), CONJUNCTION)
 
 
@@ -387,7 +379,7 @@ def random_rich_clause(rng: random.Random, kb: KnowledgeBase) -> Clause:
         connective = CONJUNCTION
     bound = [v for l in body if not l.negated for v in l.variables()]
     head_args = tuple(term(bound or constants) for _ in range(rng.randint(0, 3)))
-    head = Literal(Predicate("latent_1", len(head_args), "latent"), head_args)
+    head = Literal(Predicate("latent_1", len(head_args)), head_args)
     return Clause(head, body, connective)
 
 
@@ -395,14 +387,14 @@ def random_kb_with_background(rng: random.Random) -> KnowledgeBase:
     """``random_kb`` (arity 0 included) plus facts of one background
     predicate, ``b0``, which may have none."""
     kb = random_kb(rng, max_constants=4, max_facts=8, min_arity=0)
-    b0 = Predicate("b0", rng.randint(0, 2), ORIGIN_BACKGROUND)
+    b0 = Predicate("b0", rng.randint(0, 2))
     constants = sorted(kb.constants)
     background = {
         Fact(b0, tuple(rng.choice(constants) for _ in range(b0.arity)))
         for _ in range(rng.randint(0, 3))
     }
-    return KnowledgeBase.from_facts(
-        kb.facts, background, kb.vocabulary | {b0}, kb.constants
+    return KnowledgeBase(
+        kb.facts, kb.vocabulary | {b0}, kb.constants, frozenset(background), frozenset({b0})
     )
 
 
@@ -415,11 +407,11 @@ def random_alp(rng: random.Random, kb: KnowledgeBase) -> Alp:
     encoder = []
     for i in range(1, rng.randint(1, 3) + 1):
         c = random_rich_clause(rng, kb)
-        latent = Predicate(f"latent_{i}", len(c.head.args), ORIGIN_LATENT)
+        latent = Predicate(f"latent_{i}", len(c.head.args))
         encoder.append(Clause(Literal(latent, c.head.args), c.body, c.body_connective))
     latents = {c.head.predicate for c in encoder}
     latent_kb = KnowledgeBase.from_facts((), (), latents, kb.constants)
-    heads = sorted(kb.input_predicates, key=predicate_order)
+    heads = sorted(kb.input_predicates)
     decoder = []
     for _ in range(rng.randint(1, 3)):
         c = random_rich_clause(rng, latent_kb)
@@ -435,6 +427,7 @@ def random_alp(rng: random.Random, kb: KnowledgeBase) -> Alp:
     return Alp(
         LogicProgram(tuple(encoder), ENCODER),
         LogicProgram(tuple(decoder), DECODER),
+        kb.background_predicates,
     )
 
 

@@ -18,12 +18,9 @@ from alp.candidates import (
 )
 from alp.errors import CapacityError
 from alp.kb import (
-    ORIGIN_LATENT,
     KnowledgeBase,
     ModeDeclaration,
-    fact_order,
     parse_kb,
-    predicate_order,
     rows_by_predicate,
 )
 from alp.logic import (
@@ -213,6 +210,11 @@ ENUMERATION_CASES = {
         ("mixed", 3, True, 542,
          "0afefee10c5b6f462fcd72ea4fc3f55fd6646af6f233bac3509c679372c63973"),
     ],
+    ids=[
+        f"{case}-{variant}"
+        for case in ("fig1-len1", "fig1-len2", "fig1-len3", "appendix", "either", "mixed")
+        for variant in ("plain", "negation")
+    ],
 )
 def test_enumeration_pinned(case, max_len, negation, size, digest):
     """SHA-256 of ``enumerate_bodies`` output, in order, each body as its
@@ -366,7 +368,7 @@ class TestEncoderCandidates:
 
 class TestDecoderCandidates:
     def test_arity_matched_single_literal(self):
-        latent = pred("latent_1", 2, "latent")
+        latent = pred("latent_1", 2)
         enc = candidate(
             Clause(lit(latent, "X", "Y"), (lit(P2, "X", "Y"),)),
             ENCODER,
@@ -449,7 +451,7 @@ class TestPrunedDecoders:
         if survivors:
             # the KB's facts as the low bits, then the survivors' atoms only
             index = survivors[0].index
-            kb_atoms = [(f.predicate, f.args) for f in sorted(kb.facts, key=fact_order)]
+            kb_atoms = [(f.predicate, f.args) for f in sorted(kb.facts)]
             assert index.atoms[: len(kb_atoms)] == kb_atoms
             assert index.kb_mask_of(kb) == (1 << len(kb_atoms)) - 1
             reached = {(f.predicate, f.args) for c in survivors for f in consequences(c)}
@@ -544,7 +546,7 @@ def test_one_step_rows_equal_a_join_from_scratch():
             max_encoder_body_len=1, max_decoder_body_len=3, allow_negation=True
         )
         encoders = prune_naming_variants(generate_encoder_candidates(kb, {}, config))
-        latents = sorted({c.head.predicate for c in encoders}, key=predicate_order)
+        latents = sorted({c.head.predicate for c in encoders})
         context = latent_facts(encoders)
         store = FactStore(rows_by_predicate(context))
         joined = list(_joined_bodies(DECODER, latents, {}, [1], config, store))
@@ -561,6 +563,9 @@ def test_one_step_rows_equal_a_join_from_scratch():
             without_parent_rows += parent is not None and not rows_of[parent]
             after_negated += any(l.negated for l in literals[:-1])
     assert without_parent_rows and after_negated
+
+
+PINNED_POOLS = ["fig1-dec1", "fig1-dec2", "fig1-negation", "family-dec1"]
 
 
 def _pool(kb, config):
@@ -583,6 +588,7 @@ def _pool(kb, config):
         ("family-dec1", (181, 417),
          "7e967c0c17e7fefe46dbfc91431f8f6ed977cb893a73ad41d5a77648c76ceefd"),
     ],
+    ids=PINNED_POOLS,
 )
 def test_pool_pinned(case, sizes, digest):
     """SHA-256 of every candidate's (clause, kind, weight, sorted
@@ -591,9 +597,9 @@ def test_pool_pinned(case, sizes, digest):
     stages = _pool(*_pinned_case(case))
     assert (len(stages[0]), len(stages[2])) == sizes
     h = hashlib.sha256()
-    for stage in stages:
+    for stage, kind in zip(stages, (ENCODER, ENCODER, DECODER)):
         for c in stage:
-            h.update(_pinned_row(c))
+            h.update(_pinned_row(c, kind))
         h.update(b"|\n")
     assert h.hexdigest() == digest
 
@@ -610,8 +616,7 @@ def _pinned_case(case):
     )
 
 
-def _pinned_row(c) -> bytes:
-    kind = ENCODER if c.head.predicate.origin == ORIGIN_LATENT else DECODER
+def _pinned_row(c, kind: str) -> bytes:
     assert c.text == str(c.clause)
     row = (c.text, kind, c.weight, sorted(map(str, consequences(c))))
     return repr(row).encode() + b"\n"
@@ -629,6 +634,7 @@ def _pinned_row(c) -> bytes:
         ("family-dec1", (81, 90),
          "600e7daaa4a4a6415129ee16455ce06c28f03147bcd7037b9fbdb84dfe4a6b94"),
     ],
+    ids=PINNED_POOLS,
 )
 def test_pruned_pool_pinned(case, sizes, digest):
     """SHA-256 of ``prepare_pool``'s output: the kept encoders, then the
@@ -639,8 +645,10 @@ def test_pruned_pool_pinned(case, sizes, digest):
     encoders, decoders, pruning, _ = prepare_pool(kb, {}, config)
     assert (len(encoders), len(decoders)) == sizes
     h = hashlib.sha256()
-    for c in (*encoders, *decoders):
-        h.update(_pinned_row(c))
+    for c in encoders:
+        h.update(_pinned_row(c, ENCODER))
+    for c in decoders:
+        h.update(_pinned_row(c, DECODER))
     h.update(repr(pruning).encode())
     assert h.hexdigest() == digest
 

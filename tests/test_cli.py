@@ -73,6 +73,31 @@ class TestLearn:
         assert code == 2
         assert not (tmp_path / "model.alp").exists()
 
+    @pytest.mark.parametrize(
+        "option", ["--report", "--out-model", "--out-latent", "--dump-model", "--grid"]
+    )
+    def test_unwritable_output_fails_before_learning(
+        self, family, tmp_path, capsys, monkeypatch, option
+    ):
+        """An output path in a missing directory is a parse failure found
+        before any learning, so no output file is created."""
+
+        def learn(*args, **kwargs):
+            raise AssertionError("learn ran")
+
+        monkeypatch.setattr("alp.cli.learn", learn)
+        missing = tmp_path / "missing-dir" / "x.out"
+        if option == "--grid":  # each cell's tagged report lands in missing-dir
+            args = learn_args(family, tmp_path, "--grid", "--report", str(missing))
+            missing = missing.with_name("x-enc2-dec2-g0.3.out")
+        else:
+            args = learn_args(family, tmp_path, option, str(missing))
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            f"alp: parse failure: [Errno 2] No such file or directory: '{missing}'\n"
+        )
+        assert sorted(tmp_path.iterdir()) == [family]
+
     def test_syntax_error_is_parse_failure(self, tmp_path):
         kb = tmp_path / "bad.facts"
         kb.write_text("father(vader,.\n", encoding="utf-8")

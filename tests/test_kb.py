@@ -37,7 +37,6 @@ from alp.logic import (
 from alp.pipeline import prepare_pool
 from helpers import (
     FIG1_TEXT,
-    background_predicates,
     fact,
     fig1_kb,
     herbrand_base,
@@ -96,7 +95,22 @@ class TestParse:
         kb = parse_kb("#background male/1\nmale(vader).\nfather(vader,luke).")
         assert {f.predicate.name for f in kb.background} == {"male"}
         assert {f.predicate.name for f in kb.facts} == {"father"}
-        assert background_predicates(kb) == {pred("male", 1, "background")}
+        assert kb.background_predicates == {pred("male", 1)}
+        assert kb.input_predicates == {pred("father", 2)}
+
+    def test_declared_background_predicate_without_facts(self):
+        """A ``#background`` predicate with no facts stays background: it is
+        no input, takes no part in the average, and is written back."""
+        text = "#background male/1\n#background tall/1\nmale(a).\np(a).\np(b).\n"
+        kb = parse_kb(text)
+        assert kb.background_predicates == {pred("male", 1), pred("tall", 1)}
+        assert kb.input_predicates == {pred("p", 1)}
+        assert avg_facts_per_predicate(kb) == 2
+        assert serialize_kb(kb) == (
+            "#background male/1\n#pred p/1\n#background tall/1\n"
+            "male(a).\np(a).\np(b).\n"
+        )
+        assert parse_kb(serialize_kb(kb)) == kb
 
     def test_modes_parsed(self):
         doc = parse_kb_document("#mode father(+,-)\nfather(a,b).")
@@ -442,30 +456,62 @@ class TestAvgFactsPerPredicate:
 
 
 class TestPredicateIdentity:
-    """A predicate is its name and arity; its origin is not part of it."""
+    """A predicate is the tuple (name, arity) and carries no role: the
+    knowledge base and the program hold the roles."""
 
     def test_origin_is_not_identity(self):
-        p, q = Predicate("p", 1, "input"), Predicate("p", 1, "background")
-        assert p == q and hash(p) == hash(q)
+        p = Predicate("p", 1)
+        assert p == Predicate("p", 1) == ("p", 1)
+        assert (p.name, p.arity) == tuple(p) == ("p", 1)
         assert p != Predicate("p", 2) and p != Predicate("q", 1)
+        assert Predicate._fields == ("name", "arity")
 
     def test_hash_is_that_of_name_and_arity(self):
-        """The hash is computed once, and is the one a dataclass derives
-        from the compared fields, so set orders do not change with it."""
-        assert hash(Predicate("p", 1, "latent")) == hash(("p", 1))
-        assert hash(dataclasses.replace(Predicate("p", 1), name="q")) == hash(("q", 1))
+        """The hash is the plain tuple's, the one the dataclass derived from
+        (name, arity), so set orders do not change with it; no Python
+        ``__hash__`` runs."""
+        assert hash(Predicate("p", 1)) == hash(("p", 1))
+        assert hash(Predicate("p", 1)._replace(name="q")) == hash(("q", 1))
+        assert "__hash__" not in Predicate.__dict__
+
+    def test_checks_keep_their_messages(self):
+        with pytest.raises(ValueError, match=r"^bad predicate name 'Upper'$"):
+            Predicate("Upper", 1)
+        with pytest.raises(ValueError, match=r"^negative arity for p$"):
+            Predicate("p", -1)
+
+    def test_tuple_order_is_the_canonical_order(self):
+        """Predicates sort by name then arity, and facts by predicate then
+        arguments, as the sort keys they replace did."""
+        q0, p2, p1 = Predicate("q", 0), Predicate("p", 2), Predicate("p", 1)
+        assert sorted([q0, p2, p1]) == [p1, p2, q0]
+        facts = [fact(p2, "a", "b"), fact(q0), fact(p1, "b"), fact(p1, "a")]
+        assert sorted(facts) == [fact(p1, "a"), fact(p1, "b"), fact(p2, "a", "b"), fact(q0)]
+
+    def test_copies_round_trip(self):
+        p = Predicate("father", 2)
+        for copied in (copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert type(copied) is Predicate and copied == p
+            assert repr(copied) == repr(p) == "Predicate(name='father', arity=2)"
 
     def test_overlap_checked_by_name_and_arity(self):
-        data, background = fact(pred("p", 1), "a"), fact(pred("p", 1, "background"), "b")
+        """A predicate with facts may not be background, whether it has
+        background facts or is only declared background."""
+        p = pred("p", 1)
+        data, background = fact(p, "a"), fact(p, "b")
         with pytest.raises(ValueError, match="background predicates appear as facts"):
             KnowledgeBase.from_facts([data], background=[background])
+        with pytest.raises(ValueError, match="background predicates appear as facts"):
+            KnowledgeBase(
+                frozenset([data]), frozenset([p]), frozenset("a"), frozenset(), frozenset([p])
+            )
 
 
 class TestFact:
     """A fact is the immutable tuple (predicate, args): it keeps the
     dataclass's checks, hash, text forms and identity."""
 
-    FATHER = Predicate("father", 2, "background")
+    FATHER = Predicate("father", 2)
 
     def test_arity_checked_with_the_same_message(self):
         with pytest.raises(ValueError) as error:
@@ -480,19 +526,21 @@ class TestFact:
     def test_repr_and_str_are_the_dataclasss(self):
         f = Fact(self.FATHER, ("vader", "luke"))
         assert repr(f) == (
-            "Fact(predicate=Predicate(name='father', arity=2, origin='background'), "
-            "args=('vader', 'luke'))"
+            "Fact(predicate=Predicate(name='father', arity=2), args=('vader', 'luke'))"
         )
         assert str(f) == "father(vader,luke)"
         assert repr(fact(pred("rainy", 0))) == (
-            "Fact(predicate=Predicate(name='rainy', arity=0, origin='input'), args=())"
+            "Fact(predicate=Predicate(name='rainy', arity=0), args=())"
         )
         assert str(fact(pred("rainy", 0))) == "rainy"
 
     def test_equality_ignores_origin(self):
+        """A fact equals any fact or tuple with the same items: its predicate
+        is a plain (name, arity) pair."""
         f = Fact(self.FATHER, ("vader", "luke"))
         assert f == Fact(pred("father", 2), ("vader", "luke"))
-        assert f == (pred("father", 2, "latent"), ("vader", "luke"))
+        assert f == (pred("father", 2), ("vader", "luke"))
+        assert f == (("father", 2), ("vader", "luke"))
         assert f != Fact(self.FATHER, ("luke", "vader"))
 
     def test_immutable(self):
@@ -527,7 +575,7 @@ class TestFact:
 
 class TestInvariants:
     def test_background_never_in_facts(self):
-        p = pred("p", 1, "background")
+        p = pred("p", 1)
         with pytest.raises(ValueError, match="background"):
             KnowledgeBase(
                 facts=frozenset([fact(p, "a")]),

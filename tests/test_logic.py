@@ -35,7 +35,6 @@ from alp.logic import (
 from alp.kb import (
     KnowledgeBase,
     parse_kb,
-    predicate_order,
     rows_by_predicate,
     serialize_kb,
 )
@@ -65,7 +64,7 @@ PARENT = pred("parent", 2)
 FEMALE = pred("female", 1)
 MOTHER = pred("mother", 2)
 FATHER = pred("father", 2)
-LATENT = pred("latent_1", 2, "latent")
+LATENT = pred("latent_1", 2)
 
 
 class TestGroundConsequences:
@@ -102,13 +101,13 @@ class TestGroundConsequences:
         assert ground_consequences(clause, set()) == frozenset()
 
     def test_repeated_variable_in_literal(self):
-        loop = pred("loop", 1, "latent")
+        loop = pred("loop", 1)
         clause = Clause(lit(loop, "X"), (lit(PARENT, "X", "X"),))
         facts = {fact(PARENT, "a", "a"), fact(PARENT, "a", "b")}
         assert ground_consequences(clause, facts) == {fact(loop, "a")}
 
     def test_negation_closed_world(self):
-        only = pred("only", 1, "latent")
+        only = pred("only", 1)
         clause = Clause(
             lit(only, "X"),
             (lit(PARENT, "X", "Y"), lit(FEMALE, "X", negated=True)),
@@ -152,14 +151,14 @@ class TestGroundConsequences:
         alp = parse_program("#encoder\nlatent_1(X,c) :- p(X,Y).\n#decoder\n")
         p = pred("p", 2)
         kb = kb_of(fact(p, "a", "b"), fact(p, "a", "d"), fact(p, "e", "a"))
-        latent = pred("latent_1", 2, "latent")
+        latent = pred("latent_1", 2)
         assert encode(alp, kb) == {fact(latent, "a", "c"), fact(latent, "e", "c")}
 
     def test_arity_zero_clause(self):
         alp = parse_program("#encoder\nlatent_1 :- q.\n#decoder\n")
         q, r = pred("q", 0), pred("r", 1)
         assert encode(alp, kb_of(fact(q), fact(r, "a"))) == {
-            fact(pred("latent_1", 0, "latent"))
+            fact(pred("latent_1", 0))
         }
         assert encode(alp, kb_of(fact(r, "a"), extra_predicates=[q])) == frozenset()
 
@@ -169,7 +168,7 @@ class TestGroundConsequences:
         alp = parse_program("#encoder\nlatent_1(X) :- r(X),not q.\n#decoder\n")
         (clause,) = alp.encoder.clauses
         q, r = pred("q", 0), pred("r", 1)
-        latent = pred("latent_1", 1, "latent")
+        latent = pred("latent_1", 1)
         rows = {fact(r, "a"), fact(r, "b")}
         kept = {fact(latent, "a"), fact(latent, "b")}
         for facts, expected in [(rows, kept), (rows | {fact(q)}, frozenset())]:
@@ -240,7 +239,7 @@ class TestGroundConsequences:
             )
             if len(preds2) < 2:
                 continue
-            head = lit(pred("latent_1", 2, "latent"), "X", "Y")
+            head = lit(pred("latent_1", 2), "X", "Y")
             both = Clause(
                 head,
                 (lit(preds2[0], "X", "Y"), lit(preds2[1], "X", "Y")),
@@ -352,7 +351,7 @@ class TestClauseInvariants:
     def test_negated_variable_needs_positive_occurrence(self):
         with pytest.raises(ValueError, match="unsafe"):
             Clause(
-                lit(pred("h", 1, "latent"), "X"),
+                lit(pred("h", 1), "X"),
                 (lit(FEMALE, "X"), lit(PARENT, "X", "Y", negated=True)),
             )
 
@@ -378,7 +377,7 @@ class TestPrograms:
         assert len(apply_program(program, facts)) == 4
 
     def test_overlapping_heads_union(self):
-        l1 = pred("latent_1", 1, "latent")
+        l1 = pred("latent_1", 1)
         c1 = Clause(lit(l1, "X"), (lit(PARENT, "X", "Y"),))
         c2 = Clause(lit(l1, "X"), (lit(FEMALE, "X"),))
         facts = {fact(PARENT, "a", "b"), fact(FEMALE, "a"), fact(FEMALE, "c")}
@@ -397,22 +396,32 @@ class TestPrograms:
             assert out <= hb
 
     def test_encoder_direction_enforced(self):
+        """An encoder's heads are the latents, so a decoder-shaped clause in
+        the encoder makes ``mother/2`` a latent, which no decoder may write;
+        and each program must sit in its own slot."""
         decoder_shaped = Clause(lit(MOTHER, "X", "Y"), (lit(LATENT, "X", "Y"),))
-        with pytest.raises(ValueError, match="latent"):
-            LogicProgram((decoder_shaped,), ENCODER)
+        encoder = LogicProgram((decoder_shaped,), ENCODER)
+        assert Alp(encoder, LogicProgram((), DECODER)).latent_vocabulary == {MOTHER}
+        with pytest.raises(ValueError, match="^decoder head mother/2 is not an input$"):
+            Alp(encoder, LogicProgram((decoder_shaped,), DECODER))
+        with pytest.raises(ValueError, match="wrong slots"):
+            Alp(LogicProgram((), DECODER), LogicProgram((), ENCODER))
 
     def test_non_recursive_enforced(self):
-        l1 = pred("latent_1", 2, "latent")
-        l2 = pred("latent_2", 2, "latent")
+        """A program on its own rejects a predicate that is both a head and
+        a body predicate; an encoder names it as the latent it is."""
+        l1 = pred("latent_1", 2)
+        l2 = pred("latent_2", 2)
         a = Clause(lit(l1, "X", "Y"), (lit(PARENT, "X", "Y"),))
-        with pytest.raises(ValueError, match="recursive"):
-            LogicProgram(
-                (
-                    a,
-                    Clause(lit(l2, "X", "Y"), (lit(l1, "X", "Y"),)),
-                ),
-                ENCODER,
-            )
+        b = Clause(lit(l2, "X", "Y"), (lit(l1, "X", "Y"),))
+        with pytest.raises(ValueError) as error:
+            LogicProgram((a, b), ENCODER)
+        assert str(error.value) == f"encoder body uses latent latent_1/2, a recursive use in {b}"
+        loop = Clause(lit(PARENT, "X", "Y"), (lit(PARENT, "Y", "X"),))
+        with pytest.raises(ValueError) as error:
+            LogicProgram((loop,), DECODER)
+        assert str(error.value) == f"recursive use of parent/2 in {loop}"
+        assert LogicProgram((a,), ENCODER).head_predicates() == {l1}
 
 
 def family_alp() -> Alp:
@@ -460,7 +469,7 @@ class TestReconstructionLoss:
         assert reconstruction_loss(alp, kb) == missing + false
 
     def test_background_excluded_from_loss(self):
-        male = pred("male", 1, "background")
+        male = pred("male", 1)
         alp = parse_program(
             "#background male/1\n"
             "#encoder\nlatent_1(X,Y) :- father(X,Y),male(X).\n"
@@ -513,16 +522,14 @@ class TestReconstructionLoss:
                 "false": totals[1],
                 "per_predicate": {
                     f"{p.name}/{p.arity}": {"missing": m, "false": f}
-                    for p, (m, f) in sorted(
-                        expected.items(), key=lambda item: predicate_order(item[0])
-                    )
+                    for p, (m, f) in sorted(expected.items())
                 },
             }
             heads = {c.head.predicate for c in alp.decoder.clauses}
             fact_preds = {f.predicate for f in kb.facts}
             seen["eval"] += 1
             seen["background"] += bool(kb.background) and any(
-                l.predicate.origin == "background"
+                l.predicate in kb.background_predicates
                 for c in alp.encoder.clauses
                 for l in c.body
             )
@@ -568,7 +575,7 @@ class TestProgramText:
         )
         alp = parse_program(text)
         body_preds = {l.predicate for c in alp.encoder.clauses for l in c.body}
-        assert pred("male", 1, "background") in body_preds
+        assert pred("male", 1) in body_preds and alp.background == {pred("male", 1)}
         assert parse_program(serialize_program(alp)) == alp
 
     def test_background_declaration_names_one_arity(self):
@@ -580,7 +587,7 @@ class TestProgramText:
         )
         alp = parse_program(text)
         body_preds = {l.predicate for c in alp.encoder.clauses for l in c.body}
-        assert body_preds == {pred("p", 1), pred("p", 2, "background")}
+        assert body_preds == {pred("p", 1), pred("p", 2)} and alp.background == {pred("p", 2)}
         assert parse_program(serialize_program(alp)) == alp
 
     @pytest.mark.parametrize(
@@ -602,13 +609,19 @@ class TestProgramText:
         ids=["male", "same-name-other-arity"],
     )
     def test_origins_round_trip(self, text, expected):
-        """Equality ignores origins, so they are compared as written."""
+        """The role the program gives each predicate it mentions, latent
+        (an encoder head), background (declared) or input, survives a write
+        and a read."""
 
         def origins(alp):
-            programs = (alp.encoder, alp.decoder)
+            def role(p):
+                if p in alp.latent_vocabulary:
+                    return "latent"
+                return "background" if p in alp.background else "input"
+
             return [
-                {(str(l.predicate), l.predicate.origin) for c in p.clauses for l in (c.head, *c.body)}
-                for p in programs
+                {(str(l.predicate), role(l.predicate)) for c in p.clauses for l in (c.head, *c.body)}
+                for p in (alp.encoder, alp.decoder)
             ]
 
         alp = parse_program(text)
@@ -616,20 +629,18 @@ class TestProgramText:
         assert origins(parse_program(serialize_program(alp))) == expected
 
     def test_latent_name_at_another_arity_is_an_input(self):
-        """Latent origins are keyed by name and arity, so ``latent_1/2`` is an
+        """Latents are keyed by name and arity, so ``latent_1/2`` is an
         input predicate beside the latent ``latent_1/1``."""
         alp = parse_program(
             "#encoder\nlatent_1(X) :- latent_1(X,Y).\n"
             "#decoder\nlatent_1(X,Y) :- latent_1(X),latent_1(Y).\n"
         )
         (encoder,), (decoder,) = alp.encoder.clauses, alp.decoder.clauses
-        assert (encoder.head.predicate.origin, encoder.body[0].predicate.origin) == (
-            "latent",
-            "input",
-        )
-        assert decoder.head.predicate.origin == "input"
-        assert {l.predicate.origin for l in decoder.body} == {"latent"}
-        assert alp.latent_vocabulary == {pred("latent_1", 1, "latent")}
+        latents = alp.latent_vocabulary
+        assert latents == {pred("latent_1", 1)}
+        assert encoder.head.predicate in latents and encoder.body[0].predicate not in latents
+        assert decoder.head.predicate not in latents
+        assert {l.predicate for l in decoder.body} == latents
 
     @pytest.mark.parametrize(
         "text, message",
@@ -657,6 +668,33 @@ class TestProgramText:
         defines, at their arity."""
         with pytest.raises(ValueError, match=message):
             parse_program(text)
+
+    def test_roles_checked_in_the_library_as_in_text(self):
+        """Programs built in the library get the parser's role errors, in
+        its order: the encoder first, then decoder heads before bodies."""
+        p, q = pred("p", 1), pred("q", 2)
+        l1, l2, l1_2 = pred("latent_1", 1), pred("latent_2", 1), pred("latent_1", 2)
+        encoder = [Clause(lit(l1, "X"), (lit(p, "X"),)), Clause(lit(l2, "X"), (lit(p, "X"),))]
+        reads_latent = Clause(lit(l2, "X"), (lit(l1, "X"),))
+        other_arity = Clause(lit(q, "X", "Y"), (lit(l1_2, "X", "Y"),))
+        writes_latent = Clause(lit(l1, "X"), (lit(l2, "X"),))
+        encoder_fault = f"encoder body uses latent latent_1/1, a recursive use in {reads_latent}"
+        cases = [
+            ([encoder[0], reads_latent], [], encoder_fault),
+            ([encoder[0], reads_latent], [other_arity, writes_latent], encoder_fault),
+            (encoder, [other_arity, writes_latent], "decoder head latent_1/1 is not an input"),
+            (encoder, [other_arity], "decoder body uses non-latent latent_1/2"),
+        ]
+        for enc, dec, message in cases:
+            text = "".join(
+                f"#{direction}\n" + "".join(f"{c}\n" for c in clauses)
+                for direction, clauses in ((ENCODER, enc), (DECODER, dec))
+            )
+            with pytest.raises(ValueError) as parsed:
+                parse_program(text)
+            with pytest.raises(ValueError) as built:
+                Alp(LogicProgram(tuple(enc), ENCODER), LogicProgram(tuple(dec), DECODER))
+            assert str(parsed.value) == str(built.value) == message
 
     def test_clause_outside_section_rejected(self):
         with pytest.raises(Exception, match="section"):
@@ -788,7 +826,7 @@ class TestCanonicalForms:
             tables = []
             for b in (body, canonical_body(body)):
                 variables = body_variables(b)
-                head = lit(pred("h", len(variables), "latent"), *map(str, variables))
+                head = lit(pred("h", len(variables)), *map(str, variables))
                 tables.append(
                     {f.args for f in ground_consequences(Clause(head, b), kb.facts)}
                 )

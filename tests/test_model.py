@@ -66,9 +66,9 @@ from helpers import (
 
 MOTHER = pred("mother", 2)
 FATHER = pred("father", 2)
-L1 = pred("latent_1", 2, "latent")
-L2 = pred("latent_2", 1, "latent")
-L3 = pred("latent_3", 2, "latent")
+L1 = pred("latent_1", 2)
+L2 = pred("latent_2", 1)
+L3 = pred("latent_3", 2)
 
 
 def pool(kb):
@@ -625,6 +625,7 @@ class TestDumpModel:
         ("family-dec1", "ceb14465623ec230e206a3208fa6efd45e1ab935d8c0570a06e5cdae63a68c12"),
         ("default-bias", "2ca93ee6e5e3d15206e7eabd61984d550e229cc9ee1e5acaa3ab96410c01bdc8"),
     ],
+    ids=["family-dec1", "default-bias"],
 )
 def test_benchmark_models_pinned(workload, digest):
     """SHA-256 of ``dump_model`` over every KB of seed 1 of a benchmark

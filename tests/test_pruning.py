@@ -19,7 +19,7 @@ Q1 = pred("q", 1)
 
 def encoder_candidate(ordinal, body, consequences, index):
     arity = len(next(iter(consequences)))
-    head_pred = pred(f"latent_{ordinal}", arity, "latent")
+    head_pred = pred(f"latent_{ordinal}", arity)
     # consequence facts carry this candidate's own head predicate
     facts = [fact(head_pred, *args) for args in consequences]
     head_vars = ["XYZW"[i] for i in range(arity)]
@@ -31,9 +31,9 @@ def dec_candidate(head, body, consequence_facts, index):
     return candidate(Clause(head, body), DECODER, consequence_facts, index)
 
 
-L1 = pred("latent_1", 2, "latent")
-L2 = pred("latent_2", 2, "latent")
-L3 = pred("latent_3", 1, "latent")
+L1 = pred("latent_1", 2)
+L2 = pred("latent_2", 2)
+L3 = pred("latent_3", 1)
 
 
 class TestNamingVariants:

@@ -63,9 +63,9 @@ from helpers import (
 )
 
 MOTHER = pred("mother", 2)
-L1 = pred("latent_1", 2, "latent")
-L2 = pred("latent_2", 2, "latent")
-L3 = pred("latent_3", 2, "latent")
+L1 = pred("latent_1", 2)
+L2 = pred("latent_2", 2)
+L3 = pred("latent_3", 2)
 
 
 def tiny_model():
