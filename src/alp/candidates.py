@@ -14,14 +14,15 @@ latent vocabulary, with heads drawn from the input predicates.
 
 Bodies are enumerated and keyed as integer shapes, variables numbered by
 first appearance; ``Literal`` objects are built for the bodies kept only.
-Both generators check the planned (body, head) pairs against
-``max_candidates`` before any join, then join each body once, a
-conjunction from its parent's rows and its last literal, and project all
-of its heads from those rows.  A candidate's consequences are an ``int``
-bitset over its pool's AtomIndex.  Both decoder generators read one
-enumeration, ``_decoder_heads``: each body's rows projected once per head
-variable tuple, shared by every head predicate of that arity.
-``generate_pruned_decoders`` keys each projection as a bitset of bare rows,
+Both generators count the planned (body, head) pairs as bodies are kept
+and stop once they pass ``max_candidates``, before any join; then each body
+is joined once, a conjunction from its parent's rows and its last literal,
+and all of its heads are projected from those rows.  A candidate's
+consequences are its head predicate over an ``int`` bitset of rows in its
+pool's AtomIndex.  Both decoder generators read one enumeration,
+``_decoder_heads``: each body's rows projected once per head variable
+tuple, shared by every head predicate of that arity.
+``generate_pruned_decoders`` keys each projection as a bitset of rows,
 prunes signature variants and corrupt decoders once per such row class for
 all head predicates of its arity, and builds a candidate only for the
 decoders that survive.
@@ -35,7 +36,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations, count, groupby, product
 from math import comb
 from operator import itemgetter
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import CapacityError
 from .kb import (
@@ -97,49 +98,41 @@ def bit_positions(mask: int) -> Iterator[int]:
 
 
 class AtomIndex:
-    """Bit positions for the atoms of one candidate pool, so that a set of
-    atoms is an ``int`` bitset and set algebra is integer algebra.
-
-    An atom is a predicate applied to an argument row.  Every encoder mints
-    its own latent predicate, so the encoder pool indexes bare rows (under
-    the predicate None) and its naming key is the bitset itself.  The
-    decoder pool indexes the KB's facts first, so the KB is the low bits,
-    ``kb_mask``; the atoms outside the KB follow as candidates are built
-    (for the pruned pool, the survivors' atoms only).
-    """
+    """Bit positions for the argument rows of one candidate pool, so that a
+    set of rows is an ``int`` bitset and set algebra is integer algebra.  A
+    candidate's consequences are its head predicate over the rows of its
+    bitset.  The decoder index records the KB facts it was built against,
+    but gives them no bits."""
 
     def __init__(self, kb_facts: frozenset[Fact] = frozenset()):
-        self.atoms: list[tuple[Predicate | None, Row]] = []
-        self._bits: dict[Predicate | None, dict[Row, int]] = {}
-        for f in sorted(kb_facts):
-            self.mask(f.predicate, (f.args,))
+        self.rows: list[Row] = []
+        self._bits: dict[Row, int] = {}
         self.kb_facts = kb_facts
-        self.kb_mask = (1 << len(self.atoms)) - 1
 
-    def mask(self, predicate: Predicate | None, rows) -> int:
-        """The bitset of ``predicate`` over the rows, indexing new atoms."""
-        bits = self._bits.setdefault(predicate, {})
+    def mask(self, rows) -> int:
+        """The bitset of the rows, indexing new ones."""
+        bits = self._bits
         mask = 0
         for row in rows:
             bit = bits.get(row)
             if bit is None:
-                bit = bits[row] = len(self.atoms)
-                self.atoms.append((predicate, row))
+                bit = bits[row] = len(self.rows)
+                self.rows.append(row)
             mask |= 1 << bit
         return mask
 
-    def kb_mask_of(self, kb: KnowledgeBase) -> int:
-        """``kb_mask``, once ``kb`` is checked to be the KB indexed first."""
+    def kb_masks(self, kb: KnowledgeBase, predicates) -> dict[Predicate, int]:
+        """Each predicate's KB rows as a bitset; ``kb`` must be the index's."""
         if kb.facts != self.kb_facts:
             raise ValueError("the candidates were indexed against another KB")
-        return self.kb_mask
+        return {p: self.mask(kb.rows.get(p, ())) for p in sorted(predicates)}
 
 
 @dataclass(frozen=True)
 class CandidateClause:
     """A candidate with its ground consequences precomputed on the training
-    context (the KB for encoders, the latent facts for decoders), held as a
-    bitset over its pool's AtomIndex.
+    context (the KB for encoders, the latent facts for decoders): its head
+    predicate over the rows of a bitset in its pool's AtomIndex.
 
     ``text`` is ``str(clause)``, rendered once: it is the candidate's sort
     key and its line in ``--dump-model`` and ``alp enumerate``.  Pruning,
@@ -166,8 +159,8 @@ class CandidateClause:
 
     def rows(self) -> list[Row]:
         """The consequences' argument rows, decoded from the bitset."""
-        atoms = self.index.atoms
-        return [atoms[b][1] for b in bit_positions(self.mask)]
+        rows = self.index.rows
+        return [rows[b] for b in bit_positions(self.mask)]
 
 
 def pool_index(candidates: list[CandidateClause]) -> AtomIndex | None:
@@ -257,12 +250,13 @@ def _enumerate(
     max_len: int,
     allow_disjunction: bool,
     allow_negation: bool,
+    keep: Callable[[_Enumerated], None] = lambda b: None,
 ) -> list[_Enumerated]:
     """All bodies over the predicates, canonically ordered and deduped:
     bodies identical up to variable renaming and literal order collapse to
     one canonical form.  Conjunctions grow a literal at a time, keyed on
     their shapes; the first body met under a key is kept, and only it is
-    built, as its parent's literals plus one."""
+    built, as its parent's literals plus one, and seen by ``keep``."""
     conj: dict[str, _Enumerated] = {}
     frontier = []
     for pred in predicates:
@@ -271,6 +265,7 @@ def _enumerate(
         if key not in conj:
             body = ((_literal(shapes[0]),), CONJUNCTION)
             conj[key] = entry = _Enumerated(body, pred.arity, shapes, None)
+            keep(entry)
             frontier.append(entry)
     choices: dict[int, tuple] = {}  # _literal_choices by variable count
     for _ in range(max_len - 1):
@@ -286,6 +281,7 @@ def _enumerate(
                 if key not in conj:
                     body = (parent.body[0] + (_literal(shape),), CONJUNCTION)
                     conj[key] = entry = _Enumerated(body, after, shapes, parent)
+                    keep(entry)
                     next_frontier.append(entry)
         frontier = next_frontier
     disj: dict[str, _Enumerated] = {}
@@ -296,7 +292,8 @@ def _enumerate(
                 shapes = tuple((p, False, tuple(range(arity))) for p in subset)
                 body = (tuple(map(_literal, shapes)), DISJUNCTION)
                 key = shape_key(shapes, DISJUNCTION)
-                disj[key] = _Enumerated(body, arity, shapes, None)
+                disj[key] = entry = _Enumerated(body, arity, shapes, None)
+                keep(entry)
     return [conj[k] for k in sorted(conj)] + [disj[k] for k in sorted(disj)]
 
 
@@ -311,20 +308,28 @@ def _joined_bodies(
     """The bodies of one kind of candidate, each with its rows over its
     variables' slots, once the (body, head) pairs planned over them, one
     per head size per variable subset of that size, fit under the ceiling:
-    no body is joined before.  A parent's rows are kept, so that each body
-    is joined once in any order; a body whose parent has no rows takes no
-    join."""
+    counted as the bodies are kept, they stop the enumeration once they
+    pass it, and no body is joined before.  A parent's rows are kept, so
+    that each body is joined once in any order; a body whose parent has no
+    rows takes no join."""
     enc = kind == ENCODER
     max_len = c.max_encoder_body_len if enc else c.max_decoder_body_len
-    bodies = _enumerate(preds, modes, max_len, c.allow_disjunction, c.allow_negation)
-    planned = sum(comb(b.n_vars, k) for b in bodies for k in head_sizes)
-    if planned > c.max_candidates:
-        raise CapacityError(
-            f"{planned} {kind} candidates planned, over the ceiling of "
-            f"{c.max_candidates}; narrow the language with "
-            f"{'--max-enc-len' if enc else '--max-dec-len'}, "
-            "--max-head-vars or --no-disjunction, or raise --max-candidates"
-        )
+    planned = 0
+
+    def plan(b: _Enumerated) -> None:
+        nonlocal planned
+        planned += sum(comb(b.n_vars, k) for k in head_sizes)
+        if planned > c.max_candidates:
+            raise CapacityError(
+                f"at least {planned} {kind} candidates planned, over the ceiling "
+                f"of {c.max_candidates}; narrow the language with "
+                f"{'--max-enc-len' if enc else '--max-dec-len'}, "
+                "--max-head-vars or --no-disjunction, or raise --max-candidates"
+            )
+
+    bodies = _enumerate(
+        preds, modes, max_len, c.allow_disjunction, c.allow_negation, plan
+    )
     parents = {b.parent for b in bodies}
     kept: dict[_Enumerated, list[Row]] = {}
 
@@ -392,7 +397,7 @@ def generate_encoder_candidates(
             for i, slots in enumerate(subsets):
                 args = _variables(slots)
                 pred = Predicate(f"latent_{ordinal + i}", len(args))
-                mask = index.mask(None, project(rows, slots))
+                mask = index.mask(project(rows, slots))
                 text = _clause_text(pred, args, body_text)
                 head = Literal(pred, args)
                 out.append(CandidateClause(head, *b.body, mask, index, text))
@@ -471,7 +476,7 @@ def generate_decoder_candidates(
                 if arity == pred.arity:
                     text = _clause_text(pred, args, body_text)
                     head = Literal(pred, args)
-                    mask = index.mask(pred, rows)
+                    mask = index.mask(rows)
                     out.append(CandidateClause(head, *body, mask, index, text))
     return out
 
@@ -487,23 +492,22 @@ def generate_pruned_decoders(
 
     Both prunings read only which rows a decoder's head holds, so they run
     once per row class, shared by every head predicate of its arity.  Each
-    projection of ``_decoder_heads`` is a bitset over one index of bare
-    rows; the class is that row mask plus the body predicates, and of each
-    class the least text suffix ``args) :- body.`` is kept.  The decoders of
-    one head predicate share the prefix ``name(``, so that suffix is the
-    least text of the class for every one of them.  A class is then corrupt
-    or clean for each head predicate of its arity, against the rows of that
-    predicate's KB facts (``is_corrupt``), and the survivors are
-    ``prune_corrupt(prune_signature_variants(generate_decoder_candidates(
-    ...)))``.  Only for them is a candidate built, with a mask over an index
-    that holds the KB's facts as its low bits and then the survivors' atoms.
+    projection of ``_decoder_heads`` is a bitset over the pool's one index
+    of rows; the class is that row mask plus the body predicates, and of
+    each class the least text suffix ``args) :- body.`` is kept.  The
+    decoders of one head predicate share the prefix ``name(``, so that
+    suffix is the least text of the class for every one of them.  A class is
+    then corrupt or clean for each head predicate of its arity, against the
+    rows of that predicate's KB facts (``is_corrupt``), and the survivors
+    are ``prune_corrupt(prune_signature_variants(generate_decoder_candidates(
+    ...)))``.  Only for them is a candidate built, with its class's row mask.
     """
     heads = _head_predicates(kb)
     by_arity: dict[int, list[Predicate]] = {}
     for pred in heads:
         by_arity.setdefault(pred.arity, []).append(pred)
-    row_index = AtomIndex()
-    kb_masks = {p: row_index.mask(None, kb.rows.get(p, ())) for p in heads}
+    index = AtomIndex(kb.facts)
+    kb_masks = index.kb_masks(kb, heads)
     # (row mask, body predicates) -> (suffix, body, arity, args)
     kept: dict[tuple, tuple] = {}
     met = 0
@@ -513,7 +517,7 @@ def generate_pruned_decoders(
         if body is not last:
             last, preds, body_text = body, body_predicates(body[0]), _body_text(*body)
         suffix = _clause_suffix(args, body_text)
-        key = (row_index.mask(None, rows), preds)
+        key = (index.mask(rows), preds)
         best = kept.get(key)
         if best is None or suffix < best[0]:
             kept[key] = (suffix, body, arity, args)
@@ -523,12 +527,9 @@ def generate_pruned_decoders(
             if not is_corrupt(row_mask, kb_masks[pred]):
                 clean.append((f"{pred.name}({suffix}", pred, body, args, row_mask))
     clean.sort(key=itemgetter(0))
-    index = AtomIndex(kb.facts)
-    atoms = row_index.atoms
-    survivors = []
-    for text, pred, body, args, row_mask in clean:
-        rows = [atoms[bit][1] for bit in bit_positions(row_mask)]
-        mask = index.mask(pred, rows)
-        survivors.append(CandidateClause(Literal(pred, args), *body, mask, index, text))
+    survivors = [
+        CandidateClause(Literal(pred, args), *body, row_mask, index, text)
+        for text, pred, body, args, row_mask in clean
+    ]
     classes = sum(len(by_arity[arity]) for _, _, arity, _ in kept.values())
     return survivors, met, classes

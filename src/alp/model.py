@@ -117,7 +117,7 @@ class CopModel:
 
     ec_candidates: tuple[CandidateClause, ...]
     dc_candidates: tuple[CandidateClause, ...]
-    rf_bits: tuple[int, ...]  # each rf atom's bit in the decoders' AtomIndex
+    rf_bits: tuple[tuple[Predicate, int], ...]  # (head, bit of its row), per rf
     rf_in_kb: tuple[bool, ...]
     rows: tuple[Row, ...]  # each constraint over assignment positions
     class_positions: tuple[tuple[int, ...], ...]  # the members of cl_k
@@ -145,9 +145,10 @@ class CopModel:
 
     @cached_property
     def rf_atoms(self) -> tuple[Fact, ...]:
-        """The atom of each rf position, decoded from the decoders' index
-        unchecked: its rows are projections onto heads of their arity."""
-        return tuple([Fact._make(self.dc_candidates[0].index.atoms[b]) for b in self.rf_bits])
+        """The atom of each rf position, its head over its row decoded from
+        the decoders' index unchecked: a head's rows are of its arity."""
+        rows = self.dc_candidates[0].index.rows if self.dc_candidates else []
+        return tuple([Fact._make((p, rows[b])) for p, b in self.rf_bits])
 
     @cached_property
     def constraints(self) -> tuple[Constraint, ...]:
@@ -226,18 +227,18 @@ def build_model(
         raise InfeasibleError("no candidate encoder clauses survive generation")
     pool_index(encoders)
     index = pool_index(decoders)
-    kb_mask = index.kb_mask_of(kb) if index else 0
 
     # The layout: ec, dc, rf, then cl positions, so encoder i sits at i and
-    # decoder j at dc_first + j.  The rf positions are the bits some decoder
-    # reconstructs, in the fact order (name, arity, row) of their atoms.
+    # decoder j at dc_first + j.  The rf positions are the (head, row bit)
+    # pairs some decoder reconstructs, in the fact order of their atoms.
     dc_first = len(encoders)
-    reconstructable: dict[int, list[int]] = {}
+    reconstructable: dict[tuple[Predicate, int], list[int]] = {}
     for pos, d in enumerate(decoders, dc_first):
+        p = d.head.predicate
         for bit in bit_positions(d.mask):
-            reconstructable.setdefault(bit, []).append(pos)
-    atoms = index.atoms if index else []
-    rf_bits = tuple(sorted(reconstructable, key=atoms.__getitem__))
+            reconstructable.setdefault((p, bit), []).append(pos)
+    index_rows = index.rows if index else []
+    rf_bits = tuple(sorted(reconstructable, key=lambda a: (a[0], index_rows[a[1]])))
     rf_first = dc_first + len(decoders)
     cl_first = rf_first + len(rf_bits)
 
@@ -290,9 +291,9 @@ def build_model(
             )
 
     # (e) rf definitions and the objective.
-    for i, bit in enumerate(rf_bits):
-        rows.append((IFF_OR, (rf_first + i, *reconstructable[bit]), ()))
-    rf_in_kb = tuple(bool(kb_mask >> bit & 1) for bit in rf_bits)
+    for i, (p, bit) in enumerate(rf_bits):
+        rows.append((IFF_OR, (rf_first + i, *reconstructable[p, bit]), ()))
+    rf_in_kb = tuple([(p, index_rows[bit]) in kb.facts for p, bit in rf_bits])
     offset = len(kb.facts) - sum(rf_in_kb)
 
     return CopModel(

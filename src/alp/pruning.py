@@ -27,7 +27,7 @@ def prune_naming_variants(
     """Keep one encoder per class of identical consequences modulo the
     latent predicate name; the survivor is the lowest latent ordinal.
 
-    The encoder pool indexes bare argument rows, so the class is the mask.
+    Every encoder mints its own latent predicate, so the class is the mask.
     Dicts keep insertion order, so the survivors stay in ordinal order.
     """
     pool_index(encoders)
@@ -70,8 +70,8 @@ def prune_corrupt(
     on its output this returns the list unchanged."""
     if not decoders:
         return []
-    kb_mask = pool_index(decoders).kb_mask_of(kb)
-    return [c for c in decoders if not is_corrupt(c.mask, kb_mask)]
+    kb_masks = pool_index(decoders).kb_masks(kb, {c.head.predicate for c in decoders})
+    return [c for c in decoders if not is_corrupt(c.mask, kb_masks[c.head.predicate])]
 
 
 def build_report(

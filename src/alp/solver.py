@@ -31,9 +31,10 @@ most recently caused a failure (last conflict); the incumbent's value is
 tried first.
 
 The seed is the subsolver's first complete assignment when it tries the
-values of a greedy decoder selection first.  Propagation never contradicts a
-feasible assignment, so a feasible greedy selection is the seed as it is,
-reached without a failure; an infeasible one is repaired by the search.
+values of a greedy decoder selection, read from its tables, first.
+Propagation never contradicts a feasible assignment, so a feasible greedy
+selection is the seed as it is, reached without a failure; an infeasible
+one is repaired by the search.
 Each LNS iteration then freezes a share of the incumbent's structure:
 alpha % of the active decoder variables stay 1 and beta % of the inactive
 encoder variables stay 0; everything else is searched exactly.  Every
@@ -49,6 +50,7 @@ import random
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 from typing import Callable
 
 from .errors import AlpError, InfeasibleError
@@ -121,8 +123,8 @@ class _Searcher:
     position lists the rows it heads (``head_of``) and the rows whose body
     holds it (``body_of``): the rules its pop fires at 0 or 1, as the
     module docstring lists them.  The generality pairs become a conflict
-    adjacency list per position, the bottleneck one coefficient per
-    position.  ``solve`` moves a row's counts when it pops a body member.
+    adjacency list per position, the bottleneck one ``coeff`` per position.
+    ``solve`` moves a row's counts when it pops a body member.
     """
 
     def __init__(self, model: CopModel):
@@ -176,6 +178,7 @@ class _Searcher:
             for p in ps:
                 body_of[p].append(c)
         self.partners = partners
+        self.coeff = coeff
         self.body_of = body_of
         self.head_of = head_of
         self.heads = heads
@@ -431,52 +434,46 @@ class _Searcher:
                     last_conflict = p
 
 
-def _greedy_selection(model: CopModel) -> Assignment:
-    """The decoder selection the seed's search tries first.
-
-    Picks the least-corrupt decoder per input predicate.  While the
-    bottleneck row, summed over the encoders the selection uses, is
-    violated, bans the heaviest of them, drops the decoders using it and
-    re-covers predicates with the decoders left.  ``assignment_from_dc``
-    completes the selection once; it may still break a generality pair or a
-    coverage row.
+def _greedy_selection(searcher: _Searcher) -> Assignment:
+    """The decoder selection the seed's search tries first, read from the
+    searcher's tables: the least-corrupt decoder of each coverage row, by
+    its rf rows.  While the bottleneck, summed over the encoders the
+    selection uses, is violated, bans the heaviest of them and re-covers the
+    rows without it.  ``assignment_from_dc`` completes the selection once;
+    it may still break a generality pair or a coverage row.
     """
-    dc_heads = [c.head.predicate for c in model.dc_candidates]
-    in_kb = sum(1 << b for b, known in zip(model.rf_bits, model.rf_in_kb) if known)
-    true_counts = [(c.mask & in_kb).bit_count() for c in model.dc_candidates]
-    by_head: dict = {}
-    for j, p in enumerate(dc_heads):
-        by_head.setdefault(p, []).append(j)
-    heads = sorted(by_head)
-    encoder_of = {c.head.predicate: i for i, c in enumerate(model.ec_candidates)}
-    _, _, bottleneck = model.rows[0]  # one coefficient per ec position
+    model, n = searcher.model, searcher.n
+    heads, bodies, body_of = searcher.heads, searcher.bodies, searcher.body_of
+    coeff, penalty = searcher.coeff, searcher.penalty
+    dc_first, rf_first, cl_first = model.first[DC], model.first[RF], model.first[CL]
+    coverage = [body for c, body in enumerate(bodies) if heads[c] == n]
+    uses = {p: {h for h in map(heads.__getitem__, body_of[p]) if h < dc_first}
+            for p in range(dc_first, rf_first)}
+
+    @cache
+    def corruption(p: int) -> tuple:
+        """Share of false atoms, then more true atoms, then text order."""
+        rf = [penalty[h][0] for h in map(heads.__getitem__, body_of[p])
+              if rf_first <= h < cl_first]
+        true = sum(rf)
+        return (Fraction(len(rf) - true, len(rf)), -true, p)
+
     banned: set[int] = set()
-
-    def uses(j: int) -> set[int]:
-        return {encoder_of[l.predicate] for l in model.dc_candidates[j].body}
-
-    def corruption(j: int):
-        """Share of false atoms, then more true atoms, then the clause text."""
-        size = model.dc_candidates[j].weight
-        true = true_counts[j]
-        return (Fraction(size - true, size), -true, model.dc_candidates[j].text)
-
     selected: set[int] = set()
     # A pass over the bottleneck bans an encoder that the selection still
     # uses, so by the last pass the bottleneck holds or nothing is selected.
-    for _ in range(len(model.ec_candidates) + 1):
-        selected = {j for j in selected if banned.isdisjoint(uses(j))}
-        covered = {dc_heads[j] for j in selected}
-        for p in heads:
-            if p not in covered:
-                js = [j for j in by_head[p] if banned.isdisjoint(uses(j))]
-                if js:
-                    selected.add(min(js, key=corruption))
-        used = set().union(*map(uses, selected))
-        if sum(bottleneck[i] for i in used) <= 0:
+    for _ in range(dc_first + 1):
+        selected = {p for p in selected if banned.isdisjoint(uses[p])}
+        for body in coverage:
+            if selected.isdisjoint(body):
+                ps = [p for p in body if banned.isdisjoint(uses[p])]
+                if ps:
+                    selected.add(min(ps, key=corruption))
+        used = set().union(*[uses[p] for p in selected])
+        if sum(coeff[i] for i in used) <= 0:
             break
-        banned.add(max(used, key=lambda i: (model.ec_candidates[i].weight, i)))
-    return assignment_from_dc(model, selected)
+        banned.add(max(used, key=lambda i: (coeff[i], i)))
+    return assignment_from_dc(model, {p - dc_first for p in selected})
 
 
 def _first_solution(
@@ -485,7 +482,7 @@ def _first_solution(
     """The LNS seed: the subsolver's first solution under the greedy
     selection's values, or InfeasibleError when the search proves there is
     none or stops at a limit first."""
-    greedy = _greedy_selection(searcher.model)
+    greedy = _greedy_selection(searcher)
     result = searcher.solve({}, fail_limit, math.inf, greedy, deadline, first=True)
     if result.best is None:
         detail = "infeasible" if result.complete else "no seed found within limits"

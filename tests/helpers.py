@@ -174,15 +174,15 @@ def _tuples(consts: list[str], n: int) -> Iterator[tuple[str, ...]]:
 
 def corruption_level(decoder: CandidateClause, kb: KnowledgeBase) -> Fraction:
     """Fraction of the decoder's reconstructions that are not KB facts."""
-    false = (decoder.mask & ~decoder.index.kb_mask_of(kb)).bit_count()
+    head = decoder.head.predicate
+    false = (decoder.mask & ~decoder.index.kb_masks(kb, [head])[head]).bit_count()
     return Fraction(false, decoder.weight)
 
 
-def candidate(clause: Clause, kind: str, facts, index: AtomIndex) -> CandidateClause:
-    """A hand-made candidate whose consequences are ``facts``, set in the
-    pool's ``index`` (bare rows for an encoder pool)."""
-    key = None if kind == ENCODER else clause.head.predicate
-    mask = index.mask(key, [f.args for f in facts])
+def candidate(clause: Clause, facts, index: AtomIndex) -> CandidateClause:
+    """A hand-made candidate whose consequences are ``facts``, their rows
+    set in the pool's ``index``."""
+    mask = index.mask([f.args for f in facts])
     return CandidateClause(
         clause.head, clause.body, clause.body_connective, mask, index, str(clause)
     )
@@ -632,6 +632,50 @@ def synthesize_lossless_instance(rng: random.Random):
         avg = Fraction(sum(truth_weights), len(truth_weights))
         if avg <= Fraction(7, 10) * g:
             return kb
+
+
+def reference_greedy_selection(model: CopModel) -> Assignment:
+    """The seed's greedy decoder selection, read from the candidates and
+    their decoded consequences where ``_greedy_selection`` reads the
+    searcher's tables.
+
+    Picks the least-corrupt decoder per head predicate: the least share of
+    consequences outside the KB, then the most inside it, then the least
+    text.  While the bottleneck row, summed over the encoders the selection
+    uses, is violated, bans the heaviest of them, drops the decoders using
+    it and re-covers the predicates with the decoders left.
+    """
+    in_kb = {atom for atom, known in zip(model.rf_atoms, model.rf_in_kb) if known}
+    decoders = model.dc_candidates
+    by_head: dict = {}
+    for j, c in enumerate(decoders):
+        by_head.setdefault(c.head.predicate, []).append(j)
+    encoder_of = {c.head.predicate: i for i, c in enumerate(model.ec_candidates)}
+    _, _, bottleneck = model.rows[0]  # one coefficient per ec position
+
+    def uses(j: int) -> set[int]:
+        return {encoder_of[l.predicate] for l in decoders[j].body}
+
+    def corruption(j: int):
+        true = len(consequences(decoders[j]) & in_kb)
+        size = decoders[j].weight
+        return (Fraction(size - true, size), -true, decoders[j].text)
+
+    banned: set[int] = set()
+    selected: set[int] = set()
+    for _ in range(len(model.ec_candidates) + 1):
+        selected = {j for j in selected if banned.isdisjoint(uses(j))}
+        covered = {decoders[j].head.predicate for j in selected}
+        for p in sorted(by_head):
+            if p not in covered:
+                js = [j for j in by_head[p] if banned.isdisjoint(uses(j))]
+                if js:
+                    selected.add(min(js, key=corruption))
+        used = set().union(*map(uses, selected))
+        if sum(bottleneck[i] for i in used) <= 0:
+            break
+        banned.add(max(used, key=lambda i: (model.ec_candidates[i].weight, i)))
+    return assignment_from_dc(model, selected)
 
 
 def initial_solution(

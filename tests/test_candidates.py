@@ -11,6 +11,7 @@ from alp.candidates import (
     AtomIndex,
     GenerationConfig,
     _joined_bodies,
+    bit_positions,
     generate_decoder_candidates,
     generate_encoder_candidates,
     generate_pruned_decoders,
@@ -371,7 +372,6 @@ class TestDecoderCandidates:
         latent = pred("latent_1", 2)
         enc = candidate(
             Clause(lit(latent, "X", "Y"), (lit(P2, "X", "Y"),)),
-            ENCODER,
             [fact(latent, "a", "b")],
             AtomIndex(),
         )
@@ -406,7 +406,8 @@ class TestDecoderCandidates:
     def test_consequences_computed_on_latent_union(self):
         """On seeded random KBs, each decoder's decoded bitset is its
         consequence set on the union of the encoders' latent facts, by the
-        join and by brute force, and the KB is the low bits of its index."""
+        join and by brute force, and within it the rows of its head's KB
+        mask are that head's KB rows."""
         rng = random.Random(59)
         for _ in range(5):
             kb = random_kb(rng, max_facts=6)
@@ -418,9 +419,7 @@ class TestDecoderCandidates:
                 assert facts == ground_consequences(cand.clause, context)
                 assert facts == brute_force_consequences(cand.clause, context)
                 assert cand.weight == len(facts)
-                kb_mask = cand.index.kb_mask
-                assert kb_mask == (1 << len(kb.facts)) - 1
-                assert (cand.mask & kb_mask).bit_count() == len(facts & kb.facts)
+                assert_kb_rows(cand, kb, facts)
 
     def test_decoder_heads_are_input_predicates(self):
         rng = random.Random(61)
@@ -428,6 +427,16 @@ class TestDecoderCandidates:
         encoders = generate_encoder_candidates(kb, {}, default_config())
         for cand in generate_decoder_candidates(encoders, kb, default_config()):
             assert cand.clause.head.predicate in kb.input_predicates
+
+
+def assert_kb_rows(cand, kb, facts):
+    """Within the candidate's consequences ``facts``, the rows of its head's
+    KB mask are that head's KB rows: the facts it holds of the KB."""
+    head = cand.head.predicate
+    in_kb = cand.mask & cand.index.kb_masks(kb, [head])[head]
+    rows = {cand.index.rows[b] for b in bit_positions(in_kb)}
+    assert rows == set(cand.rows()) & set(kb.rows.get(head, ()))
+    assert {fact(head, *row) for row in rows} == facts & kb.facts
 
 
 def described(c):
@@ -445,18 +454,15 @@ class TestPrunedDecoders:
         unpruned = generate_decoder_candidates(encoders, kb, config)
         signature_kept = prune_signature_variants(unpruned)
         expected = prune_corrupt(signature_kept, kb)
-        # The two pools index their atoms differently, so masks do not compare.
+        # The two pools index their rows differently, so masks do not compare.
         assert list(map(described, survivors)) == list(map(described, expected))
         assert [c.text for c in survivors] == [str(c.clause) for c in survivors]
-        if survivors:
-            # the KB's facts as the low bits, then the survivors' atoms only
-            index = survivors[0].index
-            kb_atoms = [(f.predicate, f.args) for f in sorted(kb.facts)]
-            assert index.atoms[: len(kb_atoms)] == kb_atoms
-            assert index.kb_mask_of(kb) == (1 << len(kb_atoms)) - 1
-            reached = {(f.predicate, f.args) for c in survivors for f in consequences(c)}
-            assert len(set(index.atoms)) == len(index.atoms)
-            assert set(index.atoms[len(kb_atoms) :]) == reached - set(kb_atoms)
+        # one index of rows per pool, each row once
+        for pool in (survivors, unpruned):
+            assert len({id(c.index) for c in pool}) <= 1
+            for c in pool:
+                assert len(set(c.index.rows)) == len(c.index.rows)
+                assert_kb_rows(c, kb, consequences(c))
         assert (met, classes) == (len(unpruned), len(signature_kept))
         # the prune functions leave an already pruned pool as it is
         assert prune_signature_variants(survivors) == survivors

@@ -16,9 +16,7 @@ from alp.errors import InfeasibleError
 from alp.logic import (
     CONJUNCTION,
     Clause,
-    DECODER,
     DISJUNCTION,
-    ENCODER,
     reconstruction_loss,
 )
 from alp.model import (
@@ -40,7 +38,7 @@ from alp.model import (
     objective_value,
 )
 from alp.pipeline import prepare_pool
-from alp.solver import SearchConfig, _greedy_selection, lns_minimize
+from alp.solver import SearchConfig, _Searcher, _greedy_selection, lns_minimize
 from helpers import (
     assignment_of,
     brute_force_objective,
@@ -79,10 +77,10 @@ def pool(kb):
     def enc(head_pred, body, consequences, connective=CONJUNCTION):
         head = lit(head_pred, *"XYZW"[: head_pred.arity])
         clause = Clause(head, body, connective)
-        return candidate(clause, ENCODER, consequences, enc_index)
+        return candidate(clause, consequences, enc_index)
 
     def dec(head, body, consequences):
-        return candidate(Clause(head, body), DECODER, consequences, dec_index)
+        return candidate(Clause(head, body), consequences, dec_index)
 
     return enc, dec
 
@@ -548,7 +546,7 @@ class TestCompletion:
     def test_greedy_selection_is_completed_and_meets_the_bottleneck(self):
         emptied = 0
         for model in audit_models() + variant_models():
-            greedy = _greedy_selection(model)
+            greedy = _greedy_selection(_Searcher(model))
             n_dc = len(model.dc_candidates)
             selected = {
                 j for j in range(n_dc) if greedy[position(model, VarId(j, DC))]

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from alp.candidates import AtomIndex
-from alp.logic import Clause, DECODER, ENCODER
+from alp.logic import Clause
 from alp.pruning import (
     prune_corrupt,
     prune_naming_variants,
@@ -24,11 +24,11 @@ def encoder_candidate(ordinal, body, consequences, index):
     facts = [fact(head_pred, *args) for args in consequences]
     head_vars = ["XYZW"[i] for i in range(arity)]
     clause = Clause(lit(head_pred, *head_vars), body)
-    return candidate(clause, ENCODER, facts, index)
+    return candidate(clause, facts, index)
 
 
 def dec_candidate(head, body, consequence_facts, index):
-    return candidate(Clause(head, body), DECODER, consequence_facts, index)
+    return candidate(Clause(head, body), consequence_facts, index)
 
 
 L1 = pred("latent_1", 2)

@@ -11,7 +11,7 @@ from alp import GenerationConfig, parse_kb_document
 from alp.candidates import AtomIndex
 from alp import solver
 from alp.errors import AlpError, InfeasibleError
-from alp.logic import Clause, DECODER, ENCODER
+from alp.logic import Clause
 from alp.model import (
     AT_LEAST_ONE,
     AT_MOST_ONE_OF_PAIR,
@@ -58,6 +58,7 @@ from helpers import (
     position,
     pred,
     random_kb,
+    reference_greedy_selection,
     solve_exact,
     with_constraints,
 )
@@ -74,13 +75,11 @@ def tiny_model():
     enc_index, dec_index = AtomIndex(), AtomIndex(kb.facts)
     e1 = candidate(
         Clause(lit(L1, "X", "Y"), (lit(MOTHER, "X", "Y"),)),
-        ENCODER,
         [fact(L1, "padme", "leia")],
         enc_index,
     )
     d1 = candidate(
         Clause(lit(MOTHER, "X", "Y"), (lit(L1, "X", "Y"),)),
-        DECODER,
         [fact(MOTHER, "padme", "leia")],
         dec_index,
     )
@@ -95,6 +94,42 @@ def random_model(rng, gamma=None, max_dc=12):
         return None, None
     gamma = gamma or Fraction(rng.choice([1, 2, 4]))
     return kb, build_model(encoders, decoders, kb, gamma)
+
+
+def least_corrupt_model():
+    """A clean and a corrupt decoder of mother/2, each over its own encoder."""
+    kb = kb_of(fact(MOTHER, "padme", "leia"), fact(MOTHER, "padme", "luke"))
+    enc_index, dec_index = AtomIndex(), AtomIndex(kb.facts)
+    e1 = candidate(
+        Clause(lit(L1, "X", "Y"), (lit(MOTHER, "X", "Y"),)),
+        [fact(L1, "padme", "leia"), fact(L1, "padme", "luke")],
+        enc_index,
+    )
+    e2 = candidate(
+        Clause(lit(L2, "X", "Y"), (lit(MOTHER, "X", "Y"),)),
+        [
+            fact(L2, "padme", "leia"),
+            fact(L2, "padme", "luke"),
+            fact(L2, "padme", "padme"),
+        ],
+        enc_index,
+    )
+    clean = candidate(
+        Clause(lit(MOTHER, "X", "Y"), (lit(L1, "X", "Y"),)),
+        [fact(MOTHER, "padme", "leia"), fact(MOTHER, "padme", "luke")],
+        dec_index,
+    )
+    corrupt = candidate(
+        Clause(lit(MOTHER, "X", "Y"), (lit(L2, "X", "Y"),)),
+        [
+            fact(MOTHER, "padme", "leia"),
+            fact(MOTHER, "padme", "luke"),
+            fact(MOTHER, "padme", "padme"),
+        ],
+        dec_index,
+    )
+    model = build_model([e1, e2], [clean, corrupt], kb, Fraction(3))
+    return model, clean
 
 
 class TestSolveExact:
@@ -178,41 +213,7 @@ class TestInitialSolution:
         assert check_assignment(model, assignment) == []
 
     def test_least_corrupt_decoder_preferred(self):
-        kb = kb_of(fact(MOTHER, "padme", "leia"), fact(MOTHER, "padme", "luke"))
-        enc_index, dec_index = AtomIndex(), AtomIndex(kb.facts)
-        e1 = candidate(
-            Clause(lit(L1, "X", "Y"), (lit(MOTHER, "X", "Y"),)),
-            ENCODER,
-            [fact(L1, "padme", "leia"), fact(L1, "padme", "luke")],
-            enc_index,
-        )
-        e2 = candidate(
-            Clause(lit(L2, "X", "Y"), (lit(MOTHER, "X", "Y"),)),
-            ENCODER,
-            [
-                fact(L2, "padme", "leia"),
-                fact(L2, "padme", "luke"),
-                fact(L2, "padme", "padme"),
-            ],
-            enc_index,
-        )
-        clean = candidate(
-            Clause(lit(MOTHER, "X", "Y"), (lit(L1, "X", "Y"),)),
-            DECODER,
-            [fact(MOTHER, "padme", "leia"), fact(MOTHER, "padme", "luke")],
-            dec_index,
-        )
-        corrupt = candidate(
-            Clause(lit(MOTHER, "X", "Y"), (lit(L2, "X", "Y"),)),
-            DECODER,
-            [
-                fact(MOTHER, "padme", "leia"),
-                fact(MOTHER, "padme", "luke"),
-                fact(MOTHER, "padme", "padme"),
-            ],
-            dec_index,
-        )
-        model = build_model([e1, e2], [clean, corrupt], kb, Fraction(3))
+        model, clean = least_corrupt_model()
         assignment = initial_solution(model)
         clean_index = model.dc_candidates.index(clean)
         assert assignment[position(model, VarId(clean_index, DC))] == 1
@@ -272,7 +273,7 @@ class TestSeedDive:
                 drawn += 1
         feasible = 0
         for model in models:
-            greedy = solver._greedy_selection(model)
+            greedy = solver._greedy_selection(_Searcher(model))
             if check_assignment(model, greedy):
                 continue
             dive = _Searcher(model).solve(
@@ -282,6 +283,32 @@ class TestSeedDive:
             assert initial_solution(model) == greedy
             feasible += 1
         assert feasible >= 15
+
+    def test_greedy_selection_reads_what_the_candidates_say(self):
+        """The greedy selection read from the searcher's tables is the one
+        the reference reads from the candidates, on hand-made models, seeded
+        random pools and the models of the benchmark's KBs at seed 1."""
+        models = [tiny_model()[1], least_corrupt_model()[0], *pinned_models()]
+        rng = random.Random(151)
+        while len(models) < 40:
+            _, model = random_model(rng, max_dc=60)
+            if model is not None:
+                models.append(model)
+        workloads = load_workloads()
+        for name in ("family-dec1", "default-bias"):
+            workload = workloads.WORKLOADS[name]
+            gamma = Fraction(workload.learn.gamma)
+            generation = default_config(max_decoder_body_len=workload.learn.max_dec_len)
+            for generated in workloads.generate(workload, 1)[0]:
+                kb = parse_kb_document(generated.text).kb
+                encoders, decoders, _, _ = pipeline_pool(kb, generation)
+                models.append(build_model(encoders, decoders, kb, gamma))
+        emptied = 0
+        for model in models:
+            greedy = solver._greedy_selection(_Searcher(model))
+            assert greedy == reference_greedy_selection(model)
+            emptied += not any(greedy[model.first[DC] : model.first[RF]])
+        assert 0 < emptied < len(models)
 
     @pytest.mark.parametrize("case", ["fig1-dec2", "family-dec1-seed1-kb21"])
     def test_every_search_gets_the_run_limits(self, searches, case):
@@ -297,7 +324,7 @@ class TestSeedDive:
             generation = default_config()
         encoders, decoders, _, _ = pipeline_pool(kb, generation)
         model = build_model(encoders, decoders, kb, gamma)
-        assert check_assignment(model, solver._greedy_selection(model)) != []
+        assert check_assignment(model, solver._greedy_selection(_Searcher(model))) != []
 
         config = SearchConfig(iterations=20, fail_limit=1000)
         lns_minimize(model, config)
@@ -431,7 +458,7 @@ class TestLnsMinimize:
             kb = random_kb(rng, max_constants=6, max_facts=30)
         encoders, decoders, _, _ = pipeline_pool(kb)
         model = build_model(encoders, decoders, kb, Fraction(1, 2))
-        assert check_assignment(model, solver._greedy_selection(model)) != []
+        assert check_assignment(model, solver._greedy_selection(_Searcher(model))) != []
         full = solve_exact(model, fail_limit=50_000)
         assert full.complete and full.failures > 1024
 
@@ -474,6 +501,27 @@ class TestLnsMinimize:
         monkeypatch.setattr(solver, "_Searcher", Stub)
         with pytest.raises(error, match=message):
             lns_minimize(model, SearchConfig(iterations=1))
+
+    def test_stagnation_halves_alpha(self, searches):
+        """After 25 sub-searches in a row without an improvement, the next
+        one fixes alpha / 2 % of the active decoders, and the count starts
+        again.  The seed of this model is optimal, so no sub-search
+        improves on it, and its three active decoders tell the shares
+        apart: int(3 * 0.7) is 2, int(3 * 0.35) is 1."""
+        model = pinned_models()[3]
+        config = SearchConfig(iterations=27, fail_limit=1000)
+        solution = lns_minimize(model, config)
+        assert (solution.objective, solution.iteration_found) == (4, 0)
+        dc_positions = range(model.first[DC], model.first[RF])
+        active_dc = [p for p in dc_positions if solution.assignment[p]]
+        assert len(active_dc) == 3
+        fixed_dc = [
+            sum(fixed.get(p) == 1 for p in dc_positions) for fixed, *_ in searches[1:]
+        ]
+        full = int(len(active_dc) * config.alpha / 100)
+        halved = int(len(active_dc) * config.alpha / 2 / 100)
+        assert fixed_dc == [full] * 25 + [halved] + [full]
+        assert (full, halved) == (2, 1)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -539,7 +587,6 @@ def two_decoder_model(*constraints, class_members=(), latents=(L1, L2)):
     encoders = [
         candidate(
             Clause(lit(latent, "X", "Y"), (lit(MOTHER, "X", "Y"),)),
-            ENCODER,
             [fact(latent, "padme", "leia")],
             enc_index,
         )
@@ -548,7 +595,6 @@ def two_decoder_model(*constraints, class_members=(), latents=(L1, L2)):
     decoders = [
         candidate(
             Clause(lit(MOTHER, "X", "Y"), (lit(latent, "X", "Y"),)),
-            DECODER,
             [fact(MOTHER, "padme", "leia")],
             dec_index,
         )
