@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import combinations, count, groupby, product
 from math import comb
 from operator import itemgetter
@@ -315,10 +315,11 @@ def _joined_bodies(
     enc = kind == ENCODER
     max_len = c.max_encoder_body_len if enc else c.max_decoder_body_len
     planned = 0
+    pairs = cache(lambda n: sum(comb(n, k) for k in head_sizes))  # by variable count
 
     def plan(b: _Enumerated) -> None:
         nonlocal planned
-        planned += sum(comb(b.n_vars, k) for k in head_sizes)
+        planned += pairs(b.n_vars)
         if planned > c.max_candidates:
             raise CapacityError(
                 f"at least {planned} {kind} candidates planned, over the ceiling "

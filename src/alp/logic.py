@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import chain, permutations, repeat
+from itertools import chain, repeat
 from typing import Collection, Iterable, Mapping
 
 from .errors import KbSyntaxError
@@ -376,32 +376,28 @@ def reconstruction_loss(alp: Alp, kb: KnowledgeBase) -> int:
 # candidate deduplication and latent naming key on.
 # ----------------------------------------------------------------------
 
-_CANONICAL_PERMUTATION_CAP = 6  # the longest body GenerationConfig allows
+# The longest body GenerationConfig allows: a body whose literals tie at
+# every step of ``shape_key``'s search, such as a cycle of one binary
+# predicate, still has up to len(body)! least orders to follow.
+_CANONICAL_PERMUTATION_CAP = 6
 
 
 @lru_cache(maxsize=1 << 16)
-def _literal_text(name: str, negated: bool, ids: tuple) -> str:
-    """A literal's text with variable number i shown as ``var_name(i)``;
-    a constant stands in ``ids`` as its symbol."""
-    if ids:
-        args = ",".join(var_name(a) if type(a) is int else a for a in ids)
-        name = f"{name}({args})"
-    return f"not {name}" if negated else name
-
-
-def _renamed_texts(shapes) -> tuple[str, ...]:
-    """The literals' texts once their variables are renumbered by first
-    appearance in this order."""
-    mapping: dict[int, int] = {}
-    texts = []
-    for predicate, negated, ids in shapes:
-        renamed = []
-        for a in ids:
-            if type(a) is int:
-                a = mapping.setdefault(a, len(mapping))
-            renamed.append(a)
-        texts.append(_literal_text(predicate.name, negated, tuple(renamed)))
-    return tuple(texts)
+def _render(shape: Shape, order: tuple) -> tuple[str, tuple]:
+    """A literal's text after literals whose variables first appeared in
+    ``order``, and ``order`` extended by its new variables: variable id
+    ``a`` shows as ``var_name(order.index(a))``, and a constant stands in
+    the shape's ids as its symbol."""
+    predicate, negated, ids = shape
+    names = []
+    for a in ids:
+        if type(a) is int:
+            if a not in order:
+                order += (a,)
+            a = var_name(order.index(a))
+        names.append(a)
+    text = f"{predicate.name}({','.join(names)})" if ids else predicate.name
+    return f"not {text}" if negated else text, order
 
 
 def shape_key(shapes, connective: str = CONJUNCTION) -> str:
@@ -409,16 +405,46 @@ def shape_key(shapes, connective: str = CONJUNCTION) -> str:
     exactly when they are equal up to variable renaming and literal order.
 
     A conjunction takes the least tuple of literal texts over every literal
-    order, its variables renamed X, Y, Z, ... by first appearance.  That is
-    exact but costs len(body)! renamings, so GenerationConfig caps body
-    lengths at ``_CANONICAL_PERMUTATION_CAP``.  Disjuncts share one argument
-    tuple, so a disjunction only sorts them by predicate.  Texts compare as
-    rendered, since display names do not sort in number order (W < X).
+    order, its variables renamed X, Y, Z, ... by first appearance.  A
+    literal's text depends only on the literals before it, so the least
+    tuple is grown a literal at a time: each step renders every remaining
+    literal after every order kept so far and keeps the orders whose text is
+    least (gSpan's minimum DFS code, Yan & Han 2002).  Without ties that is
+    about len(body)**2 / 2 renderings instead of len(body)! * len(body); a
+    body that ties at every step still costs up to len(body)!, so
+    GenerationConfig caps body lengths at ``_CANONICAL_PERMUTATION_CAP``.
+    Disjuncts share one argument tuple, so a disjunction only sorts them by
+    predicate.  Texts compare as rendered, since display names do not sort
+    in number order (W < X).
     """
     if connective == DISJUNCTION:
-        shapes = sorted(shapes, key=lambda s: s[0])  # by predicate
-        return ";".join(_renamed_texts(shapes))
-    return ",".join(min(map(_renamed_texts, permutations(shapes))))
+        order, texts = (), []
+        for shape in sorted(shapes, key=lambda s: s[0]):  # by predicate
+            text, order = _render(shape, order)
+            texts.append(text)
+        return ";".join(texts)
+    if len(shapes) == 2:  # the common case, without the search's lists
+        a, b = shapes
+        (text_a, after_a), (text_b, after_b) = _render(a, ()), _render(b, ())
+        if text_a < text_b:
+            return f"{text_a},{_render(b, after_a)[0]}"
+        if text_b < text_a:
+            return f"{text_b},{_render(a, after_b)[0]}"
+        return f"{text_a},{min(_render(b, after_a)[0], _render(a, after_b)[0])}"
+    texts = []
+    kept = [((), tuple(shapes))]  # (variable order, literals left) per order
+    for _ in shapes:
+        least, grown = None, []
+        for order, rest in kept:
+            for i, shape in enumerate(rest):
+                text, after = _render(shape, order)
+                if least is None or text < least:
+                    least, grown = text, [(after, rest[:i] + rest[i + 1 :])]
+                elif text == least:
+                    grown.append((after, rest[:i] + rest[i + 1 :]))
+        texts.append(least)
+        kept = grown
+    return ",".join(texts)
 
 
 # ----------------------------------------------------------------------

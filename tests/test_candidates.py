@@ -728,6 +728,28 @@ class TestCandidateCeiling:
                 default_config(max_decoder_body_len=2, max_candidates=planned - 1),
             )
 
+    def test_decoder_ceiling_counts_each_head_predicate(self):
+        """Several head predicates of one arity each plan their own pairs on
+        every body, so the count at the ceiling is the full planned one."""
+        kb = parse_kb(
+            "mother(a,b).\nfather(c,b).\nparent(a,b).\nparent(c,b).\n"
+            "female(a).\nmale(c).\n"
+        )
+        arities = sorted(p.arity for p in kb.input_predicates)
+        assert arities == [1, 1, 2, 2, 2]
+        lengths = dict(max_encoder_body_len=1, max_decoder_body_len=2)
+        config = default_config(**lengths)
+        encoders = prune_naming_variants(generate_encoder_candidates(kb, {}, config))
+        planned = planned_decoders(encoders, kb, config)
+        assert 0 < planned < 1_000
+        generate_pruned_decoders(
+            encoders, kb, default_config(**lengths, max_candidates=planned)
+        )
+        with pytest.raises(CapacityError, match=f"at least {planned} decoder"):
+            generate_pruned_decoders(
+                encoders, kb, default_config(**lengths, max_candidates=planned - 1)
+            )
+
     def test_message_names_the_flags(self):
         with pytest.raises(CapacityError) as raised:
             generate_decoder_candidates(

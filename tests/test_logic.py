@@ -844,6 +844,47 @@ class TestCanonicalForms:
             rng.shuffle(renamed)
             assert body_key(tuple(renamed)) == body_key(body)
 
+    def test_body_key_matches_naive_reference_on_ties(self):
+        """Bodies of one repeated binary predicate, whose literals render
+        alike on their own, so that several literal orders stay least for
+        one or more steps of the key's search: each, in shuffled literal
+        orders with shuffled variable names, keys as the naive reference
+        does and as the body itself does."""
+        p = pred("p", 2)
+        v = [f"V{i}" for i in range(7)]
+        bodies = []
+        for n in range(2, 7):
+            bodies.append(tuple(lit(p, v[i], v[(i + 1) % n]) for i in range(n)))  # cycle
+            bodies.append(tuple(lit(p, v[i], v[i + 1]) for i in range(n)))  # chain
+            bodies.append(tuple(lit(p, v[0], v[i + 1]) for i in range(n)))  # out-star
+            bodies.append(tuple(lit(p, v[i + 1], v[0]) for i in range(n)))  # in-star
+        bodies += [
+            (lit(p, "X", "Y"), lit(p, "Y", "X")),
+            (lit(p, "X", "Y"), lit(p, "Z", "Y")),  # standalone texts equal
+            (lit(p, "X", "Y"), lit(p, "Z", "W")),
+            (lit(p, "X", "a"), lit(p, "Y", "a")),
+            (lit(p, "X", "Y"), lit(p, "Y", "a"), lit(p, "a", "X")),  # constant in a cycle
+            (lit(p, "X", "a"), lit(p, "X", "b"), lit(p, "Y", "X"), lit(p, "Z", "X")),
+            (lit(p, "X", "Y"), lit(p, "Y", "Z"), lit(p, "Z", "X"), lit(p, "X", "X")),
+            (lit(p, "X", "Y"), lit(p, "Y", "Z"), lit(p, "X", "Z", negated=True)),
+            (lit(p, "X", "Y"), lit(p, "Y", "Z"), lit(p, "Z", "W"), lit(p, "W", "Y")),
+        ]
+        rng = random.Random(29)
+        for body in bodies:
+            variables = body_variables(body)
+            for _ in range(4):
+                names = [f"A{i}" for i in range(len(variables))]
+                rng.shuffle(names)
+                renaming = dict(zip(variables, names))
+                shuffled = [
+                    lit(l.predicate, *(renaming.get(a, a) for a in l.args), negated=l.negated)
+                    for l in body
+                ]
+                rng.shuffle(shuffled)
+                shuffled = tuple(shuffled)
+                assert body_key(shuffled) == reference_body_key(shuffled), shuffled
+                assert body_key(shuffled) == body_key(body), shuffled
+
     def test_body_key_matches_naive_reference(self):
         """Seeded random bodies of 1-4 literals, with repeated variables,
         constants, at most one negated literal and up to 16 variables, so
