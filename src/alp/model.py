@@ -46,8 +46,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
-from operator import mul
+from itertools import accumulate, chain, compress, repeat
+from operator import and_, itemgetter, mul, ne, not_
 
 from .candidates import (
     CandidateClause,
@@ -78,6 +78,7 @@ IFF_OR = "iff_or"
 AT_MOST_ONE_OF_PAIR = "at_most_one_of_pair"
 AT_LEAST_ONE = "at_least_one"
 LINEAR_LE = "linear_le"
+FORMS = (IFF_OR, AT_MOST_ONE_OF_PAIR, AT_LEAST_ONE, LINEAR_LE)
 
 
 class ConstraintViolationError(AlpError):
@@ -159,6 +160,24 @@ class CopModel:
                 Constraint(form, tuple([ids[p] for p in ps]), coeffs)
                 for form, ps, coeffs in self.rows
             ]
+        )
+
+    @cached_property
+    def audit_columns(self) -> tuple:
+        """Per form, in ``FORMS`` order, its row indices and then its rows as
+        columns: iff_or heads and bodies, the two positions of each pair,
+        coverage bodies, linear_le positions and coeffs."""
+        ks: dict[str, list[int]] = {form: [] for form in FORMS}
+        for k, (form, _, _) in enumerate(self.rows):
+            ks[form].append(k)
+        ps = {form: [self.rows[k][1] for k in rows] for form, rows in ks.items()}
+        iff, pairs = ps[IFF_OR], ps[AT_MOST_ONE_OF_PAIR]
+        return (
+            (ks[IFF_OR], list(map(itemgetter(0), iff)), [r[1:] for r in iff]),
+            (ks[AT_MOST_ONE_OF_PAIR], list(map(itemgetter(0), pairs)),
+             list(map(itemgetter(1), pairs))),
+            (ks[AT_LEAST_ONE], ps[AT_LEAST_ONE]),
+            (ks[LINEAR_LE], ps[LINEAR_LE], [self.rows[k][2] for k in ks[LINEAR_LE]]),
         )
 
     def size_summary(self) -> dict:
@@ -310,21 +329,26 @@ def build_model(
 
 
 def check_assignment(model: CopModel, assignment: Assignment) -> list[int]:
-    """The indices in ``model.rows`` of the violated rows; empty means feasible."""
+    """The indices in ``model.rows`` of the violated rows; empty means
+    feasible.  Each form is checked a column at a time."""
     value = assignment.__getitem__
-    violated = []
-    for k, (form, ps, coeffs) in enumerate(model.rows):
-        if form == IFF_OR:
-            ok = value(ps[0]) == any(map(value, ps[1:]))
-        elif form == AT_MOST_ONE_OF_PAIR:
-            ok = value(ps[0]) + value(ps[1]) <= 1
-        elif form == AT_LEAST_ONE:
-            ok = any(map(value, ps))
-        else:
-            ok = sum(map(mul, coeffs, map(value, ps))) <= 0
-        if not ok:
-            violated.append(k)
-    return violated
+    (iff_k, heads, bodies), (pair_k, firsts, seconds), (cover_k, cover), (
+        linear_k, linear_ps, linear_coeffs
+    ) = model.audit_columns
+
+    def any_of(bodies: list) -> map:
+        return map(any, map(map, repeat(value), bodies))
+
+    violated = chain(
+        compress(iff_k, map(ne, map(value, heads), any_of(bodies))),
+        compress(pair_k, map(and_, map(value, firsts), map(value, seconds))),
+        compress(cover_k, map(not_, any_of(cover))),
+        compress(linear_k, [
+            sum(map(mul, coeffs, map(value, ps))) > 0
+            for ps, coeffs in zip(linear_ps, linear_coeffs)
+        ]),
+    )
+    return sorted(violated)
 
 
 def objective_value(model: CopModel, assignment: Assignment) -> int:

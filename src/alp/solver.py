@@ -3,32 +3,38 @@
 The subsolver builds its propagation tables once from the model's rows,
 which already name variables by assignment position, and branches over
 ec/dc positions only; rf positions follow from their defining disjunctions
-by propagation.  Propagation is event driven, in the manner of
+by propagation.  The rf rows over one set of decoders, whose heads no other
+row reads, are one row, as weighted MaxSAT solvers merge duplicate soft
+clauses: its first rf position stands for the set and carries the set's
+summed penalty, and the others, its aliases, sit in no row and take its
+value in every complete assignment; fixing an alias fixes its
+representative.  Propagation is event driven, in the manner of
 watched-literal SAT solvers.  Setting a position only writes its value and
 queues it.  The counts move when propagation pops the position onto the
 trail, and move back on backtracking: every iff_or and at_least_one
 constraint counts its body positions at 1 and those not yet counted, the
 bound the decided rf penalties, the bottleneck the least sum it can still
-reach.  The pop fires only the rules of its event.  A body member at 1 sets
-the head to 1; in a consequence class, whose iff_or carries the class's
-at-most-one row, a second member at 1 is a conflict and the other members
-go to 0.  A body member at 0 sets the head to 0 once no member is at 1 or
-uncounted, and under a head at 1 sets the one member left open to 1.  A
-head at 0 sets its open members to 0; a head at 1 with one member uncounted
-and none at 1 sets that member to 1.  A head's pop needs no conflict test
-of its own: a member counted against it already failed at its own pop.  A
-position at 1 sets its neighbours in the conflict graph of the pairs
-between nested classes to 0, and a rise of the bottleneck's sum zeroes
-every open term that would exceed it.  The root forces the head of an empty
-iff_or to 0 and the member of a one-member at_least_one to 1, and makes one
-bottleneck pass.  Unit propagation reaches one fixpoint in any order, so
-the search tree does not depend on the order of the queue.  Nodes are
-pruned against the incumbent using the decided rf penalties plus the
-constant offset, which never overestimates any completion.  Variable order
-is static by descending constraint degree, in which a generality constraint
-counts the candidate pairs it stands for, overridden by the variable that
-most recently caused a failure (last conflict); the incumbent's value is
-tried first.
+reach.  Such an rf head is in no body, pair or bottleneck term, so its row
+counts it where it sets it instead of queuing it.  The pop fires only the
+rules of its event.  A body member at 1 sets the head to 1; in a
+consequence class, whose iff_or carries the class's at-most-one row, a
+second member at 1 is a conflict and the other members go to 0.  A body
+member at 0 sets the head to 0 once no member is at 1 or uncounted, and
+under a head at 1 sets the one member left open to 1.  A head at 0 sets its
+open members to 0; a head at 1 with one member uncounted and none at 1 sets
+that member to 1.  A head's pop needs no conflict test of its own: a member
+counted against it already failed at its own pop.  A position at 1 sets its
+neighbours in the conflict graph of the pairs between nested classes to 0,
+and a rise of the bottleneck's sum zeroes every open term that would exceed
+it.  The root forces the head of an empty iff_or to 0 and the member of a
+one-member at_least_one to 1, and makes one bottleneck pass.  Unit
+propagation reaches one fixpoint in any order, so the search tree does not
+depend on the order of the queue.  Nodes are pruned against the incumbent
+using the decided rf penalties plus the constant offset, which never
+overestimates any completion.  Variable order is static by descending
+constraint degree, in which a generality constraint counts the candidate
+pairs it stands for, overridden by the variable that most recently caused a
+failure (last conflict); the incumbent's value is tried first.
 
 The seed is the subsolver's first complete assignment when it tries the
 values of a greedy decoder selection, read from its tables, first.
@@ -54,6 +60,7 @@ from typing import Callable
 
 from .errors import AlpError, InfeasibleError
 from .model import (
+    AT_LEAST_ONE,
     AT_MOST_ONE_OF_PAIR,
     Assignment,
     CL,
@@ -121,9 +128,12 @@ class _Searcher:
     position.  A class's at-most-one row is left to its iff_or.  Each
     position lists the rows it heads (``head_of``) and the rows whose body
     holds it (``body_of``): the rules its pop fires at 0 or 1, as the
-    module docstring lists them.  The generality pairs become a conflict
-    adjacency list per position, the bottleneck one ``coeff`` per position.
-    ``solve`` moves a row's counts when it pops a body member.
+    module docstring lists them.  The rows from ``rf_rows`` on are the
+    weighted rf rows, one per decoder set; ``source`` maps each alias to
+    its representative and every other position to itself.  The generality
+    pairs become a conflict adjacency list per position, the bottleneck one
+    ``coeff`` per position.  ``solve`` moves a row's counts when it pops a
+    body member.
     """
 
     def __init__(self, model: CopModel):
@@ -136,12 +146,9 @@ class _Searcher:
         }
         degree = [0] * n
         partners: list[list[int]] = [[] for _ in range(n)]
-        body_of: list[list[int]] = [[] for _ in range(n)]
-        head_of: list[list[int]] = [[] for _ in range(n)]
-        heads: list[int] = []
-        bodies: list[tuple[int, ...]] = []
-        at_most_one: list[bool] = []
         coeff = [0] * n
+        rows: list[tuple[int, tuple[int, ...], bool]] = []  # (head, body, of_class)
+        rf_rows: list[tuple[int, ...]] = []
         linear = 0
         for form, ps, coeffs in model.rows:
             if form == AT_MOST_ONE_OF_PAIR:
@@ -155,7 +162,10 @@ class _Searcher:
                 continue
             if form == LINEAR_LE and ps[-1] in members:
                 continue  # a class's at-most-one, carried by its iff_or
-            weight = len(members[ps[0]]) - 1 if ps[0] in members else 1
+            h = ps[0]
+            # A class's own iff_or; an at_least_one may start with a class.
+            of_class = form == IFF_OR and h in members
+            weight = len(members[h]) - 1 if of_class else 1
             for p in ps:
                 degree[p] += weight
             if form == LINEAR_LE:
@@ -164,18 +174,47 @@ class _Searcher:
                     raise ValueError("the search expects one linear_le constraint")
                 for p, a in zip(ps, coeffs):
                     coeff[p] = a
-                continue
-            c = len(heads)
-            at_most_one.append(ps[0] in members)
-            if form == IFF_OR:
-                heads.append(ps[0])
-                head_of[ps[0]].append(c)
-                ps = ps[1:]
-            else:  # at_least_one: a body whose head is the constant-1 position
-                heads.append(n)
-            bodies.append(tuple(ps))
-            for p in ps:
+            elif form == AT_LEAST_ONE:  # a body under the constant-1 position
+                rows.append((n, ps, False))
+            elif first[RF] <= h < first[CL]:
+                rf_rows.append(ps)
+            else:
+                rows.append((h, ps[1:], of_class))
+        # penalty[p][v]: the objective term of position p at value v.
+        self.penalty = penalty = [(0, 0)] * n
+        for p, in_kb in enumerate(model.rf_in_kb, first[RF]):
+            penalty[p] = (1, 0) if in_kb else (0, 1)
+        # Every row adds to the degree of its positions, so an rf position
+        # of degree 1 sits in its own row only: a pure objective term.  The
+        # pure terms of one body are one weighted row, after every other
+        # row: its first position stands for them with their summed
+        # penalty, and the others, its aliases, sit in no row and take its
+        # value (``source``).
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for ps in rf_rows:
+            if degree[ps[0]] == 1:
+                groups.setdefault(ps[1:], []).append(ps[0])
+            else:
+                rows.append((ps[0], ps[1:], False))
+        self.rf_rows = len(rows)
+        self.source = source = list(range(n))
+        for body, group in groups.items():
+            h = group[0]
+            rows.append((h, body, False))
+            in_kb = sum(penalty[p][0] for p in group)
+            penalty[h] = (in_kb, len(group) - in_kb)
+            for p in group[1:]:
+                source[p] = h
+        body_of: list[list[int]] = [[] for _ in range(n)]
+        head_of: list[list[int]] = [[] for _ in range(n)]
+        for c, (h, body, _) in enumerate(rows):
+            if h < n:
+                head_of[h].append(c)
+            for p in body:
                 body_of[p].append(c)
+        heads = [h for h, _, _ in rows]
+        bodies = [body for _, body, _ in rows]
+        at_most_one = [of_class for _, _, of_class in rows]
         self.partners = partners
         self.coeff = coeff
         self.body_of = body_of
@@ -201,10 +240,6 @@ class _Searcher:
         self.linear_desc = sorted(
             ((a, p) for p, a in enumerate(coeff) if a > 0), key=lambda t: -t[0]
         )
-        # penalty[p][v]: the objective term of position p at value v.
-        self.penalty = [(0, 0)] * n
-        for i, in_kb in enumerate(model.rf_in_kb):
-            self.penalty[first[RF] + i] = (1, 0) if in_kb else (0, 1)
         self.static_order = sorted(range(first[RF]), key=lambda p: (-degree[p], p))
 
     def solve(
@@ -227,7 +262,7 @@ class _Searcher:
         partners, body_of, head_of = self.partners, self.body_of, self.head_of
         heads, bodies, at_most_one = self.heads, self.bodies, self.at_most_one
         linear_desc, linear_rise = self.linear_desc, self.linear_rise
-        penalty = self.penalty
+        penalty, rf_rows = self.penalty, self.rf_rows
         static_order = self.static_order
         values = [UNASSIGNED] * self.n + [1]  # + the always-1 position
         ones = [0] * len(heads)  # counted body positions at 1
@@ -302,7 +337,11 @@ class _Searcher:
                         h = heads[c]
                         if values[h] == UNASSIGNED:
                             values[h] = 1
-                            push(h)
+                            if c < rf_rows:
+                                push(h)
+                            else:  # an rf head is counted where it is set
+                                count(h)
+                                lb += penalty[h][1]
                         elif not values[h]:
                             failed = True
                         if at_most_one[c]:
@@ -327,7 +366,11 @@ class _Searcher:
                                 failed = True
                             elif values[h] == UNASSIGNED:
                                 values[h] = 0
-                                push(h)
+                                if c < rf_rows:
+                                    push(h)
+                                else:
+                                    count(h)
+                                    lb += penalty[h][0]
                     if failed:
                         return True
                     for c in head_of[p]:
@@ -335,9 +378,14 @@ class _Searcher:
                             fill(c, 0)
             return False
 
+        source = self.source
         for p, v in fixed.items():
-            values[p] = v
-            push(p)
+            p = source[p]  # an alias is fixed through its representative
+            if values[p] == 1 - v:
+                return ExactResult(None, None, True, 1)
+            if values[p] == UNASSIGNED:
+                values[p] = v
+                push(p)
         for p, v in self.root_checks:
             if values[p] == 1 - v:
                 return ExactResult(None, None, True, 1)
@@ -394,9 +442,10 @@ class _Searcher:
             if not conflict:
                 p = next_var()
                 if p is None:
-                    # All ec/dc decided; propagation has settled every rf.
-                    assert UNASSIGNED not in values
-                    best = values[:-1]
+                    # All ec/dc decided; propagation has settled every rf
+                    # row, and each alias reads its representative.
+                    best = list(map(values.__getitem__, source))
+                    assert UNASSIGNED not in best
                     best_obj = lb
                     if first:
                         return result(False)
@@ -451,15 +500,19 @@ def _greedy_selection(searcher: _Searcher) -> Assignment:
 
     @cache
     def corruption(p: int) -> tuple:
-        """Share of false atoms, then more true atoms, then text order.  The
-        share is a float, yet orders as the exact fraction would: a quotient
-        of ints is correctly rounded, so equal fractions give equal floats,
-        and two distinct ones with denominators below 2**26 differ by more
-        than 2**-52, while each rounds by at most 2**-54 in [0, 1]."""
-        rf = [penalty[h][0] for h in map(heads.__getitem__, body_of[p])
-              if rf_first <= h < cl_first]
-        true = sum(rf)
-        return ((len(rf) - true) / len(rf), -true, p)
+        """Share of false atoms, then more true atoms, then text order,
+        summed over the weights of the decoder's rf rows.  The share is a
+        float, yet orders as the exact fraction would: a quotient of ints is
+        correctly rounded, so equal fractions give equal floats, and two
+        distinct ones with denominators below 2**26 differ by more than
+        2**-52, while each rounds by at most 2**-54 in [0, 1]."""
+        true = false = 0
+        for h in map(heads.__getitem__, body_of[p]):
+            if rf_first <= h < cl_first:
+                t, f = penalty[h]
+                true += t
+                false += f
+        return (false / (true + false), -true, p)
 
     banned: set[int] = set()
     selected: set[int] = set()
@@ -524,6 +577,7 @@ def lns_minimize(
     rng = random.Random(config.seed)
     ec_positions = range(model.first[DC])
     dc_positions = range(model.first[DC], model.first[RF])
+    listed = None  # the incumbent whose position lists are built
     stagnation = 0
     for iteration in range(1, config.iterations + 1):
         if time.monotonic() > deadline:
@@ -532,9 +586,10 @@ def lns_minimize(
         if stagnation >= _STAGNATION_WINDOW:
             alpha = config.alpha / 2
             stagnation = 0
-        values = incumbent.assignment
-        active_dc = [p for p in dc_positions if values[p] == 1]
-        inactive_ec = [p for p in ec_positions if values[p] == 0]
+        if listed is not incumbent:
+            listed, values = incumbent, incumbent.assignment
+            active_dc = [p for p in dc_positions if values[p] == 1]
+            inactive_ec = [p for p in ec_positions if values[p] == 0]
         fixed: dict[int, int] = {}
         for p in rng.sample(active_dc, int(len(active_dc) * alpha / 100)):
             fixed[p] = 1

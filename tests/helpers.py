@@ -7,6 +7,7 @@ import importlib.util
 import os
 import random
 import sys
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations, product
@@ -709,16 +710,47 @@ def eager_solve(
     incumbent_bound: float = float("inf"),
     incumbent: Assignment | None = None,
 ) -> ExactResult:
-    """``_Searcher.solve`` as an eager propagator, over the searcher's
-    tables: every assignment moves the counters at once and queues its
-    position, and each popped position re-checks every constraint it is the
-    head or a body member of.  The root checks every constraint.  Unit
-    propagation reaches one fixpoint in any order, so the event-driven
-    solver must return the same result on every search."""
-    s = searcher
-    heads, bodies, at_most_one = s.heads, s.bodies, s.at_most_one
+    """``_Searcher.solve`` as an eager propagator over the model's rows, one
+    rf row per atom where the searcher keeps one per decoder set, and the
+    searcher's pair, bottleneck and order tables: every assignment moves
+    the counters at once and queues its position, and each popped position
+    re-checks every constraint it is the head or a body member of.  The
+    root checks every constraint.  Unit propagation reaches one fixpoint in
+    any order, so the event-driven solver must return the same result on
+    every search."""
+    s, model = searcher, searcher.model
+    heads, bodies, at_most_one = [], [], []
+    for form, ps, _ in model.rows:
+        if form == IFF_OR:
+            heads.append(ps[0])
+            bodies.append(ps[1:])
+            at_most_one.append(ps[0] >= model.first[CL])
+        elif form == AT_LEAST_ONE:
+            heads.append(s.n)
+            bodies.append(ps)
+            at_most_one.append(False)
+    penalty = [(0, 0)] * s.n
+    for p, in_kb in enumerate(model.rf_in_kb, model.first[RF]):
+        penalty[p] = (1, 0) if in_kb else (0, 1)
+    # The rf positions that no other row reads, by decoder set: every
+    # completion sets those of one set alike, so the searcher's one weighted
+    # row per set counts them all as soon as one of them is fixed.
+    reads = Counter(p for _, ps, _ in model.rows for p in ps)
+    same_set: dict[tuple[int, ...], list[int]] = {}
+    for h, body in zip(heads, bodies):
+        if model.first[RF] <= h < model.first[CL] and reads[h] == 1:
+            same_set.setdefault(body, []).append(h)
+    fixed = dict(fixed)
+    for atoms in same_set.values():
+        for p in [p for p in atoms if p in fixed]:
+            for q in atoms:
+                fixed.setdefault(q, fixed[p])
     unassigned = -1
-    watch = [list(cs) for cs in s.body_of]
+    body_of: list[list[int]] = [[] for _ in range(s.n)]
+    for c, body in enumerate(bodies):
+        for p in body:
+            body_of[p].append(c)
+    watch = [list(cs) for cs in body_of]
     for c, h in enumerate(heads):
         if h < s.n:
             watch[h].append(c)
@@ -733,9 +765,9 @@ def eager_solve(
         values[p] = v
         trail.append(p)
         queue.append(p)
-        state["lb"] += s.penalty[p][v]
+        state["lb"] += penalty[p][v]
         state["linear"] += s.linear_rise[p][v]
-        for c in s.body_of[p]:
+        for c in body_of[p]:
             free[c] -= 1
             ones[c] += v
 
@@ -744,9 +776,9 @@ def eager_solve(
             p = trail.pop()
             v = values[p]
             values[p] = unassigned
-            state["lb"] -= s.penalty[p][v]
+            state["lb"] -= penalty[p][v]
             state["linear"] -= s.linear_rise[p][v]
-            for c in s.body_of[p]:
+            for c in body_of[p]:
                 free[c] += 1
                 ones[c] -= v
 

@@ -790,6 +790,27 @@ class TestPropagation:
         assert result == eager_solve(searcher, fixed, 10**6, incumbent=incumbent)
         assert (result.objective, result.complete, result.failures) == (1, True, 1)
 
+    def test_a_fixed_alias_counts_its_decoder_set_at_the_root(self):
+        # RF0 and RF1 are false atoms of one decoder set, so the searcher
+        # keeps one row of weight 2.  Fixing the alias RF1 to 1 counts both
+        # at the root, and a bound of 2 fails there, before any decoder is
+        # tried; per atom, RF0 would wait until two decoders were at 0.
+        base = two_decoder_model(latents=(L1, L2, L3))
+        model = with_constraints(
+            replace(base, rf_bits=base.rf_bits * 2, rf_in_kb=(False, False)),
+            (
+                Constraint(IFF_OR, (RF0, DC0, DC1, DC2)),
+                Constraint(IFF_OR, (VarId(1, RF), DC0, DC1, DC2)),
+            ),
+            (),
+        )
+        searcher = _Searcher(model)
+        fixed = {position(model, VarId(1, RF)): 1}
+        assert searcher.source[position(model, VarId(1, RF))] == position(model, RF0)
+        result = searcher.solve(fixed, 10**6, 2)
+        assert result == eager_solve(searcher, fixed, 10**6, 2)
+        assert result == ExactResult(None, None, True, 1)
+
 
 def test_the_root_checks_only_what_can_act_unassigned():
     """The searcher fires only the rules of each event, and at the root
@@ -858,6 +879,59 @@ def test_tangled_models_search_as_the_eager_propagator():
                 got = searcher.solve(fixed, fail_limit, math.inf, incumbent)
                 want = eager_solve(searcher, fixed, fail_limit, incumbent=incumbent)
                 assert got == want
+
+
+def test_rf_rows_of_one_decoder_set_search_as_the_eager_propagator():
+    """The searcher keeps one weighted row per decoder set of rf rows, and
+    its other rf positions alias the first.  With fixed sets that hold
+    aliases at either value, and under bounds that prune, every search
+    returns what the eager reference propagator, one rf row per atom,
+    returns; fixing an alias and its representative apart fails at the
+    root."""
+    rng = random.Random(23)
+    compared = 0
+    while compared < 30:
+        _, model = random_model(rng, max_dc=30)
+        if model is None:
+            continue
+        searcher = _Searcher(model)
+        aliases = [p for p, q in enumerate(searcher.source) if p != q]
+        if not aliases:
+            continue
+        compared += 1
+        a = rng.choice(aliases)
+        fixed = {a: 0, searcher.source[a]: 1}
+        assert searcher.solve(fixed, 10**6, math.inf) == ExactResult(None, None, True, 1)
+        optimum = searcher.solve({}, 10**6, math.inf).objective
+        bounds = (math.inf,) if optimum is None else (math.inf, optimum + 1)
+        for share in (0.0, 0.1, 0.3):
+            picked = rng.sample(range(searcher.n), int(searcher.n * share))
+            picked += rng.sample(aliases, rng.randint(1, len(aliases)))
+            fixed = {p: rng.randint(0, 1) for p in picked}
+            for bound in bounds:
+                for fail_limit in (10, 10**6):
+                    got = searcher.solve(fixed, fail_limit, bound)
+                    assert got == eager_solve(searcher, fixed, fail_limit, bound)
+
+
+def test_a_family_model_searches_one_rf_row_per_decoder_set():
+    """On a family-dec1 KB of seed 1 the searcher holds fewer rf rows than
+    the model, one per distinct decoder set, whose weights count every
+    atom and every KB atom once."""
+    workloads = load_workloads()
+    workload = workloads.WORKLOADS["family-dec1"]
+    kb = parse_kb_document(workloads.generate(workload, 1)[0][0].text).kb
+    encoders, decoders, _, _ = prepare_pool(kb, {}, GenerationConfig(**workload.learn.gen()))
+    model = build_model(encoders, decoders, kb, Fraction(workload.learn.gamma))
+    searcher = _Searcher(model)
+    sets = {
+        ps[1:] for form, ps, _ in model.rows
+        if form == IFF_OR and model.first[RF] <= ps[0] < model.first[CL]
+    }
+    weights = [searcher.penalty[h] for h in searcher.heads[searcher.rf_rows:]]
+    assert len(weights) == len(sets) < len(model.rf_bits)
+    assert sum(map(sum, weights)) == len(model.rf_bits)
+    assert sum(t for t, _ in weights) == sum(model.rf_in_kb)
 
 
 def pinned_models():
