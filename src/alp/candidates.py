@@ -31,12 +31,11 @@ decoders that survive.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterator
 from functools import cache, cached_property, lru_cache
 from itertools import combinations, count, groupby, product
 from math import comb
 from operator import itemgetter
-from typing import Callable, Iterator
 
 from .errors import CapacityError
 from .kb import (
@@ -47,6 +46,8 @@ from .kb import (
     MODE_UNBOUND,
     ModeDeclaration,
     Predicate,
+    Record,
+    checked_namedtuple,
 )
 from .logic import (
     CONJUNCTION,
@@ -66,27 +67,26 @@ from .logic import (
 )
 
 
-@dataclass(frozen=True)
-class GenerationConfig:
+class GenerationConfig(checked_namedtuple(
+    "GenerationConfig",
+    "max_encoder_body_len max_decoder_body_len max_head_vars allow_disjunction"
+    " allow_negation max_candidates",
+    (2, 2, 2, True, False, 200_000),
+)):
     """Knobs for the enumeration; lengths count body literals."""
 
-    max_encoder_body_len: int = 2
-    max_decoder_body_len: int = 2
-    max_head_vars: int = 2
-    allow_disjunction: bool = True
-    allow_negation: bool = False
-    max_candidates: int = 200_000
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for length in (self.max_encoder_body_len, self.max_decoder_body_len):
             if not 1 <= length <= _CANONICAL_PERMUTATION_CAP:
-                raise ValueError(
-                    f"body lengths must lie in [1, {_CANONICAL_PERMUTATION_CAP}]"
-                )
+                raise ValueError(f"body lengths must lie in [1, {_CANONICAL_PERMUTATION_CAP}]")
         if self.max_head_vars < 1:
             raise ValueError("max_head_vars must be >= 1")
         if self.max_candidates < 1:
             raise ValueError("max_candidates must be >= 1")
+        return self
 
 
 def bit_positions(mask: int) -> Iterator[int]:
@@ -128,8 +128,7 @@ class AtomIndex:
         return {p: self.mask(kb.rows.get(p, ())) for p in sorted(predicates)}
 
 
-@dataclass(frozen=True)
-class CandidateClause:
+class CandidateClause(Record):
     """A candidate with its ground consequences precomputed on the training
     context (the KB for encoders, the latent facts for decoders): its head
     predicate over the rows of a bitset in its pool's AtomIndex.
@@ -138,15 +137,18 @@ class CandidateClause:
     key and its line in ``--dump-model`` and ``alp enumerate``.  Pruning,
     model building and search read only the fields, so the ``Clause`` is
     built and checked on first use, which ``induced_alp`` makes for the
-    selected candidates only.
+    selected candidates only.  ``index`` and ``text`` take no part in
+    equality.
     """
 
-    head: Literal
-    body: tuple[Literal, ...]
-    connective: str
-    mask: int
-    index: AtomIndex = field(repr=False, compare=False)
-    text: str = field(repr=False, compare=False)
+    _fields = ("head", "body", "connective", "mask")
+
+    def __init__(
+        self, head: Literal, body: tuple[Literal, ...], connective: str, mask: int,
+        index: AtomIndex, text: str,
+    ):
+        self.head, self.body, self.connective, self.mask = head, body, connective, mask
+        self.index, self.text = index, text
 
     @cached_property
     def clause(self) -> Clause:
@@ -177,16 +179,17 @@ def pool_index(candidates: list[CandidateClause]) -> AtomIndex | None:
 Body = tuple[tuple[Literal, ...], str]  # literals plus connective
 
 
-@dataclass(eq=False, slots=True)
 class _Enumerated:
     """A body with its variable count and literal shapes.  A conjunction
     joins its last literal onto its parent's rows (one empty row for a
     single literal); a disjunction's rows are its disjuncts' in turn."""
 
-    body: Body
-    n_vars: int
-    shapes: tuple[Shape, ...]
-    parent: _Enumerated | None
+    __slots__ = ("body", "n_vars", "shapes", "parent")
+
+    def __init__(
+        self, body: Body, n_vars: int, shapes: tuple[Shape, ...], parent: _Enumerated | None
+    ):
+        self.body, self.n_vars, self.shapes, self.parent = body, n_vars, shapes, parent
 
 
 _FRESH = object()  # slot marker during extension

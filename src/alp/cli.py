@@ -21,7 +21,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -49,7 +48,7 @@ GRID_GAMMAS = ("0.3", "0.5", "0.7")
 def _config(cls, args):
     """A ``GenerationConfig`` or ``SearchConfig`` from the options named
     after its fields."""
-    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+    return cls(**{name: getattr(args, name) for name in cls._fields})
 
 
 def _write_out(path: str | None, text: str) -> None:
@@ -172,9 +171,7 @@ def _run_grid(args, document, gen_config, search_config) -> int:
     tags = [f"enc{enc_len}-dec{dec_len}-g{gamma_text}" for enc_len, dec_len, gamma_text in cells]
     _check_outputs(args, tags)
     for tag, (enc_len, dec_len, gamma_text) in zip(tags, cells):
-        cell_gen = replace(
-            gen_config, max_encoder_body_len=enc_len, max_decoder_body_len=dec_len
-        )
+        cell_gen = gen_config._replace(max_encoder_body_len=enc_len, max_decoder_body_len=dec_len)
         gamma = Fraction(gamma_text)
         try:
             result = learn(document.kb, document.modes, cell_gen, search_config, gamma)
@@ -273,7 +270,7 @@ def cmd_eval(args) -> int:
 
 def _add_gen_options(sub):
     lengths = range(1, 5)
-    config = GenerationConfig
+    config = GenerationConfig()
     sub.add_argument(
         "--max-enc-len", type=int, choices=lengths,
         default=config.max_encoder_body_len, dest="max_encoder_body_len",
@@ -299,10 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     learn_p.add_argument("kb")
     _add_gen_options(learn_p)
     learn_p.add_argument("--gamma", default="0.5", help="compression parameter")
-    for f in fields(SearchConfig):  # --alpha ... --seed
-        learn_p.add_argument(
-            f"--{f.name.replace('_', '-')}", type=type(f.default), default=f.default
-        )
+    for name, default in SearchConfig._field_defaults.items():  # --alpha ... --seed
+        learn_p.add_argument(f"--{name.replace('_', '-')}", type=type(default), default=default)
     learn_p.add_argument("--out-model", default="model.alp")
     learn_p.add_argument("--out-latent", default="latent.facts")
     learn_p.add_argument("--report", default="report.json")

@@ -12,9 +12,13 @@ Predicates not declared with ``#pred`` are inferred from the facts.
 Directives apply file-wide regardless of position.  A term is a plain
 ``str``; one with an uppercase initial is a variable (``is_variable``), as
 in Prolog, and variables are illegal in data, so fact arguments are
-lowercase constants.  Tokens are separated by spaces and tabs only.  One
-regular expression reads a well-formed fact line (``read_fact_line``); every
-other line goes to the line reader, which also reads programs
+lowercase constants.  Tokens are separated by spaces and tabs only.
+
+A document is read in one regular-expression pass (``_LINE``), one match
+per ``"\n"``-terminated stretch: a well-formed fact line, a blank line or a
+comment line is read there; every other stretch, a directive, a malformed
+line or one holding another of ``str.splitlines``' line breaks, goes with
+its line number to the line reader, which also reads programs
 (``alp.logic``) and reports a syntax error's line and column.
 
 A ``Predicate`` is the tuple ``(name, arity)`` and a ``Fact`` the tuple
@@ -28,10 +32,9 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator
 
 from .errors import KbSyntaxError
 
@@ -43,6 +46,39 @@ MODE_EITHER = "?"
 MODE_SLOTS = (MODE_BOUND, MODE_UNBOUND, MODE_EITHER)
 
 _KB_DIRECTIVES = ("pred", "background", "mode")
+
+
+def checked_namedtuple(typename: str, field_names: str, defaults: tuple = ()):
+    """A ``namedtuple`` type whose ``_make``, and so ``_replace``, builds
+    through the subclass's ``__new__``, which checks the fields."""
+    base = namedtuple(typename, field_names, defaults=defaults)
+    base._make = classmethod(lambda cls, fields: cls(*fields))
+    return base
+
+
+class Record:
+    """A plain class compared, hashed and shown by the fields in
+    ``_fields``, in order: equal only to an instance of its own class with
+    equal fields, hashed as the tuple of those fields and shown as
+    ``Name(field=value, ...)``.  Its other attributes take no part."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({shown})"
 
 
 class Predicate(namedtuple("Predicate", "name arity")):
@@ -98,27 +134,26 @@ def rows_by_predicate(facts: Iterable[Fact]) -> dict[Predicate, list[Row]]:
     return rows
 
 
-@dataclass(frozen=True, slots=True)
-class ModeDeclaration:
+class ModeDeclaration(checked_namedtuple("ModeDeclaration", "predicate slots")):
     """Per-argument binding bias for body enumeration.
 
     '+' binds an existing variable, '-' introduces a fresh one, '?' allows
     either.  Undeclared predicates default to all-'?'.
     """
 
-    predicate: Predicate
-    slots: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.slots) != self.predicate.arity:
             raise ValueError(f"mode for {self.predicate} has {len(self.slots)} slots")
         for s in self.slots:
             if s not in MODE_SLOTS:
                 raise ValueError(f"bad mode slot {s!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class KnowledgeBase:
+class KnowledgeBase(Record):
     """An immutable set of ground facts with its vocabulary and constants.
 
     ``facts`` holds the reconstruction targets and ``background`` the facts
@@ -128,34 +163,39 @@ class KnowledgeBase:
 
     ``rows`` and ``background_rows`` group the argument rows of ``facts``
     and of ``background`` by predicate, once, for every evaluation to read
-    and none to change; being derived, they take no part in equality.
+    and none to change; being derived, they take no part in equality.  A
+    changed KB is a new one: ``KnowledgeBase(facts, kb.vocabulary, ...)``.
     """
 
-    facts: frozenset[Fact]
-    vocabulary: frozenset[Predicate]
-    constants: frozenset[str]
-    background: frozenset[Fact] = frozenset()
-    background_predicates: frozenset[Predicate] = frozenset()
-    rows: dict[Predicate, list[Row]] = field(init=False, repr=False, compare=False)
-    background_rows: dict[Predicate, list[Row]] = field(init=False, repr=False, compare=False)
+    _fields = ("facts", "vocabulary", "constants", "background", "background_predicates")
+    __slots__ = (*_fields, "rows", "background_rows")
 
-    def __post_init__(self):
-        rows = rows_by_predicate(self.facts)
-        background_rows = rows_by_predicate(self.background)
-        background = self.background_predicates.union(background_rows)
-        if rows.keys() & background:
-            bad = sorted(str(p) for p in rows.keys() & background)
+    def __init__(
+        self,
+        facts: frozenset[Fact],
+        vocabulary: frozenset[Predicate],
+        constants: frozenset[str],
+        background: frozenset[Fact] = frozenset(),
+        background_predicates: frozenset[Predicate] = frozenset(),
+    ):
+        rows = rows_by_predicate(facts)
+        background_rows = rows_by_predicate(background)
+        background_predicates = background_predicates.union(background_rows)
+        if rows.keys() & background_predicates:
+            bad = sorted(str(p) for p in rows.keys() & background_predicates)
             raise ValueError(f"background predicates appear as facts: {bad}")
         for p, group in chain(rows.items(), background_rows.items()):
-            if p not in self.vocabulary:
+            if p not in vocabulary:
                 raise ValueError(f"fact {Fact(p, group[0])} uses undeclared predicate {p}")
-            for args in group:
+            if constants.issuperset(chain.from_iterable(group)):
+                continue
+            for args in group:  # name the first fact with an undeclared constant
                 for a in args:
-                    if a not in self.constants:
+                    if a not in constants:
                         raise ValueError(f"fact {Fact(p, args)} uses undeclared constant {a}")
-        object.__setattr__(self, "background_predicates", background)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "background_rows", background_rows)
+        self.facts, self.vocabulary, self.constants = facts, vocabulary, constants
+        self.background, self.background_predicates = background, background_predicates
+        self.rows, self.background_rows = rows, background_rows
 
     @classmethod
     def from_facts(
@@ -180,12 +220,11 @@ class KnowledgeBase:
         return self.vocabulary - self.background_predicates
 
 
-@dataclass(frozen=True)
-class KbDocument:
-    """A parsed fact file: the knowledge base plus its mode declarations."""
+class KbDocument(namedtuple("KbDocument", "kb modes")):
+    """A parsed fact file: the knowledge base plus its mode declarations
+    (a ``dict[Predicate, ModeDeclaration]``)."""
 
-    kb: KnowledgeBase
-    modes: dict[Predicate, ModeDeclaration]
+    __slots__ = ()
 
 
 # The line reader.  A syntax error gives its line and column, both from 1.
@@ -193,18 +232,25 @@ _GAP = re.compile(r"[ \t]*")
 _IDENT = re.compile(r"[ \t]*([A-Za-z][A-Za-z0-9_]*)")
 _ARITY = re.compile(r"[ \t]*([0-9]+)")
 _SLOT = re.compile(r"[ \t]*([-+?])")
-# A ground fact line: a lowercase name, optional (constant, ...), then '.'.
-_FACT_LINE = re.compile(
-    r"[ \t]*([a-z][A-Za-z0-9_]*)[ \t]*"
-    r"(?:\(((?:[ \t]*[a-z][A-Za-z0-9_]*[ \t]*,)*[ \t]*[a-z][A-Za-z0-9_]*)[ \t]*\))?"
-    r"[ \t]*\.[ \t]*"
+# The document reader's one pattern, matched once per "\n"-terminated stretch
+# (re.M).  A ground fact line (a lowercase name, optional (constant, ...),
+# then '.'), a blank line or a comment line matches the first alternative,
+# with at most a '\r' of a "\r\n" line end left over; any other stretch is
+# caught whole by the second, for the line reader.
+_NAME = "[a-z][A-Za-z0-9_]*"
+_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # line breaks besides "\n"
+_LINE = re.compile(
+    rf"^[ \t]*(?:({_NAME})[ \t]*(?:\(([ \t]*{_NAME}[ \t]*(?:,[ \t]*{_NAME}[ \t]*)*)\))?"
+    rf"[ \t]*\.[ \t]*)?(?:%[^\n{_BREAKS}]*)?\r?$|^(.*)$",
+    re.M,
 )
 
 
-def code_lines(text: str) -> Iterator[tuple[int, str]]:
-    """(line number, text before any '%') of each line that is not blank."""
+def code_lines(text: str, first: int = 1) -> Iterator[tuple[int, str]]:
+    """(line number, text before any '%') of each line that is not blank,
+    the lines of ``text`` numbered from ``first``."""
     codes = (line.split("%", 1)[0] for line in text.splitlines())
-    return ((i, code) for i, code in enumerate(codes, start=1) if code.strip())
+    return ((i, code) for i, code in enumerate(codes, start=first) if code.strip())
 
 
 def next_char(code: str, pos: int) -> tuple[int, str]:
@@ -269,16 +315,6 @@ def read_atom(code: str, pos: int, line_no: int, negatable: bool = False):
     return negated, name, args, pos
 
 
-def read_fact_line(code: str) -> tuple[str, tuple[str, ...]] | None:
-    """(name, constants) of a well-formed ground fact line, or None for any
-    other line, which the line reader then reads or rejects."""
-    m = _FACT_LINE.fullmatch(code)
-    if m is None:
-        return None
-    name, args = m.groups()
-    return name, tuple(_IDENT.findall(args)) if args else ()
-
-
 def read_directive(line_no: int, code: str, allowed: tuple[str, ...]):
     """Read a ``#`` line: (directive, (name, arity), mode slots, position after)."""
     pos = expect(code, 0, "#", line_no)
@@ -304,44 +340,62 @@ def parse_kb_document(text: str) -> KbDocument:
     background: set[Predicate] = set()
     first_arity: dict[str, int] = {}  # by name, from the first directive
     mode_slots: dict[tuple[str, int], tuple[str, ...]] = {}
-    rows: list[tuple[int, str, tuple[str, ...]]] = []  # (line, name, args)
-    for line_no, code in code_lines(text):
-        fact = read_fact_line(code)
-        if fact is not None:
-            rows.append((line_no, *fact))
+    lines: list[int] = []  # each fact's line, name and arguments, in order
+    names: list[str] = []
+    rows: list[Row] = []
+    constants: dict[str, str] = {}  # one str per symbol
+    constant = constants.setdefault
+    line_no = 0
+    for name, args, other in _LINE.findall(text):
+        line_no += 1
+        if name:  # a fact line, maybe with spaces and tabs around its arguments
+            args = args.replace(" ", "").replace("\t", "").split(",") if args else ()
+            lines.append(line_no)
+            names.append(name)
+            rows.append(tuple(map(constant, args, args)))
             continue
-        if code.lstrip().startswith("#"):
-            directive, key, slots, pos = read_directive(line_no, code, _KB_DIRECTIVES)
-            expect_end(code, pos, line_no, "directive")
-            predicate = predicates.setdefault(key, Predicate(*key))
-            if directive == "background":
-                background.add(predicate)
-            if slots is not None:
-                mode_slots[key] = slots
-            first_arity.setdefault(*key)
+        if not other:  # a blank or comment line
             continue
-        _, name, args, pos = read_atom(code, 0, line_no)
-        expect_end(code, expect(code, pos, ".", line_no), line_no, "fact")
-        for token in args:
-            if is_variable(token):
-                message = f"variable {token!r} in a fact (data must be ground)"
-                raise KbSyntaxError(message, line_no, 1)
-        rows.append((line_no, name, args))
+        for at, code in code_lines(other, line_no):
+            if code.lstrip().startswith("#"):
+                directive, key, slots, pos = read_directive(at, code, _KB_DIRECTIVES)
+                expect_end(code, pos, at, "directive")
+                predicate = predicates.setdefault(key, Predicate(*key))
+                if directive == "background":
+                    background.add(predicate)
+                if slots is not None:
+                    mode_slots[key] = slots
+                first_arity.setdefault(*key)
+                continue
+            _, name, args, pos = read_atom(code, 0, at)
+            expect_end(code, expect(code, pos, ".", at), at, "fact")
+            for token in args:
+                if is_variable(token):
+                    message = f"variable {token!r} in a fact (data must be ground)"
+                    raise KbSyntaxError(message, at, 1)
+            lines.append(at)
+            names.append(name)
+            rows.append(tuple(map(constant, args, args)))
+        line_no += len((other + "\n").splitlines()) - 1  # the lines the stretch holds
 
     # Directives apply file-wide, so facts are resolved once all are read.
-    constants = {t: t for _, _, args in rows for t in args}  # one str per symbol
-    facts: set[Fact] = set()
-    background_facts: set[Fact] = set()
-    for line_no, name, args in rows:
-        key = (name, len(args))
+    keys = list(zip(names, map(len, rows)))
+    for key in dict.fromkeys(keys):  # in order of first use
         if key not in predicates:
+            name = key[0]
             if name in first_arity:
-                message = f"{name}/{len(args)} conflicts with declared"
+                message = f"{name}/{key[1]} conflicts with declared"
+                line_no = lines[keys.index(key)]
                 raise KbSyntaxError(f"{message} {name}/{first_arity[name]}", line_no, 1)
             predicates[key] = Predicate(*key)
-        predicate = predicates[key]
-        fact = Fact._make((predicate, tuple(map(constants.__getitem__, args))))
-        (background_facts if predicate in background else facts).add(fact)
+    made = map(Fact._make, zip(map(predicates.__getitem__, keys), rows))
+    facts: set[Fact] = set()
+    background_facts: set[Fact] = set()
+    if background:
+        for fact in made:
+            (background_facts if fact.predicate in background else facts).add(fact)
+    else:
+        facts.update(made)
     kb = KnowledgeBase(
         frozenset(facts), frozenset(predicates.values()), frozenset(constants),
         frozenset(background_facts), frozenset(background),

@@ -30,10 +30,9 @@ with the line reader of ``alp.kb``; sections may come in either order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Collection, Iterable, Mapping
 from functools import lru_cache, reduce
 from itertools import chain, repeat
-from typing import Collection, Iterable, Mapping
 
 from .errors import KbSyntaxError
 from .kb import (
@@ -41,6 +40,7 @@ from .kb import (
     KnowledgeBase,
     Predicate,
     Row,
+    checked_namedtuple,
     code_lines,
     expect_end,
     is_variable,
@@ -65,19 +65,17 @@ def var_name(i: int) -> str:
     return _VAR_DISPLAY[i] if i < len(_VAR_DISPLAY) else f"V{i}"
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
-    """An atom or its negation, with variables or constants as arguments."""
+class Literal(checked_namedtuple("Literal", "predicate args negated", (False,))):
+    """An atom or its negation, with variables or constants as arguments:
+    (predicate, args, negated=False)."""
 
-    predicate: Predicate
-    args: tuple[str, ...]
-    negated: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.args) != self.predicate.arity:
-            raise ValueError(
-                f"{self.predicate} applied to {len(self.args)} arguments"
-            )
+            raise ValueError(f"{self.predicate} applied to {len(self.args)} arguments")
+        return self
 
     def variables(self) -> tuple[str, ...]:
         return tuple(a for a in self.args if is_variable(a))
@@ -89,9 +87,9 @@ class Literal:
         return f"not {core}" if self.negated else core
 
 
-@dataclass(frozen=True, slots=True)
-class Clause:
-    """head :- body, with a conjunctive or disjunctive body.
+class Clause(checked_namedtuple("Clause", "head body body_connective", (CONJUNCTION,))):
+    """head :- body, with a conjunctive or disjunctive body:
+    (head, body, body_connective=CONJUNCTION).
 
     Invariants enforced here: the head is positive and range-restricted
     (every head variable occurs in a positive body literal), the body is
@@ -100,53 +98,48 @@ class Clause:
     a positive literal.
     """
 
-    head: Literal
-    body: tuple[Literal, ...]
-    body_connective: str = CONJUNCTION
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.head.negated:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        head, body, connective = self
+        if head.negated:
             raise ValueError("clause head must be positive")
-        if not self.body:
+        if not body:
             raise ValueError("clause body must be nonempty")
-        if self.body_connective not in (CONJUNCTION, DISJUNCTION):
-            raise ValueError(f"bad connective {self.body_connective!r}")
-        positive_vars = {
-            v for lit in self.body if not lit.negated for v in lit.variables()
-        }
-        for v in self.head.variables():
+        if connective not in (CONJUNCTION, DISJUNCTION):
+            raise ValueError(f"bad connective {connective!r}")
+        positive_vars = {v for lit in body if not lit.negated for v in lit.variables()}
+        for v in head.variables():
             if v not in positive_vars:
                 raise ValueError(f"head variable {v} unbound in body")
-        for lit in self.body:
+        for lit in body:
             if lit.negated:
                 for v in lit.variables():
                     if v not in positive_vars:
                         raise ValueError(f"negated literal variable {v} unsafe")
-        if self.body_connective == DISJUNCTION:
-            first = self.body[0]
-            for lit in self.body:
+        if connective == DISJUNCTION:
+            for lit in body:
                 if lit.negated:
                     raise ValueError("disjunctive bodies must be positive")
-                if lit.args != first.args:
-                    raise ValueError(
-                        "disjunctive body literals must share one argument tuple"
-                    )
+                if lit.args != body[0].args:
+                    raise ValueError("disjunctive body literals must share one argument tuple")
+        return self
 
     def __str__(self):
         sep = "," if self.body_connective == CONJUNCTION else ";"
         return f"{self.head} :- {sep.join(str(lit) for lit in self.body)}."
 
 
-@dataclass(frozen=True, slots=True)
-class LogicProgram:
+class LogicProgram(checked_namedtuple("LogicProgram", "clauses direction")):
     """A non-recursive set of clauses, all mapping in one direction: no
     predicate is both a head and a body predicate.  An encoder's heads are
     its latents, so an encoder body that reads one is named as such."""
 
-    clauses: tuple[Clause, ...]
-    direction: str
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.direction not in (ENCODER, DECODER):
             raise ValueError(f"bad direction {self.direction!r}")
         heads = self.head_predicates()
@@ -157,6 +150,7 @@ class LogicProgram:
                     raise ValueError(f"encoder body uses latent {p}, a recursive use in {c}")
                 if p in heads:
                     raise ValueError(f"recursive use of {p} in {c}")
+        return self
 
     def head_predicates(self) -> frozenset[Predicate]:
         return frozenset(c.head.predicate for c in self.clauses)
@@ -181,20 +175,20 @@ def _check_decoder(latents: frozenset[Predicate], clauses: tuple[Clause, ...]) -
                 raise ValueError(f"decoder body uses non-latent {p}{recursive}")
 
 
-@dataclass(frozen=True, slots=True)
-class Alp:
-    """An auto-encoding logic program: decoder composed with encoder.  The
-    latents are the encoder's heads; ``background`` holds the predicates
-    declared background knowledge, which the encoder may read."""
+class Alp(checked_namedtuple("Alp", "encoder decoder background", (frozenset(),))):
+    """An auto-encoding logic program: decoder composed with encoder, as
+    (encoder, decoder, background=frozenset()).  The latents are the
+    encoder's heads; ``background`` holds the predicates declared
+    background knowledge, which the encoder may read."""
 
-    encoder: LogicProgram
-    decoder: LogicProgram
-    background: frozenset[Predicate] = frozenset()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.encoder.direction != ENCODER or self.decoder.direction != DECODER:
             raise ValueError("programs passed in the wrong slots")
         _check_decoder(self.latent_vocabulary, self.decoder.clauses)
+        return self
 
     @property
     def latent_vocabulary(self) -> frozenset[Predicate]:

@@ -43,7 +43,7 @@ gives the program it builds, so that its text declares those it reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, compress, repeat
@@ -60,6 +60,7 @@ from .kb import (
     Fact,
     KnowledgeBase,
     Predicate,
+    Record,
     avg_facts_per_predicate,
 )
 from .logic import (
@@ -85,22 +86,17 @@ class ConstraintViolationError(AlpError):
     """An assignment offered as feasible violates the model's constraints."""
 
 
-@dataclass(frozen=True, slots=True)
-class VarId:
-    index: int
-    kind: str
+class VarId(namedtuple("VarId", "index kind")):
+    __slots__ = ()
 
     def __str__(self):
         return f"{self.kind}_{self.index}"
 
 
-@dataclass(frozen=True, slots=True)
-class Constraint:
-    """A ``Row`` with its positions named by ``VarId``s."""
+class Constraint(namedtuple("Constraint", "form vars coeffs", defaults=((),))):
+    """A ``Row`` with its positions named by ``VarId``s: (form, vars, coeffs)."""
 
-    form: str
-    vars: tuple[VarId, ...]
-    coeffs: tuple[int, ...] = ()
+    __slots__ = ()
 
 
 # One 0/1 value per position of ``CopModel.all_ids``: ec, dc, rf, then cl.
@@ -112,19 +108,30 @@ Assignment = list[int]
 Row = tuple[str, tuple[int, ...], tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class CopModel:
+class CopModel(Record):
     """The variables, constraints and objective of one candidate pool."""
 
-    ec_candidates: tuple[CandidateClause, ...]
-    dc_candidates: tuple[CandidateClause, ...]
-    rf_bits: tuple[tuple[Predicate, int], ...]  # (head, bit of its row), per rf
-    rf_in_kb: tuple[bool, ...]
-    rows: tuple[Row, ...]  # each constraint over assignment positions
-    class_positions: tuple[tuple[int, ...], ...]  # the members of cl_k
-    constant_offset: int
-    background: frozenset[Predicate]  # the KB's, for induced_alp
-    warnings: tuple[str, ...] = ()
+    _fields = (
+        "ec_candidates", "dc_candidates", "rf_bits", "rf_in_kb", "rows", "class_positions",
+        "constant_offset", "background", "warnings",
+    )
+
+    def __init__(
+        self,
+        ec_candidates: tuple[CandidateClause, ...],
+        dc_candidates: tuple[CandidateClause, ...],
+        rf_bits: tuple[tuple[Predicate, int], ...],  # (head, bit of its row), per rf
+        rf_in_kb: tuple[bool, ...],
+        rows: tuple[Row, ...],  # each constraint over assignment positions
+        class_positions: tuple[tuple[int, ...], ...],  # the members of cl_k
+        constant_offset: int,
+        background: frozenset[Predicate],  # the KB's, for induced_alp
+        warnings: tuple[str, ...] = (),
+    ):
+        self.ec_candidates, self.dc_candidates = ec_candidates, dc_candidates
+        self.rf_bits, self.rf_in_kb, self.rows = rf_bits, rf_in_kb, rows
+        self.class_positions, self.constant_offset = class_positions, constant_offset
+        self.background, self.warnings = background, warnings
 
     def _sizes(self) -> dict[str, int]:
         return {

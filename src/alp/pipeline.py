@@ -10,7 +10,6 @@ model property, and raises.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .candidates import (
@@ -20,24 +19,30 @@ from .candidates import (
     generate_pruned_decoders,
 )
 from .errors import AlpError
-from .kb import KnowledgeBase, ModeDeclaration, Predicate
+from .kb import KnowledgeBase, ModeDeclaration, Predicate, Record
 from .logic import Alp, encode, loss_parts
 from .model import CopModel, build_model, induced_alp
 from .pruning import build_report, prune_naming_variants
 from .solver import SearchConfig, Solution, lns_minimize, ProgressFn
 
 
-@dataclass
-class LearnResult:
-    alp: Alp
-    latent: frozenset
-    solution: Solution
-    model: CopModel
-    pruning: dict
-    counts: dict = field(default_factory=dict)
-    timings: dict = field(default_factory=dict)
-    loss: dict = field(default_factory=dict)
-    improvements: list = field(default_factory=list)
+class LearnResult(Record):
+    """What ``learn`` found, and what the run report reads: compared by
+    its fields, and unhashable, since it may change."""
+
+    _fields = __slots__ = (
+        "alp", "latent", "solution", "model", "pruning", "counts", "timings", "loss",
+        "improvements",
+    )
+    __hash__ = None
+
+    def __init__(
+        self, alp: Alp, latent: frozenset, solution: Solution, model: CopModel,
+        pruning: dict, counts: dict, timings: dict, loss: dict, improvements: list,
+    ):
+        self.alp, self.latent, self.solution, self.model = alp, latent, solution, model
+        self.pruning, self.counts, self.timings = pruning, counts, timings
+        self.loss, self.improvements = loss, improvements
 
 
 def prepare_pool(
@@ -128,11 +133,11 @@ def run_report(
     gamma: Fraction,
 ) -> dict:
     """The JSON-ready run report; timing fields are not deterministic."""
-    generation = asdict(gen_config)
+    generation = gen_config._asdict()
     del generation["max_candidates"]
     return {
         "schema": 1,
-        "config": {"gamma": str(gamma), **generation, **asdict(search_config)},
+        "config": {"gamma": str(gamma), **generation, **search_config._asdict()},
         "candidates": result.counts,
         "pruning": result.pruning,
         "model": result.model.size_summary(),

@@ -54,11 +54,12 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from collections.abc import Callable
 from functools import cache
-from typing import Callable
 
 from .errors import AlpError, InfeasibleError
+from .kb import checked_namedtuple
 from .model import (
     AT_LEAST_ONE,
     AT_MOST_ONE_OF_PAIR,
@@ -78,44 +79,39 @@ UNASSIGNED = -1
 _STAGNATION_WINDOW = 25
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(checked_namedtuple(
+    "SearchConfig", "alpha beta iterations fail_limit time_limit seed",
+    (70.0, 90.0, 500, 10_000, 600.0, 0),
+)):
     """alpha/beta are percentages in [0, 100]; the seed fixes the structure
     sampling stream, so (model, config) fully determines the result."""
 
-    alpha: float = 70.0
-    beta: float = 90.0
-    iterations: int = 500
-    fail_limit: int = 10_000
-    time_limit: float = 600.0
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0 <= self.alpha <= 100 or not 0 <= self.beta <= 100:
             raise ValueError("alpha and beta must lie in [0, 100]")
         if self.iterations < 1 or self.fail_limit < 1:
             raise ValueError("iterations and fail_limit must be >= 1")
         if not 0 <= self.time_limit < math.inf:
             raise ValueError("time_limit must be finite and >= 0")
+        return self
 
 
-@dataclass(frozen=True)
-class Solution:
-    assignment: Assignment
-    objective: int
-    iteration_found: int
-    proven_optimal: bool
+class Solution(namedtuple("Solution", "assignment objective iteration_found proven_optimal")):
+    """An assignment, its objective, the LNS iteration that found it and
+    whether it is proven optimal."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ExactResult:
-    """complete=True means the subproblem was searched exhaustively; a None
+class ExactResult(namedtuple("ExactResult", "best objective complete failures")):
+    """(best assignment or None, its objective or None, complete, failures).
+    complete=True means the subproblem was searched exhaustively; a None
     best then means no completion beats the given bound (or none exists)."""
 
-    best: Assignment | None
-    objective: int | None
-    complete: bool
-    failures: int
+    __slots__ = ()
 
 
 class _Searcher:
@@ -618,7 +614,7 @@ def lns_minimize(
         else:
             stagnation += 1
         if not fixed and result.complete or incumbent.objective == floor:
-            return replace(incumbent, proven_optimal=True)
+            return incumbent._replace(proven_optimal=True)
     return incumbent
 
 

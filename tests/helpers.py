@@ -8,7 +8,6 @@ import os
 import random
 import sys
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations, product
 from pathlib import Path
@@ -16,13 +15,20 @@ from typing import Iterable, Iterator
 
 import alp
 from alp.candidates import AtomIndex, CandidateClause, GenerationConfig, _enumerate
-from alp.errors import CapacityError
+from alp.errors import CapacityError, KbSyntaxError
 from alp.kb import (
+    _KB_DIRECTIVES,
     Fact,
+    KbDocument,
     KnowledgeBase,
     ModeDeclaration,
     Predicate,
+    code_lines,
+    expect,
+    expect_end,
     is_variable,
+    read_atom,
+    read_directive,
 )
 from alp.logic import (
     CONJUNCTION,
@@ -83,7 +89,7 @@ def load_bench(name: str):
     path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look the module up
+    sys.modules[spec.name] = module  # the benchmark's dataclasses look the module up
     spec.loader.exec_module(module)
     return module
 
@@ -120,6 +126,53 @@ def count_facts_built(monkeypatch) -> list[int]:
     monkeypatch.setattr(Fact, "__new__", counting_new)
     monkeypatch.setattr(Fact, "_make", counting_make)
     return built
+
+
+def read_document_by_lines(text: str) -> KbDocument:
+    """``parse_kb_document`` as the line reader alone reads a document, line
+    by line: the reference for the one-pass document reader."""
+    predicates: dict[tuple[str, int], Predicate] = {}  # declared, then used
+    background: set[Predicate] = set()
+    first_arity: dict[str, int] = {}  # by name, from the first directive
+    mode_slots: dict[tuple[str, int], tuple[str, ...]] = {}
+    rows: list[tuple[int, str, tuple[str, ...]]] = []  # (line, name, args)
+    for line_no, code in code_lines(text):
+        if code.lstrip().startswith("#"):
+            directive, key, slots, pos = read_directive(line_no, code, _KB_DIRECTIVES)
+            expect_end(code, pos, line_no, "directive")
+            predicate = predicates.setdefault(key, Predicate(*key))
+            if directive == "background":
+                background.add(predicate)
+            if slots is not None:
+                mode_slots[key] = slots
+            first_arity.setdefault(*key)
+            continue
+        _, name, args, pos = read_atom(code, 0, line_no)
+        expect_end(code, expect(code, pos, ".", line_no), line_no, "fact")
+        for token in args:
+            if is_variable(token):
+                message = f"variable {token!r} in a fact (data must be ground)"
+                raise KbSyntaxError(message, line_no, 1)
+        rows.append((line_no, name, args))
+
+    facts: set[Fact] = set()
+    background_facts: set[Fact] = set()
+    for line_no, name, args in rows:
+        key = (name, len(args))
+        if key not in predicates:
+            if name in first_arity:
+                message = f"{name}/{len(args)} conflicts with declared"
+                raise KbSyntaxError(f"{message} {name}/{first_arity[name]}", line_no, 1)
+            predicates[key] = Predicate(*key)
+        fact = Fact(predicates[key], args)
+        (background_facts if fact.predicate in background else facts).add(fact)
+    kb = KnowledgeBase(
+        frozenset(facts), frozenset(predicates.values()),
+        frozenset(a for _, _, args in rows for a in args),
+        frozenset(background_facts), frozenset(background),
+    )
+    modes = (ModeDeclaration(predicates[k], s) for k, s in mode_slots.items())
+    return KbDocument(kb, {mode.predicate: mode for mode in modes})
 
 
 def lit(p, *args, negated=False):
@@ -499,7 +552,13 @@ def with_constraints(model, constraints, members):
         return tuple(position(model, v) for v in variables)
 
     rows = tuple((con.form, at(con.vars), con.coeffs) for con in constraints)
-    return replace(model, rows=rows, class_positions=tuple(map(at, members)))
+    return model_with(model, rows=rows, class_positions=tuple(map(at, members)))
+
+
+def model_with(model: CopModel, **changes) -> CopModel:
+    """A new model from ``model``'s fields, some of them changed."""
+    fields = {name: getattr(model, name) for name in CopModel._fields}
+    return CopModel(**(fields | changes))
 
 
 def position(model, var) -> int:
@@ -680,7 +739,7 @@ def reference_greedy_selection(model: CopModel) -> Assignment:
 
 
 def initial_solution(
-    model: CopModel, fail_limit: int = SearchConfig.fail_limit
+    model: CopModel, fail_limit: int = SearchConfig().fail_limit
 ) -> Assignment:
     """The seed ``lns_minimize`` starts from, searched with no deadline: a
     feasible assignment, or InfeasibleError."""

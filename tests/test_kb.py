@@ -1,7 +1,6 @@
 """Knowledge base parsing, serialization, Herbrand base, fact statistics."""
 
 import copy
-import dataclasses
 import hashlib
 import pickle
 import random
@@ -23,7 +22,6 @@ from alp.kb import (
     parse_kb,
     parse_kb_document,
     read_atom,
-    read_fact_line,
     serialize_kb,
 )
 from alp.logic import (
@@ -43,6 +41,7 @@ from helpers import (
     load_workloads,
     pred,
     random_kb,
+    read_document_by_lines,
 )
 
 
@@ -222,7 +221,23 @@ def _reader_fact(code):
     return None if any(map(is_variable, args)) else (name, args)
 
 
-# Fact lines and whether the fact-line regex reads them; every line it
+def _refuse(*args):
+    raise LookupError("the line reader was called")
+
+
+def _scanned_fact(code):
+    """(name, args) of the one fact that the document pattern reads from
+    ``code`` alone, or None where it hands the line to the line reader,
+    whose ``read_atom`` the caller has replaced with ``_refuse``."""
+    try:
+        kb = parse_kb(code)
+    except LookupError:
+        return None
+    (f,) = kb.facts
+    return f.predicate.name, f.args
+
+
+# Fact lines and whether the document pattern reads them; every line it
 # declines goes to the line reader, which reads or rejects it.
 FACT_LINES = [
     ("p.", True),
@@ -263,19 +278,21 @@ FACT_LINES = [
 
 
 @pytest.mark.parametrize("code, read", FACT_LINES)
-def test_fact_line_regex_reads_what_the_reader_reads(code, read):
-    found = read_fact_line(code)
+def test_fact_line_regex_reads_what_the_reader_reads(code, read, monkeypatch):
+    expected = _reader_fact(code)
+    monkeypatch.setattr("alp.kb.read_atom", _refuse)
+    found = _scanned_fact(code)
     assert (found is not None) == read
-    assert found in (None, _reader_fact(code))
+    assert found in (None, expected)
 
 
-def test_fact_line_regex_agrees_with_the_reader_on_random_lines():
-    """Random lines of fact tokens: the regex declines a line or reads the
-    line reader's (name, args)."""
+def test_fact_line_regex_agrees_with_the_reader_on_random_lines(monkeypatch):
+    """Random lines of fact tokens: the document pattern declines a line or
+    reads the line reader's (name, args)."""
     tokens = ["p", "q1", "bC_2", "P", "X", "_a", "1", "not ", "(", ")", ",", "."]
     tokens += [" ", "\t", "\xa0"]
     rng = random.Random(22)
-    read = 0
+    codes = []
     for _ in range(20_000):
         code = "".join(rng.choices(tokens, k=rng.randint(1, 12)))
         if rng.random() < 0.5:  # a fact with random blanks, ground or not
@@ -283,11 +300,55 @@ def test_fact_line_regex_agrees_with_the_reader_on_random_lines():
             blank = lambda: "".join(rng.choices(" \t", k=rng.randint(0, 2)))
             inner = ",".join(blank() + a + blank() for a in args)
             code = blank() + "p" + blank() + (f"({inner})" if args else "") + blank() + "."
-        found = read_fact_line(code)
-        if found is not None:
-            assert found == _reader_fact(code), code
-            read += 1
+        codes.append((code, _reader_fact(code)))
+    monkeypatch.setattr("alp.kb.read_atom", _refuse)
+    read = 0
+    for code, expected in codes:
+        if code.strip():  # a blank line holds no fact
+            found = _scanned_fact(code)
+            if found is not None:
+                assert found == expected, code
+                read += 1
     assert read > 5_000
+
+
+def _document_outcome(read, text):
+    """The document written back by ``serialize_kb``, or the syntax error's
+    message, line and column."""
+    try:
+        doc = read(text)
+    except KbSyntaxError as err:
+        return str(err), err.line, err.column
+    return serialize_kb(doc.kb, doc.modes)
+
+
+def test_documents_read_as_the_line_reader_reads_them():
+    """Random documents of fact, comment, blank, directive and malformed
+    lines, ended by every line break ``str.splitlines`` knows of and
+    sprinkled with no-break spaces: the one-pass reader writes back the
+    same document as the line reader, or raises the same error at the same
+    line and column."""
+    rng = random.Random(31)
+    lines = [
+        "p(a).", "p(b,c).", " q ( a , b ) . ", "\tr.", "p(a). % fact", "q(c,d).%",
+        "% comment", "%", "", " \t", "\xa0", "\xa0% odd blank",
+        "#pred p/1", "#pred q/2", "#background r/0", "#mode q(+,-)", "#pred p/2",
+        "p(a", "P(a).", "p(X).", "p(a). q(b).", "#frob p/1", "p(a).\xa0", "p(\xa0a).",
+        "p(a,%b).", "q(a).",
+    ]
+    weights = [12, 8, 4, 4, 4, 2] + [3] * 6 + [1] * 14
+    ends = ["\n", "\r\n", "\r", "\x0c", "\x85", "\u2028"]
+    end_weights = [20, 6, 2, 1, 1, 1]
+    outcomes = {"ok": 0, "error": 0}
+    for _ in range(4_000):
+        chosen = rng.choices(lines, weights, k=rng.randint(0, 9))
+        text = "".join(line + rng.choices(ends, end_weights)[0] for line in chosen)
+        if text and rng.random() < 0.3:
+            text = text[: -1 - text.endswith("\r\n")]  # no line break at the end
+        expected = _document_outcome(read_document_by_lines, text)
+        assert _document_outcome(parse_kb_document, text) == expected, repr(text)
+        outcomes["ok" if isinstance(expected, str) else "error"] += 1
+    assert min(outcomes.values()) > 1_000
 
 
 class TestKbRows:
@@ -334,9 +395,13 @@ class TestKbRows:
         assert "rows" not in repr(parsed)
 
     def test_replace_recomputes_rows(self):
+        """A KB built from another's fields, with fewer facts, groups its
+        own rows."""
         kb = parse_kb(self.TEXT)
         jedi = next(f for f in kb.facts if f.predicate.name == "jedi")
-        fewer = dataclasses.replace(kb, facts=kb.facts - {jedi})
+        fewer = KnowledgeBase(
+            kb.facts - {jedi}, kb.vocabulary, kb.constants, kb.background, kb.background_predicates
+        )
         assert jedi.predicate not in fewer.rows and jedi.predicate in kb.rows
         assert fewer.rows.keys() == kb.rows.keys() - {jedi.predicate}
         assert fewer.background_rows == kb.background_rows

@@ -137,13 +137,14 @@ def test_learn_builds_clauses_for_the_learned_program_only(monkeypatch):
     fields, so on Fig. 1 at the default bias ``learn`` builds one ``Clause``
     per selected clause, not one per pooled candidate (1,270)."""
     built = []
-    post_init = Clause.__post_init__
+    new = Clause.__new__
 
-    def counting(self):
-        built.append(str(self))
-        post_init(self)
+    def counting(cls, *args):
+        clause = new(cls, *args)
+        built.append(str(clause))
+        return clause
 
-    monkeypatch.setattr(Clause, "__post_init__", counting)
+    monkeypatch.setattr(Clause, "__new__", counting)
     result = learn(
         fig1_kb(),
         {},

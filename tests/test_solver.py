@@ -2,7 +2,6 @@
 
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -54,6 +53,7 @@ from helpers import (
     lit,
     load_workloads,
     loss_consistency,
+    model_with,
     pipeline_pool,
     position,
     pred,
@@ -277,7 +277,7 @@ class TestSeedDive:
             if check_assignment(model, greedy):
                 continue
             dive = _Searcher(model).solve(
-                {}, SearchConfig.fail_limit, math.inf, greedy, first=True
+                {}, SearchConfig().fail_limit, math.inf, greedy, first=True
             )
             assert (dive.best, dive.failures, dive.complete) == (greedy, 0, False)
             assert initial_solution(model) == greedy
@@ -635,7 +635,7 @@ class TestPropagation:
         if result.best is None:
             return result
         best = {v: result.best[position(model, v)] for v in model.all_ids()}
-        return replace(result, best=best)
+        return result._replace(best=best)
 
     def forced(self, model, fixed, incumbent):
         result = self.solve(model, fixed, incumbent)
@@ -797,7 +797,7 @@ class TestPropagation:
         # tried; per atom, RF0 would wait until two decoders were at 0.
         base = two_decoder_model(latents=(L1, L2, L3))
         model = with_constraints(
-            replace(base, rf_bits=base.rf_bits * 2, rf_in_kb=(False, False)),
+            model_with(base, rf_bits=base.rf_bits * 2, rf_in_kb=(False, False)),
             (
                 Constraint(IFF_OR, (RF0, DC0, DC1, DC2)),
                 Constraint(IFF_OR, (VarId(1, RF), DC0, DC1, DC2)),
@@ -855,7 +855,7 @@ def tangled_model(rng, model):
     for _ in range(rng.randint(1, 4)):
         ps = tuple(rng.sample(range(n), min(n, rng.randint(2, 4))))
         rows.append((rng.choice((IFF_OR, AT_LEAST_ONE)), ps, ()))
-    return replace(model, rows=tuple(rows), class_positions=tuple(classes))
+    return model_with(model, rows=tuple(rows), class_positions=tuple(classes))
 
 
 def test_tangled_models_search_as_the_eager_propagator():
