@@ -101,8 +101,9 @@ class AtomIndex:
     """Bit positions for the argument rows of one candidate pool, so that a
     set of rows is an ``int`` bitset and set algebra is integer algebra.  A
     candidate's consequences are its head predicate over the rows of its
-    bitset.  The decoder index records the KB facts it was built against,
-    but gives them no bits."""
+    bitset.  The decoder index records the KB facts it was built against;
+    ``kb_masks`` indexes the KB rows of every head predicate into it,
+    beside the candidates' rows."""
 
     def __init__(self, kb_facts: frozenset[Fact] = frozenset()):
         self.rows: list[Row] = []

@@ -19,7 +19,7 @@ class KbSyntaxError(AlpError):
 
 
 class CapacityError(AlpError):
-    """A result (Herbrand base, candidate pool) would exceed its ceiling."""
+    """The candidate pool would exceed its ceiling."""
 
 
 class VocabularyError(AlpError):

@@ -154,7 +154,7 @@ class ModeDeclaration(checked_namedtuple("ModeDeclaration", "predicate slots")):
 
 
 class KnowledgeBase(Record):
-    """An immutable set of ground facts with its vocabulary and constants.
+    """An immutable set of ground facts with its vocabulary.
 
     ``facts`` holds the reconstruction targets and ``background`` the facts
     of ``background_predicates``, which encoders may use but which are never
@@ -167,14 +167,13 @@ class KnowledgeBase(Record):
     changed KB is a new one: ``KnowledgeBase(facts, kb.vocabulary, ...)``.
     """
 
-    _fields = ("facts", "vocabulary", "constants", "background", "background_predicates")
+    _fields = ("facts", "vocabulary", "background", "background_predicates")
     __slots__ = (*_fields, "rows", "background_rows")
 
     def __init__(
         self,
         facts: frozenset[Fact],
         vocabulary: frozenset[Predicate],
-        constants: frozenset[str],
         background: frozenset[Fact] = frozenset(),
         background_predicates: frozenset[Predicate] = frozenset(),
     ):
@@ -187,33 +186,17 @@ class KnowledgeBase(Record):
         for p, group in chain(rows.items(), background_rows.items()):
             if p not in vocabulary:
                 raise ValueError(f"fact {Fact(p, group[0])} uses undeclared predicate {p}")
-            if constants.issuperset(chain.from_iterable(group)):
-                continue
-            for args in group:  # name the first fact with an undeclared constant
-                for a in args:
-                    if a not in constants:
-                        raise ValueError(f"fact {Fact(p, args)} uses undeclared constant {a}")
-        self.facts, self.vocabulary, self.constants = facts, vocabulary, constants
+        self.facts, self.vocabulary = facts, vocabulary
         self.background, self.background_predicates = background, background_predicates
         self.rows, self.background_rows = rows, background_rows
 
     @classmethod
-    def from_facts(
-        cls,
-        facts: Iterable[Fact],
-        background: Iterable[Fact] = (),
-        extra_predicates: Iterable[Predicate] = (),
-        extra_constants: Iterable[str] = (),
-    ) -> "KnowledgeBase":
-        """Build a KB inferring vocabulary and constants from the facts."""
+    def from_facts(cls, facts: Iterable[Fact], background: Iterable[Fact] = ()) -> "KnowledgeBase":
+        """Build a KB whose vocabulary is the predicates of its facts and
+        background facts."""
         facts = frozenset(facts)
         background = frozenset(background)
-        both = facts | background
-        vocab = {p for p, _ in both}
-        vocab.update(extra_predicates)
-        constants = {a for _, args in both for a in args}
-        constants.update(extra_constants)
-        return cls(facts, frozenset(vocab), frozenset(constants), background)
+        return cls(facts, frozenset(p for p, _ in chain(facts, background)), background)
 
     @property
     def input_predicates(self) -> frozenset[Predicate]:
@@ -397,7 +380,7 @@ def parse_kb_document(text: str) -> KbDocument:
     else:
         facts.update(made)
     kb = KnowledgeBase(
-        frozenset(facts), frozenset(predicates.values()), frozenset(constants),
+        frozenset(facts), frozenset(predicates.values()),
         frozenset(background_facts), frozenset(background),
     )
     modes = (ModeDeclaration(predicates[k], s) for k, s in mode_slots.items())

@@ -450,8 +450,8 @@ def _literal(negated: bool, name: str, tokens) -> Literal:
     return Literal(Predicate(name, len(tokens)), tokens, negated)
 
 
-def _read_clause(line_no: int, code: str):
-    """Read ``head :- body.``: the head, the body's literals and its connective."""
+def _read_clause(line_no: int, code: str) -> Clause:
+    """Read ``head :- body.`` into a clause."""
     cut = code.find(":-")
     if cut < 0:
         raise KbSyntaxError("expected ':-' in clause", line_no, 1)
@@ -467,10 +467,11 @@ def _read_clause(line_no: int, code: str):
     body, found = [], separator
     while found == separator:  # pos is at the body's start or at a separator
         *literal, pos = read_atom(code, pos + bool(body), line_no, negatable=True)
-        body.append(literal)
+        body.append(_literal(*literal))
         pos, found = next_char(code, pos)
     expect_end(code, pos, line_no, "literal")
-    return (False, name, args), body, DISJUNCTION if separator == ";" else CONJUNCTION
+    connective = DISJUNCTION if separator == ";" else CONJUNCTION
+    return Clause(_literal(False, name, args), tuple(body), connective)
 
 
 def parse_program(text: str) -> Alp:
@@ -479,10 +480,11 @@ def parse_program(text: str) -> Alp:
     Head predicates of encoder clauses become the latent vocabulary; the
     decoder may only reference those latents in clause bodies.  A latent
     predicate (name and arity) is latent wherever it stands, so an encoder
-    body or a decoder head that uses one is rejected.  The encoder is
-    checked first, and the decoder before its own recursion check.
+    body or a decoder head that uses one is rejected.  Each clause is
+    checked as its line is read; once all are, the encoder is checked
+    first, and the decoder before its own recursion check.
     """
-    sections: dict[str, list] = {ENCODER: [], DECODER: []}
+    sections: dict[str, list[Clause]] = {ENCODER: [], DECODER: []}
     section = None
     background: set[Predicate] = set()
     for line_no, code in code_lines(text):
@@ -498,15 +500,9 @@ def parse_program(text: str) -> Alp:
         else:
             sections[section].append(_read_clause(line_no, code))
 
-    def clauses(direction: str) -> tuple[Clause, ...]:
-        return tuple(
-            Clause(_literal(*head), tuple(_literal(*l) for l in body), connective)
-            for head, body, connective in sections[direction]
-        )
-
     # Sections come in either order, so roles are known once all are read.
-    encoder = LogicProgram(clauses(ENCODER), ENCODER)
-    decoder = clauses(DECODER)
+    encoder = LogicProgram(tuple(sections[ENCODER]), ENCODER)
+    decoder = tuple(sections[DECODER])
     _check_decoder(encoder.head_predicates(), decoder)
     return Alp(encoder, LogicProgram(decoder, DECODER), frozenset(background))
 

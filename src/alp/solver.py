@@ -57,6 +57,7 @@ import time
 from collections import namedtuple
 from collections.abc import Callable
 from functools import cache
+from itertools import chain
 
 from .errors import AlpError, InfeasibleError
 from .kb import checked_namedtuple
@@ -375,14 +376,9 @@ class _Searcher:
             return False
 
         source = self.source
-        for p, v in fixed.items():
-            p = source[p]  # an alias is fixed through its representative
-            if values[p] == 1 - v:
-                return ExactResult(None, None, True, 1)
-            if values[p] == UNASSIGNED:
-                values[p] = v
-                push(p)
-        for p, v in self.root_checks:
+        # An alias is fixed through its representative.
+        seeds = ((source[p], v) for p, v in fixed.items())
+        for p, v in chain(seeds, self.root_checks):
             if values[p] == 1 - v:
                 return ExactResult(None, None, True, 1)
             if values[p] == UNASSIGNED:
@@ -418,10 +414,16 @@ class _Searcher:
             return None
 
         def branch(p: int, v: int) -> bool:
-            """Sets p = v and propagates; True on conflict."""
+            """Sets p = v and propagates; True on conflict, counted as a
+            failure at p."""
+            nonlocal failures, last_conflict
             values[p] = v
             push(p)
-            return propagate()
+            if not propagate():
+                return False
+            failures += 1
+            last_conflict = p
+            return True
 
         def expired() -> bool:
             nonlocal nodes
@@ -452,9 +454,6 @@ class _Searcher:
                     v = first_values[p]
                     frames.append([p, 1 - v, len(trail), scan])
                     conflict = branch(p, v)
-                    if conflict:
-                        failures += 1
-                        last_conflict = p
             else:
                 failures += 1
 
@@ -473,9 +472,6 @@ class _Searcher:
                     return result(False)
                 frame[1] = None
                 conflict = branch(p, v)
-                if conflict:
-                    failures += 1
-                    last_conflict = p
 
 
 def _greedy_selection(searcher: _Searcher) -> Assignment:

@@ -168,7 +168,6 @@ def read_document_by_lines(text: str) -> KbDocument:
         (background_facts if fact.predicate in background else facts).add(fact)
     kb = KnowledgeBase(
         frozenset(facts), frozenset(predicates.values()),
-        frozenset(a for _, _, args in rows for a in args),
         frozenset(background_facts), frozenset(background),
     )
     modes = (ModeDeclaration(predicates[k], s) for k, s in mode_slots.items())
@@ -242,13 +241,8 @@ def candidate(clause: Clause, facts, index: AtomIndex) -> CandidateClause:
     )
 
 
-def kb_of(*facts, background=(), extra_predicates=(), extra_constants=()):
-    return KnowledgeBase.from_facts(
-        facts,
-        background=background,
-        extra_predicates=extra_predicates,
-        extra_constants=extra_constants,
-    )
+def kb_of(*facts, background=()):
+    return KnowledgeBase.from_facts(facts, background=background)
 
 
 def brute_force_consequences(clause: Clause, facts) -> frozenset[Fact]:
@@ -350,14 +344,16 @@ def body_key(body: tuple[Literal, ...], connective: str = CONJUNCTION) -> str:
     return shape_key(literal_shapes(body), connective)
 
 
-def random_kb(
+def random_kb_and_pool(
     rng: random.Random,
     max_constants=6,
     max_predicates=4,
     max_arity=2,
     max_facts=10,
     min_arity=1,
-) -> KnowledgeBase:
+) -> tuple[KnowledgeBase, list[str]]:
+    """A random KB, whose predicates may have no facts, and the pool of
+    constants its facts drew from, which may hold constants in no fact."""
     constants = [f"c{i}" for i in range(rng.randint(2, max_constants))]
     predicates = [
         Predicate(f"p{i}", rng.randint(min_arity, max_arity))
@@ -367,9 +363,12 @@ def random_kb(
     for _ in range(rng.randint(2, max_facts)):
         p = rng.choice(predicates)
         facts.add(Fact(p, tuple(rng.choice(constants) for _ in range(p.arity))))
-    return KnowledgeBase.from_facts(
-        facts, extra_predicates=predicates, extra_constants=constants
-    )
+    return KnowledgeBase(frozenset(facts), frozenset(predicates)), constants
+
+
+def random_kb(rng: random.Random, **limits) -> KnowledgeBase:
+    """``random_kb_and_pool``'s KB."""
+    return random_kb_and_pool(rng, **limits)[0]
 
 
 def random_clause(rng: random.Random, kb: KnowledgeBase) -> Clause:
@@ -396,17 +395,18 @@ def random_clause(rng: random.Random, kb: KnowledgeBase) -> Clause:
     return Clause(head, tuple(body), CONJUNCTION)
 
 
-def random_rich_clause(rng: random.Random, kb: KnowledgeBase) -> Clause:
+def random_rich_clause(rng: random.Random, kb: KnowledgeBase, pool: list[str]) -> Clause:
     """A random clause over the KB vocabulary that reaches every join path.
 
-    A term is a constant one time in five, and the constant ``k`` is in no
-    fact, so a head can hold a constant its body lacks.  Arity-0 predicates
-    come from the KB, a variable may repeat within a literal, a conjunction
-    may carry one negated literal over its bound variables (placed anywhere
-    in the body), and one clause in three is a disjunction.
+    A term is a constant one time in five, from ``pool`` or the constant
+    ``k``, which is in no fact, so a head can hold a constant its body
+    lacks.  Arity-0 predicates come from the KB, a variable may repeat
+    within a literal, a conjunction may carry one negated literal over its
+    bound variables (placed anywhere in the body), and one clause in three
+    is a disjunction.
     """
     preds = sorted(kb.vocabulary, key=lambda p: (p.name, p.arity))
-    constants = sorted(kb.constants) + ["k"]
+    constants = sorted(pool) + ["k"]
     variables = ["X", "Y", "Z"]
 
     def term(choices):
@@ -437,42 +437,41 @@ def random_rich_clause(rng: random.Random, kb: KnowledgeBase) -> Clause:
     return Clause(head, body, connective)
 
 
-def random_kb_with_background(rng: random.Random) -> KnowledgeBase:
-    """``random_kb`` (arity 0 included) plus facts of one background
-    predicate, ``b0``, which may have none."""
-    kb = random_kb(rng, max_constants=4, max_facts=8, min_arity=0)
+def random_kb_with_background(rng: random.Random) -> tuple[KnowledgeBase, list[str]]:
+    """``random_kb_and_pool`` (arity 0 included) plus facts of one
+    background predicate, ``b0``, which may have none, drawn from the pool."""
+    kb, pool = random_kb_and_pool(rng, max_constants=4, max_facts=8, min_arity=0)
     b0 = Predicate("b0", rng.randint(0, 2))
-    constants = sorted(kb.constants)
+    constants = sorted(pool)
     background = {
         Fact(b0, tuple(rng.choice(constants) for _ in range(b0.arity)))
         for _ in range(rng.randint(0, 3))
     }
-    return KnowledgeBase(
-        kb.facts, kb.vocabulary | {b0}, kb.constants, frozenset(background), frozenset({b0})
-    )
+    kb = KnowledgeBase(kb.facts, kb.vocabulary | {b0}, frozenset(background), frozenset({b0}))
+    return kb, pool
 
 
-def random_alp(rng: random.Random, kb: KnowledgeBase) -> Alp:
+def random_alp(rng: random.Random, kb: KnowledgeBase, pool: list[str]) -> Alp:
     """A random program over kb.  Each encoder clause is a
     ``random_rich_clause`` over kb, with its own latent head; each decoder
     clause is one over those latents, with the head of an input predicate
     (which may have no facts) whose arguments are the body's variables or,
-    one time in five, a constant."""
+    one time in five, a constant of ``pool``."""
     encoder = []
     for i in range(1, rng.randint(1, 3) + 1):
-        c = random_rich_clause(rng, kb)
+        c = random_rich_clause(rng, kb, pool)
         latent = Predicate(f"latent_{i}", len(c.head.args))
         encoder.append(Clause(Literal(latent, c.head.args), c.body, c.body_connective))
     latents = {c.head.predicate for c in encoder}
-    latent_kb = KnowledgeBase.from_facts((), (), latents, kb.constants)
+    latent_kb = KnowledgeBase(frozenset(), frozenset(latents))
     heads = sorted(kb.input_predicates)
     decoder = []
     for _ in range(rng.randint(1, 3)):
-        c = random_rich_clause(rng, latent_kb)
+        c = random_rich_clause(rng, latent_kb, pool)
         bound = sorted({v for l in c.body if not l.negated for v in l.variables()})
         p = rng.choice(heads)
         args = tuple(
-            rng.choice(sorted(kb.constants))
+            rng.choice(sorted(pool))
             if not bound or rng.random() < 0.2
             else rng.choice(bound)
             for _ in range(p.arity)

@@ -325,9 +325,7 @@ def test_pruning_magnitude_logged():
         facts.add(Fact(preds[3], (rng.choice(constants), rng.choice(constants))))
     for _ in range(12):
         facts.add(Fact(rng.choice(preds[4:]), (rng.choice(constants),)))
-    kb = KnowledgeBase.from_facts(
-        facts, extra_predicates=preds, extra_constants=constants
-    )
+    kb = KnowledgeBase(frozenset(facts), frozenset(preds))
     config = GenerationConfig(
         max_encoder_body_len=2, max_decoder_body_len=1, max_candidates=400_000
     )

@@ -283,7 +283,7 @@ class TestEncoderCandidates:
         assert all(c.weight == 1 for c in cands)
 
     def test_empty_vocabulary(self):
-        kb = KnowledgeBase(frozenset(), frozenset(), frozenset())
+        kb = KnowledgeBase(frozenset(), frozenset())
         assert generate_encoder_candidates(kb, {}, default_config()) == []
 
     def test_fig1_disjunctive_weight_four(self):

@@ -295,7 +295,8 @@ class TestEncodeDecode:
         main(["decode", str(tmp_path / "model.alp"), str(latents), "--out", str(recon)])
         original = parse_kb(family.read_text())
         decoded = parse_kb(recon.read_text())
-        hb = herbrand_base(original.vocabulary, original.constants)
+        constants = {a for f in original.facts | original.background for a in f.args}
+        hb = herbrand_base(original.vocabulary, constants)
         assert decoded.facts <= hb
 
 

@@ -41,6 +41,7 @@ from helpers import (
     load_workloads,
     pred,
     random_kb,
+    random_kb_and_pool,
     read_document_by_lines,
 )
 
@@ -388,11 +389,25 @@ class TestKbRows:
 
     def test_equal_kbs_compare_and_hash_equal(self):
         parsed = parse_kb(self.TEXT)
-        built = KnowledgeBase.from_facts(
-            parsed.facts, parsed.background, parsed.vocabulary, parsed.constants
-        )
+        built = KnowledgeBase.from_facts(parsed.facts, parsed.background)
         assert parsed == built and hash(parsed) == hash(built)
         assert "rows" not in repr(parsed)
+
+    def test_equal_constants_are_one_object(self):
+        """The reader keeps one str per constant, whether the one-pass
+        reader or the line reader read it (a "\x0c" line break sends its
+        stretch to the line reader): in the facts, the rows and the
+        background."""
+        text = (
+            "#background male/1\nfather(vader, luke).\nmale(vader).\x0cfather(luke,rey).\n"
+            "male(luke).\x0cmale(rey).\nmother(padme,luke).\nfather(rey,vader). % a\n"
+        )
+        kb = parse_kb(text)
+        groups = (*kb.rows.values(), *kb.background_rows.values())
+        constants = [a for f in kb.facts | kb.background for a in f.args]
+        constants += [a for rows in groups for row in rows for a in row]
+        assert len(set(constants)) == 4
+        assert len({id(a) for a in constants}) == len(set(constants))
 
     def test_replace_recomputes_rows(self):
         """A KB built from another's fields, with fewer facts, groups its
@@ -400,7 +415,7 @@ class TestKbRows:
         kb = parse_kb(self.TEXT)
         jedi = next(f for f in kb.facts if f.predicate.name == "jedi")
         fewer = KnowledgeBase(
-            kb.facts - {jedi}, kb.vocabulary, kb.constants, kb.background, kb.background_predicates
+            kb.facts - {jedi}, kb.vocabulary, kb.background, kb.background_predicates
         )
         assert jedi.predicate not in fewer.rows and jedi.predicate in kb.rows
         assert fewer.rows.keys() == kb.rows.keys() - {jedi.predicate}
@@ -466,18 +481,16 @@ class TestHerbrandBase:
     def test_size_formula(self):
         rng = random.Random(5)
         for _ in range(20):
-            kb = random_kb(rng, max_constants=4, max_facts=5)
-            hb = herbrand_base(kb.vocabulary, kb.constants)
-            expected = sum(
-                len(kb.constants) ** p.arity for p in kb.vocabulary
-            )
+            kb, pool = random_kb_and_pool(rng, max_constants=4, max_facts=5)
+            hb = herbrand_base(kb.vocabulary, pool)
+            expected = sum(len(pool) ** p.arity for p in kb.vocabulary)
             assert len(hb) == expected
 
     def test_facts_within_herbrand_base(self):
         rng = random.Random(6)
         for _ in range(20):
-            kb = random_kb(rng, max_constants=4, max_facts=6)
-            hb = herbrand_base(kb.vocabulary, kb.constants)
+            kb, pool = random_kb_and_pool(rng, max_constants=4, max_facts=6)
+            hb = herbrand_base(kb.vocabulary, pool)
             assert kb.facts <= hb
 
     def test_capacity_ceiling(self):
@@ -568,7 +581,7 @@ class TestPredicateIdentity:
             KnowledgeBase.from_facts([data], background=[background])
         with pytest.raises(ValueError, match="background predicates appear as facts"):
             KnowledgeBase(
-                frozenset([data]), frozenset([p]), frozenset("a"), frozenset(), frozenset([p])
+                frozenset([data]), frozenset([p]), frozenset(), frozenset([p])
             )
 
 
@@ -645,7 +658,6 @@ class TestInvariants:
             KnowledgeBase(
                 facts=frozenset([fact(p, "a")]),
                 vocabulary=frozenset([p]),
-                constants=frozenset(["a"]),
                 background=frozenset([fact(p, "b")]),
             )
 

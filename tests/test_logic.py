@@ -54,6 +54,7 @@ from helpers import (
     random_alp,
     random_clause,
     random_kb,
+    random_kb_and_pool,
     random_kb_with_background,
     random_rich_clause,
     reference_body_key,
@@ -130,8 +131,8 @@ class TestGroundConsequences:
         seen = {"constant": 0, "arity 0": 0, "negated": 0, "repeat": 0, "or": 0}
         rng = random.Random(41)
         for _ in range(300):
-            kb = random_kb(rng, max_constants=3, max_facts=8, min_arity=0)
-            clause = random_rich_clause(rng, kb)
+            kb, pool = random_kb_and_pool(rng, max_constants=3, max_facts=8, min_arity=0)
+            clause = random_rich_clause(rng, kb, pool)
             assert ground_consequences(clause, kb.facts) == (
                 brute_force_consequences(clause, kb.facts)
             ), str(clause)
@@ -160,7 +161,8 @@ class TestGroundConsequences:
         assert encode(alp, kb_of(fact(q), fact(r, "a"))) == {
             fact(pred("latent_1", 0))
         }
-        assert encode(alp, kb_of(fact(r, "a"), extra_predicates=[q])) == frozenset()
+        kb = KnowledgeBase(frozenset([fact(r, "a")]), frozenset([q, r]))
+        assert encode(alp, kb) == frozenset()
 
     def test_negated_arity_zero_literal(self):
         """``not q`` keeps every row when q has no facts and drops every row
@@ -173,7 +175,7 @@ class TestGroundConsequences:
         kept = {fact(latent, "a"), fact(latent, "b")}
         for facts, expected in [(rows, kept), (rows | {fact(q)}, frozenset())]:
             assert ground_consequences(clause, facts) == expected
-            assert encode(alp, kb_of(*facts, extra_predicates=[q])) == expected
+            assert encode(alp, KnowledgeBase(frozenset(facts), frozenset([q, r]))) == expected
 
     def test_apply_path_pinned(self):
         """SHA-256 of the encoding and the reconstruction of the benchmark's
@@ -392,7 +394,8 @@ class TestPrograms:
             clause = random_clause(rng, kb)
             program = LogicProgram((clause,), ENCODER)
             out = apply_program(program, kb.facts)
-            hb = herbrand_base(program.head_predicates(), kb.constants)
+            constants = {a for f in kb.facts for a in f.args}
+            hb = herbrand_base(program.head_predicates(), constants)
             assert out <= hb
 
     def test_encoder_direction_enforced(self):
@@ -495,8 +498,8 @@ class TestReconstructionLoss:
         )
         rng = random.Random(61)
         for _ in range(200):
-            kb = random_kb_with_background(rng)
-            alp = random_alp(rng, kb)
+            kb, pool = random_kb_with_background(rng)
+            alp = random_alp(rng, kb, pool)
             expected = reference_loss_by_predicate(alp, kb)
             assert loss_by_predicate(alp, kb) == expected, serialize_program(alp)
             totals = tuple(sum(c[i] for c in expected.values()) for i in (0, 1))
@@ -577,6 +580,21 @@ class TestProgramText:
         body_preds = {l.predicate for c in alp.encoder.clauses for l in c.body}
         assert pred("male", 1) in body_preds and alp.background == {pred("male", 1)}
         assert parse_program(serialize_program(alp)) == alp
+
+    def test_clause_faults_come_in_line_order(self):
+        """A clause is checked as its line is read: its fault comes before
+        a syntax fault on a later line, and before the program checks that
+        wait for every section (here, a latent in an encoder body)."""
+        text = (
+            "#decoder\np(X) :- latent_1(Y).\n#encoder\nlatent_1(X) :- latent_1(X).\n"
+            "latent_1(X) :- p(X\n"
+        )
+        with pytest.raises(ValueError, match="^head variable X unbound in body$"):
+            parse_program(text)
+        with pytest.raises(KbSyntaxError, match="^line 5, column 18: clause must end"):
+            parse_program(text.replace("latent_1(Y)", "latent_1(X)"))
+        with pytest.raises(ValueError, match="^encoder body uses latent latent_1/1"):
+            parse_program(text.replace("latent_1(Y)", "latent_1(X)").replace("p(X\n", "p(X).\n"))
 
     def test_background_declaration_names_one_arity(self):
         text = (

@@ -495,6 +495,24 @@ class TestCompiledAudit:
         assert feasible >= 10 and infeasible >= 150 and pairs >= 50
 
 
+def test_pruned_pools_have_no_encoder_classes():
+    """Naming-variant pruning keeps one encoder per consequence set, so a
+    model of a ``prepare_pool`` pool has decoder classes only: on seeded
+    random KBs, the benchmark's family KBs and Fig. 1 at the default bias,
+    every class member is a dc position.  Unpruned pools
+    (``variant_models``) do have encoder classes."""
+    kb = fig1_kb()
+    encoders, decoders, _, _ = prepare_pool(kb, {}, GenerationConfig())
+    models = audit_models() + [build_model(encoders, decoders, kb, Fraction(2))]
+    classes = [(ps, model.first[DC]) for model in models for ps in model.class_positions]
+    assert len(classes) >= 50
+    assert all(min(ps) >= first_dc for ps, first_dc in classes)
+    assert all(
+        any(min(ps) < model.first[DC] for ps in model.class_positions)
+        for model in variant_models()
+    )
+
+
 def variant_models():
     """Models of seeded random pools that keep naming variants, so some
     encoder classes have two or more members: their class rows read ec

@@ -91,7 +91,7 @@ def instances():
         "Solution": (result.solution, "assignment objective iteration_found proven_optimal"),
         "ExactResult": (ExactResult(None, None, True, 4), "best objective complete failures"),
         "KnowledgeBase": (
-            kb, "facts vocabulary constants background background_predicates"
+            kb, "facts vocabulary background background_predicates"
         ),
         "CandidateClause": (decoders[0], "head body connective mask"),
         "CopModel": (
@@ -232,13 +232,10 @@ CHECKS = [
     (lambda: SearchConfig(iterations=0), "iterations and fail_limit must be >= 1"),
     (lambda: SearchConfig()._replace(fail_limit=0), "iterations and fail_limit must be >= 1"),
     (lambda: SearchConfig(time_limit=float("inf")), "time_limit must be finite and >= 0"),
-    (lambda: KnowledgeBase(frozenset([fact(P2, "a", "b")]), frozenset(), frozenset("ab")),
+    (lambda: KnowledgeBase(frozenset([fact(P2, "a", "b")]), frozenset()),
      "fact p(a,b) uses undeclared predicate p/2"),
-    (lambda: KnowledgeBase(frozenset([fact(P2, "a", "b")]), frozenset([P2]), frozenset("a")),
-     "fact p(a,b) uses undeclared constant b"),
     (lambda: KnowledgeBase(
-        frozenset([fact(P2, "a", "b")]), frozenset([P2]), frozenset("ab"), frozenset(),
-        frozenset([P2])),
+        frozenset([fact(P2, "a", "b")]), frozenset([P2]), frozenset(), frozenset([P2])),
      "background predicates appear as facts: ['p/2']"),
 ]
 
