@@ -16,26 +16,25 @@ Bodies are enumerated and keyed as integer shapes, variables numbered by
 first appearance; ``Literal`` objects are built for the bodies kept only.
 Both generators count the planned (body, head) pairs as bodies are kept
 and stop once they pass ``max_candidates``, before any join; then each body
-is joined once, a conjunction from its parent's rows and its last literal,
-and all of its heads are projected from those rows.  A candidate's
-consequences are its head predicate over an ``int`` bitset of rows in its
-pool's AtomIndex.  Both decoder generators read one enumeration,
-``_decoder_heads``: each body's rows projected once per head variable
-tuple, shared by every head predicate of that arity.
-``generate_pruned_decoders`` keys each projection as a bitset of rows,
-prunes signature variants and corrupt decoders once per such row class for
-all head predicates of its arity, and builds a candidate only for the
-decoders that survive.
+is joined once, a conjunction from its parent's rows and its last literal
+(a disjunction's rows are its disjuncts' stored rows), and every head is
+masked from the columns of those rows.  A candidate's consequences are its
+head predicate over an ``int`` bitset of rows in its pool's AtomIndex.
+Both decoder generators read one item per body, ``_decoder_bodies``.
+``generate_pruned_decoders`` reads each in one pass: it prunes signature
+variants and corrupt decoders once per row class for all head predicates
+of its arity, renders text only for the classes that can survive, and
+builds a candidate only for the decoders that do.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Iterator
-from functools import cache, cached_property, lru_cache
-from itertools import combinations, count, groupby, product
+from collections.abc import Callable, Iterable, Iterator
+from functools import cache, cached_property, lru_cache, reduce
+from itertools import chain, combinations, count, product, repeat
 from math import comb
-from operator import itemgetter
+from operator import itemgetter, lshift, or_
 
 from .errors import CapacityError
 from .kb import (
@@ -61,7 +60,6 @@ from .logic import (
     Shape,
     _CANONICAL_PERMUTATION_CAP,
     kb_store,
-    project,
     shape_key,
     var_name,
 )
@@ -97,6 +95,15 @@ def bit_positions(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+class _Positions(dict):
+    """Row -> bit position: looking up an unseen row appends it to ``rows``."""
+
+    def __missing__(self, row: Row) -> int:
+        position = self[row] = len(self.rows)
+        self.rows.append(row)
+        return position
+
+
 class AtomIndex:
     """Bit positions for the argument rows of one candidate pool, so that a
     set of rows is an ``int`` bitset and set algebra is integer algebra.  A
@@ -106,21 +113,17 @@ class AtomIndex:
     beside the candidates' rows."""
 
     def __init__(self, kb_facts: frozenset[Fact] = frozenset()):
-        self.rows: list[Row] = []
-        self._bits: dict[Row, int] = {}
+        self._position = _Positions()
+        self.rows = self._position.rows = []  # the rows by position
         self.kb_facts = kb_facts
 
-    def mask(self, rows) -> int:
-        """The bitset of the rows, indexing new ones."""
-        bits = self._bits
-        mask = 0
-        for row in rows:
-            bit = bits.get(row)
-            if bit is None:
-                bit = bits[row] = len(self.rows)
-                self.rows.append(row)
-            mask |= 1 << bit
-        return mask
+    def mask(self, rows: Iterable[Row]) -> int:
+        """The bitset of the rows, indexing new ones in first-seen order."""
+        return reduce(or_, map(lshift, repeat(1), map(self._position.__getitem__, rows)), 0)
+
+    def columns_mask(self, columns: list[tuple], slots: tuple[int, ...]) -> int:
+        """``mask(project(rows, slots))`` from ``columns = list(zip(*rows))``."""
+        return self.mask(zip(*map(columns.__getitem__, slots)))
 
     def kb_masks(self, kb: KnowledgeBase, predicates) -> dict[Predicate, int]:
         """Each predicate's KB rows as a bitset; ``kb`` must be the index's."""
@@ -341,8 +344,8 @@ def _joined_bodies(
     def rows_of(b: _Enumerated) -> list[Row]:
         if b in kept:
             return kept[b]
-        if b.body[1] == DISJUNCTION:
-            rows = [row for s in b.shapes for row in store.join([()], s)]
+        if b.body[1] == DISJUNCTION:  # each disjunct binds its slots in order
+            rows = [*chain.from_iterable(store.by_pred.get(s[0], ()) for s in b.shapes)]
         else:
             start = [()] if b.parent is None else rows_of(b.parent)
             rows = store.join(start, b.shapes[-1]) if start else []
@@ -399,10 +402,11 @@ def generate_encoder_candidates(
         subsets = [s for size in sizes for s in combinations(range(b.n_vars), size)]
         if rows:  # the body has a substitution
             body_text = _body_text(*b.body)
+            columns = list(zip(*rows))
             for i, slots in enumerate(subsets):
                 args = _variables(slots)
                 pred = Predicate(f"latent_{ordinal + i}", len(args))
-                mask = index.mask(project(rows, slots))
+                mask = index.columns_mask(columns, slots)
                 text = _clause_text(pred, args, body_text)
                 head = Literal(pred, args)
                 out.append(CandidateClause(head, *b.body, mask, index, text))
@@ -429,16 +433,14 @@ def _head_predicates(kb: KnowledgeBase) -> list[Predicate]:
     return sorted(p for p in kb.input_predicates if p.arity >= 1)
 
 
-def _decoder_heads(
+def _decoder_bodies(
     latent_candidates: list[CandidateClause],
     kb: KnowledgeBase,
     config: GenerationConfig,
-) -> Iterator[tuple[Body, int, tuple[str, ...], set[Row]]]:
-    """Every decoder body with a substitution, once per head arity and
-    variable tuple of that arity, as (body, arity, head arguments, the
-    body's rows projected on them), in generation order.  The rows serve
-    every head predicate of the arity, and the items of one body share its
-    ``Body`` tuple.
+) -> Iterator[tuple[Body, int, list[tuple]]]:
+    """Every decoder body with a substitution, in generation order, as
+    (body, variable count, the columns of its rows, ``list(zip(*rows))``),
+    from which each head variable tuple is masked.
 
     The latent fact context is the union of the encoder candidates'
     consequences; decoder heads range over the input predicates of arity at
@@ -449,16 +451,13 @@ def _decoder_heads(
     if not latents:
         return
     arities = [p.arity for p in _head_predicates(kb)]  # one per head predicate
-    head_arities = sorted(set(arities))
     context: dict[Predicate, list[Row]] = {}  # as rows: no latent Fact is built
     for c in latent_candidates:
         context.setdefault(c.head.predicate, []).extend(c.rows())
     store = FactStore(context)
     for b, rows in _joined_bodies(DECODER, latents, {}, arities, config, store):
         if rows:  # the body has a substitution
-            for arity in head_arities:
-                for slots in combinations(range(b.n_vars), arity):
-                    yield b.body, arity, _variables(slots), project(rows, slots)
+            yield b.body, b.n_vars, list(zip(*rows))
 
 
 def generate_decoder_candidates(
@@ -468,21 +467,18 @@ def generate_decoder_candidates(
 ) -> list[CandidateClause]:
     """Every decoder clause over the latent vocabulary, unpruned, in
     generation order: body by body, then by head predicate, then by
-    variable tuple (see ``_decoder_heads``)."""
+    variable tuple (see ``_decoder_bodies``)."""
     index = AtomIndex(kb.facts)
     heads = _head_predicates(kb)
     out = []
-    decoders = _decoder_heads(latent_candidates, kb, config)
-    for body, items in groupby(decoders, itemgetter(0)):
-        items = list(items)
+    for body, n_vars, columns in _decoder_bodies(latent_candidates, kb, config):
         body_text = _body_text(*body)
         for pred in heads:
-            for _, arity, args, rows in items:
-                if arity == pred.arity:
-                    text = _clause_text(pred, args, body_text)
-                    head = Literal(pred, args)
-                    mask = index.mask(rows)
-                    out.append(CandidateClause(head, *body, mask, index, text))
+            for slots in combinations(range(n_vars), pred.arity):
+                args = _variables(slots)
+                text = _clause_text(pred, args, body_text)
+                mask = index.columns_mask(columns, slots)
+                out.append(CandidateClause(Literal(pred, args), *body, mask, index, text))
     return out
 
 
@@ -497,15 +493,15 @@ def generate_pruned_decoders(
 
     Both prunings read only which rows a decoder's head holds, so they run
     once per row class, shared by every head predicate of its arity.  Each
-    projection of ``_decoder_heads`` is a bitset over the pool's one index
-    of rows; the class is that row mask plus the body predicates, and of
-    each class the least text suffix ``args) :- body.`` is kept.  The
-    decoders of one head predicate share the prefix ``name(``, so that
-    suffix is the least text of the class for every one of them.  A class is
-    then corrupt or clean for each head predicate of its arity, against the
-    rows of that predicate's KB facts (``is_corrupt``), and the survivors
-    are ``prune_corrupt(prune_signature_variants(generate_decoder_candidates(
-    ...)))``.  Only for them is a candidate built, with its class's row mask.
+    body is read in one pass over its head variable tuples, planned once
+    per variable count.  A tuple's rows are a bitset over the pool's one
+    index, its class that mask plus the body predicates; the mask is corrupt
+    or clean for each head predicate of its arity (``is_corrupt``).  A class
+    corrupt for all of them is only counted; of each other class the least
+    text suffix ``args) :- body.`` is kept, the least text of the class for
+    every head predicate, which adds only the prefix ``name(``.  The
+    survivors are ``prune_corrupt(prune_signature_variants(
+    generate_decoder_candidates(...)))``, built with their class's mask.
     """
     heads = _head_predicates(kb)
     by_arity: dict[int, list[Predicate]] = {}
@@ -513,28 +509,50 @@ def generate_pruned_decoders(
         by_arity.setdefault(pred.arity, []).append(pred)
     index = AtomIndex(kb.facts)
     kb_masks = index.kb_masks(kb, heads)
-    # (row mask, body predicates) -> (suffix, body, arity, args)
-    kept: dict[tuple, tuple] = {}
-    met = 0
-    last = preds = body_text = None
-    for body, arity, args, rows in _decoder_heads(latent_candidates, kb, config):
-        met += len(by_arity[arity])
-        if body is not last:
-            last, preds, body_text = body, body_predicates(body[0]), _body_text(*body)
-        suffix = _clause_suffix(args, body_text)
-        key = (index.mask(rows), preds)
-        best = kept.get(key)
-        if best is None or suffix < best[0]:
-            kept[key] = (suffix, body, arity, args)
-    clean = []
-    for (row_mask, _), (suffix, body, arity, args) in kept.items():
-        for pred in by_arity[arity]:
-            if not is_corrupt(row_mask, kb_masks[pred]):
-                clean.append((f"{pred.name}({suffix}", pred, body, args, row_mask))
-    clean.sort(key=itemgetter(0))
+    plans: dict[int, list[tuple]] = {}  # by variable count: (slots, heads, KB masks)
+    # (row mask, body predicates) -> (suffix, body, args, clean heads) or None
+    kept: dict[tuple, tuple | None] = {}  # None: corrupt for every head, counted
+    # a head tuple's columns -> (row mask, the heads it is clean for)
+    seen: dict[tuple, tuple[int, list[Predicate]]] = {}
+    met = classes = 0
+    for body, n_vars, columns in _decoder_bodies(latent_candidates, kb, config):
+        if n_vars not in plans:
+            plans[n_vars] = [
+                (slots, arity_heads, [kb_masks[p] for p in arity_heads])
+                for arity, arity_heads in by_arity.items()
+                for slots in combinations(range(n_vars), arity)
+            ]
+        preds, body_text = body_predicates(body[0]), None
+        for slots, arity_heads, masks in plans[n_vars]:
+            met += len(arity_heads)
+            head_columns = tuple(map(columns.__getitem__, slots))
+            known = seen.get(head_columns)
+            if known is None:
+                row_mask = index.mask(zip(*head_columns))
+                clean = [p for p, m in zip(arity_heads, masks) if not is_corrupt(row_mask, m)]
+                known = seen[head_columns] = row_mask, clean
+            row_mask, clean = known
+            key = (row_mask, preds)
+            if key not in kept:
+                classes += len(arity_heads)
+                kept[key] = None
+            if not clean:
+                continue
+            if body_text is None:
+                body_text = _body_text(*body)
+            args = _variables(slots)
+            suffix = _clause_suffix(args, body_text)
+            best = kept[key]
+            if best is None or suffix < best[0]:
+                kept[key] = (suffix, body, args, clean)
+    ranked = [
+        (f"{pred.name}({best[0]}", pred, best, row_mask)
+        for (row_mask, _), best in kept.items() if best
+        for pred in best[3]
+    ]
+    ranked.sort(key=itemgetter(0))
     survivors = [
         CandidateClause(Literal(pred, args), *body, row_mask, index, text)
-        for text, pred, body, args, row_mask in clean
+        for text, pred, (_, body, args, _), row_mask in ranked
     ]
-    classes = sum(len(by_arity[arity]) for _, _, arity, _ in kept.values())
     return survivors, met, classes

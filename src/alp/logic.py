@@ -504,7 +504,8 @@ def parse_program(text: str) -> Alp:
     encoder = LogicProgram(tuple(sections[ENCODER]), ENCODER)
     decoder = tuple(sections[DECODER])
     _check_decoder(encoder.head_predicates(), decoder)
-    return Alp(encoder, LogicProgram(decoder, DECODER), frozenset(background))
+    # past Alp.__new__: its decoder check ran just above, and its slots hold
+    return tuple.__new__(Alp, (encoder, LogicProgram(decoder, DECODER), frozenset(background)))
 
 
 def serialize_program(alp: Alp) -> str:

@@ -12,6 +12,7 @@ from alp.candidates import (
     GenerationConfig,
     _joined_bodies,
     bit_positions,
+    body_predicates,
     generate_decoder_candidates,
     generate_encoder_candidates,
     generate_pruned_decoders,
@@ -35,6 +36,7 @@ from alp.logic import (
     _compile,
     apply_program,
     ground_consequences,
+    project,
 )
 from alp.pipeline import prepare_pool
 from alp.pruning import (
@@ -71,6 +73,39 @@ def body_strings(bodies):
         ";".join(map(str, lits)) if conn == DISJUNCTION else ",".join(map(str, lits))
         for lits, conn in bodies
     }
+
+
+class TestAtomIndex:
+    def test_bits_in_first_seen_order(self):
+        index = AtomIndex()
+        rows = [("b",), ("a",), ("b",), ("c",)]
+        assert index.mask(rows) == 0b111
+        assert index.rows == [("b",), ("a",), ("c",)]
+        assert index.mask([("c",), ("d",)]) == 0b1100
+        assert index.rows[3] == ("d",)
+        assert index._position == {row: k for k, row in enumerate(index.rows)}
+
+    def test_repeats_and_generators_mask_as_their_set(self):
+        rng = random.Random(5)
+        index = AtomIndex()
+        for _ in range(50):
+            rows = [tuple(rng.choices("abc", k=2)) for _ in range(rng.randrange(8))]
+            expected = index.mask(set(rows))
+            assert index.mask(rows) == index.mask(iter(rows)) == expected
+            assert index.mask(r for r in rows + rows) == expected
+        assert len(index.rows) == len(set(index.rows)) == 9
+
+    def test_columns_mask_is_the_projection_mask(self):
+        rng = random.Random(11)
+        index = AtomIndex()
+        for _ in range(200):
+            width = rng.randrange(1, 5)
+            rows = [
+                tuple(rng.choices("abcd", k=width)) for _ in range(rng.randrange(1, 7))
+            ]
+            slots = tuple(rng.sample(range(width), rng.randrange(1, width + 1)))
+            columns = list(zip(*rows))
+            assert index.columns_mask(columns, slots) == index.mask(project(rows, slots))
 
 
 class TestGenerationConfig:
@@ -493,6 +528,32 @@ class TestPrunedDecoders:
             fig1_kb(), default_config(max_decoder_body_len=2)
         )
         assert (len(unpruned), len(survivors)) == (14_370, 1_230)
+
+    def test_classes_corrupt_for_every_head_are_only_counted(self, monkeypatch):
+        """Every head row holds ``a`` and no latent row does, so every class
+        is corrupt for each head predicate of its arity: all are counted,
+        none is rendered and none survives."""
+        s2 = pred("s", 2)
+        background = [fact(s2, x, y) for x, y in ("bc", "cd", "db", "bb")]
+        kb = kb_of(
+            fact(P2, "a", "b"), fact(pred("t", 2), "c", "a"),
+            fact(Q1, "a"), fact(pred("r", 1), "a"), background=background,
+        )
+        config = default_config(max_decoder_body_len=2)
+        encoders = [
+            c for c in generate_encoder_candidates(kb, {}, config)
+            if body_predicates(c.body) == {s2}
+        ]
+        unpruned = generate_decoder_candidates(encoders, kb, config)
+        assert prune_corrupt(unpruned, kb) == []
+        classes = len(prune_signature_variants(unpruned))
+        assert len(unpruned) > classes > 0
+
+        def rendered(*args):
+            raise AssertionError("clause text rendered for a corrupt class")
+
+        monkeypatch.setattr("alp.candidates._clause_suffix", rendered)
+        assert generate_pruned_decoders(encoders, kb, config) == ([], len(unpruned), classes)
 
     def test_no_latents(self):
         kb = kb_of(fact(P2, "a", "b"))

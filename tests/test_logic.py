@@ -714,6 +714,36 @@ class TestProgramText:
                 Alp(LogicProgram(tuple(enc), ENCODER), LogicProgram(tuple(dec), DECODER))
             assert str(parsed.value) == str(built.value) == message
 
+    def test_decoder_roles_checked_once_per_parse(self, monkeypatch):
+        """``parse_program`` checks a decoder's roles once, before its
+        recursion check, and names each fault in the same words; the
+        program it returns equals the one ``Alp`` checks and builds."""
+        import alp.logic
+
+        calls = []
+        check = alp.logic._check_decoder
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(alp.logic, "_check_decoder", counted)
+        encoder = "#encoder\nlatent_1(X) :- p(X).\n"
+        parsed = parse_program(encoder + "#decoder\np(X) :- latent_1(X).\n")
+        assert len(calls) == 1
+        assert type(parsed) is Alp
+        assert parsed == Alp(parsed.encoder, parsed.decoder, parsed.background)
+        for decoder, message in [
+            ("latent_1(X) :- latent_1(X).", "decoder head latent_1/1 is not an input"),
+            ("q(X) :- latent_1(X).\np(X) :- q(X).",
+             "decoder body uses non-latent q/1, a recursive use in p(X) :- q(X)."),
+            ("p(X) :- r(X).", "decoder body uses non-latent r/1"),
+        ]:
+            calls.clear()
+            with pytest.raises(ValueError) as fault:
+                parse_program(f"{encoder}#decoder\n{decoder}\n")
+            assert (str(fault.value), len(calls)) == (message, 1)
+
     def test_clause_outside_section_rejected(self):
         with pytest.raises(Exception, match="section"):
             parse_program("latent_1(X) :- p(X).\n")
