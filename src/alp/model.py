@@ -31,11 +31,11 @@ every rf, then every cl, each kind by index, so ``VarId(i, kind)`` sits at
 ``first[kind] + i``.  The model is built in that form: each constraint is a
 row of positions (``CopModel.rows``), which the audit, the objective, the
 completion of a decoder selection, the solver, the text dump and error
-messages read; the last two name each position by its ``VarId`` from
-``all_ids``.  Each ``iff_or`` row follows the rows that set its body, so
-one pass completes a selection.  ``Constraint``, the rows with their
-positions named, is a view that only the benchmark's oracle and the tests
-use.  Candidates are read through their fields (head, body, text and
+messages read one row at a time; the last two name each position by its
+``VarId`` from ``all_ids``.  Each ``iff_or`` row follows the rows that set
+its body, so one pass completes a selection.  ``Constraint``, the rows with
+their positions named, is a view that only the benchmark's oracle and the
+tests use.  Candidates are read through their fields (head, body, text and
 mask); a ``Clause`` is built only by ``induced_alp``, for the selected ones.
 The model keeps the KB's background predicates, which ``induced_alp``
 gives the program it builds, so that its text declares those it reads.
@@ -46,8 +46,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, compress, repeat
-from operator import and_, itemgetter, mul, ne, not_
+from itertools import accumulate
 
 from .candidates import (
     CandidateClause,
@@ -79,7 +78,6 @@ IFF_OR = "iff_or"
 AT_MOST_ONE_OF_PAIR = "at_most_one_of_pair"
 AT_LEAST_ONE = "at_least_one"
 LINEAR_LE = "linear_le"
-FORMS = (IFF_OR, AT_MOST_ONE_OF_PAIR, AT_LEAST_ONE, LINEAR_LE)
 
 
 class ConstraintViolationError(AlpError):
@@ -167,24 +165,6 @@ class CopModel(Record):
                 Constraint(form, tuple([ids[p] for p in ps]), coeffs)
                 for form, ps, coeffs in self.rows
             ]
-        )
-
-    @cached_property
-    def audit_columns(self) -> tuple:
-        """Per form, in ``FORMS`` order, its row indices and then its rows as
-        columns: iff_or heads and bodies, the two positions of each pair,
-        coverage bodies, linear_le positions and coeffs."""
-        ks: dict[str, list[int]] = {form: [] for form in FORMS}
-        for k, (form, _, _) in enumerate(self.rows):
-            ks[form].append(k)
-        ps = {form: [self.rows[k][1] for k in rows] for form, rows in ks.items()}
-        iff, pairs = ps[IFF_OR], ps[AT_MOST_ONE_OF_PAIR]
-        return (
-            (ks[IFF_OR], list(map(itemgetter(0), iff)), [r[1:] for r in iff]),
-            (ks[AT_MOST_ONE_OF_PAIR], list(map(itemgetter(0), pairs)),
-             list(map(itemgetter(1), pairs))),
-            (ks[AT_LEAST_ONE], ps[AT_LEAST_ONE]),
-            (ks[LINEAR_LE], ps[LINEAR_LE], [self.rows[k][2] for k in ks[LINEAR_LE]]),
         )
 
     def size_summary(self) -> dict:
@@ -289,7 +269,7 @@ def build_model(
                     f"decoder {d.text} uses latent {lit.predicate} "
                     "with no defining encoder in the pool"
                 )
-            if pos not in dc_using[ei]:
+            if dc_using[ei][-1:] != [pos]:  # decoders come in position order
                 dc_using[ei].append(pos)
     for i in range(len(encoders)):
         rows.append((IFF_OR, (i, *dc_using[i]), ()))
@@ -336,26 +316,22 @@ def build_model(
 
 
 def check_assignment(model: CopModel, assignment: Assignment) -> list[int]:
-    """The indices in ``model.rows`` of the violated rows; empty means
-    feasible.  Each form is checked a column at a time."""
+    """The indices in ``model.rows`` of the violated rows, ascending; empty
+    means feasible.  The rows are read one at a time, by their form."""
     value = assignment.__getitem__
-    (iff_k, heads, bodies), (pair_k, firsts, seconds), (cover_k, cover), (
-        linear_k, linear_ps, linear_coeffs
-    ) = model.audit_columns
-
-    def any_of(bodies: list) -> map:
-        return map(any, map(map, repeat(value), bodies))
-
-    violated = chain(
-        compress(iff_k, map(ne, map(value, heads), any_of(bodies))),
-        compress(pair_k, map(and_, map(value, firsts), map(value, seconds))),
-        compress(cover_k, map(not_, any_of(cover))),
-        compress(linear_k, [
-            sum(map(mul, coeffs, map(value, ps))) > 0
-            for ps, coeffs in zip(linear_ps, linear_coeffs)
-        ]),
-    )
-    return sorted(violated)
+    violated = []
+    for k, (form, ps, coeffs) in enumerate(model.rows):
+        if form == AT_MOST_ONE_OF_PAIR:  # the most numerous form
+            bad = value(ps[0]) and value(ps[1])
+        elif form == IFF_OR:
+            bad = value(ps[0]) != any(map(value, ps[1:]))
+        elif form == AT_LEAST_ONE:
+            bad = not any(map(value, ps))
+        else:
+            bad = sum(a * value(p) for a, p in zip(coeffs, ps)) > 0
+        if bad:
+            violated.append(k)
+    return violated
 
 
 def objective_value(model: CopModel, assignment: Assignment) -> int:

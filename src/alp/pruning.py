@@ -47,18 +47,13 @@ def prune_signature_variants(
     serialization.
 
     ``generate_pruned_decoders`` already keeps one decoder per class, so on
-    its output this returns the list unchanged.  The decoders of one
-    body share its literal tuple, so each body's predicate set is built
-    once.
+    its output this returns the list unchanged.
     """
     pool_index(decoders)
-    body_preds: dict[int, frozenset] = {}
     groups: dict[tuple, CandidateClause] = {}
     for cand in sorted(decoders, key=attrgetter("text")):
-        preds = body_preds.get(id(cand.body))
-        if preds is None:
-            preds = body_preds[id(cand.body)] = body_predicates(cand.body)
-        groups.setdefault((cand.head.predicate, cand.mask, preds), cand)
+        key = (cand.head.predicate, cand.mask, body_predicates(cand.body))
+        groups.setdefault(key, cand)
     return sorted(groups.values(), key=attrgetter("text"))
 
 

@@ -569,7 +569,6 @@ def lns_minimize(
     rng = random.Random(config.seed)
     ec_positions = range(model.first[DC])
     dc_positions = range(model.first[DC], model.first[RF])
-    listed = None  # the incumbent whose position lists are built
     stagnation = 0
     for iteration in range(1, config.iterations + 1):
         if time.monotonic() > deadline:
@@ -578,10 +577,9 @@ def lns_minimize(
         if stagnation >= _STAGNATION_WINDOW:
             alpha = config.alpha / 2
             stagnation = 0
-        if listed is not incumbent:
-            listed, values = incumbent, incumbent.assignment
-            active_dc = [p for p in dc_positions if values[p] == 1]
-            inactive_ec = [p for p in ec_positions if values[p] == 0]
+        values = incumbent.assignment
+        active_dc = [p for p in dc_positions if values[p] == 1]
+        inactive_ec = [p for p in ec_positions if values[p] == 0]
         fixed: dict[int, int] = {}
         for p in rng.sample(active_dc, int(len(active_dc) * alpha / 100)):
             fixed[p] = 1

@@ -170,6 +170,31 @@ class TestBuildModel:
         ]
         assert heads == [VarId(i, EC) for i in range(len(model.ec_candidates))]
 
+    def test_coupling_row_lists_each_decoder_once(self):
+        """Also where a decoder reads one latent twice, as some do in Fig. 1
+        at the default bias: each encoder's coupling body is the strictly
+        increasing positions of the decoders whose body reads its latent."""
+        kb = fig1_kb()
+        encoders, decoders, _, _ = prepare_pool(kb, {}, GenerationConfig())
+        fig1 = build_model(encoders, decoders, kb, Fraction(2))
+        assert any(
+            len(d.body) > len({l.predicate for l in d.body}) for d in fig1.dc_candidates
+        )
+        for model in [fig1] + audit_models():
+            coupling = [
+                ps for form, ps, _ in model.rows
+                if form == IFF_OR and ps[0] < model.first[DC]
+            ]
+            assert [ps[0] for ps in coupling] == list(range(model.first[DC]))
+            for ps, enc in zip(coupling, model.ec_candidates):
+                body = list(ps[1:])
+                assert body == sorted(set(body))
+                assert body == [
+                    pos
+                    for pos, d in enumerate(model.dc_candidates, model.first[DC])
+                    if enc.head.predicate in {l.predicate for l in d.body}
+                ]
+
     def test_unused_encoder_is_pinned_off(self):
         kb = kb_of(fact(MOTHER, "padme", "leia"))
         enc, dec = pool(kb)
