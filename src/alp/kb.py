@@ -30,6 +30,7 @@ its facts' argument rows by predicate once, when it is built (``rows``,
 
 from __future__ import annotations
 
+import gc
 import re
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
@@ -124,6 +125,23 @@ class Fact(namedtuple("Fact", "predicate args")):
 
 
 Row = tuple[str, ...]  # a fact's arguments
+
+
+class GcPaused:
+    """``with GcPaused():`` disables the cyclic garbage collector for its
+    block and enables it after only if it was enabled before, so pauses
+    nest.  Bulk builds of ``Fact``s run under it: they hold no reference
+    cycle, so a collection during one finds no garbage."""
+
+    __slots__ = ("enabled",)
+
+    def __enter__(self):
+        self.enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info):
+        if self.enabled:
+            gc.enable()
 
 
 def rows_by_predicate(facts: Iterable[Fact]) -> dict[Predicate, list[Row]]:
@@ -362,27 +380,28 @@ def parse_kb_document(text: str) -> KbDocument:
         line_no += len((other + "\n").splitlines()) - 1  # the lines the stretch holds
 
     # Directives apply file-wide, so facts are resolved once all are read.
-    keys = list(zip(names, map(len, rows)))
-    for key in dict.fromkeys(keys):  # in order of first use
-        if key not in predicates:
-            name = key[0]
-            if name in first_arity:
-                message = f"{name}/{key[1]} conflicts with declared"
-                line_no = lines[keys.index(key)]
-                raise KbSyntaxError(f"{message} {name}/{first_arity[name]}", line_no, 1)
-            predicates[key] = Predicate(*key)
-    made = map(Fact._make, zip(map(predicates.__getitem__, keys), rows))
-    facts: set[Fact] = set()
-    background_facts: set[Fact] = set()
-    if background:
-        for fact in made:
-            (background_facts if fact.predicate in background else facts).add(fact)
-    else:
-        facts.update(made)
-    kb = KnowledgeBase(
-        frozenset(facts), frozenset(predicates.values()),
-        frozenset(background_facts), frozenset(background),
-    )
+    with GcPaused():
+        keys = list(zip(names, map(len, rows)))
+        for key in dict.fromkeys(keys):  # in order of first use
+            if key not in predicates:
+                name = key[0]
+                if name in first_arity:
+                    message = f"{name}/{key[1]} conflicts with declared"
+                    line_no = lines[keys.index(key)]
+                    raise KbSyntaxError(f"{message} {name}/{first_arity[name]}", line_no, 1)
+                predicates[key] = Predicate(*key)
+        made = map(Fact._make, zip(map(predicates.__getitem__, keys), rows))
+        facts: set[Fact] = set()
+        background_facts: set[Fact] = set()
+        if background:
+            for fact in made:
+                (background_facts if fact.predicate in background else facts).add(fact)
+        else:
+            facts.update(made)
+        kb = KnowledgeBase(
+            frozenset(facts), frozenset(predicates.values()),
+            frozenset(background_facts), frozenset(background),
+        )
     modes = (ModeDeclaration(predicates[k], s) for k, s in mode_slots.items())
     return KbDocument(kb, {mode.predicate: mode for mode in modes})
 

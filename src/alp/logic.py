@@ -14,7 +14,10 @@ the rows the KB grouped once when it was built (``KnowledgeBase.rows`` and
 ``loss_parts`` compares rows.  ``Fact``s, immutable ``(predicate, args)``
 tuples, are built only where a function returns them: ``encode``,
 ``reconstruct``, ``apply_program`` and ``ground_consequences``, unchecked
-and in C, since every row is a projection onto a checked head.
+and in C, since every row is a projection onto a checked head, and with
+the cyclic garbage collector paused (``alp.kb.GcPaused``): a pass returns
+thousands of them, tuples the collector tracks, and none holds a reference
+cycle, so a collection during the build finds nothing to free.
 
 Program text format, round-trippable through the parser:
 
@@ -37,6 +40,7 @@ from itertools import chain, repeat
 from .errors import KbSyntaxError
 from .kb import (
     Fact,
+    GcPaused,
     KnowledgeBase,
     Predicate,
     Row,
@@ -228,8 +232,10 @@ class FactStore:
         step of every body.  An id below the rows' width is a bound slot;
         the others are new slots, numbered on in order of first appearance.
         A negated literal binds every slot and keeps a row when its atom is
-        absent (closed-world assumption).  How the ids bind is planned once
-        per (ids, width) by ``_join_plan``."""
+        absent (closed-world assumption).  A first literal of distinct
+        variables, joined onto the empty start row, is a new list of the
+        store's rows themselves, copied in C.  How the ids bind is planned
+        once per (ids, width) by ``_join_plan``."""
         if not rows:
             return rows
         predicate, negated, ids = shape
@@ -238,6 +244,8 @@ class FactStore:
         if negated:
             return [r for r in rows if tuple([r[s] for s in slots]) not in index]
         if whole_row:
+            if rows == [()]:  # a first literal of distinct variables: its rows
+                return list(index.get((), ()))
             return [row + args for row in rows for args in index.get((), ())]
         return [
             row + tuple([args[i] for i in new])
@@ -304,10 +312,12 @@ def _apply(clauses: Iterable[Clause], store: FactStore) -> dict[Predicate, set[R
 
 
 def _facts(rows: dict[Predicate, set[Row]]) -> frozenset[Fact]:
-    """The rows as facts, built unchecked: each row is a projection onto a
-    clause head, whose arity ``Literal`` checked."""
+    """The rows as facts, built unchecked (each row is a projection onto a
+    clause head, whose arity ``Literal`` checked) and with the collector
+    paused."""
     groups = (map(Fact._make, zip(repeat(p), group)) for p, group in rows.items())
-    return frozenset(chain.from_iterable(groups))
+    with GcPaused():
+        return frozenset(chain.from_iterable(groups))
 
 
 def ground_consequences(clause: Clause, facts: Iterable[Fact]) -> frozenset[Fact]:

@@ -3,6 +3,7 @@ oracles kept deliberately independent of the library's evaluation path."""
 
 from __future__ import annotations
 
+import gc
 import importlib.util
 import os
 import random
@@ -12,6 +13,8 @@ from fractions import Fraction
 from itertools import permutations, product
 from pathlib import Path
 from typing import Iterable, Iterator
+
+import pytest
 
 import alp
 from alp.candidates import AtomIndex, CandidateClause, GenerationConfig, _enumerate
@@ -126,6 +129,30 @@ def count_facts_built(monkeypatch) -> list[int]:
     monkeypatch.setattr(Fact, "__new__", counting_new)
     monkeypatch.setattr(Fact, "_make", counting_make)
     return built
+
+
+def collector_at_facts_built(monkeypatch) -> list[bool]:
+    """``gc.isenabled()`` as each ``Fact`` is built unchecked from now on,
+    through ``Fact._make``, the way the library builds them in bulk."""
+    enabled = []
+    make = Fact._make
+
+    def recording_make(pair):
+        enabled.append(gc.isenabled())
+        return make(pair)
+
+    monkeypatch.setattr(Fact, "_make", recording_make)
+    return enabled
+
+
+@pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
+def collector(request):
+    """The cyclic garbage collector enabled, then disabled, for the test;
+    its state before the test is restored after it."""
+    was = gc.isenabled()
+    gc.enable() if request.param else gc.disable()
+    yield request.param
+    gc.enable() if was else gc.disable()
 
 
 def read_document_by_lines(text: str) -> KbDocument:

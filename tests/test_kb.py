@@ -1,6 +1,7 @@
 """Knowledge base parsing, serialization, Herbrand base, fact statistics."""
 
 import copy
+import gc
 import hashlib
 import pickle
 import random
@@ -35,6 +36,8 @@ from alp.logic import (
 from alp.pipeline import prepare_pool
 from helpers import (
     FIG1_TEXT,
+    collector,
+    collector_at_facts_built,
     fact,
     fig1_kb,
     herbrand_base,
@@ -350,6 +353,30 @@ def test_documents_read_as_the_line_reader_reads_them():
         assert _document_outcome(parse_kb_document, text) == expected, repr(text)
         outcomes["ok" if isinstance(expected, str) else "error"] += 1
     assert min(outcomes.values()) > 1_000
+
+
+class TestCollectorPause:
+    """A fact file's ``Fact``s are built with the cyclic garbage collector
+    paused, and parsing leaves it as it found it, enabled or disabled."""
+
+    def test_parse_restores_the_collector(self, collector, monkeypatch):
+        enabled = collector_at_facts_built(monkeypatch)
+        doc = parse_kb_document("#background male/1\nmale(luke).\n" + FIG1_TEXT)
+        assert len(doc.kb.facts) == 9 and len(doc.kb.background) == 1
+        assert len(enabled) == 10 and not any(enabled)
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize(
+        "text",
+        ["father(vader,.", "father(vader,Luke).", "#pred father/2\nfather(vader)."],
+        ids=["malformed", "variable", "arity-conflict"],
+    )
+    def test_syntax_error_restores_the_collector(self, collector, text):
+        """Before the facts are built (a malformed line or a variable) and
+        while they are (an arity that conflicts with a declaration)."""
+        with pytest.raises(KbSyntaxError):
+            parse_kb_document(text)
+        assert gc.isenabled() is collector
 
 
 class TestKbRows:

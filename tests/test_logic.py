@@ -1,5 +1,6 @@
 """Clause evaluation, programs, reconstruction loss, clause covering."""
 
+import gc
 import hashlib
 import json
 import random
@@ -21,10 +22,12 @@ from alp.logic import (
     FactStore,
     Literal,
     LogicProgram,
+    _apply,
     _join_plan,
     apply_program,
     encode,
     ground_consequences,
+    kb_store,
     loss_by_predicate,
     loss_parts,
     parse_program,
@@ -33,17 +36,21 @@ from alp.logic import (
     serialize_program,
 )
 from alp.kb import (
+    GcPaused,
     KnowledgeBase,
     parse_kb,
     rows_by_predicate,
     serialize_kb,
 )
 from helpers import (
+    FIG1_TEXT,
     body_key,
     body_variables,
     brute_force_consequences,
     canonical_body,
     cli_subprocess_env,
+    collector,
+    collector_at_facts_built,
     count_facts_built,
     fact,
     herbrand_base,
@@ -327,6 +334,74 @@ class TestJoin:
             ("a",), [(self.P, False, (0, 1))], (1,), "Y", (lit(self.P, "a", "Y"),)
         )
         assert all(row[0] == "a" for row in rows)
+
+    ENCODER_TEXT = "#encoder\nlatent_1(X,Y) :- p(X,Y);q(X,Y).\nlatent_2(X) :- r(X).\n"
+
+    def stores(self):
+        """A store of lists (a KB's rows) and one of sets (an encoding)."""
+        kb = kb_of(*self.FACTS)
+        encoder = parse_program(self.ENCODER_TEXT + "#decoder\n").encoder
+        return [kb_store(kb), FactStore(_apply(encoder.clauses, kb_store(kb)))]
+
+    def test_first_literal_copies_the_store_rows(self):
+        """A first literal of distinct variables, joined onto the empty
+        start row, gives the comprehension's rows: the store's row objects
+        in the store's order, in a new list.  Changing that list leaves the
+        store as it was."""
+        for store in self.stores():
+            before = {p: type(rows)(rows) for p, rows in store.by_pred.items()}
+            for p, rows in store.by_pred.items():
+                joined = store.join([()], (p, False, tuple(range(p.arity))))
+                assert joined == [() + args for args in rows]
+                assert all(a is b for a, b in zip(joined, rows))
+                assert type(joined) is list and joined is not rows
+                joined.append(("z",) * p.arity)
+                joined.reverse()
+            assert store.by_pred == before
+
+    def test_two_literal_decoder_over_an_encoding(self):
+        """A conjunctive decoder body joins its second literal onto the rows
+        its first took from a store of sets (the encoding's)."""
+        alp = parse_program(self.ENCODER_TEXT + "#decoder\np(X,Z) :- latent_1(X,Y),latent_1(Y,Z).\n")
+        kb = kb_of(*self.FACTS)
+        (clause,) = alp.decoder.clauses
+        expected = brute_force_consequences(clause, encode(alp, kb))
+        assert reconstruct(alp, kb) == expected
+        assert expected
+
+
+class TestCollectorPause:
+    """Evaluation builds its ``Fact``s with the cyclic garbage collector
+    paused, and leaves it as it found it, enabled or disabled."""
+
+    PROGRAM = (
+        "#encoder\nlatent_1(X,Y) :- mother(X,Y);father(X,Y).\n"
+        "#decoder\nparent(X,Y) :- latent_1(X,Y).\n"
+    )
+
+    def test_evaluation_restores_the_collector(self, collector):
+        alp, kb = parse_program(self.PROGRAM), parse_kb(FIG1_TEXT)
+        for call in (encode, reconstruct, loss_parts):
+            call(alp, kb)
+            assert gc.isenabled() is collector, call.__name__
+        assert apply_program(alp.encoder, kb.facts)
+        assert gc.isenabled() is collector
+
+    def test_facts_are_built_paused(self, collector, monkeypatch):
+        enabled = collector_at_facts_built(monkeypatch)
+        assert encode(parse_program(self.PROGRAM), parse_kb(FIG1_TEXT))
+        assert enabled and not any(enabled)
+        assert gc.isenabled() is collector
+
+    def test_nested_pauses(self, collector):
+        alp, kb = parse_program(self.PROGRAM), parse_kb(FIG1_TEXT)
+        with GcPaused():
+            with GcPaused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+            encode(alp, kb)
+            assert not gc.isenabled()
+        assert gc.isenabled() is collector
 
 
 class TestClauseInvariants:
