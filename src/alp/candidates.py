@@ -259,11 +259,12 @@ def _enumerate(
     allow_negation: bool,
     keep: Callable[[_Enumerated], None] = lambda b: None,
 ) -> list[_Enumerated]:
-    """All bodies over the predicates, canonically ordered and deduped:
-    bodies identical up to variable renaming and literal order collapse to
-    one canonical form.  Conjunctions grow a literal at a time, keyed on
-    their shapes; the first body met under a key is kept, and only it is
-    built, as its parent's literals plus one, and seen by ``keep``."""
+    """All bodies over the sorted predicates, canonically ordered and
+    deduped: bodies identical up to variable renaming and literal order
+    collapse to one canonical form.  Conjunctions grow a literal at a time,
+    keyed on their shapes; the first body met under a key is kept, and only
+    it is built, as its parent's literals plus one, and seen by ``keep``.
+    A disjunction is built canonical and keyed by its text."""
     conj: dict[str, _Enumerated] = {}
     frontier = []
     for pred in predicates:
@@ -298,8 +299,8 @@ def _enumerate(
             for subset in combinations(preds, size):
                 shapes = tuple((p, False, tuple(range(arity))) for p in subset)
                 body = (tuple(map(_literal, shapes)), DISJUNCTION)
-                key = shape_key(shapes, DISJUNCTION)
-                disj[key] = entry = _Enumerated(body, arity, shapes, None)
+                # sorted disjuncts over one argument tuple: already canonical
+                disj[_body_text(*body)] = entry = _Enumerated(body, arity, shapes, None)
                 keep(entry)
     return [conj[k] for k in sorted(conj)] + [disj[k] for k in sorted(disj)]
 

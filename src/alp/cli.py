@@ -10,7 +10,7 @@ an output path ``learn`` cannot write, found before it learns), 3
 infeasible model, 4 capacity ceiling, 5 vocabulary mismatch, 1 anything
 else.  Set ALP_LOG=info to log the files written and ``enumerate``'s
 pruning counts, or ALP_LOG=trace to also stream one TSV line per improving
-solver iteration to stderr.
+solver iteration to stderr; ALP_LOG=debug is the same as trace.
 """
 
 from __future__ import annotations

@@ -61,7 +61,11 @@ class Record:
     """A plain class compared, hashed and shown by the fields in
     ``_fields``, in order: equal only to an instance of its own class with
     equal fields, hashed as the tuple of those fields and shown as
-    ``Name(field=value, ...)``.  Its other attributes take no part."""
+    ``Name(field=value, ...)``; its other attributes take no part.  Only
+    ``KnowledgeBase`` and ``CandidateClause`` are ``Record``s: they attach
+    such attributes, a KB tuple's ``len`` and iteration would read its
+    fields, not its facts, and a tuple subclass with a per-instance dict
+    raised Fig. 1's peak RSS by about 0.35 MB across its candidates."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()

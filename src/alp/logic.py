@@ -404,29 +404,22 @@ def _render(shape: Shape, order: tuple) -> tuple[str, tuple]:
     return f"not {text}" if negated else text, order
 
 
-def shape_key(shapes, connective: str = CONJUNCTION) -> str:
-    """The canonical text of a body of literal shapes, equal for two bodies
+def shape_key(shapes) -> str:
+    """The canonical text of conjunctive literal shapes, equal for two bodies
     exactly when they are equal up to variable renaming and literal order.
 
-    A conjunction takes the least tuple of literal texts over every literal
-    order, its variables renamed X, Y, Z, ... by first appearance.  A
-    literal's text depends only on the literals before it, so the least
-    tuple is grown a literal at a time: each step renders every remaining
-    literal after every order kept so far and keeps the orders whose text is
-    least (gSpan's minimum DFS code, Yan & Han 2002).  Without ties that is
-    about len(body)**2 / 2 renderings instead of len(body)! * len(body); a
-    body that ties at every step still costs up to len(body)!, so
+    It is the least tuple of literal texts over every literal order, its
+    variables renamed X, Y, Z, ... by first appearance.  A literal's text
+    depends only on the literals before it, so the least tuple is grown a
+    literal at a time: each step renders every remaining literal after every
+    order kept so far and keeps the orders whose text is least (gSpan's
+    minimum DFS code, Yan & Han 2002).  Without ties that is about
+    len(body)**2 / 2 renderings instead of len(body)! * len(body); a body
+    that ties at every step still costs up to len(body)!, so
     GenerationConfig caps body lengths at ``_CANONICAL_PERMUTATION_CAP``.
-    Disjuncts share one argument tuple, so a disjunction only sorts them by
-    predicate.  Texts compare as rendered, since display names do not sort
-    in number order (W < X).
+    Texts compare as rendered, since display names do not sort in number
+    order (W < X).
     """
-    if connective == DISJUNCTION:
-        order, texts = (), []
-        for shape in sorted(shapes, key=lambda s: s[0]):  # by predicate
-            text, order = _render(shape, order)
-            texts.append(text)
-        return ";".join(texts)
     if len(shapes) == 2:  # the common case, without the search's lists
         a, b = shapes
         (text_a, after_a), (text_b, after_b) = _render(a, ()), _render(b, ())

@@ -59,7 +59,6 @@ from .kb import (
     Fact,
     KnowledgeBase,
     Predicate,
-    Record,
     avg_facts_per_predicate,
 )
 from .logic import (
@@ -106,30 +105,19 @@ Assignment = list[int]
 Row = tuple[str, tuple[int, ...], tuple[int, ...]]
 
 
-class CopModel(Record):
-    """The variables, constraints and objective of one candidate pool."""
-
-    _fields = (
-        "ec_candidates", "dc_candidates", "rf_bits", "rf_in_kb", "rows", "class_positions",
-        "constant_offset", "background", "warnings",
-    )
-
-    def __init__(
-        self,
-        ec_candidates: tuple[CandidateClause, ...],
-        dc_candidates: tuple[CandidateClause, ...],
-        rf_bits: tuple[tuple[Predicate, int], ...],  # (head, bit of its row), per rf
-        rf_in_kb: tuple[bool, ...],
-        rows: tuple[Row, ...],  # each constraint over assignment positions
-        class_positions: tuple[tuple[int, ...], ...],  # the members of cl_k
-        constant_offset: int,
-        background: frozenset[Predicate],  # the KB's, for induced_alp
-        warnings: tuple[str, ...] = (),
-    ):
-        self.ec_candidates, self.dc_candidates = ec_candidates, dc_candidates
-        self.rf_bits, self.rf_in_kb, self.rows = rf_bits, rf_in_kb, rows
-        self.class_positions, self.constant_offset = class_positions, constant_offset
-        self.background, self.warnings = background, warnings
+class CopModel(namedtuple(
+    "CopModel",
+    "ec_candidates dc_candidates rf_bits rf_in_kb rows class_positions constant_offset"
+    " background warnings",
+    defaults=((),),
+)):
+    """The variables, constraints and objective of one candidate pool: the
+    candidates, the (head, bit of its row) of each rf and whether its atom
+    is a KB fact, each constraint as a row over assignment positions, the
+    members of each cl, the objective's constant offset, the KB's background
+    predicates (for ``induced_alp``) and the warnings.  ``first``,
+    ``rf_atoms`` and ``constraints`` are derived from these and cached per
+    instance, so a ``_replace``d model derives its own."""
 
     def _sizes(self) -> dict[str, int]:
         return {

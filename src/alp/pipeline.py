@@ -10,6 +10,7 @@ model property, and raises.
 from __future__ import annotations
 
 import time
+from collections import namedtuple
 from fractions import Fraction
 
 from .candidates import (
@@ -19,30 +20,22 @@ from .candidates import (
     generate_pruned_decoders,
 )
 from .errors import AlpError
-from .kb import KnowledgeBase, ModeDeclaration, Predicate, Record
-from .logic import Alp, encode, loss_parts
-from .model import CopModel, build_model, induced_alp
+from .kb import KnowledgeBase, ModeDeclaration, Predicate
+from .logic import encode, loss_parts
+from .model import build_model, induced_alp
 from .pruning import build_report, prune_naming_variants
-from .solver import SearchConfig, Solution, lns_minimize, ProgressFn
+from .solver import SearchConfig, lns_minimize, ProgressFn
 
 
-class LearnResult(Record):
-    """What ``learn`` found, and what the run report reads: compared by
-    its fields, and unhashable, since it may change."""
+class LearnResult(namedtuple(
+    "LearnResult", "alp latent solution model pruning counts timings loss improvements"
+)):
+    """What ``learn`` found, and what the run report reads: the program,
+    its latent facts, the solver's solution, the model, the pruning report,
+    the candidate counts, the stage timings, the loss parts and the
+    improving LNS iterations.  Unhashable, since some fields are dicts."""
 
-    _fields = __slots__ = (
-        "alp", "latent", "solution", "model", "pruning", "counts", "timings", "loss",
-        "improvements",
-    )
-    __hash__ = None
-
-    def __init__(
-        self, alp: Alp, latent: frozenset, solution: Solution, model: CopModel,
-        pruning: dict, counts: dict, timings: dict, loss: dict, improvements: list,
-    ):
-        self.alp, self.latent, self.solution, self.model = alp, latent, solution, model
-        self.pruning, self.counts, self.timings = pruning, counts, timings
-        self.loss, self.improvements = loss, improvements
+    __slots__ = ()
 
 
 def prepare_pool(
@@ -113,17 +106,8 @@ def learn(
             f"reconstruction loss {missing + false}"
         )
     timings["total"] = time.monotonic() - t0
-    return LearnResult(
-        alp=alp,
-        latent=latent,
-        solution=solution,
-        model=model,
-        pruning=pruning,
-        counts=counts,
-        timings=timings,
-        loss={"objective": solution.objective, "missing": missing, "false": false},
-        improvements=improvements,
-    )
+    loss = {"objective": solution.objective, "missing": missing, "false": false}
+    return LearnResult(alp, latent, solution, model, pruning, counts, timings, loss, improvements)
 
 
 def run_report(

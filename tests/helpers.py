@@ -366,9 +366,9 @@ def literal_shapes(literals: Iterable[Literal]) -> list[Shape]:
     return [(l.predicate, l.negated, tuple(map(number, l.args))) for l in literals]
 
 
-def body_key(body: tuple[Literal, ...], connective: str = CONJUNCTION) -> str:
-    """``shape_key`` of a body of literals."""
-    return shape_key(literal_shapes(body), connective)
+def body_key(body: tuple[Literal, ...]) -> str:
+    """``shape_key`` of a conjunctive body of literals."""
+    return shape_key(literal_shapes(body))
 
 
 def random_kb_and_pool(
@@ -583,8 +583,7 @@ def with_constraints(model, constraints, members):
 
 def model_with(model: CopModel, **changes) -> CopModel:
     """A new model from ``model``'s fields, some of them changed."""
-    fields = {name: getattr(model, name) for name in CopModel._fields}
-    return CopModel(**(fields | changes))
+    return model._replace(**changes)
 
 
 def position(model, var) -> int:

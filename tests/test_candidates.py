@@ -56,8 +56,10 @@ from helpers import (
     latent_facts,
     lit,
     load_workloads,
+    pipeline_pool,
     pred,
     random_kb,
+    reference_body_key,
 )
 
 P2 = pred("p", 2)
@@ -154,6 +156,33 @@ class TestBodyEnumeration:
         for lits, conn in bodies:
             if conn == DISJUNCTION:
                 assert len({l.predicate.arity for l in lits}) == 1
+
+    def test_disjunctions_are_keyed_by_their_canonical_text(self):
+        """``_enumerate`` keys a disjunction by its text, unchanged: the
+        disjunctions come last, in strictly increasing text order, and each
+        text is the naive canonical form.  Over Fig. 1's vocabulary at body
+        lengths 2 and 3, its decoder vocabulary (the surviving latents) at
+        2, and seeded random vocabularies: arities 0-3 at length 2, 0-2 at 3."""
+        kb = fig1_kb()
+        latents = sorted({c.head.predicate for c in pipeline_pool(kb)[0]})
+        cases = [(sorted(kb.vocabulary), 2), (sorted(kb.vocabulary), 3), (latents, 2)]
+        rng = random.Random(36)
+        for _ in range(40):
+            max_len = rng.randint(2, 3)
+            names = rng.sample(range(20), rng.randint(2, 8))
+            vocabulary = sorted(pred(f"q{n}", rng.randint(0, 5 - max_len)) for n in names)
+            cases.append((vocabulary, max_len))
+        disjunctions = 0
+        for predicates, max_len in cases:
+            bodies = enumerate_bodies(predicates, {}, max_len, allow_disjunction=True)
+            tail = [b for b in bodies if b[1] == DISJUNCTION]
+            assert bodies[len(bodies) - len(tail):] == tail
+            texts = [";".join(map(str, lits)) for lits, _ in tail]
+            assert texts == sorted(set(texts))
+            for (lits, conn), text in zip(tail, texts):
+                assert text == reference_body_key(lits, conn)
+            disjunctions += len(texts)
+        assert disjunctions >= 500
 
     def test_every_body_is_connected(self):
         rng = random.Random(41)

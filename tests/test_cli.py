@@ -471,8 +471,9 @@ class TestOptionsAndTrace:
         assert "time_limit must be finite and >= 0" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
-    def test_trace_stream_emits_tsv(self, family, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("ALP_LOG", "trace")
+    @pytest.mark.parametrize("level", ["trace", "debug"])
+    def test_trace_stream_emits_tsv(self, family, tmp_path, capsys, monkeypatch, level):
+        monkeypatch.setenv("ALP_LOG", level)
         assert main(learn_args(family, tmp_path)) == 0
         err_lines = [
             l for l in capsys.readouterr().err.splitlines() if "\t" in l

@@ -1014,7 +1014,6 @@ class TestCanonicalForms:
         that the display names V8, V9, ... occur and sort before X."""
         rng = random.Random(71)
         preds = [pred(f"p{a}{k}", a) for a in range(1, 5) for k in range(3)]
-        binary = [p for p in preds if p.arity == 2]
         names = [chr(ord("A") + i) for i in range(16)]
         past_eight = 0
         for _ in range(400):
@@ -1037,11 +1036,4 @@ class TestCanonicalForms:
             key = body_key(body)
             assert key == reference_body_key(body)
             past_eight += "V8" in key
-            shared = [rng.choice(names[:3]) for _ in range(2)]
-            disjuncts = tuple(
-                lit(q, *shared) for q in rng.sample(binary, rng.randint(2, 3))
-            )
-            assert body_key(disjuncts, DISJUNCTION) == reference_body_key(
-                disjuncts, DISJUNCTION
-            )
         assert past_eight >= 10

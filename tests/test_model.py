@@ -343,6 +343,24 @@ class TestBuildModel:
         assert solution.objective == 1
         assert solution.proven_optimal
 
+    def test_a_replaced_model_derives_its_own_views(self):
+        """``first``, ``rf_atoms`` and ``constraints`` are cached per model:
+        a ``_replace``d one derives them from its own fields, and the
+        source keeps its cached ones."""
+        kb = fig1_kb()
+        model = build_model(*pipeline_pool(kb)[:2], kb, Fraction(2))
+        first, atoms, constraints = model.first, model.rf_atoms, model.constraints
+        assert len(atoms) > 2 and len(model.class_positions) > 1
+        k = len(atoms) // 2
+        shorter = model._replace(rf_bits=model.rf_bits[:k], rf_in_kb=model.rf_in_kb[:k])
+        assert shorter.first[CL] == first[RF] + k < first[CL]
+        assert len(shorter.rf_atoms) == k and shorter.rf_atoms == atoms[:k]
+        fewer = model._replace(class_positions=model.class_positions[:1], rows=model.rows[:3])
+        assert len(assignment_from_dc(fewer, set())) == first[CL] + 1
+        assert fewer.constraints == constraints[:3]
+        assert model.first is first and model.rf_atoms is atoms
+        assert model.constraints is constraints
+
     def test_offset_counts_unreconstructable_kb_facts(self):
         kb = kb_of(fact(MOTHER, "padme", "leia"), fact(FATHER, "vader", "luke"))
         encoders, decoders = paper_pool(kb)

@@ -1,12 +1,13 @@
 """The package's records and plain classes: what ``import alp`` loads, and
 the equality, hash, text form, copies and checks of each class.
 
-Records are named tuples that check their fields in ``__new__``; the
-classes with derived or uncompared attributes (``KnowledgeBase``,
-``CandidateClause``, ``CopModel``, ``LearnResult``) are plain classes.
-Each keeps the equality and hash of the frozen dataclass it replaced: the
-hash is that of the tuple of its compared fields, in field order, so every
-set of them iterates in the same order.
+Records are named tuples, most of which check their fields in
+``__new__``; ``CopModel`` caches views derived from its fields, and
+``LearnResult`` holds dicts.  The classes with uncompared attributes
+(``KnowledgeBase``, ``CandidateClause``) are plain classes.  Each keeps the
+equality and hash of the frozen dataclass it replaced: the hash is that of
+the tuple of its compared fields, in field order, so every set of them
+iterates in the same order.
 """
 
 import copy
